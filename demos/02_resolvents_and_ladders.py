@@ -25,7 +25,7 @@ from graphforms import (
 
 # killing at the center vertex makes the resolvent lose mass there
 q = assemble(make_path(7, 0.25), extra_killing={"v3": 2.0})
-handle = ResolventHandle(q, method="dense")
+handle = ResolventHandle(q)
 
 ones = np.ones(handle.dim)
 print("sub-Markov check, alpha G_alpha 1 stays in [0, 1]:")

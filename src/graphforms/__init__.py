@@ -58,7 +58,6 @@ from .resolvent import (
     CoefficientTable,
     GeneratorOperator,
     ResolventHandle,
-    SolverError,
     build_generator,
     default_alpha_ladder,
     truncated_coefficients,

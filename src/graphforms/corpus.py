@@ -104,7 +104,7 @@ def domination_pair_corpus(seed: int, count: int, n_min: int = 4, n_max: int = 1
     reduction, edge growth compensated by killing) with certified-refuted
     ones (edge growth or shrinkage, added killing, incomparable masks).
     """
-    from .domination import FormPair
+    from .domination import FormPair, check_order_ideal
 
     rng = np.random.default_rng(seed)
     pairs = []
@@ -156,7 +156,7 @@ def domination_pair_corpus(seed: int, count: int, n_min: int = 4, n_max: int = 1
             if v is None or len(boundary_low) == graph.n - 1:
                 continue
             upper = assemble(graph, boundary=[v])
-            if check_mask_containment(lower, upper):
+            if check_order_ideal(FormPair(lower=lower, upper=upper)):
                 continue
         else:
             e = int(rng.integers(0, len(graph.edge_b)))
@@ -176,10 +176,6 @@ def domination_pair_corpus(seed: int, count: int, n_min: int = 4, n_max: int = 1
             upper = assemble(_with_graph_data(graph, c=c_new, edges=edges), boundary=inner)
         pairs.append(FormPair(lower=lower, upper=upper))
     return pairs
-
-
-def check_mask_containment(lower: GraphForm, upper: GraphForm) -> bool:
-    return bool(np.all(upper.active[lower.active]))
 
 
 def zero_killing(graph: WeightedGraph) -> WeightedGraph:

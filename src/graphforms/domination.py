@@ -30,8 +30,9 @@ from .graph import Exhaustion
 from .reflection import main_part
 from .resolvent import ResolventHandle, assemble_stiffness
 
-#: Largest dimension solved densely inside boolean checks; iterative solves
-#: are kept out of verdicts below this size to avoid solver noise.
+#: Largest dimension whose resolvent matrices are compared entrywise (every
+#: basis probe exactly); above it only the first 64 basis vectors are probed,
+#: so no n x n array is built.
 DENSE_CAP = 256
 
 _DEFAULT_ALPHAS = tuple(float(a) for a in np.logspace(-3.0, 3.0, 13))
@@ -51,14 +52,12 @@ class FormPair:
             raise ValueError("forms must share the same vertex measure")
 
 
-def _resolvent_full(form: GraphForm, alpha: float) -> np.ndarray:
-    """Dense resolvent matrix embedded by zero on inactive rows and columns."""
-    handle = ResolventHandle(form, method="dense")
-    Ga = handle.resolvent_matrix(alpha)
-    n = form.n
+def _resolvent_full(handle: ResolventHandle, alpha: float) -> np.ndarray:
+    """Resolvent matrix embedded by zero on inactive rows and columns."""
+    n = handle.form.n
     G = np.zeros((n, n))
     idx = handle.generator.active_index
-    G[np.ix_(idx, idx)] = Ga
+    G[np.ix_(idx, idx)] = handle.resolvent_matrix(alpha)
     return G
 
 
@@ -67,43 +66,42 @@ def check_resolvent_domination(
 ) -> tuple:
     """Criterion (i): |G_alpha f| <= G~_alpha |f| elementwise, all probes and alpha.
 
-    For dimensions up to DENSE_CAP the resolvent matrices are compared
-    entrywise, which covers every basis probe exactly; explicit probes (random
-    signs and any caller-supplied functions) are checked on top.  Returns
-    (ok, worst) where worst describes the largest violation found.
+    Each form gets one resolvent handle for all alphas, so both resolvents
+    come from one sparse LU factor per alpha.  For dimensions up to DENSE_CAP
+    the resolvent matrices are compared entrywise, which covers every basis
+    probe exactly.  Above it, when no probes are given, the probes are the
+    first 64 basis vectors and 16 seeded random sign vectors.  Every probe
+    goes through the resolvent applications.  Returns (ok, worst) where worst
+    describes the largest violation found.
     """
     if alphas is None:
         alphas = _DEFAULT_ALPHAS
     n = pair.lower.n
+    exact = n <= DENSE_CAP
+    h_low = ResolventHandle(pair.lower)
+    h_up = ResolventHandle(pair.upper)
+    if probes is None:
+        probes = []
+        if not exact:
+            rng = np.random.default_rng(42)
+            probes = [np.eye(1, n, k)[0] for k in range(min(n, 64))]
+            probes += [rng.choice([-1.0, 1.0], size=n) for _ in range(16)]
     worst = {"violation": -math.inf, "alpha": None, "kind": None}
 
     def record(v, alpha, kind):
         if v > worst["violation"]:
             worst.update(violation=float(v), alpha=float(alpha), kind=kind)
 
-    if n <= DENSE_CAP:
-        for alpha in alphas:
-            G_low = _resolvent_full(pair.lower, alpha)
-            G_up = _resolvent_full(pair.upper, alpha)
+    for alpha in alphas:
+        if exact:
+            G_low = _resolvent_full(h_low, alpha)
+            G_up = _resolvent_full(h_up, alpha)
             record(float((np.abs(G_low) - G_up).max()), alpha, "basis")
-            if probes is not None:
-                for k, f in enumerate(probes):
-                    f = np.asarray(f, dtype=float)
-                    v = np.abs(G_low @ f) - G_up @ np.abs(f)
-                    record(float(v.max()), alpha, f"probe_{k}")
-    else:
-        h_low = ResolventHandle(pair.lower)
-        h_up = ResolventHandle(pair.upper)
-        if probes is None:
-            rng = np.random.default_rng(42)
-            probes = [e for e in np.eye(n)[: min(n, 64)]]
-            probes += [rng.choice([-1.0, 1.0], size=n) for _ in range(16)]
-        for alpha in alphas:
-            for k, f in enumerate(probes):
-                f = np.asarray(f, dtype=float)
-                u = h_low.extend(h_low.apply(alpha, h_low.restrict(f)))
-                w = h_up.extend(h_up.apply(alpha, h_up.restrict(np.abs(f))))
-                record(float((np.abs(u) - w).max()), alpha, f"probe_{k}")
+        for k, f in enumerate(probes):
+            f = np.asarray(f, dtype=float)
+            u = h_low.extend(h_low.apply(alpha, h_low.restrict(f)))
+            w = h_up.extend(h_up.apply(alpha, h_up.restrict(np.abs(f))))
+            record(float((np.abs(u) - w).max()), alpha, f"probe_{k}")
 
     return worst["violation"] <= tol, worst
 

@@ -37,6 +37,20 @@ def as_function(graph: WeightedGraph, values) -> np.ndarray:
     return f
 
 
+def increments_settled(values, rel_tol: float) -> bool:
+    """True when the last two relative increments of values fall below rel_tol.
+
+    Needs at least three values; a step between two zeros counts as zero.
+    """
+
+    def rel(a, b):
+        scale = max(abs(a), abs(b))
+        return 0.0 if scale == 0.0 else abs(b - a) / scale
+
+    tail = values[-3:]
+    return len(tail) == 3 and all(rel(a, b) < rel_tol for a, b in zip(tail, tail[1:]))
+
+
 @dataclass(frozen=True)
 class Coupling:
     """Extra difference term w * (f(u) - f(v))^2 added once to the energy.

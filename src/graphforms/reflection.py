@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import OUT_OF_DOMAIN, GraphForm, as_function
+from .forms import OUT_OF_DOMAIN, GraphForm, as_function, increments_settled
 from .graph import Exhaustion, WeightedGraph
 
 
@@ -105,13 +105,7 @@ def main_part(q: GraphForm, ex: Exhaustion, f, rel_tol: float = 1e-8) -> PartRes
     f = as_function(q.graph, f)
     _require_masked(q, ex)
     trace = [truncated_form(q, chi, f).value for chi in ex.cutoffs]
-    converged = _full_cutoff_reached(q, ex.cutoffs[-1])
-    if not converged and len(trace) >= 3:
-        incs = []
-        for a, b in ((trace[-3], trace[-2]), (trace[-2], trace[-1])):
-            scale = max(abs(a), abs(b))
-            incs.append(0.0 if scale == 0.0 else abs(b - a) / scale)
-        converged = all(r < rel_tol for r in incs)
+    converged = _full_cutoff_reached(q, ex.cutoffs[-1]) or increments_settled(trace, rel_tol)
     return PartResult(value=trace[-1], trace=trace, converged=converged)
 
 
@@ -160,14 +154,7 @@ def killing_part(
     saturated = _full_cutoff_reached(q, ex.cutoffs[-1]) and clamp_levels[-1] >= float(
         np.max(np.abs(f))
     )
-    converged = saturated
-    if not converged and len(grid[-1]) >= 3:
-        row = grid[-1]
-        incs = []
-        for a, b in ((row[-3], row[-2]), (row[-2], row[-1])):
-            scale = max(abs(a), abs(b))
-            incs.append(0.0 if scale == 0.0 else abs(b - a) / scale)
-        converged = all(r < rel_tol for r in incs)
+    converged = saturated or increments_settled(grid[-1], rel_tol)
     return PartResult(value=value, trace=grid, converged=converged)
 
 

@@ -24,15 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .forms import GraphForm
-
-
-class SolverError(RuntimeError):
-    """Linear solve failed to converge; carries the achieved residual."""
-
-    def __init__(self, message: str, achieved_residual: float):
-        super().__init__(f"{message} (achieved residual {achieved_residual:.3e})")
-        self.achieved_residual = achieved_residual
+from .forms import GraphForm, increments_settled
 
 
 @dataclass
@@ -76,26 +68,14 @@ def assemble_stiffness(form: GraphForm) -> sp.csr_matrix:
     """Full-space stiffness matrix K with Q(f, g) = f^T K g (no mask applied)."""
     g = form.graph
     n = g.n
-    rows, cols, vals = [], [], []
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
-    for u, v, b in zip(g.edge_u, g.edge_v, g.edge_b):
-        add(u, u, 2.0 * b)
-        add(v, v, 2.0 * b)
-        add(u, v, -2.0 * b)
-        add(v, u, -2.0 * b)
-    for x, cv in enumerate(form.c_total):
-        if cv != 0.0:
-            add(x, x, cv)
-    for cp in form.couplings:
-        add(cp.u, cp.u, cp.w)
-        add(cp.v, cp.v, cp.w)
-        add(cp.u, cp.v, -cp.w)
-        add(cp.v, cp.u, -cp.w)
+    cps = form.couplings
+    u = np.concatenate([g.edge_u, np.array([cp.u for cp in cps], dtype=int)])
+    v = np.concatenate([g.edge_v, np.array([cp.v for cp in cps], dtype=int)])
+    w = np.concatenate([2.0 * g.edge_b, np.array([cp.w for cp in cps], dtype=float)])
+    diag = np.arange(n)
+    rows = np.concatenate([u, v, u, v, diag])
+    cols = np.concatenate([u, v, v, u, diag])
+    vals = np.concatenate([w, w, -w, -w, form.c_total])
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
@@ -112,29 +92,19 @@ def build_generator(form: GraphForm) -> GeneratorOperator:
 
 
 class ResolventHandle:
-    """Resolvent applications for one generator, with solver configuration.
+    """Resolvent applications for one generator through one sparse LU factor.
 
-    Solves are conjugate-gradient with Jacobi preconditioning at a relative
-    residual of ``tol`` (measured in the m-norm of the operator equation), or
-    dense direct when ``method='dense'``.  Dense doubles as the oracle for the
-    iterative path in the tests.
+    Every solve of (K + alpha M) w = rhs goes through a SuperLU factorization
+    of K + alpha M with minimum-degree ordering on A^T + A.  The factor of the
+    most recent alpha is kept, so repeated solves at one alpha factor once; a
+    new alpha releases the old factor before the new one is built.
     """
 
-    def __init__(
-        self,
-        form: GraphForm,
-        tol: float = 1e-12,
-        maxiter_factor: int = 50,
-        method: str = "cg",
-    ):
-        if method not in ("cg", "dense"):
-            raise ValueError(f"unknown solver method {method!r}")
+    def __init__(self, form: GraphForm):
         self.form = form
         self.generator = build_generator(form)
-        self.tol = tol
-        self.maxiter_factor = maxiter_factor
-        self.method = method
-        self._dense_K = None
+        self._alpha = None
+        self._lu = None
 
     @property
     def dim(self) -> int:
@@ -142,57 +112,21 @@ class ResolventHandle:
 
     # -- linear algebra -----------------------------------------------------
 
-    def _dense_stiffness(self) -> np.ndarray:
-        if self._dense_K is None:
-            self._dense_K = self.generator.stiffness.toarray()
-        return self._dense_K
+    def _factor(self, alpha: float):
+        if alpha != self._alpha:
+            # imported here: scipy.sparse.linalg adds ~0.13 s to `import graphforms`
+            from scipy.sparse.linalg import splu
+
+            self._alpha = self._lu = None
+            gen = self.generator
+            A = (gen.stiffness + sp.diags(alpha * gen.mass)).tocsc()
+            self._lu = splu(A, permc_spec="MMD_AT_PLUS_A")
+            self._alpha = alpha
+        return self._lu
 
     def _solve(self, alpha: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (K + alpha M) w = rhs."""
-        if self.method == "dense":
-            A = self._dense_stiffness() + alpha * np.diag(self.generator.mass)
-            return np.linalg.solve(A, rhs)
-        return self._solve_cg(alpha, rhs)
-
-    def _solve_cg(self, alpha: float, rhs: np.ndarray) -> np.ndarray:
-        K = self.generator.stiffness
-        m = self.generator.mass
-        inv_m = 1.0 / m
-        diag = K.diagonal() + alpha * m
-        precond = 1.0 / diag
-
-        def residual_norm(r):
-            # m-norm of M^{-1} r, the residual of the (L + alpha) u = f system
-            return math.sqrt(float(r @ (inv_m * r)))
-
-        target = self.tol * residual_norm(rhs)
-        x = np.zeros_like(rhs)
-        r = rhs.copy()
-        if residual_norm(r) <= target:
-            return x
-        z = precond * r
-        p = z.copy()
-        rz = float(r @ z)
-        maxiter = self.maxiter_factor * self.generator.dim
-        for _ in range(maxiter):
-            Ap = K @ p + alpha * m * p
-            pAp = float(p @ Ap)
-            if pAp <= 0.0:
-                raise SolverError("conjugate gradient breakdown", residual_norm(r))
-            step = rz / pAp
-            x += step * p
-            r -= step * Ap
-            if residual_norm(r) <= target:
-                # confirm with the true residual before accepting
-                r_true = rhs - (K @ x + alpha * m * x)
-                if residual_norm(r_true) <= target:
-                    return x
-                r = r_true
-            z = precond * r
-            rz_new = float(r @ z)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        raise SolverError("conjugate gradient did not converge", residual_norm(r))
+        """Solve (K + alpha M) w = rhs for a vector rhs."""
+        return self._factor(alpha).solve(rhs)
 
     # -- resolvent operations ------------------------------------------------
 
@@ -214,11 +148,10 @@ class ResolventHandle:
         return self._solve(alpha, self.generator.mass * f)
 
     def resolvent_matrix(self, alpha: float) -> np.ndarray:
-        """Dense matrix of G_alpha on active coordinates (direct solve)."""
+        """Dense matrix of G_alpha on active coordinates, from the LU factor."""
         if not alpha > 0:
             raise ValueError("resolvent parameter alpha must be positive")
-        A = self._dense_stiffness() + alpha * np.diag(self.generator.mass)
-        return np.linalg.solve(A, np.diag(self.generator.mass))
+        return self._factor(alpha).solve(np.diag(self.generator.mass))
 
     def approximating_bilinear(self, alpha: float, u: np.ndarray, v: np.ndarray) -> float:
         """E^(alpha)(u, v) = <u, (I - alpha G_alpha) v>_m = <u, G_alpha L v>_m."""
@@ -384,16 +317,9 @@ def truncated_form_via_resolvent(
         on_diag = handle.approximating_bilinear(alpha, pf, pf)
         off_diag = handle.approximating_bilinear(alpha, pf2, pa)
         values.append(alpha * (on_diag - off_diag))
-    converged = False
-    if len(values) >= 3:
-        rels = []
-        for a, b in ((values[-3], values[-2]), (values[-2], values[-1])):
-            scale = max(abs(a), abs(b))
-            rels.append(0.0 if scale == 0.0 else abs(b - a) / scale)
-        converged = all(r < rel_tol for r in rels)
     return LadderResult(
         alphas=list(alpha_ladder),
         values=values,
         limit=values[-1] if values else 0.0,
-        converged=converged,
+        converged=increments_settled(values, rel_tol),
     )

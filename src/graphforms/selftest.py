@@ -202,7 +202,7 @@ def check_monotone_ladder():
     rng = np.random.default_rng(SEED)
     worst = -math.inf
     for q, _ in corpus.form_corpus(SEED, 5, n_max=16):
-        handle = ResolventHandle(q, method="dense")
+        handle = ResolventHandle(q)
         f = rng.uniform(-2, 2, handle.dim)
         vals = [a * handle.approximating_form(a, f) for a in default_alpha_ladder(handle)]
         for a, b in zip(vals, vals[1:]):
@@ -213,7 +213,7 @@ def check_monotone_ladder():
 def check_resolvent_identity():
     worst = 0.0
     for q, _ in corpus.form_corpus(SEED + 1, 5, n_max=12):
-        handle = ResolventHandle(q, method="dense")
+        handle = ResolventHandle(q)
         for alpha, beta in ((0.5, 2.0), (1.0, 10.0)):
             Ga = handle.resolvent_matrix(alpha)
             Gb = handle.resolvent_matrix(beta)
@@ -228,7 +228,7 @@ def check_coefficient_consistency():
     worst = 0.0
     bounds_ok = True
     for q, _ in corpus.form_corpus(SEED + 2, 5, n_max=12):
-        handle = ResolventHandle(q, method="dense")
+        handle = ResolventHandle(q)
         act = handle.generator.active_index
         k = min(4, len(act))
         chosen = rng.choice(act, size=k, replace=False)

@@ -97,7 +97,7 @@ def test_criterion_2_truncated_route_equivalence():
         if algebraic < 1e-6:
             continue
         count += 1
-        handle = ResolventHandle(q, method="dense")
+        handle = ResolventHandle(q)
         ladder = default_alpha_ladder(handle)
         res = truncated_form_via_resolvent(handle, phi, f, alpha_ladder=ladder)
         worst_rel = max(worst_rel, abs(res.limit - algebraic) / max(abs(algebraic), abs(res.limit)))

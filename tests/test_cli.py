@@ -117,6 +117,15 @@ class TestCounterexample:
         assert rep["contradiction_reproduced"] is True
         assert rep["gap"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_grid_above_dense_cap(self, capsys):
+        # n = 301 > DENSE_CAP: criterion (i) runs on probes, not full matrices
+        code, out, _ = run(capsys, "counterexample", "--n", "301")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["defects"] == []
+        assert rep["contradiction_reproduced"] is True
+        assert rep["gap"] == pytest.approx(1.0, abs=1e-9)
+
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "--format", "text", "counterexample", "--n", "5")
         assert code == 0

@@ -54,7 +54,7 @@ class TestResolventDomination:
             FormPair(lower=assemble(make_path(3, 1.0)), upper=assemble(make_path(4, 1.0)))
 
     def test_probe_path_agrees_with_dense(self, monkeypatch):
-        # force the iterative probe-based route and compare verdicts
+        # force the probe-based route above DENSE_CAP and compare verdicts
         import graphforms.domination as dom
 
         pair = dirichlet_neumann_pair(n=6)

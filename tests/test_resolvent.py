@@ -5,12 +5,14 @@ import pytest
 
 from graphforms import (
     ResolventHandle,
-    SolverError,
+    SquareLatticeGenerator,
     assemble,
     build_generator,
     default_alpha_ladder,
+    generator_ball,
     make_path,
     single_vertex,
+    truncate,
     truncated_coefficients,
     truncated_form_via_resolvent,
 )
@@ -41,26 +43,43 @@ class TestResolventApply:
             got = h.apply(alpha, np.array([1.0, -2.0]))
             np.testing.assert_allclose(got, expect, atol=1e-12)
 
-    def test_cg_matches_dense_on_corpus(self):
+    def test_lu_matches_dense_solve_on_corpus(self):
+        # alpha returns to 0.7 after 13.0, so a rebuilt factor is checked too
         rng = np.random.default_rng(0)
         for q, _ in form_corpus(21, 4, n_max=40):
-            h_cg = ResolventHandle(q, method="cg")
-            h_dn = ResolventHandle(q, method="dense")
-            f = rng.uniform(-1, 1, h_cg.dim)
-            for alpha in (0.7, 13.0):
+            h = ResolventHandle(q)
+            K = h.generator.stiffness.toarray()
+            m = h.generator.mass
+            f = rng.uniform(-1, 1, h.dim)
+            for alpha in (0.7, 13.0, 0.7):
+                A = K + alpha * np.diag(m)
                 np.testing.assert_allclose(
-                    h_cg.apply(alpha, f), h_dn.apply(alpha, f), atol=1e-9, rtol=1e-9
+                    h.apply(alpha, f), np.linalg.solve(A, m * f), atol=1e-9, rtol=1e-9
+                )
+                np.testing.assert_allclose(
+                    h.resolvent_matrix(alpha),
+                    np.linalg.solve(A, np.diag(m)),
+                    atol=1e-9,
+                    rtol=1e-9,
                 )
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
             single_vertex_handle().apply(0.0, np.ones(1))
 
-    def test_nonconvergence_reported(self):
-        h = ResolventHandle(assemble(make_path(8, 1.0)), maxiter_factor=0)
-        with pytest.raises(SolverError) as exc:
-            h.apply(1.0, np.ones(8))
-        assert exc.value.achieved_residual > 0
+    def test_small_alpha_on_lattice_with_one_dirichlet_vertex(self):
+        # ill-conditioned K + alpha M: n = 1861, one rim vertex masked, alpha = 1e-3
+        gen = SquareLatticeGenerator()
+        q = assemble(truncate(gen, generator_ball(gen, "0,0", 30)), boundary=["30,0"])
+        h = ResolventHandle(q)
+        alpha = 1e-3
+        u = h.apply(alpha, np.ones(h.dim))
+        assert h.dim == 1860
+        assert float((alpha * u).min()) >= 0.0
+        assert float((alpha * u).max()) <= 1.0 + 1e-10
+        K, m = h.generator.stiffness, h.generator.mass
+        residual = np.linalg.norm(m - (K @ u + alpha * m * u)) / np.linalg.norm(m)
+        assert residual <= 1e-10
 
 
 class TestGeneratorOperator:
@@ -123,7 +142,7 @@ class TestApproximatingForm:
     def test_monotone_ladder_converges_to_energy(self):
         rng = np.random.default_rng(4)
         for q, _ in form_corpus(26, 3, n_max=12):
-            h = ResolventHandle(q, method="dense")
+            h = ResolventHandle(q)
             idx = h.generator.active_index
             f_full = np.zeros(q.n)
             f_full[idx] = rng.uniform(-2, 2, h.dim)
@@ -142,7 +161,7 @@ class TestApproximatingForm:
 
     def test_resolvent_identity(self):
         q, _ = form_corpus(28, 1, n_max=12)[0]
-        h = ResolventHandle(q, method="dense")
+        h = ResolventHandle(q)
         for alpha, beta in ((0.5, 2.0), (1.0, 10.0)):
             Ga, Gb = h.resolvent_matrix(alpha), h.resolvent_matrix(beta)
             np.testing.assert_allclose(Ga - Gb, (beta - alpha) * (Ga @ Gb), atol=1e-8)
@@ -153,7 +172,7 @@ class TestTruncatedCoefficients:
         # phi = 1, singleton partition covering all active vertices of a
         # killing-free graph: every c_i and c_i_phi vanishes.
         q = assemble(make_path(4, 1.0))
-        h = ResolventHandle(q, method="dense")
+        h = ResolventHandle(q)
         table = truncated_coefficients(
             h, 1.0, np.ones(4), [[f"v{i}"] for i in range(4)]
         )
@@ -163,26 +182,25 @@ class TestTruncatedCoefficients:
 
     def test_zero_cutoff(self):
         q = assemble(make_path(3, 1.0))
-        h = ResolventHandle(q, method="dense")
+        h = ResolventHandle(q)
         table = truncated_coefficients(h, 1.0, np.zeros(3), [["v0"], ["v1"]])
         np.testing.assert_allclose(table.b_phi, 0.0, atol=1e-15)
         np.testing.assert_allclose(table.c_phi, 0.0, atol=1e-15)
 
     def test_two_routes_agree(self):
-        # coefficient through the CG path vs the dense matrix route
+        # coefficient through the LU path vs a dense solve of (K + M) G = M
         q = assemble(make_path(2, 1.0))
-        h_cg = ResolventHandle(q, method="cg")
-        h_dn = ResolventHandle(q, method="dense")
-        part = [["v0"], ["v1"]]
-        t1 = truncated_coefficients(h_cg, 1.0, np.ones(2), part)
-        t2 = truncated_coefficients(h_dn, 1.0, np.ones(2), part)
-        assert t1.b[0, 1] == pytest.approx(t2.b[0, 1], abs=1e-10)
-        assert t1.b[0, 1] == pytest.approx(t1.b_phi[0, 1], abs=1e-14)
+        h = ResolventHandle(q)
+        t = truncated_coefficients(h, 1.0, np.ones(2), [["v0"], ["v1"]])
+        K = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        G = np.linalg.solve(K + np.eye(2), np.eye(2))
+        assert t.b[0, 1] == pytest.approx(G[0, 1], abs=1e-10)
+        assert t.b[0, 1] == pytest.approx(t.b_phi[0, 1], abs=1e-14)
 
     def test_bounds_and_reconstruction(self):
         rng = np.random.default_rng(6)
         for q, _ in form_corpus(29, 3, n_max=12):
-            h = ResolventHandle(q, method="dense")
+            h = ResolventHandle(q)
             act = h.generator.active_index
             k = min(3, len(act))
             chosen = rng.choice(act, size=k, replace=False)
@@ -212,7 +230,7 @@ class TestLadder:
         q, _ = form_corpus(30, 1, n_max=10)[0]
         # strip the mask and killing: phi = 1 is then admissible
         q0 = assemble(zero_killing(q.graph))
-        h = ResolventHandle(q0, method="dense")
+        h = ResolventHandle(q0)
         f = rng.uniform(-2, 2, q0.n)
         res = truncated_form_via_resolvent(h, np.ones(q0.n), f)
         assert res.limit == pytest.approx(q0.evaluate(f), rel=1e-6)
@@ -220,12 +238,12 @@ class TestLadder:
 
     def test_pure_killing_has_zero_truncation(self):
         q = assemble(single_vertex(2.0, 3.0))
-        h = ResolventHandle(q, method="dense")
+        h = ResolventHandle(q)
         res = truncated_form_via_resolvent(h, np.ones(1), np.array([1.7]))
         assert all(abs(v) <= 1e-10 for v in res.values)
 
     def test_zero_function(self):
         q = assemble(make_path(3, 1.0))
-        h = ResolventHandle(q, method="dense")
+        h = ResolventHandle(q)
         res = truncated_form_via_resolvent(h, np.ones(3), np.zeros(3))
         assert all(v == 0.0 for v in res.values)
