@@ -52,8 +52,20 @@ def _load_graph_arg(path: str):
 
 
 def _boundary_list(spec: str | None) -> list:
+    """Vertex ids from a comma-separated list, or from a JSON array of strings.
+
+    The JSON form names ids that contain commas, such as lattice ids "3,0".
+    """
     if not spec:
         return []
+    if spec.lstrip().startswith("["):
+        try:
+            ids = json.loads(spec)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed boundary JSON: {exc}") from None
+        if not isinstance(ids, list) or not all(isinstance(v, str) for v in ids):
+            raise ValueError(f"boundary must be a JSON array of vertex ids: {spec}")
+        return ids
     return [v for v in spec.split(",") if v]
 
 
@@ -178,7 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("decompose", help="main/killing/reflected values of a function")
     p.add_argument("graph")
     p.add_argument("--f", required=True, help="JSON array of values in vertex order")
-    p.add_argument("--boundary", default="", help="comma-separated Dirichlet vertices")
+    p.add_argument(
+        "--boundary",
+        default="",
+        help="Dirichlet vertices: comma-separated, or a JSON array of ids",
+    )
     p.add_argument("--root", default=None)
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--plateau", type=int, default=1)

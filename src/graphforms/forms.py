@@ -94,15 +94,13 @@ class GraphForm:
         return bool(np.all(f[~self.active] == 0.0))
 
     def _terms(self, f, g):
-        """Ordered-pair bilinear terms of Q(f, g), one float per summand."""
+        """Nonzero ordered-pair terms of Q(f, g); exact zeros cannot change an fsum."""
         gph = self.graph
         du = f[gph.edge_u] - f[gph.edge_v]
-        dv = g[gph.edge_u] - g[gph.edge_v]
-        terms = list(2.0 * gph.edge_b * du * dv)
-        terms.extend(self.c_total * (f * g))
-        for cp in self.couplings:
-            terms.append(cp.w * (f[cp.u] - f[cp.v]) * (g[cp.u] - g[cp.v]))
-        return terms
+        dv = du if g is f else g[gph.edge_u] - g[gph.edge_v]
+        cps = [cp.w * (f[cp.u] - f[cp.v]) * (g[cp.u] - g[cp.v]) for cp in self.couplings]
+        terms = np.concatenate((2.0 * gph.edge_b * du * dv, self.c_total * (f * g), cps))
+        return terms[terms != 0.0].tolist()
 
     def evaluate(self, f) -> float:
         """Energy Q(f); OUT_OF_DOMAIN when f is nonzero off the active set."""

@@ -39,31 +39,26 @@ class WeightedGraph:
         if self.m.shape != (self.n,) or self.c.shape != (self.n,):
             raise GraphFormatError("m and c must have one value per vertex")
 
-        seen = set()
-        eu, ev, eb = [], [], []
-        for u, v, b in edges:
-            iu = self._resolve(u)
-            iv = self._resolve(v)
+        edges = list(edges)
+        ends = np.array([(self._resolve(u), self._resolve(v)) for u, v, _ in edges], dtype=int)
+        self.edge_u, self.edge_v = np.sort(ends.reshape(-1, 2), axis=1).T.copy()
+        self.edge_b = np.array([float(b) for _, _, b in edges], dtype=float)
+        # The first edge in order that is a self-loop or repeats an earlier pair.
+        repeat = np.ones(len(edges), dtype=bool)
+        repeat[np.unique(self.edge_u * self.n + self.edge_v, return_index=True)[1]] = False
+        bad = np.flatnonzero((self.edge_u == self.edge_v) | repeat)
+        if bad.size:
+            iu, iv = self.edge_u[bad[0]], self.edge_v[bad[0]]
             if iu == iv:
                 raise GraphFormatError(f"self-loop edge at vertex {self.ids[iu]!r}")
-            if iu > iv:
-                iu, iv = iv, iu
-            if (iu, iv) in seen:
-                raise GraphFormatError(
-                    f"duplicate edge ({self.ids[iu]!r}, {self.ids[iv]!r})"
-                )
-            seen.add((iu, iv))
-            eu.append(iu)
-            ev.append(iv)
-            eb.append(float(b))
-        self.edge_u = np.asarray(eu, dtype=int)
-        self.edge_v = np.asarray(ev, dtype=int)
-        self.edge_b = np.asarray(eb, dtype=float)
+            raise GraphFormatError(f"duplicate edge ({self.ids[iu]!r}, {self.ids[iv]!r})")
 
-        self._adj = [[] for _ in range(self.n)]
-        for iu, iv, b in zip(self.edge_u, self.edge_v, self.edge_b):
-            self._adj[iu].append((int(iv), float(b)))
-            self._adj[iv].append((int(iu), float(b)))
+        # CSR adjacency: every edge in both directions, in edge order per vertex.
+        src = np.column_stack((self.edge_u, self.edge_v)).ravel()
+        order = np.argsort(src, kind="stable")
+        self._nbr = np.column_stack((self.edge_v, self.edge_u)).ravel()[order]
+        self._nbr_b = np.repeat(self.edge_b, 2)[order]
+        self._indptr = np.searchsorted(src[order], np.arange(self.n + 1))
 
     def _resolve(self, v) -> int:
         if isinstance(v, (int, np.integer)):
@@ -81,24 +76,30 @@ class WeightedGraph:
 
     def neighbors(self, i: int):
         """Neighbors of vertex index i as (index, b) pairs."""
-        return self._adj[i]
+        lo, hi = self._indptr[i], self._indptr[i + 1]
+        return list(zip(self._nbr[lo:hi].tolist(), self._nbr_b[lo:hi].tolist()))
 
     def weighted_degree(self, i: int) -> float:
-        return math.fsum(b for _, b in self._adj[i])
+        """Exact sum of b(i, y) over the neighbors y; inf when it overflows."""
+        try:
+            return math.fsum(b for _, b in self.neighbors(i))
+        except OverflowError:
+            return math.inf
 
     def distances_from(self, sources) -> np.ndarray:
         """Hop distances from a set of vertex indices; unreachable = inf."""
         dist = np.full(self.n, np.inf)
-        queue = deque()
-        for s in sources:
-            dist[s] = 0.0
-            queue.append(int(s))
-        while queue:
-            x = queue.popleft()
-            for y, _ in self._adj[x]:
-                if dist[y] == np.inf:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
+        frontier = np.unique(np.fromiter(sources, dtype=int))
+        hops = 0
+        while frontier.size:
+            dist[frontier] = hops
+            hops += 1
+            # Positions of the frontier's CSR rows, concatenated.
+            starts = self._indptr[frontier]
+            counts = self._indptr[frontier + 1] - starts
+            rows = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+            reached = self._nbr[rows]
+            frontier = np.unique(reached[dist[reached] == np.inf])
         return dist
 
     def to_dict(self) -> dict:
@@ -123,21 +124,24 @@ def validate(g: WeightedGraph) -> list:
     storage, so only the value constraints can fail here.
     """
     violations = []
-    for i, v in enumerate(g.ids):
-        if not g.m[i] > 0:
+    bad_m, bad_c = ~(g.m > 0), g.c < 0
+    nonfinite = ~(np.isfinite(g.m) & np.isfinite(g.c))
+    for i in np.flatnonzero(bad_m | bad_c | nonfinite):
+        v = g.ids[i]
+        if bad_m[i]:
             violations.append(f"nonpositive measure m({v}) = {g.m[i]}")
-        if g.c[i] < 0:
+        if bad_c[i]:
             violations.append(f"negative killing c({v}) = {g.c[i]}")
-        if not np.isfinite(g.m[i]) or not np.isfinite(g.c[i]):
+        if nonfinite[i]:
             violations.append(f"non-finite vertex data at {v}")
-    for iu, iv, b in zip(g.edge_u, g.edge_v, g.edge_b):
-        if not b > 0 or not np.isfinite(b):
-            violations.append(
-                f"nonpositive edge weight b({g.ids[iu]},{g.ids[iv]}) = {b}"
-            )
-    for i, v in enumerate(g.ids):
-        if not np.isfinite(g.weighted_degree(i)):
-            violations.append(f"infinite neighbor weight sum at {v}")
+    for k in np.flatnonzero(~(np.isfinite(g.edge_b) & (g.edge_b > 0))):
+        u, v = g.ids[g.edge_u[k]], g.ids[g.edge_v[k]]
+        violations.append(f"nonpositive edge weight b({u},{v}) = {g.edge_b[k]}")
+    # Every weighted degree in one pass; an overflow reads inf instead of raising.
+    with np.errstate(over="ignore"):
+        degree = np.bincount(g._nbr, weights=g._nbr_b, minlength=g.n)
+    for i in np.flatnonzero(~np.isfinite(degree)):
+        violations.append(f"infinite neighbor weight sum at {g.ids[i]}")
     return violations
 
 
@@ -290,18 +294,16 @@ def generator_ball(gen, root: str, radius: int) -> list:
 def truncate(gen, vertex_ids) -> WeightedGraph:
     """Finite truncation of a generated graph, induced on the given ids."""
     ids = list(vertex_ids)
-    present = set(ids)
+    position = {v: i for i, v in enumerate(ids)}
     m = [gen.measure(v) for v in ids]
     c = [gen.killing(v) for v in ids]
-    edges = []
-    seen = set()
-    for v in ids:
-        for u, b in gen.neighbors(v):
-            if u in present:
-                key = (min(u, v), max(u, v))
-                if key not in seen:
-                    seen.add(key)
-                    edges.append((v, u, b))
+    # Generated graphs are symmetric: emit each pair once, from its earlier endpoint.
+    edges = [
+        (i, j, b)
+        for i, v in enumerate(ids)
+        for u, b in gen.neighbors(v)
+        if (j := position.get(u, -1)) > i
+    ]
     return WeightedGraph(ids, m, c, edges)
 
 
@@ -340,15 +342,20 @@ class Exhaustion:
         whose domain vanishes off ``active``.
         """
         active = np.asarray(active, dtype=bool)
-        sets = [np.asarray([i for i in F if active[i]], dtype=int) for F in self.sets]
+        sets = [F[active[F]] for F in self.sets]
         cutoffs = [chi * active for chi in self.cutoffs]
         return Exhaustion(self.graph, sets, cutoffs, self.nest_assumed)
 
 
-def _decay_cutoff(graph: WeightedGraph, fset, plateau: int) -> np.ndarray:
-    dist = graph.distances_from(fset)
-    chi = 1.0 - dist / (plateau + 1.0)
-    return np.maximum(chi, 0.0)
+def _balls(dist_root: np.ndarray, radii, plateau: int):
+    """Balls B_r = {dist_root <= r} and their cutoffs, 0 one step past ``plateau``.
+
+    dist(x, B_r) = max(d(x, root) - r, 0) exactly, because a geodesic from x to
+    the root enters B_r after d(x, root) - r steps; so one BFS serves all balls.
+    """
+    beyond = [np.maximum(dist_root - r, 0.0) for r in radii]
+    sets = [np.flatnonzero(d == 0.0) for d in beyond]
+    return sets, [np.maximum(1.0 - d / (plateau + 1.0), 0.0) for d in beyond]
 
 
 def build_exhaustion(gen, root: str, n_levels: int, plateau: int) -> Exhaustion:
@@ -366,8 +373,7 @@ def build_exhaustion(gen, root: str, n_levels: int, plateau: int) -> Exhaustion:
     graph = truncate(gen, order)
     root_idx = graph.index[root]
     dist_root = graph.distances_from([root_idx])
-    sets = [np.flatnonzero(dist_root <= k) for k in range(1, n_levels + 1)]
-    cutoffs = [_decay_cutoff(graph, F, plateau) for F in sets]
+    sets, cutoffs = _balls(dist_root, range(1, n_levels + 1), plateau)
     return Exhaustion(graph, sets, cutoffs, nest_assumed=True)
 
 
@@ -389,9 +395,9 @@ def ball_exhaustion(
     dist_root = graph.distances_from([root_idx])
     ecc = float(np.max(dist_root[np.isfinite(dist_root)]))
     step = max(1, math.ceil(ecc / n_levels)) if ecc > 0 else 1
-    radii = [step * k for k in range(1, n_levels + 1)]
-    sets = [np.flatnonzero(dist_root <= r) for r in radii]
+    sets, cutoffs = _balls(dist_root, [step * k for k in range(1, n_levels + 1)], plateau)
     if saturate:
+        # Also covers the vertices the root cannot reach.
         sets[-1] = np.arange(graph.n)
-    cutoffs = [_decay_cutoff(graph, F, plateau) for F in sets]
+        cutoffs[-1] = np.ones(graph.n)
     return Exhaustion(graph, sets, cutoffs, nest_assumed=False)

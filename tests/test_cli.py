@@ -2,9 +2,19 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from graphforms import emit_graph, make_path
+from graphforms import (
+    SquareLatticeGenerator,
+    assemble,
+    emit_graph,
+    form_oracle_killing,
+    form_oracle_main,
+    generator_ball,
+    make_path,
+    truncate,
+)
 from graphforms.cli import main
 
 GOOD = {
@@ -60,6 +70,18 @@ class TestValidate:
         code, _, _ = run(capsys, "validate", str(p))
         assert code == 2
 
+    def test_overflowing_degree_is_a_violation(self, tmp_path, capsys):
+        huge = dict(
+            GOOD,
+            edges=[{"u": "a", "v": "b", "b": 1e308}, {"u": "a", "v": "c", "b": 1e308}],
+        )
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(huge))
+        code, out, err = run(capsys, "validate", str(p))
+        assert code == 1
+        assert json.loads(out)["violations"] == ["infinite neighbor weight sum at a"]
+        assert "Traceback" not in err
+
 
 class TestDecompose:
     def test_decompose_path(self, tmp_path, capsys):
@@ -85,6 +107,59 @@ class TestDecompose:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+
+class TestLatticeIds:
+    """Lattice ids contain commas, so boundaries name them as a JSON array."""
+
+    @pytest.fixture
+    def lattice(self, tmp_path):
+        gen = SquareLatticeGenerator(c=0.1)
+        g = truncate(gen, generator_ball(gen, "0,0", 3))
+        gpath = tmp_path / "lattice.json"
+        gpath.write_text(emit_graph(g))
+        f = np.cos(np.arange(g.n, dtype=float))
+        for v in ("3,0", "0,3"):
+            f[g.index[v]] = 0.0
+        fpath = tmp_path / "f.json"
+        fpath.write_text(json.dumps(f.tolist()))
+        return g, str(gpath), str(fpath), f
+
+    def test_decompose_with_json_boundary(self, lattice, capsys):
+        g, gpath, fpath, f = lattice
+        code, out, _ = run(
+            capsys, "decompose", gpath, "--f", fpath, "--root", "0,0",
+            "--boundary", '["3,0", "0,3"]',
+        )
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["config"]["boundary"] == ["3,0", "0,3"]
+        q = assemble(g, boundary=["3,0", "0,3"])
+        assert rep["main"] == pytest.approx(form_oracle_main(q, f), rel=1e-10, abs=1e-10)
+        assert rep["killing"] == pytest.approx(form_oracle_killing(q, f), rel=1e-10, abs=1e-10)
+
+    def test_comma_form_cannot_name_lattice_ids(self, lattice, capsys):
+        _, gpath, fpath, _ = lattice
+        code, _, err = run(capsys, "decompose", gpath, "--f", fpath, "--boundary", "3,0")
+        assert code == 2
+        assert "unknown vertex id" in err
+
+    @pytest.mark.parametrize("spec", ['["3,0"', '[3, 0]', '[{"id": "3,0"}]'])
+    def test_bad_json_boundary_exit_two(self, lattice, capsys, spec):
+        _, gpath, fpath, _ = lattice
+        code, _, err = run(capsys, "decompose", gpath, "--f", fpath, "--boundary", spec)
+        assert code == 2
+        assert "boundary" in err
+
+    def test_dominate_with_json_boundaries(self, lattice, capsys):
+        _, gpath, _, _ = lattice
+        code, out, _ = run(
+            capsys, "dominate", gpath, gpath,
+            "--lower-boundary", '["3,0", "0,3"]', "--upper-boundary", '["3,0"]',
+        )
+        # Dropping one Dirichlet vertex gives a Silverstein extension.
+        assert code == 0
+        assert json.loads(out)["silverstein"] is True
 
 
 class TestDominate:

@@ -19,7 +19,12 @@ from graphforms import (
     positive_part,
     single_vertex,
 )
-from graphforms.corpus import form_corpus, random_masked_function
+from graphforms.corpus import (
+    form_corpus,
+    random_boundary,
+    random_connected_graph,
+    random_masked_function,
+)
 
 
 class TestAssembleAndEvaluate:
@@ -103,6 +108,42 @@ class TestBilinear:
     def test_out_of_domain_propagates(self):
         q = assemble(make_path(3, 0.5), boundary=["v0"])
         assert q.bilinear([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]) == OUT_OF_DOMAIN
+
+
+def _full_terms(q, f, g):
+    """Every ordered-pair summand of Q(f, g), zeros included."""
+    gph = q.graph
+    terms = [
+        2.0 * b * (f[u] - f[v]) * (g[u] - g[v])
+        for u, v, b in zip(gph.edge_u, gph.edge_v, gph.edge_b)
+    ]
+    terms.extend(c * (f[x] * g[x]) for x, c in enumerate(q.c_total))
+    terms.extend(cp.w * (f[cp.u] - f[cp.v]) * (g[cp.u] - g[cp.v]) for cp in q.couplings)
+    return terms
+
+
+class TestExactSums:
+    def test_sums_equal_fsum_over_all_terms(self):
+        rng = np.random.default_rng(21)
+        for _ in range(25):
+            graph = random_connected_graph(rng, n_max=30)
+            ids = graph.ids
+            extra = {ids[i]: float(rng.uniform(0.1, 1.0)) for i in rng.integers(0, graph.n, 3)}
+            pairs = rng.integers(0, graph.n, size=(3, 2))
+            couplings = [(ids[u], ids[v], float(rng.uniform(0.0, 2.0))) for u, v in pairs]
+            q = assemble(
+                graph,
+                boundary=random_boundary(rng, graph),
+                extra_killing=extra,
+                couplings=couplings,
+            )
+            assert q.couplings and q.killing_extra.any()
+            for _ in range(4):
+                f = random_masked_function(rng, q)
+                g = random_masked_function(rng, q)
+                f[rng.random(q.n) < 0.5] = 0.0  # most summands become exact zeros
+                assert q.evaluate(f) == math.fsum(_full_terms(q, f, f))
+                assert q.bilinear(f, g) == math.fsum(_full_terms(q, f, g))
 
 
 class TestContractions:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,18 @@ class TestLoadGraph:
         )
         with pytest.raises(GraphFormatError, match="self-loop"):
             load_graph(bad)
+
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ([("a", "b", 1.0), ("b", "a", 2.0)], "duplicate edge ('a', 'b')"),
+            ([("a", "b", 1.0), ("b", "c", 1.0), ("c", "c", 1.0), ("a", "b", 1.0)], "self-loop"),
+            ([("c", "b", 1.0), (2, 1, 1.0), ("a", "a", 1.0)], "duplicate edge ('b', 'c')"),
+        ],
+    )
+    def test_first_bad_edge_reported(self, edges, message):
+        with pytest.raises(GraphFormatError, match=re.escape(message)):
+            WeightedGraph(["a", "b", "c"], [1.0] * 3, [0.0] * 3, edges)
 
     def test_zero_measure_rejected(self):
         bad = json.dumps({"vertices": [{"id": "a", "m": 0.0, "c": 0.0}], "edges": []})
@@ -205,3 +218,118 @@ class TestExhaustion:
     def test_unknown_root_rejected(self):
         with pytest.raises(ValueError):
             build_exhaustion(IntegerLineGenerator(), "x", n_levels=2, plateau=1)
+
+
+def _per_level_cutoffs(graph, sets, plateau):
+    """Oracle: one BFS from each set, as the cutoffs were first defined."""
+    return [
+        np.maximum(1.0 - graph.distances_from(F) / (plateau + 1.0), 0.0) for F in sets
+    ]
+
+
+def _two_components():
+    # A path v0-v1-v2-v3 and a separate edge w0-w1 the root cannot reach.
+    ids = ["v0", "v1", "v2", "v3", "w0", "w1"]
+    edges = [("v0", "v1", 1.0), ("v1", "v2", 0.5), ("v2", "v3", 2.0), ("w0", "w1", 1.0)]
+    return WeightedGraph(ids, [1.0] * 6, [0.0] * 6, edges)
+
+
+class TestOneBfsCutoffs:
+    @pytest.mark.parametrize("plateau", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "gen,root", [(SquareLatticeGenerator(), "0,0"), (IntegerLineGenerator(), "0")]
+    )
+    def test_build_exhaustion_matches_per_level_bfs(self, gen, root, plateau):
+        ex = build_exhaustion(gen, root, n_levels=5, plateau=plateau)
+        g = ex.graph
+        dist_root = g.distances_from([g.index[root]])
+        expected_sets = [np.flatnonzero(dist_root <= k) for k in range(1, 6)]
+        assert [F.tolist() for F in ex.sets] == [F.tolist() for F in expected_sets]
+        for chi, oracle in zip(ex.cutoffs, _per_level_cutoffs(g, expected_sets, plateau)):
+            assert float(np.max(np.abs(chi - oracle))) == 0.0
+
+    @pytest.mark.parametrize("saturate", [True, False])
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_ball_exhaustion_matches_per_level_bfs(self, saturate, connected):
+        g = make_path(9, 0.5) if connected else _two_components()
+        for plateau in (1, 2):
+            ex = ball_exhaustion(g, 1, n_levels=3, plateau=plateau, saturate=saturate)
+            dist_root = g.distances_from([1])
+            ecc = float(np.max(dist_root[np.isfinite(dist_root)]))
+            step = max(1, math.ceil(ecc / 3))
+            expected_sets = [np.flatnonzero(dist_root <= step * k) for k in (1, 2, 3)]
+            if saturate:
+                expected_sets[-1] = np.arange(g.n)
+            assert [F.tolist() for F in ex.sets] == [F.tolist() for F in expected_sets]
+            for chi, oracle in zip(ex.cutoffs, _per_level_cutoffs(g, expected_sets, plateau)):
+                assert float(np.max(np.abs(chi - oracle))) == 0.0
+
+    def test_saturated_cutoff_covers_unreachable_vertices(self):
+        ex = ball_exhaustion(_two_components(), "v0", n_levels=2, saturate=True)
+        assert np.all(ex.cutoffs[-1] == 1.0)
+        unsaturated = ball_exhaustion(_two_components(), "v0", n_levels=2, saturate=False)
+        assert np.all(unsaturated.cutoffs[-1][4:] == 0.0)
+
+    def test_one_distance_search_per_exhaustion(self, monkeypatch):
+        calls = []
+        original = WeightedGraph.distances_from
+
+        def counting(self, sources):
+            calls.append(1)
+            return original(self, sources)
+
+        monkeypatch.setattr(WeightedGraph, "distances_from", counting)
+        build_exhaustion(SquareLatticeGenerator(), "0,0", n_levels=6, plateau=2)
+        assert len(calls) == 1
+        ball_exhaustion(make_path(12, 1.0), "v0", n_levels=4, plateau=2)
+        assert len(calls) == 2
+
+    def test_distances_match_queue_bfs(self):
+        # Multi-source hop distances against a plain queue BFS over neighbors().
+        from collections import deque
+
+        gen = SquareLatticeGenerator()
+        for g in (truncate(gen, generator_ball(gen, "0,0", 6)), _two_components()):
+            for sources in ([0], [0, 3], []):
+                expected = np.full(g.n, np.inf)
+                queue = deque(sources)
+                for s in sources:
+                    expected[s] = 0.0
+                while queue:
+                    x = queue.popleft()
+                    for y, _ in g.neighbors(x):
+                        if expected[y] == np.inf:
+                            expected[y] = expected[x] + 1
+                            queue.append(y)
+                assert np.array_equal(g.distances_from(sources), expected)
+
+    def test_masked_keeps_order_and_cutoffs(self):
+        ex = build_exhaustion(IntegerLineGenerator(), "0", n_levels=3, plateau=1)
+        active = np.ones(ex.graph.n, dtype=bool)
+        active[ex.graph.index["1"]] = False
+        mex = ex.masked(active)
+        for F, G, chi, mchi in zip(ex.sets, mex.sets, ex.cutoffs, mex.cutoffs):
+            assert G.tolist() == [i for i in F if active[i]]
+            assert np.array_equal(mchi, chi * active)
+
+
+class TestAdjacency:
+    def test_neighbors_in_edge_order(self):
+        g = _two_components()
+        assert g.neighbors(1) == [(0, 1.0), (2, 0.5)]
+        assert g.neighbors(4) == [(5, 1.0)]
+
+    def test_truncation_emits_each_pair_once_in_order(self):
+        gen = SquareLatticeGenerator()
+        g = truncate(gen, generator_ball(gen, "0,0", 3))
+        pairs = list(zip(g.edge_u.tolist(), g.edge_v.tolist()))
+        assert len(set(pairs)) == len(pairs) == 4 * 3**2  # diamond of radius 3
+        assert all(u < v for u, v in pairs)
+        assert np.all(np.diff(g.edge_u) >= 0)  # emitted from the earlier endpoint
+
+    def test_huge_weights_give_infinite_degree(self):
+        ids = ["x", "y", "z"]
+        g = WeightedGraph(ids, [1.0] * 3, [0.0] * 3, [("x", "y", 1e308), ("x", "z", 1e308)])
+        assert g.weighted_degree(0) == math.inf
+        assert g.weighted_degree(1) == 1e308
+        assert validate(g) == ["infinite neighbor weight sum at x"]
