@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .forms import GraphForm
 from .graph import Exhaustion
@@ -130,6 +131,19 @@ class InequalityResult:
         return not self.refuted
 
 
+def _first_min(D: sp.csr_matrix) -> tuple:
+    """Row-major first position of the smallest entry of canonical D, zeros included."""
+    k = int(np.argmin(D.data)) if D.nnz else 0
+    rows, cols = D.shape
+    if D.nnz == rows * cols or (D.nnz and not D.data[k] >= 0.0):
+        return int(np.searchsorted(D.indptr, k, side="right")) - 1, int(D.indices[k])
+    # The minimum is an implicit zero: the first gap of the first row with one.
+    i = int(np.flatnonzero(np.diff(D.indptr) < cols)[0])
+    stored = D.indices[D.indptr[i]:D.indptr[i + 1]]
+    j = int(np.flatnonzero(np.append(stored, cols) != np.arange(len(stored) + 1))[0])
+    return i, j
+
+
 def check_form_inequality_nonneg(
     pair: FormPair,
     samples: int = 200,
@@ -141,15 +155,17 @@ def check_form_inequality_nonneg(
 
     The difference of stiffness matrices restricted to the lower active set
     must be entrywise nonnegative; a negative entry yields an explicit
-    indicator-pair witness.  ``force_sampling`` skips the exact path and only
-    samples (used as a negative control in the tests).
+    indicator-pair witness.  The difference stays sparse; the witness is its
+    first smallest entry in row-major order.  ``force_sampling`` skips the
+    exact path and only samples (used as a negative control in the tests).
     """
     idx = np.flatnonzero(pair.lower.active)
     if not force_sampling:
-        K_low = assemble_stiffness(pair.lower).toarray()[np.ix_(idx, idx)]
-        K_up = assemble_stiffness(pair.upper).toarray()[np.ix_(idx, idx)]
+        K_low = assemble_stiffness(pair.lower)[idx][:, idx]
+        K_up = assemble_stiffness(pair.upper)[idx][:, idx]
         D = K_low - K_up
-        i, j = np.unravel_index(np.argmin(D), D.shape)
+        D.sum_duplicates()  # canonical: data runs in row-major order, no zeros stored
+        i, j = _first_min(D)
         worst = float(D[i, j])
         if worst >= -tol:
             return InequalityResult(

@@ -80,11 +80,17 @@ class WeightedGraph:
         return list(zip(self._nbr[lo:hi].tolist(), self._nbr_b[lo:hi].tolist()))
 
     def weighted_degree(self, i: int) -> float:
-        """Exact sum of b(i, y) over the neighbors y; inf when it overflows."""
+        """Exact sum of b(i, y) over the neighbors y.
+
+        inf when the sum overflows; NaN when the neighbor weights include both
+        +inf and -inf, whose sum is undefined.
+        """
         try:
             return math.fsum(b for _, b in self.neighbors(i))
         except OverflowError:
             return math.inf
+        except ValueError:  # -inf + inf
+            return math.nan
 
     def distances_from(self, sources) -> np.ndarray:
         """Hop distances from a set of vertex indices; unreachable = inf."""

@@ -83,12 +83,31 @@ def build_generator(form: GraphForm) -> GeneratorOperator:
     """Restrict the stiffness matrix to active vertices, mask folded in.
 
     The diagonal keeps the full weighted degree, so edges into the boundary
-    act as extra killing, exactly as the Dirichlet mask demands.
+    act as extra killing, exactly as the Dirichlet mask demands.  Every
+    diagonal entry is stored, zero or not.
     """
     K = assemble_stiffness(form)
     idx = np.flatnonzero(form.active)
     K_aa = K[idx][:, idx].tocsr()
     return GeneratorOperator(K_aa, form.graph.m[idx].copy(), idx)
+
+
+def _shift_pattern(K: sp.csr_matrix) -> tuple:
+    """CSC form of K with the nonzero pattern that K + alpha M has for every alpha.
+
+    K must store its whole diagonal, as ``build_generator`` does.  Off-diagonal
+    explicit zeros are dropped, so adding alpha m_i at the returned diagonal
+    positions of the data gives, entry for entry, the canonical CSC of the
+    sparse sum K + diag(alpha m).
+    """
+    A = K.tocsc()
+    n = A.shape[0]
+    col = np.repeat(np.arange(n), np.diff(A.indptr))
+    keep = (A.data != 0.0) | (A.indices == col)
+    indptr = np.zeros(n + 1, dtype=A.indptr.dtype)
+    np.cumsum(np.bincount(col[keep], minlength=n), out=indptr[1:])
+    pattern = sp.csc_matrix((A.data[keep], A.indices[keep], indptr), shape=A.shape)
+    return pattern, np.flatnonzero(pattern.indices == col[keep])
 
 
 class ResolventHandle:
@@ -97,12 +116,15 @@ class ResolventHandle:
     Every solve of (K + alpha M) w = rhs goes through a SuperLU factorization
     of K + alpha M with minimum-degree ordering on A^T + A.  The factor of the
     most recent alpha is kept, so repeated solves at one alpha factor once; a
-    new alpha releases the old factor before the new one is built.
+    new alpha releases the old factor before the new one is built.  The CSC
+    pattern of K + alpha M does not depend on alpha, so it is built once per
+    handle and a new alpha only refreshes the diagonal values.
     """
 
     def __init__(self, form: GraphForm):
         self.form = form
         self.generator = build_generator(form)
+        self._pattern, self._diag = _shift_pattern(self.generator.stiffness)
         self._alpha = None
         self._lu = None
 
@@ -118,8 +140,14 @@ class ResolventHandle:
             from scipy.sparse.linalg import splu
 
             self._alpha = self._lu = None
-            gen = self.generator
-            A = (gen.stiffness + sp.diags(alpha * gen.mass)).tocsc()
+            pattern = self._pattern
+            data = pattern.data.copy()
+            data[self._diag] += alpha * self.generator.mass
+            A = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+            if not data[self._diag].all():
+                # K_ii + alpha m_i cancelled or underflowed: drop it, as a sparse sum does
+                A = A.copy()
+                A.eliminate_zeros()
             self._lu = splu(A, permc_spec="MMD_AT_PLUS_A")
             self._alpha = alpha
         return self._lu

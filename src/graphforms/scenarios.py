@@ -254,6 +254,41 @@ def _grid(dim: int):
     return [np.array(p) for p in itertools.product(_GRID_VALUES, repeat=dim)]
 
 
+def _grid_witnesses(spec: MonotoneFormSpec, tol: float) -> tuple:
+    """First grid refutations of monotonicity and of nonnegative definiteness.
+
+    Pairs are ordered g outer, f inner.  Every pair is screened at once with
+    array values of q, padded by a slack far above their rounding error, and
+    only the surviving candidates are confirmed with ``spec.q`` in that order,
+    so the witnesses are those of the pair-by-pair search.
+    """
+    grid = _grid(spec.dim)
+    P = np.array(grid)
+    B = P @ spec.matrix @ P.T  # B[i, j] ~ q(P_i, P_j)
+    q = np.diag(B)
+    slack = 1e-9 * (1.0 + np.abs(spec.matrix).sum())
+    absP = np.abs(P)
+    # Index [j, i] pairs g = P_j with f = P_i.
+    dominated = np.all(absP[None, :, :] <= absP[:, None, :], axis=2)
+    same_sign = np.all(P[None, :, :] * P[:, None, :] >= 0.0, axis=2)
+
+    mono_witness = {}
+    for j, i in np.argwhere(dominated & (q[None, :] > q[:, None] + (tol - slack))):
+        f, g = grid[i], grid[j]
+        qg = spec.q(g)
+        if spec.q(f) > qg + tol:
+            mono_witness = {"f": f.tolist(), "g": g.tolist(), "q_f": spec.q(f), "q_g": qg}
+            break
+    nonneg_witness = {}
+    for j, i in np.argwhere(same_sign & (B.T < slack - tol)):
+        f, g = grid[i], grid[j]
+        val = spec.q(f, g)
+        if val < -tol:
+            nonneg_witness = {"f": f.tolist(), "g": g.tolist(), "q_fg": val}
+            break
+    return mono_witness, nonneg_witness
+
+
 def monotone_equivalence_test(
     spec: MonotoneFormSpec, samples: int = 500, seed: int = 42, tol: float = 1e-10
 ) -> EquivalenceReport:
@@ -267,26 +302,7 @@ def monotone_equivalence_test(
     two verdicts must agree whenever the domain is a lattice, as it is here.
     """
     rng = np.random.default_rng(seed)
-    mono_witness = {}
-    nonneg_witness = {}
-
-    if spec.dim <= 3:
-        grid = _grid(spec.dim)
-        for g in grid:
-            qg = spec.q(g)
-            for f in grid:
-                if not mono_witness and np.all(np.abs(f) <= np.abs(g)):
-                    if spec.q(f) > qg + tol:
-                        mono_witness = {
-                            "f": f.tolist(), "g": g.tolist(),
-                            "q_f": spec.q(f), "q_g": qg,
-                        }
-                if not nonneg_witness and np.all(f * g >= 0.0):
-                    val = spec.q(f, g)
-                    if val < -tol:
-                        nonneg_witness = {"f": f.tolist(), "g": g.tolist(), "q_fg": val}
-            if mono_witness and nonneg_witness:
-                break
+    mono_witness, nonneg_witness = _grid_witnesses(spec, tol) if spec.dim <= 3 else ({}, {})
 
     for _ in range(samples):
         if mono_witness and nonneg_witness:

@@ -109,21 +109,25 @@ class TestDecompose:
         assert out1 == out2
 
 
+@pytest.fixture
+def lattice(tmp_path):
+    gen = SquareLatticeGenerator(c=0.1)
+    g = truncate(gen, generator_ball(gen, "0,0", 3))
+    gpath = tmp_path / "lattice.json"
+    gpath.write_text(emit_graph(g))
+    f = np.cos(np.arange(g.n, dtype=float))
+    for v in ("3,0", "0,3"):
+        f[g.index[v]] = 0.0
+    fpath = tmp_path / "f.json"
+    fpath.write_text(json.dumps(f.tolist()))
+    return g, str(gpath), str(fpath), f
+
+
+DOMINATE_LATTICE = ("--lower-boundary", '["3,0", "0,3"]', "--upper-boundary", '["3,0"]')
+
+
 class TestLatticeIds:
     """Lattice ids contain commas, so boundaries name them as a JSON array."""
-
-    @pytest.fixture
-    def lattice(self, tmp_path):
-        gen = SquareLatticeGenerator(c=0.1)
-        g = truncate(gen, generator_ball(gen, "0,0", 3))
-        gpath = tmp_path / "lattice.json"
-        gpath.write_text(emit_graph(g))
-        f = np.cos(np.arange(g.n, dtype=float))
-        for v in ("3,0", "0,3"):
-            f[g.index[v]] = 0.0
-        fpath = tmp_path / "f.json"
-        fpath.write_text(json.dumps(f.tolist()))
-        return g, str(gpath), str(fpath), f
 
     def test_decompose_with_json_boundary(self, lattice, capsys):
         g, gpath, fpath, f = lattice
@@ -153,10 +157,7 @@ class TestLatticeIds:
 
     def test_dominate_with_json_boundaries(self, lattice, capsys):
         _, gpath, _, _ = lattice
-        code, out, _ = run(
-            capsys, "dominate", gpath, gpath,
-            "--lower-boundary", '["3,0", "0,3"]', "--upper-boundary", '["3,0"]',
-        )
+        code, out, _ = run(capsys, "dominate", gpath, gpath, *DOMINATE_LATTICE)
         # Dropping one Dirichlet vertex gives a Silverstein extension.
         assert code == 0
         assert json.loads(out)["silverstein"] is True
@@ -239,3 +240,23 @@ class TestSelftest:
         rep = json.loads(out)
         assert rep["passed"] is True
         assert len(rep["results"]) >= 20
+
+
+class TestReportDeterminism:
+    """Identical arguments write byte-identical JSON reports."""
+
+    @pytest.mark.parametrize("command", ["dominate", "counterexample", "selftest"])
+    def test_two_runs_write_identical_files(self, command, lattice, tmp_path, capsys):
+        _, gpath, _, _ = lattice
+        argv = {
+            "dominate": ("dominate", gpath, gpath, *DOMINATE_LATTICE),
+            "counterexample": ("counterexample", "--n", "255"),
+            "selftest": ("selftest",),
+        }[command]
+        reports = []
+        for k in range(2):
+            path = tmp_path / f"report{k}.json"
+            assert run(capsys, "--output", str(path), *argv)[0] == 0
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])

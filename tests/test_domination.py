@@ -22,6 +22,20 @@ from graphforms.corpus import (
     zero_killing,
 )
 from graphforms.graph import WeightedGraph
+from graphforms.resolvent import assemble_stiffness
+
+
+def dense_coefficient_check(pair, tol=1e-10):
+    """Dense reference for the coefficient path: (worst, witness vertex ids or None)."""
+    idx = np.flatnonzero(pair.lower.active)
+    D = (
+        assemble_stiffness(pair.lower).toarray()[np.ix_(idx, idx)]
+        - assemble_stiffness(pair.upper).toarray()[np.ix_(idx, idx)]
+    )
+    i, j = np.unravel_index(np.argmin(D), D.shape)
+    worst = float(D[i, j])
+    ids = pair.lower.graph.ids
+    return worst, None if worst >= -tol else (ids[idx[i]], ids[idx[j]])
 
 
 def dirichlet_neumann_pair(n=3, h=0.5):
@@ -112,6 +126,28 @@ class TestFormInequality:
         # the explicit witness also refutes through plain sampling
         sampled = check_form_inequality_nonneg(pair, force_sampling=True, samples=500)
         assert sampled.refuted and not sampled.certified and sampled.method == "sampled"
+
+    def test_sparse_coefficients_match_dense_reference(self):
+        g = make_path(5, 1.0)
+        zero_coupling = FormPair(
+            lower=assemble(g, boundary=["v0"], couplings=[("v1", "v3", 0.0)]),
+            upper=assemble(g, couplings=[("v2", "v4", 0.5)]),
+        )
+        pairs = domination_pair_corpus(11, 40) + [zero_coupling, dirichlet_neumann_pair()]
+        outcomes = set()
+        for pair in pairs:
+            # a negative tolerance refutes at a zero entry, so the implicit-zero
+            # witness is compared too
+            for tol in (1e-10, -0.5):
+                res = check_form_inequality_nonneg(pair, tol=tol)
+                worst, witness = dense_coefficient_check(pair, tol)
+                assert res.certified and res.method == "coefficient"
+                assert res.worst_value == worst
+                assert res.refuted == (witness is not None)
+                if witness is not None:
+                    assert (res.witness["f_vertex"], res.witness["g_vertex"]) == witness
+                outcomes.add((tol, res.refuted, worst == 0.0))
+        assert {(1e-10, True, False), (1e-10, False, True), (-0.5, True, True)} <= outcomes
 
     def test_sampling_cannot_certify(self):
         res = check_form_inequality_nonneg(

@@ -333,3 +333,10 @@ class TestAdjacency:
         assert g.weighted_degree(0) == math.inf
         assert g.weighted_degree(1) == 1e308
         assert validate(g) == ["infinite neighbor weight sum at x"]
+
+    def test_opposite_infinite_weights_give_nan_degree(self):
+        ids = ["x", "y", "z"]
+        g = WeightedGraph(ids, [1.0] * 3, [0.0] * 3, [("x", "y", math.inf), ("x", "z", -math.inf)])
+        assert math.isnan(g.weighted_degree(0))
+        assert g.weighted_degree(1) == math.inf
+        assert g.weighted_degree(2) == -math.inf

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from graphforms import (
     ResolventHandle,
@@ -17,6 +19,8 @@ from graphforms import (
     truncated_form_via_resolvent,
 )
 from graphforms.corpus import form_corpus, random_cutoff, zero_killing
+from graphforms.forms import GraphForm
+from graphforms.graph import WeightedGraph
 
 
 def single_vertex_handle(**kw):
@@ -80,6 +84,53 @@ class TestResolventApply:
         K, m = h.generator.stiffness, h.generator.mass
         residual = np.linalg.norm(m - (K @ u + alpha * m * u)) / np.linalg.norm(m)
         assert residual <= 1e-10
+
+
+class TestCachedPattern:
+    """K + alpha M is refreshed on a pattern built once per handle."""
+
+    @staticmethod
+    def forms():
+        g = make_path(6, 0.5)
+        # zero-weight coupling: its explicit zeros must not reach the factor
+        yield assemble(g, boundary=["v5"], couplings=[("v0", "v3", 0.0), ("v1", "v4", 2.0)])
+        # K_aa = -1 at vertex a, so K_aa + alpha m_a cancels at alpha = 1
+        edges = [("a", "b", -0.5), ("b", "c", 2.0)]
+        bad = WeightedGraph(["a", "b", "c"], [1.0] * 3, [0.0] * 3, edges)
+        yield GraphForm(bad, np.ones(3, dtype=bool))
+        yield assemble(single_vertex(1.0, 0.0))  # K = [[0]]: a stored zero diagonal
+        for q, _ in form_corpus(26, 12, n_max=30):
+            yield q
+
+    def test_factored_matrix_equals_sparse_sum(self, monkeypatch):
+        handed = []
+        splu = scipy.sparse.linalg.splu
+
+        def spy(A, **kw):
+            handed.append(A)
+            return splu(A, **kw)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+        for q in self.forms():
+            h = ResolventHandle(q)
+            for alpha in (1e-3, 1.0, 1e3):
+                handed.clear()
+                h._factor(alpha)
+                (A,) = handed
+                expect = (h.generator.stiffness + sp.diags(alpha * h.generator.mass)).tocsc()
+                for name in ("indptr", "indices", "data"):
+                    got, want = getattr(A, name), getattr(expect, name)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    def test_revisited_alpha_equals_fresh_handle(self):
+        rng = np.random.default_rng(27)
+        for q in self.forms():
+            h = ResolventHandle(q)
+            f = rng.uniform(-1, 1, h.dim)
+            for alpha in (1.0, 1e3, 1.0):
+                fresh = ResolventHandle(q)
+                assert np.array_equal(h.apply(alpha, f), fresh.apply(alpha, f))
+                assert np.array_equal(h.resolvent_matrix(alpha), fresh.resolvent_matrix(alpha))
 
 
 class TestGeneratorOperator:

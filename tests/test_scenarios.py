@@ -20,7 +20,75 @@ from graphforms import (
 )
 from graphforms.corpus import form_corpus, saturating_exhaustion
 from graphforms.resolvent import assemble_stiffness
-from graphforms.scenarios import NOT_REFUTED, REFUTED
+from graphforms.scenarios import NOT_REFUTED, REFUTED, EquivalenceReport, _grid
+
+
+def loop_equivalence_test(spec, samples=500, seed=42, tol=1e-10):
+    """Pair-by-pair grid search, the reference for the array-screened grid."""
+    rng = np.random.default_rng(seed)
+    mono_witness = {}
+    nonneg_witness = {}
+
+    if spec.dim <= 3:
+        grid = _grid(spec.dim)
+        for g in grid:
+            qg = spec.q(g)
+            for f in grid:
+                if not mono_witness and np.all(np.abs(f) <= np.abs(g)):
+                    if spec.q(f) > qg + tol:
+                        mono_witness = {
+                            "f": f.tolist(), "g": g.tolist(),
+                            "q_f": spec.q(f), "q_g": qg,
+                        }
+                if not nonneg_witness and np.all(f * g >= 0.0):
+                    val = spec.q(f, g)
+                    if val < -tol:
+                        nonneg_witness = {"f": f.tolist(), "g": g.tolist(), "q_fg": val}
+            if mono_witness and nonneg_witness:
+                break
+
+    for _ in range(samples):
+        if mono_witness and nonneg_witness:
+            break
+        g = rng.uniform(-1.0, 1.0, size=spec.dim)
+        shrink = rng.uniform(0.0, 1.0, size=spec.dim)
+        signs = rng.choice([-1.0, 1.0], size=spec.dim)
+        f = signs * shrink * np.abs(g)
+        if not mono_witness and spec.q(f) > spec.q(g) + tol:
+            mono_witness = {
+                "f": f.tolist(), "g": g.tolist(), "q_f": spec.q(f), "q_g": spec.q(g),
+            }
+        sigma = rng.choice([-1.0, 1.0], size=spec.dim)
+        u = sigma * np.abs(rng.uniform(0, 1, size=spec.dim))
+        v = sigma * np.abs(rng.uniform(0, 1, size=spec.dim))
+        u[rng.random(spec.dim) < 0.3] = 0.0
+        v[rng.random(spec.dim) < 0.3] = 0.0
+        if not nonneg_witness:
+            val = spec.q(u, v)
+            if val < -tol:
+                nonneg_witness = {"f": u.tolist(), "g": v.tolist(), "q_fg": val}
+
+    monotone = REFUTED if mono_witness else NOT_REFUTED
+    nonneg = REFUTED if nonneg_witness else NOT_REFUTED
+    return EquivalenceReport(
+        monotone=monotone,
+        nonneg_definite=nonneg,
+        agree=monotone == nonneg,
+        monotone_witness=mono_witness,
+        nonneg_witness=nonneg_witness,
+    )
+
+
+def random_spec(rng, dim):
+    """Nonnegative symmetric spec: diagonal, coupled, or coupled at the tolerance scale."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return MonotoneFormSpec(np.diag(rng.uniform(0.0, 2.0, dim)))
+    L = rng.normal(size=(dim, dim)) * (rng.random((dim, dim)) < 0.6)
+    A = L @ L.T
+    if kind == 2:
+        A = np.diag(np.diag(A) + 1.0) + 1e-10 * rng.uniform(-2.0, 2.0) * (A - np.diag(np.diag(A)))
+    return MonotoneFormSpec(A)
 
 
 class TestCounterexample:
@@ -126,6 +194,16 @@ class TestMonotoneEquivalence:
         assert rep.monotone == REFUTED
         assert rep.nonneg_definite == REFUTED
         assert rep.agree
+
+    def test_grid_screen_matches_pair_by_pair_search(self):
+        rng = np.random.default_rng(20)
+        refuted = {REFUTED: 0, NOT_REFUTED: 0}
+        for k in range(40):
+            spec = random_spec(rng, int(rng.integers(1, 4)))
+            got = monotone_equivalence_test(spec, samples=30, seed=k).to_dict()
+            assert got == loop_equivalence_test(spec, samples=30, seed=k).to_dict()
+            refuted[got["monotone"]] += 1
+        assert min(refuted.values()) >= 8
 
     def test_validation(self):
         with pytest.raises(ValueError, match="symmetric"):
