@@ -13,6 +13,8 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,6 +32,22 @@ class WeightedGraph:
     """
 
     def __init__(self, ids, m, c, edges):
+        self._set_vertices(ids, m, c)
+        edges = list(edges)
+        ends = np.array([(self._resolve(u), self._resolve(v)) for u, v, _ in edges], dtype=int)
+        ends = ends.reshape(-1, 2)
+        b = np.array([float(b) for _, _, b in edges], dtype=float)
+        self._set_edges(ends[:, 0], ends[:, 1], b)
+
+    @classmethod
+    def _from_arrays(cls, ids, m, c, edge_u, edge_v, edge_b) -> "WeightedGraph":
+        """Graph from vertex data and edge index arrays, without resolving ids."""
+        g = cls.__new__(cls)
+        g._set_vertices(ids, m, c)
+        g._set_edges(edge_u, edge_v, edge_b)
+        return g
+
+    def _set_vertices(self, ids, m, c):
         self.ids = list(ids)
         self.index = {v: i for i, v in enumerate(self.ids)}
         if len(self.index) != len(self.ids):
@@ -39,12 +57,11 @@ class WeightedGraph:
         if self.m.shape != (self.n,) or self.c.shape != (self.n,):
             raise GraphFormatError("m and c must have one value per vertex")
 
-        edges = list(edges)
-        ends = np.array([(self._resolve(u), self._resolve(v)) for u, v, _ in edges], dtype=int)
-        self.edge_u, self.edge_v = np.sort(ends.reshape(-1, 2), axis=1).T.copy()
-        self.edge_b = np.array([float(b) for _, _, b in edges], dtype=float)
+    def _set_edges(self, edge_u, edge_v, edge_b):
+        self.edge_u, self.edge_v = np.sort(np.column_stack((edge_u, edge_v)), axis=1).T.copy()
+        self.edge_b = edge_b
         # The first edge in order that is a self-loop or repeats an earlier pair.
-        repeat = np.ones(len(edges), dtype=bool)
+        repeat = np.ones(len(edge_b), dtype=bool)
         repeat[np.unique(self.edge_u * self.n + self.edge_v, return_index=True)[1]] = False
         bad = np.flatnonzero((self.edge_u == self.edge_v) | repeat)
         if bad.size:
@@ -80,17 +97,25 @@ class WeightedGraph:
         return list(zip(self._nbr[lo:hi].tolist(), self._nbr_b[lo:hi].tolist()))
 
     def weighted_degree(self, i: int) -> float:
-        """Exact sum of b(i, y) over the neighbors y.
+        """Exact sum of b(i, y) over the neighbors y, correctly rounded.
 
-        inf when the sum overflows; NaN when the neighbor weights include both
-        +inf and -inf, whose sum is undefined.
+        +-inf when that sum leaves the float range; NaN when the neighbor
+        weights include both +inf and -inf, whose sum is undefined.
         """
+        weights = self._nbr_b[self._indptr[i] : self._indptr[i + 1]].tolist()
+        # Finite weights cannot change an infinite or NaN sum.
+        nonfinite = [w for w in weights if not math.isfinite(w)]
         try:
-            return math.fsum(b for _, b in self.neighbors(i))
-        except OverflowError:
-            return math.inf
+            return math.fsum(nonfinite or weights)
         except ValueError:  # -inf + inf
             return math.nan
+        except OverflowError:
+            # fsum raises this for an overflowing partial sum of either sign.
+            exact = sum(map(Fraction, weights))
+            try:
+                return float(exact)
+            except OverflowError:
+                return math.inf if exact > 0 else -math.inf
 
     def distances_from(self, sources) -> np.ndarray:
         """Hop distances from a set of vertex indices; unreachable = inf."""
@@ -221,25 +246,79 @@ def single_vertex(m: float, c: float, vid: str = "x") -> WeightedGraph:
 
 
 @dataclass(frozen=True)
-class IntegerLineGenerator:
-    """The integer line with uniform data; vertex k has id str(k)."""
+class _IntegerGrid:
+    """Z^d with uniform data; a vertex has the id of its coordinates joined by
+    commas, each written as str(int), so that every point has exactly one id."""
 
     m: float = 1.0
     c: float = 0.0
     b: float = 1.0
 
-    def contains(self, vid: str) -> bool:
-        try:
-            int(vid)
-            return True
-        except ValueError:
-            return False
+    #: Neighbour offsets, in the order each subclass's ``neighbors`` lists them.
+    steps: ClassVar[tuple] = ()
 
     def measure(self, vid: str) -> float:
         return self.m
 
     def killing(self, vid: str) -> float:
         return self.c
+
+    def _ball(self, root: str, radius: int) -> WeightedGraph:
+        """``truncate(self, generator_ball(self, root, radius))``, built in index space.
+
+        One frontier BFS over integer points keeps first occurrences in
+        frontier-major, neighbour-minor order, as the queue BFS does; the edges
+        are the pairs (i, j) with j > i, by i and then by step, as truncate
+        emits them.
+        """
+        if not self.contains(root):
+            raise ValueError(f"root {root!r} not generated")
+        steps = np.array(self.steps)
+        origin = np.array([int(t) for t in root.split(",")])
+        side = 2 * radius + 3  # the box around the ball also holds its neighbours
+        scale = side ** np.arange(len(origin))
+
+        def key(points):
+            return (points - origin + radius + 1) @ scale
+
+        position = np.full(side ** len(origin), -1)
+        frontier = origin[None, :]
+        position[key(frontier)] = 0
+        layers, n = [frontier], 1
+        for _ in range(radius):
+            reached = (frontier[:, None, :] + steps).reshape(-1, len(origin))
+            keys = key(reached)
+            fresh = np.flatnonzero(position[keys] < 0)
+            first = np.sort(fresh[np.unique(keys[fresh], return_index=True)[1]])
+            frontier = reached[first]
+            position[keys[first]] = np.arange(n, n + len(first))
+            layers.append(frontier)
+            n += len(first)
+        points = np.concatenate(layers)
+        nbr = position[key(points[:, None, :] + steps)]
+        later = nbr > np.arange(n)[:, None]
+        ids = list(map(",".join(["{}"] * len(origin)).format, *points.T.tolist()))
+        return WeightedGraph._from_arrays(
+            ids,
+            np.full(n, float(self.m)),
+            np.full(n, float(self.c)),
+            np.nonzero(later)[0],
+            nbr[later],
+            np.full(int(later.sum()), float(self.b)),
+        )
+
+
+@dataclass(frozen=True)
+class IntegerLineGenerator(_IntegerGrid):
+    """The integer line with uniform data; vertex k has id str(k)."""
+
+    steps: ClassVar[tuple] = ((-1,), (1,))
+
+    def contains(self, vid: str) -> bool:
+        try:
+            return str(int(vid)) == vid
+        except ValueError:
+            return False
 
     def neighbors(self, vid: str):
         k = int(vid)
@@ -247,26 +326,17 @@ class IntegerLineGenerator:
 
 
 @dataclass(frozen=True)
-class SquareLatticeGenerator:
+class SquareLatticeGenerator(_IntegerGrid):
     """The 2d integer lattice with uniform data; vertex (i,j) has id 'i,j'."""
 
-    m: float = 1.0
-    c: float = 0.0
-    b: float = 1.0
+    steps: ClassVar[tuple] = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
     def contains(self, vid: str) -> bool:
         try:
             i, j = vid.split(",")
-            int(i), int(j)
-            return True
-        except ValueError:
+            return f"{int(i)},{int(j)}" == vid
+        except (AttributeError, ValueError):
             return False
-
-    def measure(self, vid: str) -> float:
-        return self.m
-
-    def killing(self, vid: str) -> float:
-        return self.c
 
     def neighbors(self, vid: str):
         i, j = (int(t) for t in vid.split(","))
@@ -375,8 +445,10 @@ def build_exhaustion(gen, root: str, n_levels: int, plateau: int) -> Exhaustion:
     """
     if n_levels < 1 or plateau < 1:
         raise ValueError("need n_levels >= 1 and plateau >= 1")
-    order = generator_ball(gen, root, n_levels + plateau)
-    graph = truncate(gen, order)
+    if isinstance(gen, _IntegerGrid):
+        graph = gen._ball(root, n_levels + plateau)
+    else:
+        graph = truncate(gen, generator_ball(gen, root, n_levels + plateau))
     root_idx = graph.index[root]
     dist_root = graph.distances_from([root_idx])
     sets, cutoffs = _balls(dist_root, range(1, n_levels + 1), plateau)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import OUT_OF_DOMAIN, GraphForm, as_function, increments_settled
+from .forms import GraphForm, as_function, increments_settled
 from .graph import Exhaustion, WeightedGraph
 
 
@@ -32,24 +32,35 @@ class TruncatedFormValue:
     value: float
 
 
-def truncated_form(q: GraphForm, phi, f) -> TruncatedFormValue:
-    """T_phi(f) = Q(phi f) - Q(phi f^2, phi) for a cutoff phi in the domain.
-
-    Raises when phi leaves [0, 1] or is nonzero off the active set; the value
-    is OUT_OF_DOMAIN only if phi*f escapes the domain mask, which cannot
-    happen for an admissible phi on a finite truncation.
-    """
+def _check_cutoff(q: GraphForm, phi) -> np.ndarray:
     phi = as_function(q.graph, phi)
-    f = as_function(q.graph, f)
     if (phi < -1e-12).any() or (phi > 1 + 1e-12).any():
         raise ValueError("cutoff phi must take values in [0, 1]")
     if not q.in_domain(phi):
         raise ValueError("cutoff phi must vanish off the active set")
+    return phi
+
+
+def _truncated(q: GraphForm, phi: np.ndarray, f: np.ndarray, support=None) -> tuple:
+    """(Q(phi f), T_phi(f)) for a checked cutoff and function, summed over ``support``.
+
+    ``support`` must carry every nonzero term of both energies (``q._support(phi)``
+    does); phi f then lies in the domain, because phi does.
+    """
     pf = phi * f
-    if not q.in_domain(pf):
-        return TruncatedFormValue(phi, f, OUT_OF_DOMAIN)
-    value = q.evaluate(pf) - q.bilinear(phi * f * f, phi)
-    return TruncatedFormValue(phi, f, value)
+    energy = math.fsum(q._terms(pf, pf, support))
+    return energy, energy - math.fsum(q._terms(pf * f, phi, support))
+
+
+def truncated_form(q: GraphForm, phi, f) -> TruncatedFormValue:
+    """T_phi(f) = Q(phi f) - Q(phi f^2, phi) for a cutoff phi in the domain.
+
+    Raises when phi leaves [0, 1] or is nonzero off the active set; phi f then
+    lies in the domain for every finite f.
+    """
+    phi = _check_cutoff(q, phi)
+    f = as_function(q.graph, f)
+    return TruncatedFormValue(phi, f, _truncated(q, phi, f)[1])
 
 
 def truncated_oracle(q: GraphForm, phi, f) -> float:
@@ -81,12 +92,13 @@ class PartResult:
     converged: bool
 
 
-def _require_masked(q: GraphForm, ex: Exhaustion):
+def _checked_cutoffs(q: GraphForm, ex: Exhaustion) -> list:
     for chi in ex.cutoffs:
         if not q.in_domain(chi):
             raise ValueError(
                 "exhaustion cutoff is nonzero on the boundary; mask it first"
             )
+    return [_check_cutoff(q, chi) for chi in ex.cutoffs]
 
 
 def _full_cutoff_reached(q: GraphForm, chi: np.ndarray) -> bool:
@@ -103,8 +115,7 @@ def main_part(q: GraphForm, ex: Exhaustion, f, rel_tol: float = 1e-8) -> PartRes
     increments drop below rel_tol.
     """
     f = as_function(q.graph, f)
-    _require_masked(q, ex)
-    trace = [truncated_form(q, chi, f).value for chi in ex.cutoffs]
+    trace = [_truncated(q, chi, f, q._support(chi))[1] for chi in _checked_cutoffs(q, ex)]
     converged = _full_cutoff_reached(q, ex.cutoffs[-1]) or increments_settled(trace, rel_tol)
     return PartResult(value=trace[-1], trace=trace, converged=converged)
 
@@ -112,12 +123,6 @@ def main_part(q: GraphForm, ex: Exhaustion, f, rel_tol: float = 1e-8) -> PartRes
 # ---------------------------------------------------------------------------
 # Killing part
 # ---------------------------------------------------------------------------
-
-
-def _preliminary_killing(q: GraphForm, g: np.ndarray, full_cutoff: np.ndarray) -> float:
-    # Q(g) - main(g) for g in the domain; main(g) is attained at the full
-    # admissible cutoff on a finite truncation.
-    return q.evaluate(g) - truncated_form(q, full_cutoff, g).value
 
 
 def killing_part(
@@ -136,19 +141,22 @@ def killing_part(
     per clamp level.
     """
     f = as_function(q.graph, f)
-    _require_masked(q, ex)
+    cutoffs = _checked_cutoffs(q, ex)
     if clamp_levels is None:
         top = float(np.max(np.abs(f)))
         clamp_levels = [top if top > 0 else 1.0]
+    # main(g) is attained at the full admissible cutoff on a finite truncation,
+    # and Q(full * g) is Q(g) bit for bit because g vanishes off the active set.
     full_cutoff = np.where(q.active, 1.0, 0.0)
     grid = []
     for level in clamp_levels:
         if not level > 0:
             raise ValueError("clamp levels must be positive")
         fn = np.clip(f, -level, level)
-        row = [
-            _preliminary_killing(q, chi * fn, full_cutoff) for chi in ex.cutoffs
-        ]
+        row = []
+        for chi in cutoffs:
+            energy, main = _truncated(q, full_cutoff, chi * fn, q._support(chi))
+            row.append(energy - main)
         grid.append(row)
     value = grid[-1][-1]
     saturated = _full_cutoff_reached(q, ex.cutoffs[-1]) and clamp_levels[-1] >= float(

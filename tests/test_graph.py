@@ -340,3 +340,112 @@ class TestAdjacency:
         assert math.isnan(g.weighted_degree(0))
         assert g.weighted_degree(1) == math.inf
         assert g.weighted_degree(2) == -math.inf
+
+
+def _same_graph(a, b):
+    assert a.ids == b.ids
+    for name in ("edge_u", "edge_v", "edge_b", "m", "c", "_indptr", "_nbr", "_nbr_b"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+class TestIndexBall:
+    """The index-space ball of a built-in generator equals its string-path truncation."""
+
+    @pytest.mark.parametrize(
+        "gen,roots",
+        [
+            (SquareLatticeGenerator(), ["0,0", "3,-2"]),
+            (SquareLatticeGenerator(m=0.5, c=0.25, b=3.0), ["3,-2"]),
+            (IntegerLineGenerator(), ["0", "-5"]),
+            (IntegerLineGenerator(m=2.0, c=0.1, b=0.75), ["-5", "12"]),
+        ],
+    )
+    def test_matches_string_truncation(self, gen, roots):
+        for root in roots:
+            for radius in range(9):
+                _same_graph(gen._ball(root, radius), truncate(gen, generator_ball(gen, root, radius)))
+
+    @pytest.mark.parametrize(
+        "gen,root", [(SquareLatticeGenerator(c=0.1), "-4,7"), (IntegerLineGenerator(b=2.0), "9")]
+    )
+    def test_build_exhaustion_graph_matches_string_path(self, gen, root):
+        for levels, plateau in ((1, 1), (5, 2), (12, 3)):
+            ex = build_exhaustion(gen, root, n_levels=levels, plateau=plateau)
+            oracle = truncate(gen, generator_ball(gen, root, levels + plateau))
+            _same_graph(ex.graph, oracle)
+
+    def test_non_grid_generator_takes_the_string_path(self):
+        class Ring:
+            def contains(self, vid):
+                return vid in {"a", "b", "c"}
+
+            def measure(self, vid):
+                return 1.0
+
+            def killing(self, vid):
+                return 0.0
+
+            def neighbors(self, vid):
+                nxt = {"a": "b", "b": "c", "c": "a"}
+                prev = {v: u for u, v in nxt.items()}
+                return [(nxt[vid], 1.0), (prev[vid], 1.0)]
+
+        ex = build_exhaustion(Ring(), "a", n_levels=1, plateau=1)
+        assert ex.graph.ids == ["a", "b", "c"]
+
+
+class TestCanonicalIds:
+    def test_each_lattice_point_once(self):
+        assert len(generator_ball(SquareLatticeGenerator(), "0,0", 2)) == 13
+        assert len(generator_ball(IntegerLineGenerator(), "0", 2)) == 5
+
+    @pytest.mark.parametrize(
+        "gen,root",
+        [
+            (SquareLatticeGenerator(), "0, 0"),
+            (SquareLatticeGenerator(), "+1,0"),
+            (SquareLatticeGenerator(), "-0,0"),
+            (SquareLatticeGenerator(), "0,0,0"),
+            (SquareLatticeGenerator(), "0"),
+            (SquareLatticeGenerator(), 0),
+            (IntegerLineGenerator(), "+0"),
+            (IntegerLineGenerator(), "007"),
+            (IntegerLineGenerator(), " 1"),
+            (IntegerLineGenerator(), "0,0"),
+            (IntegerLineGenerator(), 0),
+        ],
+    )
+    def test_non_canonical_root_rejected(self, gen, root):
+        assert not gen.contains(root)
+        with pytest.raises(ValueError, match="not generated"):
+            generator_ball(gen, root, 2)
+        with pytest.raises(ValueError, match="not generated"):
+            gen._ball(root, 2)
+        with pytest.raises(ValueError, match="not generated"):
+            build_exhaustion(gen, root, n_levels=2, plateau=1)
+
+
+def _star(weights):
+    ids = ["x"] + [f"y{k}" for k in range(len(weights))]
+    edges = [("x", f"y{k}", w) for k, w in enumerate(weights)]
+    return WeightedGraph(ids, [1.0] * len(ids), [0.0] * len(ids), edges)
+
+
+@pytest.mark.parametrize(
+    "weights,expected",
+    [
+        ([-1e308, -1e308], -math.inf),
+        ([1e308, 1e308, -1e308], 1e308),
+        ([-1e308, -1e308, 1e308, 0.5], -1e308),
+        ([1e308, 1e308, -math.inf], -math.inf),
+        ([1e308, 1e308, math.inf, -math.inf], math.nan),
+        ([math.inf, -math.inf], math.nan),
+    ],
+)
+def test_weighted_degree_is_the_exact_sum(weights, expected):
+    degree = _star(weights).weighted_degree(0)
+    if math.isnan(expected):
+        assert math.isnan(degree)
+    else:
+        assert degree == expected

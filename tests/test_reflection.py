@@ -1,15 +1,20 @@
 """Truncated forms, main/killing decomposition, oracles, recurrence."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from graphforms import (
     Exhaustion,
+    IntegerLineGenerator,
+    SquareLatticeGenerator,
+    WeightedGraph,
     apply_contraction,
     assemble,
     ball_exhaustion,
+    build_exhaustion,
     contraction_catalog,
     graph_oracle_killing,
     graph_oracle_main,
@@ -261,3 +266,100 @@ class TestRecurrence:
         q = assemble(single_vertex(2.0, 3.0))
         rep = recurrence_check(q, Exhaustion.full(q.graph))
         assert rep["reflected_value_at_1"] == pytest.approx(3.0, rel=1e-13)
+
+
+def _old_truncated(q, phi, f):
+    # T_phi(f) as every level computed it before: two full energy sums.
+    return q.evaluate(phi * f) - q.bilinear(phi * f * f, phi)
+
+
+def _old_traces(q, ex, f, clamp_levels=None):
+    """Main and killing traces from the per-level loop over whole-graph sums."""
+    mex = ex.masked(q.active)
+    main = [_old_truncated(q, chi, f) for chi in mex.cutoffs]
+    if clamp_levels is None:
+        top = float(np.max(np.abs(f)))
+        clamp_levels = [top if top > 0 else 1.0]
+    full = np.where(q.active, 1.0, 0.0)
+    grid = []
+    for level in clamp_levels:
+        fn = np.clip(f, -level, level)
+        grid.append(
+            [q.evaluate(chi * fn) - _old_truncated(q, full, chi * fn) for chi in mex.cutoffs]
+        )
+    return main, grid
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _support_instances():
+    rng = np.random.default_rng(77)
+    for saturate in (True, False):
+        for q, _ in form_corpus(78, 6, n_min=5, n_max=40):
+            ex = ball_exhaustion(q.graph, 0, n_levels=4, plateau=1, saturate=saturate)
+            yield q, ex, random_function(rng, q.n)
+    for gen, root, boundary in (
+        (SquareLatticeGenerator(c=0.1, b=0.5), "0,0", ["1,0", "-2,1"]),
+        (IntegerLineGenerator(c=0.2), "0", ["3"]),
+    ):
+        ex = build_exhaustion(gen, root, n_levels=6, plateau=2)
+        g = ex.graph
+        extra = {g.ids[5]: 0.7}
+        couplings = [(g.ids[1], g.ids[-1], 0.3), (g.ids[2], g.ids[4], 0.0)]
+        for kw in ({}, {"extra_killing": extra, "couplings": couplings}):
+            q = assemble(g, boundary=boundary, **kw)
+            yield q, ex, random_function(rng, g.n)
+    # Not nested: cutoffs of random supports, in any order.
+    q = form_corpus(79, 1, n_min=20, n_max=20)[0][0]
+    cutoffs = [rng.uniform(0.0, 1.0, q.n) * (rng.random(q.n) < 0.3) for _ in range(5)]
+    sets = [np.flatnonzero(chi == 1.0) for chi in cutoffs]
+    yield q, Exhaustion(q.graph, sets, cutoffs), random_function(rng, q.n)
+
+
+class TestLevelSupports:
+    """Level sums over each cutoff's support equal the whole-graph sums bit for bit."""
+
+    def test_traces_match_whole_graph_loop(self):
+        count = 0
+        for q, ex, f in _support_instances():
+            for clamp_levels in (None, [0.5, 1.0, 3.0]):
+                res = reflected_form(q, ex, f, clamp_levels=clamp_levels)
+                main, grid = _old_traces(q, ex, f, clamp_levels)
+                assert _hex(res.main_trace) == _hex(main)
+                assert [_hex(row) for row in res.killing_trace] == [_hex(row) for row in grid]
+                count += 1
+        assert count == 2 * (12 + 4 + 1)
+
+    def test_truncated_form_matches_whole_graph_sums(self):
+        rng = np.random.default_rng(80)
+        for q, _ in form_corpus(81, 5, n_max=30):
+            phi = random_cutoff(rng, q) * (rng.random(q.n) < 0.5)
+            f = random_function(rng, q.n)
+            assert truncated_form(q, phi, f).value.hex() == _old_truncated(q, phi, f).hex()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("where", ["edge", "killing"])
+    def test_infinite_weight_off_the_support_still_shows(self, where):
+        # An inf weight on d, which no cutoff reaches, times zero is NaN, as before.
+        ids = ["a", "b", "c", "d", "e"]
+        b_cd = math.inf if where == "edge" else 1.0
+        edges = [("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", b_cd), ("d", "e", 1.0)]
+        g = WeightedGraph(ids, [1.0] * 5, [0.0] * 5, edges)
+        extra = {"e": math.inf} if where == "killing" else None
+        q = assemble(g, extra_killing=extra)
+        ex = Exhaustion(g, [np.array([0]), np.array([0, 1])],
+                        [np.array([1.0, 0.5, 0, 0, 0]), np.array([1.0, 1.0, 0.5, 0, 0])])
+        f = np.array([1.0, -0.5, 2.0, 0.0, 0.0])
+        res = reflected_form(q, ex, f)
+        main, grid = _old_traces(q, ex, f)
+        assert _hex(res.main_trace) == _hex(main)
+        assert [_hex(row) for row in res.killing_trace] == [_hex(row) for row in grid]
+        assert math.isnan(res.main_trace[0])
+
+    def test_killing_part_range_checks_cutoffs(self):
+        q = assemble(make_path(3, 1.0))
+        ex = Exhaustion(q.graph, [np.array([1])], [np.array([0.0, 1.5, 0.0])])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            killing_part(q, ex, np.ones(3))
