@@ -3,7 +3,8 @@
 Subcommands: validate, decompose, dominate, counterexample, classify,
 selftest.  Reports are emitted as JSON (byte-identical for identical
 arguments and seed) or as plain text.  Exit status: 0 on success or pass,
-1 when a check fails, 2 on usage or IO problems.
+1 when a check fails, 2 on usage or IO problems, 3 when the computation
+itself fails (a singular or unstable solve, overflow, or memory).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .selftest import run_selftest
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+COMPUTATION_FAILED = 3
 
 
 def _read_text(path: str) -> str:
@@ -237,6 +239,11 @@ def main(argv=None) -> int:
     args.output = getattr(args, "output", None)
     try:
         return args.handler(args)
+    # LinAlgError is a ValueError, so it is caught first.
+    except (np.linalg.LinAlgError, MemoryError, OverflowError, RuntimeError) as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
+        return COMPUTATION_FAILED
     except (OSError, json.JSONDecodeError, GraphFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

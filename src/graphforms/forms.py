@@ -116,7 +116,9 @@ class GraphForm:
         """Nonzero ordered-pair terms of Q(f, g); exact zeros cannot change an fsum.
 
         ``support`` = (edge indices, vertex indices) restricts the edge and vertex
-        terms to those (in index order); couplings are always included.
+        terms to those (in index order); couplings are always included.  An
+        infinite weight times a zero difference or value is a NaN term, on
+        purpose and without a warning, so a non-finite weight gives a NaN energy.
         """
         gph = self.graph
         eu, ev, b, c, fv, gv = gph.edge_u, gph.edge_v, gph.edge_b, self.c_total, f, g
@@ -126,8 +128,9 @@ class GraphForm:
             c, fv, gv = c[verts], f[verts], g[verts]
         du = f[eu] - f[ev]
         dv = du if g is f else g[eu] - g[ev]
-        cps = [cp.w * (f[cp.u] - f[cp.v]) * (g[cp.u] - g[cp.v]) for cp in self.couplings]
-        terms = np.concatenate((2.0 * b * du * dv, c * (fv * gv), cps))
+        with np.errstate(invalid="ignore"):
+            cps = [cp.w * (f[cp.u] - f[cp.v]) * (g[cp.u] - g[cp.v]) for cp in self.couplings]
+            terms = np.concatenate((2.0 * b * du * dv, c * (fv * gv), cps))
         return terms[terms != 0.0].tolist()
 
     def evaluate(self, f) -> float:

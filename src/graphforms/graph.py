@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import ClassVar
 
@@ -263,13 +263,15 @@ class _IntegerGrid:
     def killing(self, vid: str) -> float:
         return self.c
 
-    def _ball(self, root: str, radius: int) -> WeightedGraph:
-        """``truncate(self, generator_ball(self, root, radius))``, built in index space.
+    def _ball(self, root: str, radius: int) -> tuple:
+        """``truncate(self, generator_ball(self, root, radius))``, built in index space,
+        and every vertex's hop distance from the root.
 
         One frontier BFS over integer points keeps first occurrences in
         frontier-major, neighbour-minor order, as the queue BFS does; the edges
         are the pairs (i, j) with j > i, by i and then by step, as truncate
-        emits them.
+        emits them.  Frontier j holds the points at distance j, and a geodesic
+        to such a point stays in the ball, so the distances are the graph's.
         """
         if not self.contains(root):
             raise ValueError(f"root {root!r} not generated")
@@ -298,7 +300,7 @@ class _IntegerGrid:
         nbr = position[key(points[:, None, :] + steps)]
         later = nbr > np.arange(n)[:, None]
         ids = list(map(",".join(["{}"] * len(origin)).format, *points.T.tolist()))
-        return WeightedGraph._from_arrays(
+        graph = WeightedGraph._from_arrays(
             ids,
             np.full(n, float(self.m)),
             np.full(n, float(self.c)),
@@ -306,6 +308,7 @@ class _IntegerGrid:
             nbr[later],
             np.full(int(later.sum()), float(self.b)),
         )
+        return graph, np.repeat(np.arange(radius + 1.0), [len(layer) for layer in layers])
 
 
 @dataclass(frozen=True)
@@ -383,23 +386,98 @@ def truncate(gen, vertex_ids) -> WeightedGraph:
     return WeightedGraph(ids, m, c, edges)
 
 
-@dataclass
+@dataclass(frozen=True)
+class _Balls:
+    """Ball cutoffs around one root, kept as the root distances instead of arrays.
+
+    Level k has the ball B_k = {dist_root <= radii[k]} and the cutoff
+    max(1 - dist(x, B_k) / (plateau + 1), 0), where dist(x, B_k) =
+    max(dist_root(x) - radii[k], 0) exactly, because a geodesic from x to the
+    root enters B_k after dist_root(x) - radii[k] steps.  With ``saturate`` the
+    last cutoff is 1 everywhere, unreachable vertices included; ``mask``, when
+    set, zeroes the cutoffs off the active vertices.
+    """
+
+    dist_root: np.ndarray
+    radii: np.ndarray
+    plateau: int
+    saturate: bool
+    mask: np.ndarray | None = None
+
+    def values(self, level, vertices) -> np.ndarray:
+        """Cutoff value of each (level, vertex) pair, computed as the dense cutoffs are."""
+        beyond = np.maximum(self.dist_root[vertices] - self.radii[level], 0.0)
+        chi = np.maximum(1.0 - beyond / (self.plateau + 1.0), 0.0)
+        if self.saturate:
+            chi = np.where(level == len(self.radii) - 1, 1.0, chi)
+        return chi if self.mask is None else chi * self.mask[vertices]
+
+    def cutoff(self, k: int) -> np.ndarray:
+        return self.values(k, np.arange(len(self.dist_root)))
+
+    def set(self, k: int) -> np.ndarray:
+        if self.saturate and k == len(self.radii) - 1:
+            F = np.arange(len(self.dist_root))
+        else:
+            F = np.flatnonzero(self.dist_root <= self.radii[k])
+        return F if self.mask is None else F[self.mask[F]]
+
+    def enter_freeze(self) -> tuple:
+        """Per vertex, the first level with a nonzero cutoff and the first level
+        from which its cutoff stays at its last value.
+
+        The cutoff at x is nonzero from the first radius >= dist_root(x) - plateau
+        on and 1 from the first radius >= dist_root(x) on.  A vertex that is
+        never reached gets enter = levels and freeze = 0.
+        """
+        last = len(self.radii) - 1
+        enter = np.searchsorted(self.radii, self.dist_root - self.plateau)
+        freeze = np.minimum(np.searchsorted(self.radii, self.dist_root), last)
+        if self.saturate:
+            enter = np.minimum(enter, last)
+        if self.mask is not None:
+            enter[~self.mask] = last + 1
+        freeze[enter > last] = 0
+        return enter, freeze
+
+
 class Exhaustion:
     """Nested finite vertex sets F_1 <= F_2 <= ... with cutoff functions.
 
     Every cutoff equals 1 on its set, lies in [0, 1], has finite support and
     the sequence is pointwise nondecreasing.  All data lives on one common
-    finite truncation.
+    finite truncation.  Ball exhaustions keep only their root distances
+    (``_balls``) and build ``sets`` and ``cutoffs`` when these are first read.
     """
 
-    graph: WeightedGraph
-    sets: list
-    cutoffs: list
-    nest_assumed: bool = False
+    def __init__(self, graph: WeightedGraph, sets, cutoffs, nest_assumed: bool = False):
+        self.graph = graph
+        self._sets = sets
+        self._cutoffs = cutoffs
+        self.nest_assumed = nest_assumed
+        self._balls = None
+
+    @classmethod
+    def _of_balls(cls, graph: WeightedGraph, balls: _Balls, nest_assumed: bool) -> "Exhaustion":
+        ex = cls(graph, None, None, nest_assumed)
+        ex._balls = balls
+        return ex
+
+    @property
+    def sets(self) -> list:
+        if self._sets is None:
+            self._sets = [self._balls.set(k) for k in range(self.levels)]
+        return self._sets
+
+    @property
+    def cutoffs(self) -> list:
+        if self._cutoffs is None:
+            self._cutoffs = [self._balls.cutoff(k) for k in range(self.levels)]
+        return self._cutoffs
 
     @property
     def levels(self) -> int:
-        return len(self.sets)
+        return len(self._balls.radii) if self._balls is not None else len(self.sets)
 
     @classmethod
     def full(cls, graph: WeightedGraph) -> "Exhaustion":
@@ -418,20 +496,13 @@ class Exhaustion:
         whose domain vanishes off ``active``.
         """
         active = np.asarray(active, dtype=bool)
+        balls = self._balls
+        if balls is not None and active.shape == balls.dist_root.shape:
+            mask = active if balls.mask is None else balls.mask & active
+            return Exhaustion._of_balls(self.graph, replace(balls, mask=mask), self.nest_assumed)
         sets = [F[active[F]] for F in self.sets]
         cutoffs = [chi * active for chi in self.cutoffs]
         return Exhaustion(self.graph, sets, cutoffs, self.nest_assumed)
-
-
-def _balls(dist_root: np.ndarray, radii, plateau: int):
-    """Balls B_r = {dist_root <= r} and their cutoffs, 0 one step past ``plateau``.
-
-    dist(x, B_r) = max(d(x, root) - r, 0) exactly, because a geodesic from x to
-    the root enters B_r after d(x, root) - r steps; so one BFS serves all balls.
-    """
-    beyond = [np.maximum(dist_root - r, 0.0) for r in radii]
-    sets = [np.flatnonzero(d == 0.0) for d in beyond]
-    return sets, [np.maximum(1.0 - d / (plateau + 1.0), 0.0) for d in beyond]
 
 
 def build_exhaustion(gen, root: str, n_levels: int, plateau: int) -> Exhaustion:
@@ -446,13 +517,12 @@ def build_exhaustion(gen, root: str, n_levels: int, plateau: int) -> Exhaustion:
     if n_levels < 1 or plateau < 1:
         raise ValueError("need n_levels >= 1 and plateau >= 1")
     if isinstance(gen, _IntegerGrid):
-        graph = gen._ball(root, n_levels + plateau)
+        graph, dist_root = gen._ball(root, n_levels + plateau)
     else:
         graph = truncate(gen, generator_ball(gen, root, n_levels + plateau))
-    root_idx = graph.index[root]
-    dist_root = graph.distances_from([root_idx])
-    sets, cutoffs = _balls(dist_root, range(1, n_levels + 1), plateau)
-    return Exhaustion(graph, sets, cutoffs, nest_assumed=True)
+        dist_root = graph.distances_from([graph.index[root]])
+    balls = _Balls(dist_root, np.arange(1, n_levels + 1), plateau, saturate=False)
+    return Exhaustion._of_balls(graph, balls, nest_assumed=True)
 
 
 def ball_exhaustion(
@@ -473,9 +543,5 @@ def ball_exhaustion(
     dist_root = graph.distances_from([root_idx])
     ecc = float(np.max(dist_root[np.isfinite(dist_root)]))
     step = max(1, math.ceil(ecc / n_levels)) if ecc > 0 else 1
-    sets, cutoffs = _balls(dist_root, [step * k for k in range(1, n_levels + 1)], plateau)
-    if saturate:
-        # Also covers the vertices the root cannot reach.
-        sets[-1] = np.arange(graph.n)
-        cutoffs[-1] = np.ones(graph.n)
-    return Exhaustion(graph, sets, cutoffs, nest_assumed=False)
+    balls = _Balls(dist_root, step * np.arange(1, n_levels + 1), plateau, saturate)
+    return Exhaustion._of_balls(graph, balls, nest_assumed=False)

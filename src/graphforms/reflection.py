@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import pairwise
 
 import numpy as np
 
@@ -81,15 +83,12 @@ def truncated_oracle(q: GraphForm, phi, f) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Main part
+# Level walk
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class PartResult:
-    value: float
-    trace: list
-    converged: bool
+#: The walk runs while the absolute terms of every level sum to at most this,
+#: so that no partial sum of fsum or of the extraction below can overflow.
+_TERM_BOUND = 2.0**960
 
 
 def _checked_cutoffs(q: GraphForm, ex: Exhaustion) -> list:
@@ -101,8 +100,208 @@ def _checked_cutoffs(q: GraphForm, ex: Exhaustion) -> list:
     return [_check_cutoff(q, chi) for chi in ex.cutoffs]
 
 
-def _full_cutoff_reached(q: GraphForm, chi: np.ndarray) -> bool:
-    return bool(np.all(chi[q.active] == 1.0))
+def _scan(cutoffs: list):
+    """(enter, freeze) per vertex of explicit cutoffs in one backward pass, or
+    None when they are not nondecreasing.
+
+    A vertex enters at the first level whose cutoff is nonzero there and freezes
+    at the first level from which its cutoff keeps its last value; one that never
+    enters gets enter = levels and freeze = 0.
+    """
+    top = len(cutoffs) - 1
+    last = cutoffs[top]
+    enter = np.where(last != 0.0, top, top + 1)
+    freeze = np.full(len(last), top)
+    steady = np.ones(len(last), dtype=bool)
+    for k in range(top - 1, -1, -1):
+        chi = cutoffs[k]
+        if not np.all(chi <= cutoffs[k + 1]):
+            return None
+        enter[chi != 0.0] = k
+        steady &= chi == last
+        freeze[steady] = k
+    freeze[enter > top] = 0
+    return enter, freeze
+
+
+def _gather(cutoffs: list, level, vertices) -> np.ndarray:
+    """Cutoff value of each (level, vertex) pair of explicit cutoffs."""
+    out = np.empty(np.shape(vertices))
+    order = np.argsort(level, kind="stable")
+    bounds = np.searchsorted(level[order], np.arange(len(cutoffs) + 1))
+    for chi, (lo, hi) in zip(cutoffs, pairwise(bounds)):
+        rows = order[lo:hi]
+        out[..., rows] = chi[vertices[..., rows]]
+    return out
+
+
+def _spans(begin: np.ndarray, end: np.ndarray) -> tuple:
+    """(index, level) rows with begin[index] <= level < end[index]."""
+    span = end - begin
+    index = np.repeat(np.arange(len(span)), span)
+    return index, np.arange(len(index)) - np.repeat(np.cumsum(span) - span - begin, span)
+
+
+def _energy_terms(phi_p, h_p, w, phi_x, h_x, c) -> tuple:
+    """Terms of Q(phi h) and of Q(phi h^2, phi): pairs first, then vertices.
+
+    Rows 0 and 1 of ``phi_p`` and ``h_p`` hold the two endpoints of each pair
+    (edge, with w = 2 b, or coupling); every product is formed as
+    ``GraphForm._terms`` forms it, so each term is the same float.
+    """
+    pf = phi_p * h_p
+    d = pf[0] - pf[1]
+    pff = pf * h_p
+    pfx = phi_x * h_x
+    return (
+        np.concatenate((w * d * d, c * (pfx * pfx))),
+        np.concatenate(
+            (w * (pff[0] - pff[1]) * (phi_p[0] - phi_p[1]), c * ((pfx * h_x) * phi_x))
+        ),
+    )
+
+
+def _running_sums(terms: np.ndarray, level: np.ndarray, n_levels: int) -> list:
+    """For each level k, a few floats whose exact sum is that of the terms at levels <= k.
+
+    Error-free vector extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation, part I", SIAM J. Sci. Comput. 31, 2008): for sigma = 2^s with
+    max |x| <= 2^-M sigma and len(x) < 2^M, q = (sigma + x) - sigma and x - q are
+    exact, and every q lies on the grid 2^-53 sigma with |q| <= 2^-M sigma, so
+    every sum of q's is exact.  A round thus yields one exact running sum per
+    level and leaves remainders of at most 2^-53 sigma.  At sigma = 2^-1022 the
+    grid is the subnormal spacing, so that round takes everything.
+    """
+    keep = terms != 0.0
+    x, level = terms[keep], level[keep]
+    bits = len(x).bit_length()  # len(x) < 2^bits
+    rounds = []
+    while x.size:
+        top = int(np.frexp(np.abs(x).max())[1])
+        sigma = math.ldexp(1.0, max(top + bits, -1022))
+        q = (sigma + x) - sigma
+        rounds.append(np.cumsum(np.bincount(level, weights=q, minlength=n_levels)))
+        x = x - q
+        keep = x != 0.0
+        x, level = x[keep], level[keep]
+    if not rounds:
+        return [[] for _ in range(n_levels)]
+    return [[v for v in col if v] for col in np.array(rounds).T.tolist()]
+
+
+class _Walk:
+    """The levels of one exhaustion, checked once for a form and a function.
+
+    A pair (edge or coupling) enters with its first endpoint and freezes with
+    its last (see ``_scan``).  A frozen term is the same float at every later
+    level, so each is computed once, at the last cutoff, and the frozen terms
+    enter every level sum as a few exact running sums (``_running_sums``).
+    Only the window, the entered pairs and vertices that are not yet frozen, is
+    evaluated per level.  fsum rounds the exact sum correctly, so every level
+    value is the float that summing the level's whole support gives.
+
+    ``fast`` is False, and the parts take the per-level sums instead, when the
+    cutoffs are not nondecreasing, a weight is non-finite (so that inf * 0 still
+    shows as NaN) or the terms could overflow (so that fsum raises as before).
+    """
+
+    def __init__(self, q: GraphForm, ex: Exhaustion, f: np.ndarray):
+        self.q, self.f = q, f
+        self.full = np.where(q.active, 1.0, 0.0)
+        balls = ex._balls
+        if balls is not None and len(balls.dist_root) == q.n:
+            self.levels = len(balls.radii)
+            levels = balls.enter_freeze()
+            if (levels[0][~q.active] < self.levels).any():
+                raise ValueError("exhaustion cutoff is nonzero on the boundary; mask it first")
+            self.cutoff, values = balls.cutoff, balls.values
+        else:
+            cutoffs = _checked_cutoffs(q, ex)
+            self.levels = len(cutoffs)
+            levels = _scan(cutoffs)
+            self.cutoff, values = cutoffs.__getitem__, partial(_gather, cutoffs)
+        last = self.cutoff(self.levels - 1)
+        self.saturated = bool(np.all(last[q.active] == 1.0))
+        self.fast = levels is not None and q._finite_weights and self._rows(*levels, last, values)
+
+    def _rows(self, enter, freeze, last, values) -> bool:
+        """Set up the frozen and the window rows; False when the terms could overflow."""
+        q, f, n_levels = self.q, self.f, self.levels
+        g, cps = q.graph, q.couplings
+        coupled = np.array([(cp.u, cp.v) for cp in cps], dtype=int).reshape(-1, 2).T
+        self.ends = np.concatenate((np.stack((g.edge_u, g.edge_v)), coupled), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.w = np.concatenate((2.0 * g.edge_b, [cp.w for cp in cps]))
+            s = np.abs(f[self.ends]).sum(axis=0)
+            bound = np.sum(np.abs(self.w) * s * s) + np.sum(np.abs(q.c_total) * f * f)
+        if not bound <= _TERM_BOUND:
+            return False
+        pair_enter = enter[self.ends].min(axis=0)
+        pairs = np.flatnonzero((pair_enter < n_levels) & (self.w != 0.0))
+        verts = np.flatnonzero((enter < n_levels) & (q.c_total != 0.0))
+        pair_freeze = freeze[self.ends[:, pairs]].max(axis=0)
+        self.frozen = (pairs, last[self.ends[:, pairs]], verts, last[verts])
+        self.frozen_level = np.concatenate((pair_freeze, freeze[verts]))
+        ip, lp = _spans(pair_enter[pairs], pair_freeze)
+        iv, lv = _spans(enter[verts], freeze[verts])
+        wp, wv = pairs[ip], verts[iv]
+        self.window = (wp, values(lp, self.ends[:, wp]), wv, values(lv, wv))
+        level = np.concatenate((lp, lv))
+        self.order = np.argsort(level, kind="stable")
+        self.window_level = level[self.order]
+        return True
+
+    def _terms(self, h, killing, pairs, chi_p, verts, chi_x) -> tuple:
+        ends = self.ends[:, pairs]
+        if killing:  # phi is the full cutoff and h = chi * fn
+            phi_p, h_p = self.full[ends], chi_p * h[ends]
+            phi_x, h_x = self.full[verts], chi_x * h[verts]
+        else:
+            phi_p, h_p, phi_x, h_x = chi_p, h[ends], chi_x, h[verts]
+        return _energy_terms(phi_p, h_p, self.w[pairs], phi_x, h_x, self.q.c_total[verts])
+
+    def level_sums(self, h: np.ndarray, killing: bool) -> list:
+        """Per level k, the exact sums (Q(chi_k h), Q(chi_k h^2, chi_k)) for the main
+        part, or (Q(g), Q(g^2, 1)) with g = chi_k h for the killing part."""
+        sums = []
+        for frozen, window in zip(
+            self._terms(h, killing, *self.frozen), self._terms(h, killing, *self.window)
+        ):
+            running = _running_sums(frozen, self.frozen_level, self.levels)
+            window = window[self.order]
+            keep = window != 0.0
+            bounds = np.searchsorted(self.window_level[keep], np.arange(self.levels + 1))
+            window = window[keep]
+            sums.append(
+                [
+                    math.fsum(run + window[lo:hi].tolist())
+                    for run, (lo, hi) in zip(running, pairwise(bounds))
+                ]
+            )
+        return list(zip(*sums))
+
+    def per_level_cutoffs(self):
+        return map(self.cutoff, range(self.levels))
+
+
+def _walk(q: GraphForm, ex: Exhaustion, f) -> _Walk:
+    """The walk of ex for q and f; ``reflected_form`` builds it once for both parts."""
+    walk = getattr(ex, "_walk", None)
+    if walk is not None and walk.q is q and walk.f is f:
+        return walk
+    return _Walk(q, ex, as_function(q.graph, f))
+
+
+# ---------------------------------------------------------------------------
+# Main part
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class PartResult:
+    value: float
+    trace: list
+    converged: bool
 
 
 def main_part(q: GraphForm, ex: Exhaustion, f, rel_tol: float = 1e-8) -> PartResult:
@@ -114,9 +313,14 @@ def main_part(q: GraphForm, ex: Exhaustion, f, rel_tol: float = 1e-8) -> PartRes
     making the value exact for the truncation) or when the last two relative
     increments drop below rel_tol.
     """
-    f = as_function(q.graph, f)
-    trace = [_truncated(q, chi, f, q._support(chi))[1] for chi in _checked_cutoffs(q, ex)]
-    converged = _full_cutoff_reached(q, ex.cutoffs[-1]) or increments_settled(trace, rel_tol)
+    walk = _walk(q, ex, f)
+    if walk.fast:
+        trace = [a - b for a, b in walk.level_sums(walk.f, killing=False)]
+    else:
+        trace = [
+            _truncated(q, chi, walk.f, q._support(chi))[1] for chi in walk.per_level_cutoffs()
+        ]
+    converged = walk.saturated or increments_settled(trace, rel_tol)
     return PartResult(value=trace[-1], trace=trace, converged=converged)
 
 
@@ -140,28 +344,28 @@ def killing_part(
     level max|f| is exact for bounded f.  The trace is the grid flattened row
     per clamp level.
     """
-    f = as_function(q.graph, f)
-    cutoffs = _checked_cutoffs(q, ex)
+    walk = _walk(q, ex, f)
+    f = walk.f
     if clamp_levels is None:
         top = float(np.max(np.abs(f)))
         clamp_levels = [top if top > 0 else 1.0]
     # main(g) is attained at the full admissible cutoff on a finite truncation,
     # and Q(full * g) is Q(g) bit for bit because g vanishes off the active set.
-    full_cutoff = np.where(q.active, 1.0, 0.0)
     grid = []
     for level in clamp_levels:
         if not level > 0:
             raise ValueError("clamp levels must be positive")
         fn = np.clip(f, -level, level)
+        if walk.fast:
+            grid.append([e - (e - b) for e, b in walk.level_sums(fn, killing=True)])
+            continue
         row = []
-        for chi in cutoffs:
-            energy, main = _truncated(q, full_cutoff, chi * fn, q._support(chi))
+        for chi in walk.per_level_cutoffs():
+            energy, main = _truncated(q, walk.full, chi * fn, q._support(chi))
             row.append(energy - main)
         grid.append(row)
     value = grid[-1][-1]
-    saturated = _full_cutoff_reached(q, ex.cutoffs[-1]) and clamp_levels[-1] >= float(
-        np.max(np.abs(f))
-    )
+    saturated = walk.saturated and clamp_levels[-1] >= float(np.max(np.abs(f)))
     converged = saturated or increments_settled(grid[-1], rel_tol)
     return PartResult(value=value, trace=grid, converged=converged)
 
@@ -215,6 +419,8 @@ def reflected_form(
     """
     f = as_function(q.graph, f)
     mex = ex.masked(q.active)
+    # Both parts find the walk checked and set up on this private copy.
+    mex._walk = _Walk(q, mex, f)
     main = main_part(q, mex, f, rel_tol=rel_tol)
     kill = killing_part(q, mex, f, clamp_levels=clamp_levels, rel_tol=rel_tol)
     return DecompositionResult(
@@ -264,16 +470,12 @@ def effective_killing(graph: WeightedGraph, active, extra_killing=None, coupling
     ceff = np.where(active, graph.c, 0.0).astype(float)
     if extra_killing is not None:
         ceff = ceff + np.where(active, np.asarray(extra_killing, dtype=float), 0.0)
-    for u, v, b in zip(graph.edge_u, graph.edge_v, graph.edge_b):
-        if active[u] and not active[v]:
-            ceff[u] += 2.0 * b
-        elif active[v] and not active[u]:
-            ceff[v] += 2.0 * b
-    for cp in couplings:
-        if active[cp.u] and not active[cp.v]:
-            ceff[cp.u] += cp.w
-        elif active[cp.v] and not active[cp.u]:
-            ceff[cp.v] += cp.w
+    u = np.concatenate((graph.edge_u, [cp.u for cp in couplings])).astype(int)
+    v = np.concatenate((graph.edge_v, [cp.v for cp in couplings])).astype(int)
+    w = np.concatenate((2.0 * graph.edge_b, [cp.w for cp in couplings]))
+    # Edges in order, then couplings in order: each vertex adds in the loop's order.
+    crossing = active[u] != active[v]
+    np.add.at(ceff, np.where(active[u], u, v)[crossing], w[crossing])
     return ceff
 
 

@@ -260,3 +260,36 @@ class TestReportDeterminism:
             reports.append(path.read_bytes())
         assert reports[0] == reports[1]
         assert json.loads(reports[0])
+
+
+class TestComputationFailures:
+    """A failing computation exits 3 with one error line, never 1 ("check failed")."""
+
+    def test_fsum_overflow_in_decompose(self, tmp_path, capsys):
+        g = tmp_path / "path.json"
+        g.write_text(json.dumps({
+            "vertices": [{"id": v, "m": 1.0, "c": 0.0} for v in "abc"],
+            "edges": [{"u": "a", "v": "b", "b": 0.25}, {"u": "b", "v": "c", "b": 0.25}],
+        }))
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps([7e153, -7e153, 7e153]))
+        code, out, err = run(capsys, "decompose", str(g), f"--f={f}")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: OverflowError") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "exc",
+        [np.linalg.LinAlgError("singular matrix"), MemoryError(), OverflowError("x"),
+         RuntimeError("factor is exactly singular")],
+    )
+    def test_internal_errors_exit_three(self, exc, good_graph, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("graphforms.cli.reflected_form", failing)
+        f = tmp_path / "f.json"
+        f.write_text("[1, 2, 3]")
+        code, _, err = run(capsys, "decompose", good_graph, f"--f={f}")
+        assert code == 3
+        assert err.startswith(f"error: {type(exc).__name__}") and err.count("\n") == 1

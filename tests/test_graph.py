@@ -279,10 +279,12 @@ class TestOneBfsCutoffs:
             return original(self, sources)
 
         monkeypatch.setattr(WeightedGraph, "distances_from", counting)
+        # The index ball of a built-in generator hands over its BFS layers.
         build_exhaustion(SquareLatticeGenerator(), "0,0", n_levels=6, plateau=2)
-        assert len(calls) == 1
+        build_exhaustion(IntegerLineGenerator(), "0", n_levels=6, plateau=2)
+        assert len(calls) == 0
         ball_exhaustion(make_path(12, 1.0), "v0", n_levels=4, plateau=2)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_distances_match_queue_bfs(self):
         # Multi-source hop distances against a plain queue BFS over neighbors().
@@ -364,7 +366,8 @@ class TestIndexBall:
     def test_matches_string_truncation(self, gen, roots):
         for root in roots:
             for radius in range(9):
-                _same_graph(gen._ball(root, radius), truncate(gen, generator_ball(gen, root, radius)))
+                oracle = truncate(gen, generator_ball(gen, root, radius))
+                _same_graph(gen._ball(root, radius)[0], oracle)
 
     @pytest.mark.parametrize(
         "gen,root", [(SquareLatticeGenerator(c=0.1), "-4,7"), (IntegerLineGenerator(b=2.0), "9")]
@@ -374,6 +377,20 @@ class TestIndexBall:
             ex = build_exhaustion(gen, root, n_levels=levels, plateau=plateau)
             oracle = truncate(gen, generator_ball(gen, root, levels + plateau))
             _same_graph(ex.graph, oracle)
+
+    @pytest.mark.parametrize(
+        "gen,roots",
+        [
+            (SquareLatticeGenerator(), ["0,0", "3,-2", "-7,1"]),
+            (IntegerLineGenerator(), ["0", "-5", "12"]),
+        ],
+    )
+    def test_layers_are_the_root_distances(self, gen, roots):
+        for root in roots:
+            for radius in range(9):
+                graph, dist = gen._ball(root, radius)
+                assert dist.dtype == np.float64
+                assert np.array_equal(dist, graph.distances_from([graph.index[root]]))
 
     def test_non_grid_generator_takes_the_string_path(self):
         class Ring:
@@ -449,3 +466,53 @@ def test_weighted_degree_is_the_exact_sum(weights, expected):
         assert math.isnan(degree)
     else:
         assert degree == expected
+
+
+class TestImplicitCutoffs:
+    """Ball exhaustions keep root distances; their levels match the dense cutoffs."""
+
+    def _exhaustions(self):
+        line = build_exhaustion(IntegerLineGenerator(), "0", n_levels=5, plateau=2)
+        lattice = build_exhaustion(SquareLatticeGenerator(), "1,1", n_levels=4, plateau=3)
+        yield line
+        yield lattice
+        active = np.ones(lattice.graph.n, dtype=bool)
+        active[[0, 3, 17]] = False
+        yield lattice.masked(active)
+        yield lattice.masked(active).masked(np.arange(lattice.graph.n) % 5 != 1)
+        for saturate in (True, False):
+            for plateau in (1, 2, 4):
+                yield ball_exhaustion(_two_components(), "v1", 3, plateau, saturate)
+                yield ball_exhaustion(make_path(17, 1.0), "v3", 4, plateau, saturate)
+
+    def test_nothing_dense_until_read(self):
+        ex = build_exhaustion(SquareLatticeGenerator(), "0,0", n_levels=6, plateau=2)
+        mex = ex.masked(np.ones(ex.graph.n, dtype=bool))
+        assert ex._cutoffs is None and ex._sets is None
+        assert mex._cutoffs is None and mex._sets is None and mex.levels == 6
+
+    def test_enter_and_freeze_match_a_scan_of_the_cutoffs(self):
+        from graphforms.reflection import _scan
+
+        for ex in self._exhaustions():
+            enter, freeze = ex._balls.enter_freeze()
+            scanned = _scan(ex.cutoffs)
+            assert scanned is not None
+            assert np.array_equal(enter, scanned[0])
+            assert np.array_equal(freeze, scanned[1])
+
+    def test_values_match_the_dense_cutoffs(self):
+        rng = np.random.default_rng(3)
+        for ex in self._exhaustions():
+            dense = np.array(ex.cutoffs)
+            level = rng.integers(ex.levels, size=50)
+            vertex = rng.integers(ex.graph.n, size=(2, 50))
+            assert np.array_equal(ex._balls.values(level, vertex), dense[level, vertex])
+            for k in range(ex.levels):
+                assert np.array_equal(ex._balls.cutoff(k), dense[k])
+
+    def test_masking_a_ball_exhaustion_with_a_wrong_shape_fails_as_before(self):
+        ex = build_exhaustion(IntegerLineGenerator(), "0", n_levels=2, plateau=1)
+        for n in (ex.graph.n - 1, ex.graph.n + 1):
+            with pytest.raises(ValueError, match="broadcast"):
+                ex.masked(np.ones(n, dtype=bool))

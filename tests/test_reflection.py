@@ -2,6 +2,8 @@
 
 import json
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,24 +18,35 @@ from graphforms import (
     ball_exhaustion,
     build_exhaustion,
     contraction_catalog,
+    emit_graph,
+    generator_ball,
     graph_oracle_killing,
     graph_oracle_main,
     killing_part,
+    load_graph,
     main_part,
     make_path,
     recurrence_check,
     reflected_form,
     single_vertex,
+    truncate,
     truncated_form,
     truncated_oracle,
 )
+from graphforms.cli import _boundary_list
 from graphforms.corpus import (
     form_corpus,
     random_cutoff,
     random_function,
     random_masked_function,
 )
-from graphforms.reflection import form_oracle_killing, form_oracle_main
+from graphforms.reflection import (
+    _running_sums,
+    _Walk,
+    effective_killing,
+    form_oracle_killing,
+    form_oracle_main,
+)
 
 
 def masked_full(q):
@@ -131,6 +144,24 @@ class TestMainPart:
         ex = Exhaustion.full(q.graph)
         with pytest.raises(ValueError, match="mask"):
             main_part(q, ex, np.zeros(4))
+
+    def test_unmasked_ball_cutoff_rejected(self):
+        # Ball cutoffs are checked from their root distances, without dense cutoffs.
+        ids = ["v0", "v1", "v2", "w0", "w1"]
+        edges = [("v0", "v1", 1.0), ("v1", "v2", 1.0), ("w0", "w1", 1.0)]
+        g = WeightedGraph(ids, [1.0] * 5, [0.0] * 5, edges)
+        f = np.array([1.0, -2.0, 0.5, 3.0, 0.0])
+        for boundary, saturate, rejected in (
+            ("v2", False, True), ("w1", True, True), ("w1", False, False),
+        ):
+            q = assemble(g, boundary=[boundary])
+            ex = ball_exhaustion(g, "v0", n_levels=2, plateau=1, saturate=saturate)
+            for part in (main_part, killing_part):
+                if rejected:
+                    with pytest.raises(ValueError, match="mask"):
+                        part(q, ex, f * q.active)
+                else:  # no cutoff reaches the other component
+                    assert part(q, ex, f).trace == part(q, ex.masked(q.active), f).trace
 
 
 class TestKillingPart:
@@ -250,6 +281,47 @@ class TestGraphOracles:
             )
 
 
+def _loop_effective_killing(graph, active, extra_killing=None, couplings=()):
+    # The per-edge loop effective_killing replaced, kept as its oracle.
+    active = np.asarray(active, dtype=bool)
+    ceff = np.where(active, graph.c, 0.0).astype(float)
+    if extra_killing is not None:
+        ceff = ceff + np.where(active, np.asarray(extra_killing, dtype=float), 0.0)
+    for u, v, b in zip(graph.edge_u, graph.edge_v, graph.edge_b):
+        if active[u] and not active[v]:
+            ceff[u] += 2.0 * b
+        elif active[v] and not active[u]:
+            ceff[v] += 2.0 * b
+    for cp in couplings:
+        if active[cp.u] and not active[cp.v]:
+            ceff[cp.u] += cp.w
+        elif active[cp.v] and not active[cp.u]:
+            ceff[cp.v] += cp.w
+    return ceff
+
+
+def test_effective_killing_matches_the_edge_loop():
+    rng = np.random.default_rng(95)
+    cases = 0
+    for q, _ in form_corpus(96, 12, n_min=2, n_max=40):
+        g = q.graph
+        masks = [q.active, rng.random(g.n) < 0.5, np.ones(g.n, dtype=bool)]
+        extras = [None, q.killing_extra]
+        # Couplings of weight 0, with one inactive endpoint, and repeated onto one vertex.
+        ends = rng.integers(g.n, size=(6, 2))
+        weights = [0.0, 0.3, 1e-17, 2.5, 0.3, 7.0]
+        couplings = [assemble(g, couplings=[(int(u), int(v), w)]).couplings[0]
+                     for (u, v), w in zip(ends, weights)]
+        for active in masks:
+            for extra in extras:
+                for cps in ((), q.couplings, couplings):
+                    got = effective_killing(g, active, extra, cps)
+                    want = _loop_effective_killing(g, active, extra, cps)
+                    assert _hex(got) == _hex(want)
+                    cases += 1
+    assert cases == 12 * 3 * 2 * 3
+
+
 class TestRecurrence:
     def test_main_part_always_recurrent(self):
         for q, ex in form_corpus(43, 3, n_max=15):
@@ -318,8 +390,115 @@ def _support_instances():
     yield q, Exhaustion(q.graph, sets, cutoffs), random_function(rng, q.n)
 
 
+def _walk_instances():
+    """(form, exhaustion, f, whether the level walk takes them) for the walk's edge cases."""
+    rng = np.random.default_rng(91)
+    for plateau in (1, 2, 3, 4):
+        for gen, root, boundary in (
+            (SquareLatticeGenerator(c=0.05), "0,0", ["2,0"]),
+            (IntegerLineGenerator(b=0.5), "0", ["-3"]),
+        ):
+            ex = build_exhaustion(gen, root, n_levels=5, plateau=plateau)
+            q = assemble(ex.graph, boundary=boundary)
+            yield q, ex, random_function(rng, q.n), True
+    # A saturated ball exhaustion of a loaded graph, with a boundary read as the CLI reads it.
+    gen = SquareLatticeGenerator(c=0.2)
+    g = load_graph(emit_graph(truncate(gen, generator_ball(gen, "0,0", 6))))
+    q = assemble(g, boundary=_boundary_list('["3,0", "0,-2"]'))
+    yield q, ball_exhaustion(g, "0,0", n_levels=4, plateau=2), random_function(rng, g.n), True
+    # Couplings: one of weight 0, one onto the boundary, one between the outer rims.
+    ex = build_exhaustion(SquareLatticeGenerator(b=2.0), "1,-1", n_levels=4, plateau=2)
+    g = ex.graph
+    couplings = [(g.ids[0], g.ids[7], 0.4), (g.ids[3], g.ids[4], 0.0),
+                 (g.ids[9], g.ids[20], 0.7), (g.ids[-1], g.ids[-2], 0.1)]
+    q = assemble(g, boundary=[g.ids[9]], extra_killing={g.ids[2]: 1.5}, couplings=couplings)
+    yield q, ex, random_function(rng, g.n), True
+    # Hand-built and nested: the levels come from one scan of the explicit cutoffs.
+    q = form_corpus(97, 1, n_min=30, n_max=30)[0][0]
+    steps = rng.uniform(0.0, 1.0, (5, q.n)) * (rng.random((5, q.n)) < 0.4)
+    cutoffs = list(np.minimum(2.0 * np.cumsum(steps, axis=0), 1.0))
+    sets = [np.flatnonzero(chi == 1.0) for chi in cutoffs]
+    yield q, Exhaustion(q.graph, sets, cutoffs), random_function(rng, q.n), True
+    # Not nested: the per-level sums.
+    q = form_corpus(92, 1, n_min=20, n_max=20)[0][0]
+    cutoffs = [rng.uniform(0.0, 1.0, q.n) * (rng.random(q.n) < 0.4) for _ in range(4)]
+    sets = [np.flatnonzero(chi == 1.0) for chi in cutoffs]
+    yield q, Exhaustion(q.graph, sets, cutoffs), random_function(rng, q.n), False
+
+
+def _new_traces(q, ex, f):
+    res = reflected_form(q, ex, f)
+    return res.main_trace, res.killing_trace
+
+
+def _outcome(traces, *args):
+    try:
+        main, grid = traces(*args)
+    except Exception as exc:  # the exception type is the outcome
+        return type(exc)
+    return _hex(main), [_hex(row) for row in grid]
+
+
 class TestLevelSupports:
     """Level sums over each cutoff's support equal the whole-graph sums bit for bit."""
+
+    def test_walk_matches_whole_graph_loop(self):
+        count = 0
+        for q, ex, f, walked in _walk_instances():
+            assert _Walk(q, ex.masked(q.active), f).fast is walked
+            for clamp_levels in (None, [0.5, 1.0, 3.0]):
+                res = reflected_form(q, ex, f, clamp_levels=clamp_levels)
+                main, grid = _old_traces(q, ex, f, clamp_levels)
+                assert _hex(res.main_trace) == _hex(main)
+                assert [_hex(row) for row in res.killing_trace] == [_hex(row) for row in grid]
+                count += 1
+        assert count == 2 * (8 + 1 + 1 + 1 + 1)
+
+    @pytest.mark.parametrize("values", [[7e153, -7e153, 7e153], [7e153, -7e153, 0.0]])
+    def test_huge_terms_give_the_old_value_or_exception(self, values):
+        # Level sums near the float range take the per-level sums, where fsum may overflow.
+        edges = [("a", "b", 0.25), ("b", "c", 0.25)]
+        g = WeightedGraph(["a", "b", "c"], [1.0] * 3, [0.0] * 3, edges)
+        q = assemble(g)
+        f = np.array(values)
+        for ex in (Exhaustion.full(g), ball_exhaustion(g, "a", n_levels=2, plateau=1)):
+            new = _outcome(_new_traces, q, ex, f)
+            assert new == _outcome(_old_traces, q, ex, f)
+            assert (new is OverflowError) == (values[2] != 0.0)
+
+    def test_level_sums_hand_fsum_linear_work(self, monkeypatch):
+        # Summing every level's whole support would hand fsum about 35 (n + edges) terms here.
+        ex = build_exhaustion(SquareLatticeGenerator(), "0,0", n_levels=68, plateau=2)
+        g = ex.graph
+        q = assemble(g, boundary=["1,0"])
+        f = random_function(np.random.default_rng(93), g.n)
+        f[g.index["1,0"]] = 0.0
+        handed = []
+        fsum = math.fsum
+
+        def counting(terms):
+            terms = list(terms)
+            handed.append(len(terms))
+            return fsum(terms)
+
+        monkeypatch.setattr(math, "fsum", counting)
+        reflected_form(q, ex, f)
+        assert g.n > 9000
+        assert sum(handed) <= 8 * (g.n + len(g.edge_b))
+
+    def test_running_sums_are_exact(self):
+        rng = np.random.default_rng(94)
+        for _ in range(40):
+            n, levels = int(rng.integers(1, 200)), int(rng.integers(1, 6))
+            terms = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1100, 900, n))
+            terms = np.concatenate((terms, -terms[: n // 3], np.zeros(2)))
+            level = rng.integers(levels, size=len(terms))
+            running = _running_sums(terms, level, levels)
+            assert len(running) == levels
+            for k, parts in enumerate(running):
+                assert all(isinstance(v, float) and v != 0.0 for v in parts)
+                exact = sum(Fraction(t) for t, lv in zip(terms.tolist(), level) if lv <= k)
+                assert sum(map(Fraction, parts)) == exact
 
     def test_traces_match_whole_graph_loop(self):
         count = 0
@@ -339,7 +518,6 @@ class TestLevelSupports:
             f = random_function(rng, q.n)
             assert truncated_form(q, phi, f).value.hex() == _old_truncated(q, phi, f).hex()
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("where", ["edge", "killing"])
     def test_infinite_weight_off_the_support_still_shows(self, where):
         # An inf weight on d, which no cutoff reaches, times zero is NaN, as before.
@@ -357,6 +535,22 @@ class TestLevelSupports:
         assert _hex(res.main_trace) == _hex(main)
         assert [_hex(row) for row in res.killing_trace] == [_hex(row) for row in grid]
         assert math.isnan(res.main_trace[0])
+
+    @pytest.mark.parametrize("where", ["edge", "killing", "coupling"])
+    def test_infinite_weight_gives_nan_without_a_warning(self, where):
+        ids = ["a", "b", "c", "d"]
+        b_bc = math.inf if where == "edge" else 1.0
+        edges = [("a", "b", 1.0), ("b", "c", b_bc), ("c", "d", 1.0)]
+        g = WeightedGraph(ids, [1.0] * 4, [0.0] * 4, edges)
+        extra = {"d": math.inf} if where == "killing" else None
+        couplings = [("a", "d", math.inf)] if where == "coupling" else ()
+        q = assemble(g, extra_killing=extra, couplings=couplings)
+        f = np.array([1.0, 2.0, 2.0, 1.0]) if where != "killing" else np.array([1.0, 2.0, 2.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(q.evaluate(f))
+            for ex in (Exhaustion.full(g), ball_exhaustion(g, "a", n_levels=2, plateau=1)):
+                assert math.isnan(reflected_form(q, ex, f).reflected_value)
 
     def test_killing_part_range_checks_cutoffs(self):
         q = assemble(make_path(3, 1.0))
