@@ -34,10 +34,28 @@ class WeightedGraph:
     def __init__(self, ids, m, c, edges):
         self._set_vertices(ids, m, c)
         edges = list(edges)
-        ends = np.array([(self._resolve(u), self._resolve(v)) for u, v, _ in edges], dtype=int)
-        ends = ends.reshape(-1, 2)
         b = np.array([float(b) for _, _, b in edges], dtype=float)
-        self._set_edges(ends[:, 0], ends[:, 1], b)
+        self._set_edges(*self._endpoint_indices(edges), b)
+
+    def _endpoint_indices(self, edges) -> tuple:
+        """Index arrays of the edge endpoints, given as ids or as int indices.
+
+        An edge list that starts with an id is looked up in one dict pass per
+        column.  Any other list, and one that meets an unknown id or an index
+        on the way, goes through ``_resolve`` endpoint by endpoint, which
+        raises for the first bad endpoint in order.
+        """
+        if edges and isinstance(edges[0][0], str):
+            us, vs, _ = zip(*edges)
+            lookup = self.index.__getitem__
+            try:
+                return (np.fromiter(map(lookup, us), int, len(us)),
+                        np.fromiter(map(lookup, vs), int, len(vs)))
+            except (KeyError, TypeError):
+                pass
+        ends = [(self._resolve(u), self._resolve(v)) for u, v, _ in edges]
+        ends = np.array(ends, dtype=int).reshape(-1, 2)
+        return ends[:, 0], ends[:, 1]
 
     @classmethod
     def _from_arrays(cls, ids, m, c, edge_u, edge_v, edge_b) -> "WeightedGraph":

@@ -87,8 +87,17 @@ def build_generator(form: GraphForm) -> GeneratorOperator:
     diagonal entry is stored, zero or not.
     """
     K = assemble_stiffness(form)
-    idx = np.flatnonzero(form.active)
-    K_aa = K[idx][:, idx].tocsr()
+    active = form.active
+    idx = np.flatnonzero(active)
+    # Keep the entries in an active row and column, in order, and renumber the columns.
+    keep = np.repeat(active, np.diff(K.indptr)) & active[K.indices]
+    position = np.cumsum(active) - 1
+    kept_before_row = np.concatenate(([0], np.cumsum(keep)))[K.indptr]
+    # An inactive row keeps nothing, so each active row ends where the next one starts.
+    indptr = kept_before_row[np.append(idx, form.n)]
+    K_aa = sp.csr_matrix(
+        (K.data[keep], position[K.indices[keep]], indptr), shape=(len(idx), len(idx))
+    )
     return GeneratorOperator(K_aa, form.graph.m[idx].copy(), idx)
 
 
@@ -117,14 +126,15 @@ class ResolventHandle:
     of K + alpha M with minimum-degree ordering on A^T + A.  The factor of the
     most recent alpha is kept, so repeated solves at one alpha factor once; a
     new alpha releases the old factor before the new one is built.  The CSC
-    pattern of K + alpha M does not depend on alpha, so it is built once per
-    handle and a new alpha only refreshes the diagonal values.
+    pattern of K + alpha M does not depend on alpha, so one CSC matrix is
+    built per handle and a new alpha only refreshes its diagonal values.
     """
 
     def __init__(self, form: GraphForm):
         self.form = form
         self.generator = build_generator(form)
-        self._pattern, self._diag = _shift_pattern(self.generator.stiffness)
+        self._shifted, self._diag = _shift_pattern(self.generator.stiffness)
+        self._base = self._shifted.data.copy()
         self._alpha = None
         self._lu = None
 
@@ -140,11 +150,10 @@ class ResolventHandle:
             from scipy.sparse.linalg import splu
 
             self._alpha = self._lu = None
-            pattern = self._pattern
-            data = pattern.data.copy()
-            data[self._diag] += alpha * self.generator.mass
-            A = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
-            if not data[self._diag].all():
+            A = self._shifted
+            A.data[:] = self._base
+            A.data[self._diag] += alpha * self.generator.mass
+            if not A.data[self._diag].all():
                 # K_ii + alpha m_i cancelled or underflowed: drop it, as a sparse sum does
                 A = A.copy()
                 A.eliminate_zeros()

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .domination import FormPair, check_silverstein
 from .forms import GraphForm, assemble
@@ -168,23 +169,87 @@ def run_counterexample(setup: CounterexampleSetup) -> CounterexampleReport:
 # ---------------------------------------------------------------------------
 
 
+def _smallest_eigenvalue(A: sp.csc_matrix) -> float:
+    """Smallest eigenvalue of a symmetric positive definite sparse matrix.
+
+    Shift-invert Lanczos at 0 on one SuperLU factor, from a fixed start vector
+    so that the value is the same on every run; 0.0 when the factor is
+    exactly singular.  Below three dimensions the value is taken in closed
+    form, since eigsh needs k < n.
+    """
+    # imported here: scipy.sparse.linalg adds ~0.13 s to `import graphforms`
+    from scipy.sparse.linalg import LinearOperator, eigsh, splu
+
+    n = A.shape[0]
+    if n < 3:
+        a, d = float(A[0, 0]), float(A[-1, -1])
+        b = float(A[0, 1]) if n == 2 else 0.0
+        return (a + d) / 2 - math.hypot((a - d) / 2, b)
+    try:
+        lu = splu(A, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
+        return 0.0
+    op = LinearOperator(A.shape, matvec=lu.solve, dtype=float)
+    return float(eigsh(A, k=1, sigma=0.0, v0=np.ones(n), OPinv=op, return_eigenvectors=False)[0])
+
+
 def classify_recurrence(q: GraphForm, ex: Exhaustion) -> dict:
     """Recurrence flags of the main part, the reflected form and the base form.
 
     The main part annihilates constants by construction.  The reflected form
     is recurrent exactly when the total effective killing vanishes.  The base
-    form is transient (trivial kernel) when the smallest generator eigenvalue
-    is positive.
+    form has a trivial kernel exactly when every connected component of the
+    active graph (edges and couplings of positive weight between active
+    vertices) carries positive effective killing: with nonnegative weights,
+    Q(f) = 0 iff f is constant on each component and vanishes wherever the
+    effective killing is positive (Keller-Lenz, J. reine angew. Math. 666,
+    2012).  That verdict is exact, hence ``kernel_certified``.
+
+    ``smallest_eigenvalue`` is that of M^{-1/2} K M^{-1/2}: exactly 0.0 when
+    the kernel is nontrivial, and otherwise found by shift-invert Lanczos at 0
+    through one sparse LU factor (closed form below three active vertices).
+    It is 0.0 as well when that factor is singular, i.e. when the killing is
+    below the rounding level of K.  Raises ValueError for a negative or
+    non-finite weight or a nonpositive measure on the active graph.
     """
-    result = reflected_form(q, ex, np.ones(q.n))
+    # imported here: scipy.sparse.csgraph adds ~0.1 s to `import graphforms`
+    from scipy.sparse.csgraph import connected_components
+
     gen = build_generator(q)
-    scale = 1.0 / np.sqrt(gen.mass)
-    sym = gen.stiffness.toarray() * scale[:, None] * scale[None, :]
-    lam_min = float(np.linalg.eigvalsh(sym)[0])
+    K = gen.stiffness
+    rows = np.repeat(np.arange(gen.dim), np.diff(K.indptr))
+    ceff = effective_killing(q.graph, q.active, q.killing_extra, q.couplings)[gen.active_index]
+    if not (
+        np.isfinite(K.data).all()
+        and (K.data[rows != K.indices] <= 0.0).all()
+        and (ceff >= 0.0).all()
+        and (gen.mass > 0.0).all()
+        and np.isfinite(gen.mass).all()
+    ):
+        raise ValueError(
+            "recurrence classification needs finite nonnegative weights and positive measure"
+        )
+
+    result = reflected_form(q, ex, np.ones(q.n))
+    # csgraph takes every stored entry as an edge, so drop K's stored zeros (weight-0 pairs).
+    links = K.copy()
+    links.eliminate_zeros()
+    n_comp, label = connected_components(links, directed=False)
+    kernel_trivial = bool((np.bincount(label, weights=ceff, minlength=n_comp) > 0.0).all())
+
+    lam_min = 0.0
+    if kernel_trivial:
+        s = 1.0 / np.sqrt(gen.mass)
+        # K is symmetric, so its CSR arrays are also its CSC arrays.
+        A = sp.csc_matrix((K.data * s[rows] * s[K.indices], K.indices, K.indptr), shape=K.shape)
+        lam_min = _smallest_eigenvalue(A)
     return {
         "main_recurrent": bool(abs(result.main_value) <= 1e-10),
         "reflected_recurrent": bool(result.reflected_value <= 1e-10),
-        "base_kernel_trivial": bool(lam_min > 1e-10),
+        "base_kernel_trivial": kernel_trivial,
+        "kernel_certified": True,
         "reflected_value_at_1": result.reflected_value,
         "smallest_eigenvalue": lam_min,
     }

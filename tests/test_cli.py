@@ -245,11 +245,12 @@ class TestSelftest:
 class TestReportDeterminism:
     """Identical arguments write byte-identical JSON reports."""
 
-    @pytest.mark.parametrize("command", ["dominate", "counterexample", "selftest"])
+    @pytest.mark.parametrize("command", ["dominate", "counterexample", "selftest", "classify"])
     def test_two_runs_write_identical_files(self, command, lattice, tmp_path, capsys):
         _, gpath, _, _ = lattice
         argv = {
             "dominate": ("dominate", gpath, gpath, *DOMINATE_LATTICE),
+            "classify": ("classify", gpath, "--boundary", '["3,0"]', "--root", "0,0"),
             "counterexample": ("counterexample", "--n", "255"),
             "selftest": ("selftest",),
         }[command]
@@ -293,3 +294,18 @@ class TestComputationFailures:
         code, _, err = run(capsys, "decompose", good_graph, f"--f={f}")
         assert code == 3
         assert err.startswith(f"error: {type(exc).__name__}") and err.count("\n") == 1
+
+    def test_eigensolver_without_convergence_exits_three(self, lattice, capsys, monkeypatch):
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        def failing(*args, **kwargs):
+            raise ArpackNoConvergence("No convergence (1 iterations, 0/1 eigenvectors converged)",
+                                      np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr("scipy.sparse.linalg.eigsh", failing)
+        _, gpath, _, _ = lattice
+        code, out, err = run(capsys, "classify", gpath, "--boundary", '["3,0"]')
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ArpackNoConvergence: ARPACK error -1: No convergence")
+        assert err.count("\n") == 1

@@ -64,6 +64,35 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match=re.escape(message)):
             WeightedGraph(["a", "b", "c"], [1.0] * 3, [0.0] * 3, edges)
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [("a", "x", 1.0)],
+            [("a", "b", 1.0), ("zz", "c", 1.0)],
+            [("a", "b", 1.0), ("b", 7, 1.0), ("q", "c", 1.0)],
+            [("a", "b", 1.0), ("b", "q", 1.0), (["list"], "c", 1.0)],
+            [("a", "b", 1.0), (["list"], "c", 1.0), ("q", "c", 1.0)],
+            [(0, 1, 1.0), ("q", "c", 1.0)],
+            [(np.int64(0), 3, 1.0)],
+            [(-1, 2, 1.0)],
+        ],
+    )
+    def test_endpoint_errors_match_resolve(self, edges):
+        # The reference: every endpoint through _resolve, in order.
+        ref = WeightedGraph(["a", "b", "c"], [1.0] * 3, [0.0] * 3, [])
+        with pytest.raises(Exception) as want:
+            [(ref._resolve(u), ref._resolve(v)) for u, v, _ in edges]
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            WeightedGraph(["a", "b", "c"], [1.0] * 3, [0.0] * 3, edges)
+
+    def test_ids_indices_and_mixed_lists_agree(self):
+        by_id = WeightedGraph(["a", "b", "c"], [1.0] * 3, [0.0] * 3, [("c", "a", 1.0), ("b", "c", 2.0)])
+        for edges in ([(2, 0, 1.0), (1, 2, 2.0)], [("c", 0, 1.0), ("b", np.int64(2), 2.0)],
+                      [(np.int64(2), "a", 1.0), (1, "c", 2.0)]):
+            g = WeightedGraph(["a", "b", "c"], [1.0] * 3, [0.0] * 3, edges)
+            for name in ("edge_u", "edge_v", "edge_b", "_nbr", "_indptr"):
+                assert np.array_equal(getattr(g, name), getattr(by_id, name))
+
     def test_zero_measure_rejected(self):
         bad = json.dumps({"vertices": [{"id": "a", "m": 0.0, "c": 0.0}], "edges": []})
         with pytest.raises(GraphFormatError, match="nonpositive measure"):

@@ -21,6 +21,7 @@ from graphforms import (
 from graphforms.corpus import form_corpus, random_cutoff, zero_killing
 from graphforms.forms import GraphForm
 from graphforms.graph import WeightedGraph
+from graphforms.resolvent import assemble_stiffness
 
 
 def single_vertex_handle(**kw):
@@ -134,6 +135,17 @@ class TestCachedPattern:
 
 
 class TestGeneratorOperator:
+    def test_restriction_selects_the_active_entries(self):
+        # The compaction must give the matrix that fancy indexing gives, array for array.
+        forms = list(TestCachedPattern.forms()) + [q for q, _ in form_corpus(28, 20, n_max=40)]
+        for q in forms:
+            idx = np.flatnonzero(q.active)
+            want = assemble_stiffness(q)[idx][:, idx].tocsr()
+            got = build_generator(q).stiffness
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
     def test_energy_matches_form(self):
         rng = np.random.default_rng(1)
         for q, _ in form_corpus(22, 3, n_max=20):

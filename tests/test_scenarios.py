@@ -1,15 +1,21 @@
 """Counterexample study, recurrence classification, monotone equivalence."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from graphforms import (
     CounterexampleSetup,
     Exhaustion,
     MonotoneFormSpec,
+    SquareLatticeGenerator,
+    WeightedGraph,
     assemble,
+    build_exhaustion,
+    build_generator,
     classify_recurrence,
     effective_killing,
     killing_difference_spec,
@@ -18,7 +24,7 @@ from graphforms import (
     run_counterexample,
     single_vertex,
 )
-from graphforms.corpus import form_corpus, saturating_exhaustion
+from graphforms.corpus import form_corpus, induced_active_graph, saturating_exhaustion
 from graphforms.resolvent import assemble_stiffness
 from graphforms.scenarios import NOT_REFUTED, REFUTED, EquivalenceReport, _grid
 
@@ -155,6 +161,159 @@ class TestClassifyRecurrence:
         _, _, _, ext2 = setup.build()
         rep = classify_recurrence(ext2, saturating_exhaustion(ext2.graph))
         assert rep["main_recurrent"] and not rep["reflected_recurrent"]
+
+
+def dense_smallest_eigenvalue(q):
+    """Smallest eigenvalue of M^{-1/2} K M^{-1/2} by dense eigvalsh, and the 1-norm."""
+    gen = build_generator(q)
+    scale = 1.0 / np.sqrt(gen.mass)
+    sym = gen.stiffness.toarray() * scale[:, None] * scale[None, :]
+    return float(np.linalg.eigvalsh(sym)[0]), float(np.abs(sym).sum(axis=0).max())
+
+
+def two_paths(killing_on_second=0.0):
+    """Paths a0-a1-a2 (killing 1 at a0) and b0-b1-b2-b3 (killing at b3), no edge between."""
+    ids = ["a0", "a1", "a2", "b0", "b1", "b2", "b3"]
+    c = [1.0, 0, 0, 0, 0, 0, killing_on_second]
+    edges = [("a0", "a1", 1.0), ("a1", "a2", 0.5), ("b0", "b1", 2.0), ("b1", "b2", 1.0),
+             ("b2", "b3", 0.25)]
+    return WeightedGraph(ids, [1.0, 2.0, 0.5, 1.0, 1.0, 3.0, 1.0], c, edges)
+
+
+def lattice_form(radius, boundary=()):
+    ex = build_exhaustion(SquareLatticeGenerator(), "0,0", radius - 1, 1)
+    return assemble(ex.graph, boundary=boundary), ex
+
+
+@functools.cache
+def oracle_cases():
+    """(name, form, exhaustion): every way the kernel can gain or lose killing."""
+    cases = []
+    for k, (q, ex) in enumerate(form_corpus(71, 24, n_max=60)):
+        cases.append((f"corpus-{k}", q, ex))
+        # No edges into the boundary: a component is killed only through c.
+        cut = assemble(induced_active_graph(q.graph, q.active),
+                       boundary=[q.graph.ids[i] for i in np.flatnonzero(~q.active)])
+        cases.append((f"corpus-cut-{k}", cut, ex))
+    rim = [f"{i},{25 - abs(i)}" for i in range(-25, 26)] + [f"{i},{abs(i) - 25}" for i in range(-24, 25)]
+    for radius, boundary in [(31, ()), (31, ["31,0"]), (25, rim), (12, ["0,0"])]:
+        q, ex = lattice_form(radius, boundary)
+        cases.append((f"lattice-{radius}-{len(boundary)}", q, ex))
+    g = two_paths()
+    cases.append(("unkilled-component", assemble(g), saturating_exhaustion(g)))
+    cases.append(("both-killed", assemble(two_paths(0.5)), saturating_exhaustion(g)))
+    # Killing that only an edge into the boundary, or only a coupling, gives.
+    cases.append(("edge-into-boundary", assemble(g, boundary=["b3"]), saturating_exhaustion(g)))
+    gz = WeightedGraph(g.ids + ["z"], list(g.m) + [1.0], list(g.c) + [0.0],
+                       [(g.ids[u], g.ids[v], b) for u, v, b in zip(g.edge_u, g.edge_v, g.edge_b)])
+    cases.append(("coupling-only-killing",
+                  assemble(gz, boundary=["z"], couplings=[("b1", "z", 0.7), ("a2", "z", 0.1)]),
+                  saturating_exhaustion(gz)))
+    # A weight-0 coupling must not join the unkilled path to the killed one.
+    cases.append(("zero-coupling", assemble(g, couplings=[("a2", "b0", 0.0)]),
+                  saturating_exhaustion(g)))
+    cases.append(("positive-coupling", assemble(g, couplings=[("a2", "b0", 0.5)]),
+                  saturating_exhaustion(g)))
+    cases.append(("extra-killing", assemble(g, extra_killing={"b2": 0.4}),
+                  saturating_exhaustion(g)))
+    # Active dimensions 1 and 2.
+    one = single_vertex(2.0, 3.0)
+    cases.append(("dim-1", assemble(one), Exhaustion.full(one)))
+    cases.append(("dim-1-free", assemble(single_vertex(2.0, 0.0)), Exhaustion.full(one)))
+    p3 = make_path(3, 0.5)
+    cases.append(("dim-2", assemble(p3, boundary=["v2"]), saturating_exhaustion(p3)))
+    cases.append(("dim-2-killed", assemble(p3, boundary=["v0"], extra_killing={"v1": 0.2}),
+                  saturating_exhaustion(p3)))
+    p2 = make_path(2, 1.0)
+    cases.append(("dim-2-free", assemble(p2), saturating_exhaustion(p2)))
+    return cases
+
+
+def oracle_case(name):
+    return next((q, ex) for n, q, ex in oracle_cases() if n == name)
+
+
+class TestClassifyOracle:
+    """Component verdict and sparse eigenvalue against dense eigvalsh (n <= 1985)."""
+
+    @pytest.mark.parametrize("name", [name for name, _, _ in oracle_cases()])
+    def test_matches_dense_eigvalsh(self, name):
+        q, ex = oracle_case(name)
+        rep = classify_recurrence(q, ex)
+        lam, norm = dense_smallest_eigenvalue(q)
+        gate = 1e-10 * max(1.0, norm)
+        assert rep["kernel_certified"] is True
+        assert rep["base_kernel_trivial"] == (lam > gate)
+        assert abs(rep["smallest_eigenvalue"] - lam) <= gate
+        if not rep["base_kernel_trivial"]:
+            assert rep["smallest_eigenvalue"] == 0.0
+
+    def test_cases_cover_both_verdicts(self):
+        verdicts = [classify_recurrence(q, ex)["base_kernel_trivial"]
+                    for _, q, ex in oracle_cases()]
+        assert 10 <= sum(verdicts) <= len(verdicts) - 10
+
+    @pytest.mark.parametrize(
+        "name,trivial",
+        [("unkilled-component", False), ("both-killed", True), ("edge-into-boundary", True),
+         ("coupling-only-killing", True),
+         ("zero-coupling", False), ("positive-coupling", True), ("extra-killing", True),
+         ("dim-1", True), ("dim-1-free", False), ("dim-2", True), ("dim-2-free", False),
+         ("lattice-31-0", False), ("lattice-31-1", True), ("lattice-12-1", True)],
+    )
+    def test_expected_verdicts(self, name, trivial):
+        assert classify_recurrence(*oracle_case(name))["base_kernel_trivial"] is trivial
+
+    def test_killing_below_rounding_level(self):
+        # K's diagonal absorbs the killing, so the stored matrix is the singular Laplacian.
+        g = make_path(50, 1.0)
+        q = assemble(g, extra_killing={"v0": 1e-30})
+        rep = classify_recurrence(q, saturating_exhaustion(g))
+        lam, norm = dense_smallest_eigenvalue(q)
+        assert rep["base_kernel_trivial"] is True
+        assert rep["smallest_eigenvalue"] == 0.0
+        assert abs(lam) <= 1e-10 * norm
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_small_positive_eigenvalue_is_a_trivial_kernel(self, n):
+        # The dense route called the kernel nontrivial whenever lambda <= 1e-10.
+        g = make_path(n, 1.0) if n > 1 else single_vertex(1.0, 0.0)
+        q = assemble(g, extra_killing={g.ids[0]: 3e-11})
+        rep = classify_recurrence(q, Exhaustion.full(g))
+        lam, _ = dense_smallest_eigenvalue(q)
+        assert 0.0 < lam <= 1e-10
+        assert rep["base_kernel_trivial"] is True
+        assert rep["smallest_eigenvalue"] == pytest.approx(lam, rel=1e-6)
+
+    def test_no_dense_linear_algebra(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense route taken")
+
+        for name in ("eigvalsh", "eigh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(scipy.sparse.csc_matrix, "toarray", refuse)
+        monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", refuse)
+        for name in ("lattice-12-1", "lattice-31-0", "corpus-3", "zero-coupling",
+                     "coupling-only-killing", "dim-1", "dim-2", "dim-2-free"):
+            classify_recurrence(*oracle_case(name))
+
+    def test_same_bits_every_run(self):
+        q, ex = lattice_form(12, ["0,0"])
+        first = classify_recurrence(q, ex)["smallest_eigenvalue"]
+        assert first > 0.0
+        assert all(classify_recurrence(q, ex)["smallest_eigenvalue"].hex() == first.hex()
+                   for _ in range(3))
+
+    @pytest.mark.parametrize(
+        "graph",
+        [WeightedGraph(["a", "b"], [1.0, 1.0], [-0.5, 1.0], [("a", "b", 1.0)]),
+         WeightedGraph(["a", "b"], [1.0, 1.0], [0.0, 1.0], [("a", "b", -1.0)]),
+         WeightedGraph(["a", "b"], [1.0, 1.0], [0.0, 1.0], [("a", "b", math.inf)]),
+         WeightedGraph(["a", "b"], [0.0, 1.0], [0.0, 1.0], [("a", "b", 1.0)])],
+    )
+    def test_invalid_weights_rejected(self, graph):
+        with pytest.raises(ValueError, match="nonnegative weights"):
+            classify_recurrence(assemble(graph), Exhaustion.full(graph))
 
 
 class TestMonotoneEquivalence:
