@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from .forms import GraphForm
 from .graph import Exhaustion
 from .reflection import main_part
-from .resolvent import ResolventHandle, assemble_stiffness
+from .resolvent import ResolventHandle, _restrict, assemble_stiffness
 
 #: Largest dimension whose resolvent matrices are compared entrywise (every
 #: basis probe exactly); above it only the first 64 basis vectors are probed,
@@ -62,18 +62,15 @@ def _resolvent_full(handle: ResolventHandle, alpha: float) -> np.ndarray:
     return G
 
 
-def check_resolvent_domination(
-    pair: FormPair, alphas=None, probes=None, tol: float = 1e-9
-) -> tuple:
+def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -> tuple:
     """Criterion (i): |G_alpha f| <= G~_alpha |f| elementwise, all probes and alpha.
 
     Each form gets one resolvent handle for all alphas, so both resolvents
     come from one sparse LU factor per alpha.  For dimensions up to DENSE_CAP
     the resolvent matrices are compared entrywise, which covers every basis
-    probe exactly.  Above it, when no probes are given, the probes are the
-    first 64 basis vectors and 16 seeded random sign vectors.  Every probe
-    goes through the resolvent applications.  Returns (ok, worst) where worst
-    describes the largest violation found.
+    probe exactly.  Above it the probes are the first 64 basis vectors and 16
+    seeded random sign vectors, each through the resolvent applications.
+    Returns (ok, worst) where worst describes the largest violation found.
     """
     if alphas is None:
         alphas = _DEFAULT_ALPHAS
@@ -81,12 +78,11 @@ def check_resolvent_domination(
     exact = n <= DENSE_CAP
     h_low = ResolventHandle(pair.lower)
     h_up = ResolventHandle(pair.upper)
-    if probes is None:
-        probes = []
-        if not exact:
-            rng = np.random.default_rng(42)
-            probes = [np.eye(1, n, k)[0] for k in range(min(n, 64))]
-            probes += [rng.choice([-1.0, 1.0], size=n) for _ in range(16)]
+    probes = []
+    if not exact:
+        rng = np.random.default_rng(42)
+        probes = [np.eye(1, n, k)[0] for k in range(min(n, 64))]
+        probes += [rng.choice([-1.0, 1.0], size=n) for _ in range(16)]
     worst = {"violation": -math.inf, "alpha": None, "kind": None}
 
     def record(v, alpha, kind):
@@ -99,7 +95,6 @@ def check_resolvent_domination(
             G_up = _resolvent_full(h_up, alpha)
             record(float((np.abs(G_low) - G_up).max()), alpha, "basis")
         for k, f in enumerate(probes):
-            f = np.asarray(f, dtype=float)
             u = h_low.extend(h_low.apply(alpha, h_low.restrict(f)))
             w = h_up.extend(h_up.apply(alpha, h_up.restrict(np.abs(f))))
             record(float((np.abs(u) - w).max()), alpha, f"probe_{k}")
@@ -161,8 +156,8 @@ def check_form_inequality_nonneg(
     """
     idx = np.flatnonzero(pair.lower.active)
     if not force_sampling:
-        K_low = assemble_stiffness(pair.lower)[idx][:, idx]
-        K_up = assemble_stiffness(pair.upper)[idx][:, idx]
+        K_low = _restrict(assemble_stiffness(pair.lower), pair.lower.active)
+        K_up = _restrict(assemble_stiffness(pair.upper), pair.lower.active)
         D = K_low - K_up
         D.sum_duplicates()  # canonical: data runs in row-major order, no zeros stored
         i, j = _first_min(D)

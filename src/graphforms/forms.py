@@ -85,10 +85,6 @@ class GraphForm:
             raise ValueError("extra killing must be nonnegative")
         self.couplings = tuple(couplings)
         self.c_total = self.graph.c + self.killing_extra
-        # An inf weight times a zero difference is NaN, so no term is then known to vanish.
-        self._finite_weights = bool(
-            np.isfinite(graph.edge_b).all() and np.isfinite(self.c_total).all()
-        )
 
     @property
     def n(self) -> int:
@@ -97,40 +93,18 @@ class GraphForm:
     def in_domain(self, f: np.ndarray) -> bool:
         return bool(np.all(f[~self.active] == 0.0))
 
-    def _support(self, phi):
-        """(edge indices, vertex indices) where phi != 0: the vertices and the edges
-        touching them.
-
-        Every edge and vertex term of Q(f, g) outside it is an exact zero when f and
-        g vanish wherever phi does.  None (the whole graph) when some edge or killing
-        weight is non-finite, so that an inf * 0 = NaN term still shows.
-        """
-        if not self._finite_weights:
-            return None
-        nonzero = phi != 0.0
-        gph = self.graph
-        edges = np.flatnonzero(nonzero[gph.edge_u] | nonzero[gph.edge_v])
-        return edges, np.flatnonzero(nonzero)
-
-    def _terms(self, f, g, support=None):
+    def _terms(self, f, g):
         """Nonzero ordered-pair terms of Q(f, g); exact zeros cannot change an fsum.
 
-        ``support`` = (edge indices, vertex indices) restricts the edge and vertex
-        terms to those (in index order); couplings are always included.  An
-        infinite weight times a zero difference or value is a NaN term, on
+        An infinite weight times a zero difference or value is a NaN term, on
         purpose and without a warning, so a non-finite weight gives a NaN energy.
         """
         gph = self.graph
-        eu, ev, b, c, fv, gv = gph.edge_u, gph.edge_v, gph.edge_b, self.c_total, f, g
-        if support is not None:
-            edges, verts = support
-            eu, ev, b = eu[edges], ev[edges], b[edges]
-            c, fv, gv = c[verts], f[verts], g[verts]
-        du = f[eu] - f[ev]
-        dv = du if g is f else g[eu] - g[ev]
+        du = f[gph.edge_u] - f[gph.edge_v]
+        dv = du if g is f else g[gph.edge_u] - g[gph.edge_v]
         with np.errstate(invalid="ignore"):
             cps = [cp.w * (f[cp.u] - f[cp.v]) * (g[cp.u] - g[cp.v]) for cp in self.couplings]
-            terms = np.concatenate((2.0 * b * du * dv, c * (fv * gv), cps))
+            terms = np.concatenate((2.0 * gph.edge_b * du * dv, self.c_total * (f * g), cps))
         return terms[terms != 0.0].tolist()
 
     def evaluate(self, f) -> float:

@@ -43,15 +43,14 @@ def _check_cutoff(q: GraphForm, phi) -> np.ndarray:
     return phi
 
 
-def _truncated(q: GraphForm, phi: np.ndarray, f: np.ndarray, support=None) -> tuple:
-    """(Q(phi f), T_phi(f)) for a checked cutoff and function, summed over ``support``.
+def _truncated(q: GraphForm, phi: np.ndarray, f: np.ndarray) -> tuple:
+    """(Q(phi f), T_phi(f)) for a checked cutoff and function.
 
-    ``support`` must carry every nonzero term of both energies (``q._support(phi)``
-    does); phi f then lies in the domain, because phi does.
+    phi f lies in the domain, because phi does.
     """
     pf = phi * f
-    energy = math.fsum(q._terms(pf, pf, support))
-    return energy, energy - math.fsum(q._terms(pf * f, phi, support))
+    energy = math.fsum(q._terms(pf, pf))
+    return energy, energy - math.fsum(q._terms(pf * f, phi))
 
 
 def truncated_form(q: GraphForm, phi, f) -> TruncatedFormValue:
@@ -91,6 +90,13 @@ def truncated_oracle(q: GraphForm, phi, f) -> float:
 _TERM_BOUND = 2.0**960
 
 
+def _check_truncation(q: GraphForm, ex: Exhaustion) -> None:
+    if ex.graph.n != q.n:
+        raise ValueError(
+            f"exhaustion and form live on different truncations ({ex.graph.n} vs {q.n} vertices)"
+        )
+
+
 def _checked_cutoffs(q: GraphForm, ex: Exhaustion) -> list:
     for chi in ex.cutoffs:
         if not q.in_domain(chi):
@@ -100,13 +106,13 @@ def _checked_cutoffs(q: GraphForm, ex: Exhaustion) -> list:
     return [_check_cutoff(q, chi) for chi in ex.cutoffs]
 
 
-def _scan(cutoffs: list):
-    """(enter, freeze) per vertex of explicit cutoffs in one backward pass, or
-    None when they are not nondecreasing.
+def _scan(cutoffs: list) -> tuple:
+    """(enter, freeze) per vertex of explicit cutoffs in one backward pass.
 
     A vertex enters at the first level whose cutoff is nonzero there and freezes
     at the first level from which its cutoff keeps its last value; one that never
-    enters gets enter = levels and freeze = 0.
+    enters gets enter = levels and freeze = 0.  Nesting is not assumed: a vertex
+    that enters is nonzero at its entry, and zero before it, so freeze >= enter.
     """
     top = len(cutoffs) - 1
     last = cutoffs[top]
@@ -115,8 +121,6 @@ def _scan(cutoffs: list):
     steady = np.ones(len(last), dtype=bool)
     for k in range(top - 1, -1, -1):
         chi = cutoffs[k]
-        if not np.all(chi <= cutoffs[k + 1]):
-            return None
         enter[chi != 0.0] = k
         steady &= chi == last
         freeze[steady] = k
@@ -193,23 +197,27 @@ class _Walk:
     """The levels of one exhaustion, checked once for a form and a function.
 
     A pair (edge or coupling) enters with its first endpoint and freezes with
-    its last (see ``_scan``).  A frozen term is the same float at every later
-    level, so each is computed once, at the last cutoff, and the frozen terms
-    enter every level sum as a few exact running sums (``_running_sums``).
-    Only the window, the entered pairs and vertices that are not yet frozen, is
-    evaluated per level.  fsum rounds the exact sum correctly, so every level
-    value is the float that summing the level's whole support gives.
+    its last (see ``_scan``); the cutoffs need not be nested.  Before a pair
+    enters, both its cutoff values are 0, so its terms are exact zeros; from its
+    freeze on, both equal the last cutoff's, so each term is the same float at
+    every later level.  Each frozen term is computed once, at the last cutoff,
+    and the frozen terms enter every level sum as a few exact running sums
+    (``_running_sums``).  Only the window, the entered pairs and vertices that
+    are not yet frozen, is evaluated per level.  fsum rounds the exact sum
+    correctly, so every level value is the float that summing the whole graph
+    gives.
 
-    ``fast`` is False, and the parts take the per-level sums instead, when the
-    cutoffs are not nondecreasing, a weight is non-finite (so that inf * 0 still
-    shows as NaN) or the terms could overflow (so that fsum raises as before).
+    ``fast`` is False, and the parts sum the whole graph per level instead, when
+    a weight is non-finite (so that inf * 0 still shows as NaN) or the terms
+    could overflow (so that fsum raises as before); the term bound of ``_rows``
+    is then inf or NaN, or above ``_TERM_BOUND``.
     """
 
     def __init__(self, q: GraphForm, ex: Exhaustion, f: np.ndarray):
         self.q, self.f = q, f
         self.full = np.where(q.active, 1.0, 0.0)
         balls = ex._balls
-        if balls is not None and len(balls.dist_root) == q.n:
+        if balls is not None:
             self.levels = len(balls.radii)
             levels = balls.enter_freeze()
             if (levels[0][~q.active] < self.levels).any():
@@ -222,10 +230,11 @@ class _Walk:
             self.cutoff, values = cutoffs.__getitem__, partial(_gather, cutoffs)
         last = self.cutoff(self.levels - 1)
         self.saturated = bool(np.all(last[q.active] == 1.0))
-        self.fast = levels is not None and q._finite_weights and self._rows(*levels, last, values)
+        self.fast = self._rows(*levels, last, values)
 
     def _rows(self, enter, freeze, last, values) -> bool:
-        """Set up the frozen and the window rows; False when the terms could overflow."""
+        """Set up the frozen and the window rows; False for a non-finite weight or
+        terms that could overflow."""
         q, f, n_levels = self.q, self.f, self.levels
         g, cps = q.graph, q.couplings
         coupled = np.array([(cp.u, cp.v) for cp in cps], dtype=int).reshape(-1, 2).T
@@ -289,6 +298,7 @@ def _walk(q: GraphForm, ex: Exhaustion, f) -> _Walk:
     walk = getattr(ex, "_walk", None)
     if walk is not None and walk.q is q and walk.f is f:
         return walk
+    _check_truncation(q, ex)
     return _Walk(q, ex, as_function(q.graph, f))
 
 
@@ -317,9 +327,7 @@ def main_part(q: GraphForm, ex: Exhaustion, f, rel_tol: float = 1e-8) -> PartRes
     if walk.fast:
         trace = [a - b for a, b in walk.level_sums(walk.f, killing=False)]
     else:
-        trace = [
-            _truncated(q, chi, walk.f, q._support(chi))[1] for chi in walk.per_level_cutoffs()
-        ]
+        trace = [_truncated(q, chi, walk.f)[1] for chi in walk.per_level_cutoffs()]
     converged = walk.saturated or increments_settled(trace, rel_tol)
     return PartResult(value=trace[-1], trace=trace, converged=converged)
 
@@ -341,27 +349,33 @@ def killing_part(
     The search space runs over the masked exhaustion cutoffs chi and the clamp
     ladder f^(n) = (f and n) or (-n); the resulting grid is nondecreasing in
     both indices, so the supremum is the last entry.  The default single clamp
-    level max|f| is exact for bounded f.  The trace is the grid flattened row
-    per clamp level.
+    level max|f| is exact for bounded f.  A given ladder must be nonempty,
+    positive and nondecreasing.  The trace is the grid flattened row per clamp
+    level.
     """
     walk = _walk(q, ex, f)
     f = walk.f
     if clamp_levels is None:
         top = float(np.max(np.abs(f)))
         clamp_levels = [top if top > 0 else 1.0]
+    clamp_levels = list(clamp_levels)
+    if not clamp_levels:
+        raise ValueError("clamp ladder must not be empty")
+    if not all(level > 0 for level in clamp_levels):
+        raise ValueError("clamp levels must be positive")
+    if not all(a <= b for a, b in pairwise(clamp_levels)):
+        raise ValueError("clamp levels must be nondecreasing")
     # main(g) is attained at the full admissible cutoff on a finite truncation,
     # and Q(full * g) is Q(g) bit for bit because g vanishes off the active set.
     grid = []
     for level in clamp_levels:
-        if not level > 0:
-            raise ValueError("clamp levels must be positive")
         fn = np.clip(f, -level, level)
         if walk.fast:
             grid.append([e - (e - b) for e, b in walk.level_sums(fn, killing=True)])
             continue
         row = []
         for chi in walk.per_level_cutoffs():
-            energy, main = _truncated(q, walk.full, chi * fn, q._support(chi))
+            energy, main = _truncated(q, walk.full, chi * fn)
             row.append(energy - main)
         grid.append(row)
     value = grid[-1][-1]
@@ -417,6 +431,7 @@ def reflected_form(
     f in the form domain the reflected value reproduces Q(f) (the extension
     property of the reflected form).
     """
+    _check_truncation(q, ex)
     f = as_function(q.graph, f)
     mex = ex.masked(q.active)
     # Both parts find the walk checked and set up on this private copy.

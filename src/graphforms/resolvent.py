@@ -79,6 +79,20 @@ def assemble_stiffness(form: GraphForm) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
+def _restrict(K: sp.csr_matrix, mask: np.ndarray) -> sp.csr_matrix:
+    """The rows and columns of canonical K in ``mask``: ``K[idx][:, idx]``, array for array."""
+    idx = np.flatnonzero(mask)
+    # Keep the entries in a kept row and column, in order, and renumber the columns.
+    keep = np.repeat(mask, np.diff(K.indptr)) & mask[K.indices]
+    position = np.cumsum(mask) - 1
+    kept_before_row = np.concatenate(([0], np.cumsum(keep)))[K.indptr]
+    # A dropped row keeps nothing, so each kept row ends where the next one starts.
+    indptr = kept_before_row[np.append(idx, len(mask))]
+    return sp.csr_matrix(
+        (K.data[keep], position[K.indices[keep]], indptr), shape=(len(idx), len(idx))
+    )
+
+
 def build_generator(form: GraphForm) -> GeneratorOperator:
     """Restrict the stiffness matrix to active vertices, mask folded in.
 
@@ -86,18 +100,8 @@ def build_generator(form: GraphForm) -> GeneratorOperator:
     act as extra killing, exactly as the Dirichlet mask demands.  Every
     diagonal entry is stored, zero or not.
     """
-    K = assemble_stiffness(form)
-    active = form.active
-    idx = np.flatnonzero(active)
-    # Keep the entries in an active row and column, in order, and renumber the columns.
-    keep = np.repeat(active, np.diff(K.indptr)) & active[K.indices]
-    position = np.cumsum(active) - 1
-    kept_before_row = np.concatenate(([0], np.cumsum(keep)))[K.indptr]
-    # An inactive row keeps nothing, so each active row ends where the next one starts.
-    indptr = kept_before_row[np.append(idx, form.n)]
-    K_aa = sp.csr_matrix(
-        (K.data[keep], position[K.indices[keep]], indptr), shape=(len(idx), len(idx))
-    )
+    idx = np.flatnonzero(form.active)
+    K_aa = _restrict(assemble_stiffness(form), form.active)
     return GeneratorOperator(K_aa, form.graph.m[idx].copy(), idx)
 
 

@@ -526,7 +526,6 @@ class TestImplicitCutoffs:
         for ex in self._exhaustions():
             enter, freeze = ex._balls.enter_freeze()
             scanned = _scan(ex.cutoffs)
-            assert scanned is not None
             assert np.array_equal(enter, scanned[0])
             assert np.array_equal(freeze, scanned[1])
 

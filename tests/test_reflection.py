@@ -17,6 +17,7 @@ from graphforms import (
     assemble,
     ball_exhaustion,
     build_exhaustion,
+    classify_recurrence,
     contraction_catalog,
     emit_graph,
     generator_ball,
@@ -200,6 +201,19 @@ class TestKillingPart:
         assert np.all(np.diff(grid, axis=0) >= -1e-10)  # clamp index
         assert np.all(np.diff(grid, axis=1) >= -1e-10)  # cutoff index
 
+    def test_bad_clamp_ladders_rejected(self):
+        # c_eff is 1 at v1 (the edge into v0) and 2 at v3, so the killing part of f is 17.
+        g = make_path(6, 1.0)
+        q = assemble(g, boundary=["v0"], extra_killing={"v3": 2.0})
+        ex = ball_exhaustion(g, "v3", n_levels=4, plateau=1)
+        f = np.array([0.0, 3.0, 1.0, 2.0, 1.0, 0.0])
+        res = reflected_form(q, ex, f, clamp_levels=[0.5, 3.0])
+        assert res.killing_value == form_oracle_killing(q, f) == 17.0
+        for ladder, message in (([], "empty"), ([3.0, 0.5], "nondecreasing"),
+                                ([0.5, 0.0], "positive")):
+            with pytest.raises(ValueError, match=message):
+                reflected_form(q, ex, f, clamp_levels=ladder)
+
 
 class TestReflectedForm:
     def test_extends_the_energy(self):
@@ -242,6 +256,26 @@ class TestReflectedForm:
             res = reflected_form(q, ex, apply_contraction(C, f))
             assert res.main_value <= base.main_value + 1e-10
             assert res.reflected_value <= base.reflected_value + 1e-10
+
+
+class TestTruncationMismatch:
+    """A form and an exhaustion on different truncations give one ValueError."""
+
+    @pytest.mark.parametrize("n_ex", [5, 7])
+    def test_every_entry_point_rejects(self, n_ex):
+        q = assemble(make_path(6, 1.0), boundary=["v0"])
+        g = make_path(n_ex, 1.0)
+        ones = np.ones(q.n) * q.active
+        for ex in (ball_exhaustion(g, "v1", n_levels=2, plateau=1), Exhaustion.full(g)):
+            for run in (
+                lambda: reflected_form(q, ex, ones),
+                lambda: main_part(q, ex, ones),
+                lambda: killing_part(q, ex, ones),
+                lambda: main_part(q, ex.masked(np.ones(n_ex, dtype=bool)), ones),
+                lambda: classify_recurrence(q, ex),
+            ):
+                with pytest.raises(ValueError, match="different truncations"):
+                    run()
 
 
 class TestGraphOracles:
@@ -419,11 +453,23 @@ def _walk_instances():
     cutoffs = list(np.minimum(2.0 * np.cumsum(steps, axis=0), 1.0))
     sets = [np.flatnonzero(chi == 1.0) for chi in cutoffs]
     yield q, Exhaustion(q.graph, sets, cutoffs), random_function(rng, q.n), True
-    # Not nested: the per-level sums.
+    # Not nested: walked too, since enter and freeze never assume nesting.
     q = form_corpus(92, 1, n_min=20, n_max=20)[0][0]
     cutoffs = [rng.uniform(0.0, 1.0, q.n) * (rng.random(q.n) < 0.4) for _ in range(4)]
     sets = [np.flatnonzero(chi == 1.0) for chi in cutoffs]
-    yield q, Exhaustion(q.graph, sets, cutoffs), random_function(rng, q.n), False
+    yield q, Exhaustion(q.graph, sets, cutoffs), random_function(rng, q.n), True
+
+
+def _hand_built_cutoffs(rng, n, kind):
+    """Explicit cutoffs of one kind: not nested, decreasing, or repeated 0/0.5/1 values."""
+    levels = int(rng.integers(1, 6))
+    if kind == "non-nested":
+        return [rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.5) for _ in range(levels)]
+    if kind == "decreasing":
+        steps = rng.uniform(0.0, 1.0, (levels, n)) * (rng.random((levels, n)) < 0.4)
+        return list(np.minimum(2.0 * np.cumsum(steps, axis=0), 1.0)[::-1])
+    values = [rng.choice([0.0, 0.5, 1.0], size=n) for _ in range(levels)]
+    return [values[k] for k in rng.integers(levels, size=levels + 2)]
 
 
 def _new_traces(q, ex, f):
@@ -440,7 +486,7 @@ def _outcome(traces, *args):
 
 
 class TestLevelSupports:
-    """Level sums over each cutoff's support equal the whole-graph sums bit for bit."""
+    """The level walk's sums equal the whole-graph sums bit for bit."""
 
     def test_walk_matches_whole_graph_loop(self):
         count = 0
@@ -453,6 +499,38 @@ class TestLevelSupports:
                 assert [_hex(row) for row in res.killing_trace] == [_hex(row) for row in grid]
                 count += 1
         assert count == 2 * (8 + 1 + 1 + 1 + 1)
+
+    def test_hand_built_cutoffs_match_whole_graph_loop(self):
+        # Seeded stress: the walk, on exhaustions masked here or by reflected_form.
+        rng = np.random.default_rng(95)
+        count = 0
+        for q, _ in form_corpus(96, 25, n_min=3, n_max=30):
+            for kind in ("non-nested", "decreasing", "repeated"):
+                cutoffs = _hand_built_cutoffs(rng, q.n, kind)
+                ex = Exhaustion(q.graph, [np.flatnonzero(chi == 1.0) for chi in cutoffs], cutoffs)
+                f = random_function(rng, q.n)
+                assert _Walk(q, ex.masked(q.active), f).fast
+                for clamp_levels in (None, [0.5, 1.0, 3.0]):
+                    main, grid = _old_traces(q, ex, f, clamp_levels)
+                    for given in (ex, ex.masked(q.active)):
+                        res = reflected_form(q, given, f, clamp_levels=clamp_levels)
+                        assert _hex(res.main_trace) == _hex(main)
+                        assert [_hex(r) for r in res.killing_trace] == [_hex(r) for r in grid]
+                        count += 1
+        assert count == 25 * 3 * 2 * 2
+
+    def test_hand_built_error_precedence(self):
+        q = assemble(make_path(4, 1.0), boundary=["v0"])
+        g, f, no_set = q.graph, np.array([0.0, 1.0, 2.0, 1.0]), [np.array([], dtype=int)]
+        both = Exhaustion(g, no_set, [np.array([0.5, 1.5, 0.0, 0.0])])  # boundary and > 1
+        nan = Exhaustion(g, no_set, [np.array([0.0, np.nan, 0.0, 0.0])])
+        for part in (main_part, killing_part):
+            with pytest.raises(ValueError, match="boundary"):
+                part(q, both, f)
+            with pytest.raises(ValueError, match="vertex functions must be finite"):
+                part(q, nan, f)
+        with pytest.raises(ValueError, match="vertex functions must be finite"):
+            reflected_form(q, nan, f)
 
     @pytest.mark.parametrize("values", [[7e153, -7e153, 7e153], [7e153, -7e153, 0.0]])
     def test_huge_terms_give_the_old_value_or_exception(self, values):
