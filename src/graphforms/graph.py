@@ -41,18 +41,23 @@ class WeightedGraph:
         """Index arrays of the edge endpoints, given as ids or as int indices.
 
         An edge list that starts with an id is looked up in one dict pass per
-        column.  Any other list, and one that meets an unknown id or an index
-        on the way, goes through ``_resolve`` endpoint by endpoint, which
-        raises for the first bad endpoint in order.
+        column; one of int or int64 indices only gets one vectorized range check.
+        Any other list, and one that meets an unknown id or a bad index on the
+        way, goes through ``_resolve`` endpoint by endpoint, which raises for the
+        first bad endpoint in order.
         """
-        if edges and isinstance(edges[0][0], str):
-            us, vs, _ = zip(*edges)
+        us, vs, _ = zip(*edges) if edges else ((), (), ())
+        if us and isinstance(us[0], str):
             lookup = self.index.__getitem__
             try:
                 return (np.fromiter(map(lookup, us), int, len(us)),
                         np.fromiter(map(lookup, vs), int, len(vs)))
             except (KeyError, TypeError):
                 pass
+        elif us and set(map(type, us + vs)) <= {int, np.int64}:
+            ends = np.array((us, vs))
+            if ends.dtype == int and 0 <= ends.min() and ends.max() < self.n:
+                return ends
         ends = [(self._resolve(u), self._resolve(v)) for u, v, _ in edges]
         ends = np.array(ends, dtype=int).reshape(-1, 2)
         return ends[:, 0], ends[:, 1]
@@ -285,39 +290,40 @@ class _IntegerGrid:
         """``truncate(self, generator_ball(self, root, radius))``, built in index space,
         and every vertex's hop distance from the root.
 
-        One frontier BFS over integer points keeps first occurrences in
-        frontier-major, neighbour-minor order, as the queue BFS does; the edges
-        are the pairs (i, j) with j > i, by i and then by step, as truncate
-        emits them.  Frontier j holds the points at distance j, and a geodesic
-        to such a point stays in the ball, so the distances are the graph's.
+        The ball is |x - root|_1 <= radius, so the distances are the graph's.  One
+        sort puts it in the queue BFS's first-occurrence order for the steps -e_1,
+        +e_1, -e_2, +e_2, ...: by distance, then per coordinate by sign class of
+        x_i - root_i (-, +, 0) and by -|x_i - root_i|.  A point is first reached
+        from its neighbour one step nearer the root in its last nonzero
+        coordinate, and ordering points by that neighbour and then by the step
+        is this order; ``TestIndexBall`` checks it against ``truncate`` up to
+        radius 304.  Edges are the pairs (i, j), j > i, by i and then by step.
         """
         if not self.contains(root):
             raise ValueError(f"root {root!r} not generated")
-        steps = np.array(self.steps)
         origin = np.array([int(t) for t in root.split(",")])
+        dim = len(origin)
+        steps = np.array(self.steps)
+        assert np.array_equal(steps, np.kron(np.eye(dim, dtype=int), [[-1], [1]])), steps
+        offsets = np.indices((2 * radius + 1,) * dim).reshape(dim, -1).T - radius
+        dist = np.abs(offsets).sum(axis=1)
+        offsets, dist = offsets[dist <= radius], dist[dist <= radius]
+        keys = [dist]
+        for x in offsets.T:
+            keys += [2 * (x == 0) + (x > 0), -np.abs(x)]
+        order = np.lexsort(keys[::-1])
+        offsets, n = offsets[order], len(order)
         side = 2 * radius + 3  # the box around the ball also holds its neighbours
-        scale = side ** np.arange(len(origin))
-
-        def key(points):
-            return (points - origin + radius + 1) @ scale
-
-        position = np.full(side ** len(origin), -1)
-        frontier = origin[None, :]
-        position[key(frontier)] = 0
-        layers, n = [frontier], 1
-        for _ in range(radius):
-            reached = (frontier[:, None, :] + steps).reshape(-1, len(origin))
-            keys = key(reached)
-            fresh = np.flatnonzero(position[keys] < 0)
-            first = np.sort(fresh[np.unique(keys[fresh], return_index=True)[1]])
-            frontier = reached[first]
-            position[keys[first]] = np.arange(n, n + len(first))
-            layers.append(frontier)
-            n += len(first)
-        points = np.concatenate(layers)
-        nbr = position[key(points[:, None, :] + steps)]
+        scale = side ** np.arange(dim)
+        key = (offsets + radius + 1) @ scale
+        position = np.full(side**dim, -1)
+        position[key] = np.arange(n)
+        nbr = position[key[:, None] + steps @ scale]
         later = nbr > np.arange(n)[:, None]
-        ids = list(map(",".join(["{}"] * len(origin)).format, *points.T.tolist()))
+        # Each coordinate takes 2 radius + 1 values; each is formatted once.
+        labels = [np.array([str(t + v) for v in range(-radius, radius + 1)], dtype=object)
+                  for t in origin.tolist()]
+        ids = list(map(",".join, zip(*(a[x + radius].tolist() for a, x in zip(labels, offsets.T)))))
         graph = WeightedGraph._from_arrays(
             ids,
             np.full(n, float(self.m)),
@@ -326,7 +332,7 @@ class _IntegerGrid:
             nbr[later],
             np.full(int(later.sum()), float(self.b)),
         )
-        return graph, np.repeat(np.arange(radius + 1.0), [len(layer) for layer in layers])
+        return graph, dist[order].astype(float)
 
 
 @dataclass(frozen=True)

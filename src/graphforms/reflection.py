@@ -155,39 +155,41 @@ def _energy_terms(phi_p, h_p, w, phi_x, h_x, c) -> tuple:
     """
     pf = phi_p * h_p
     d = pf[0] - pf[1]
-    pff = pf * h_p
+    pf *= h_p  # phi h^2, in place
     pfx = phi_x * h_x
     return (
         np.concatenate((w * d * d, c * (pfx * pfx))),
         np.concatenate(
-            (w * (pff[0] - pff[1]) * (phi_p[0] - phi_p[1]), c * ((pfx * h_x) * phi_x))
+            (w * (pf[0] - pf[1]) * (phi_p[0] - phi_p[1]), c * ((pfx * h_x) * phi_x))
         ),
     )
 
 
-def _running_sums(terms: np.ndarray, level: np.ndarray, n_levels: int) -> list:
-    """For each level k, a few floats whose exact sum is that of the terms at levels <= k.
+def _running_sums(terms: np.ndarray, slot: np.ndarray, n_levels: int) -> list:
+    """For each level k, a few floats whose exact sum is that of the terms in slots
+    <= k (running terms) plus that of the terms in slot n_levels + k (point terms).
 
     Error-free vector extraction (Rump, Ogita and Oishi, "Accurate floating-point
     summation, part I", SIAM J. Sci. Comput. 31, 2008): for sigma = 2^s with
     max |x| <= 2^-M sigma and len(x) < 2^M, q = (sigma + x) - sigma and x - q are
     exact, and every q lies on the grid 2^-53 sigma with |q| <= 2^-M sigma, so
-    every sum of q's is exact.  A round thus yields one exact running sum per
-    level and leaves remainders of at most 2^-53 sigma.  At sigma = 2^-1022 the
-    grid is the subnormal spacing, so that round takes everything.
+    every sum of q's is exact, in any order.  A round thus yields one exact sum
+    per level and leaves remainders of at most 2^-53 sigma.  At sigma = 2^-1022
+    the grid is the subnormal spacing, so that round takes everything.
     """
     keep = terms != 0.0
-    x, level = terms[keep], level[keep]
+    x, slot = terms[keep], slot[keep]
     bits = len(x).bit_length()  # len(x) < 2^bits
     rounds = []
     while x.size:
         top = int(np.frexp(np.abs(x).max())[1])
         sigma = math.ldexp(1.0, max(top + bits, -1022))
         q = (sigma + x) - sigma
-        rounds.append(np.cumsum(np.bincount(level, weights=q, minlength=n_levels)))
+        by_slot = np.bincount(slot, weights=q, minlength=2 * n_levels)
+        rounds.append(np.cumsum(by_slot[:n_levels]) + by_slot[n_levels:])
         x = x - q
         keep = x != 0.0
-        x, level = x[keep], level[keep]
+        x, slot = x[keep], slot[keep]
     if not rounds:
         return [[] for _ in range(n_levels)]
     return [[v for v in col if v] for col in np.array(rounds).T.tolist()]
@@ -200,12 +202,16 @@ class _Walk:
     its last (see ``_scan``); the cutoffs need not be nested.  Before a pair
     enters, both its cutoff values are 0, so its terms are exact zeros; from its
     freeze on, both equal the last cutoff's, so each term is the same float at
-    every later level.  Each frozen term is computed once, at the last cutoff,
-    and the frozen terms enter every level sum as a few exact running sums
-    (``_running_sums``).  Only the window, the entered pairs and vertices that
-    are not yet frozen, is evaluated per level.  fsum rounds the exact sum
+    every later level.  Each frozen term is computed once, at the freeze level;
+    only the window, the entered pairs and vertices that are not yet frozen, is
+    evaluated per level.  ``_running_sums`` extracts, from the frozen and the
+    window terms together, a few floats per level with the level's exact sum,
+    and each level value is one fsum over them.  fsum rounds the exact sum
     correctly, so every level value is the float that summing the whole graph
     gives.
+
+    ``monotone`` is False when explicit cutoffs decrease somewhere; the last
+    level is then no supremum, and neither part reports convergence.
 
     ``fast`` is False, and the parts sum the whole graph per level instead, when
     a weight is non-finite (so that inf * 0 still shows as NaN) or the terms
@@ -218,7 +224,7 @@ class _Walk:
         self.full = np.where(q.active, 1.0, 0.0)
         balls = ex._balls
         if balls is not None:
-            self.levels = len(balls.radii)
+            self.levels, self.monotone = len(balls.radii), True
             levels = balls.enter_freeze()
             if (levels[0][~q.active] < self.levels).any():
                 raise ValueError("exhaustion cutoff is nonzero on the boundary; mask it first")
@@ -227,14 +233,14 @@ class _Walk:
             cutoffs = _checked_cutoffs(q, ex)
             self.levels = len(cutoffs)
             levels = _scan(cutoffs)
+            self.monotone = all(np.all(a <= b) for a, b in pairwise(cutoffs))
             self.cutoff, values = cutoffs.__getitem__, partial(_gather, cutoffs)
-        last = self.cutoff(self.levels - 1)
-        self.saturated = bool(np.all(last[q.active] == 1.0))
-        self.fast = self._rows(*levels, last, values)
+        self.saturated = bool(np.all(self.cutoff(self.levels - 1)[q.active] == 1.0))
+        self.fast = self._rows(*levels, values)
 
-    def _rows(self, enter, freeze, last, values) -> bool:
-        """Set up the frozen and the window rows; False for a non-finite weight or
-        terms that could overflow."""
+    def _rows(self, enter, freeze, values) -> bool:
+        """Set up the rows of each pair and vertex, from its entry to its freeze, and
+        their slots; False for a non-finite weight or terms that could overflow."""
         q, f, n_levels = self.q, self.f, self.levels
         g, cps = q.graph, q.couplings
         coupled = np.array([(cp.u, cp.v) for cp in cps], dtype=int).reshape(-1, 2).T
@@ -249,15 +255,14 @@ class _Walk:
         pairs = np.flatnonzero((pair_enter < n_levels) & (self.w != 0.0))
         verts = np.flatnonzero((enter < n_levels) & (q.c_total != 0.0))
         pair_freeze = freeze[self.ends[:, pairs]].max(axis=0)
-        self.frozen = (pairs, last[self.ends[:, pairs]], verts, last[verts])
-        self.frozen_level = np.concatenate((pair_freeze, freeze[verts]))
-        ip, lp = _spans(pair_enter[pairs], pair_freeze)
-        iv, lv = _spans(enter[verts], freeze[verts])
+        ip, lp = _spans(pair_enter[pairs], pair_freeze + 1)
+        iv, lv = _spans(enter[verts], freeze[verts] + 1)
         wp, wv = pairs[ip], verts[iv]
-        self.window = (wp, values(lp, self.ends[:, wp]), wv, values(lv, wv))
+        self.rows = (wp, values(lp, self.ends[:, wp]), wv, values(lv, wv))
+        # A row at its freeze level counts at every later level too (slot = level),
+        # a window row at its own level only (slot = n_levels + level).
         level = np.concatenate((lp, lv))
-        self.order = np.argsort(level, kind="stable")
-        self.window_level = level[self.order]
+        self.slot = level + n_levels * (level < np.concatenate((pair_freeze[ip], freeze[wv])))
         return True
 
     def _terms(self, h, killing, pairs, chi_p, verts, chi_x) -> tuple:
@@ -272,22 +277,10 @@ class _Walk:
     def level_sums(self, h: np.ndarray, killing: bool) -> list:
         """Per level k, the exact sums (Q(chi_k h), Q(chi_k h^2, chi_k)) for the main
         part, or (Q(g), Q(g^2, 1)) with g = chi_k h for the killing part."""
-        sums = []
-        for frozen, window in zip(
-            self._terms(h, killing, *self.frozen), self._terms(h, killing, *self.window)
-        ):
-            running = _running_sums(frozen, self.frozen_level, self.levels)
-            window = window[self.order]
-            keep = window != 0.0
-            bounds = np.searchsorted(self.window_level[keep], np.arange(self.levels + 1))
-            window = window[keep]
-            sums.append(
-                [
-                    math.fsum(run + window[lo:hi].tolist())
-                    for run, (lo, hi) in zip(running, pairwise(bounds))
-                ]
-            )
-        return list(zip(*sums))
+        return list(zip(*(
+            [math.fsum(parts) for parts in _running_sums(terms, self.slot, self.levels)]
+            for terms in self._terms(h, killing, *self.rows)
+        )))
 
     def per_level_cutoffs(self):
         return map(self.cutoff, range(self.levels))
@@ -321,14 +314,14 @@ def main_part(q: GraphForm, ex: Exhaustion, f, rel_tol: float = 1e-8) -> PartRes
     nondecreasing; the value is the last entry.  Convergence holds when the
     final cutoff saturates the active set (the supremum is then attained,
     making the value exact for the truncation) or when the last two relative
-    increments drop below rel_tol.
+    increments drop below rel_tol, and never for cutoffs that decrease somewhere.
     """
     walk = _walk(q, ex, f)
     if walk.fast:
         trace = [a - b for a, b in walk.level_sums(walk.f, killing=False)]
     else:
         trace = [_truncated(q, chi, walk.f)[1] for chi in walk.per_level_cutoffs()]
-    converged = walk.saturated or increments_settled(trace, rel_tol)
+    converged = walk.monotone and (walk.saturated or increments_settled(trace, rel_tol))
     return PartResult(value=trace[-1], trace=trace, converged=converged)
 
 
@@ -380,7 +373,7 @@ def killing_part(
         grid.append(row)
     value = grid[-1][-1]
     saturated = walk.saturated and clamp_levels[-1] >= float(np.max(np.abs(f)))
-    converged = saturated or increments_settled(grid[-1], rel_tol)
+    converged = walk.monotone and (saturated or increments_settled(grid[-1], rel_tol))
     return PartResult(value=value, trace=grid, converged=converged)
 
 

@@ -75,6 +75,12 @@ class TestLoadGraph:
             [(0, 1, 1.0), ("q", "c", 1.0)],
             [(np.int64(0), 3, 1.0)],
             [(-1, 2, 1.0)],
+            [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)],
+            [(0, 1, 1.0), (np.uint64(1), -1, 1.0)],
+            [(0, 1, 1.0), (1, 2**70, 1.0)],
+            [(0, 1, 1.0), (1.0, 2, 1.0)],
+            [(0, 1, 1.0), (np.array(1), 2, 1.0)],
+            [(0, 1, 1.0), (np.True_, 2, 1.0)],
         ],
     )
     def test_endpoint_errors_match_resolve(self, edges):
@@ -397,6 +403,19 @@ class TestIndexBall:
             for radius in range(9):
                 oracle = truncate(gen, generator_ball(gen, root, radius))
                 _same_graph(gen._ball(root, radius)[0], oracle)
+
+    @pytest.mark.parametrize(
+        "gen,roots,radius",
+        [(SquareLatticeGenerator(), ["0,0", "3,-2"], r) for r in (20, 45, 71)]
+        + [(IntegerLineGenerator(), ["0", "-5"], r) for r in (100, 304)],
+    )
+    def test_matches_string_truncation_at_real_radii(self, gen, roots, radius):
+        # The one-sort order against the queue BFS at the benchmark's sizes.
+        for root in roots:
+            graph, dist = gen._ball(root, radius)
+            _same_graph(graph, truncate(gen, generator_ball(gen, root, radius)))
+            assert dist.dtype == np.float64
+            assert np.array_equal(dist, graph.distances_from([graph.index[root]]))
 
     @pytest.mark.parametrize(
         "gen,root", [(SquareLatticeGenerator(c=0.1), "-4,7"), (IntegerLineGenerator(b=2.0), "9")]

@@ -563,20 +563,44 @@ class TestLevelSupports:
         reflected_form(q, ex, f)
         assert g.n > 9000
         assert sum(handed) <= 8 * (g.n + len(g.edge_b))
+        # Each level is one fsum over the few floats the extraction leaves.
+        assert len(handed) == 2 * 2 * ex.levels
+        assert max(handed) <= 8
 
     def test_running_sums_are_exact(self):
+        # Running terms (slot k counts at every level >= k) mixed with point terms
+        # (slot levels + k counts at level k only), subnormals to 2^900, cancellations.
         rng = np.random.default_rng(94)
         for _ in range(40):
             n, levels = int(rng.integers(1, 200)), int(rng.integers(1, 6))
             terms = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1100, 900, n))
             terms = np.concatenate((terms, -terms[: n // 3], np.zeros(2)))
-            level = rng.integers(levels, size=len(terms))
-            running = _running_sums(terms, level, levels)
+            slot = rng.integers(2 * levels, size=len(terms))
+            running = _running_sums(terms, slot, levels)
             assert len(running) == levels
             for k, parts in enumerate(running):
                 assert all(isinstance(v, float) and v != 0.0 for v in parts)
-                exact = sum(Fraction(t) for t, lv in zip(terms.tolist(), level) if lv <= k)
+                exact = sum(
+                    Fraction(t) for t, s in zip(terms.tolist(), slot) if s <= k or s == levels + k
+                )
                 assert sum(map(Fraction, parts)) == exact
+                assert math.fsum(parts) == float(exact)
+
+    def test_decreasing_hand_built_cutoffs_do_not_converge(self):
+        # The last level of a decreasing exhaustion is no supremum: here T = 5 at
+        # the first two levels and 1.25 after, with Q(f) = 5.
+        g = make_path(6, 1.0)
+        q, f = assemble(g), np.arange(6.0)
+        cutoffs = [np.ones(6)] * 2 + [np.full(6, 0.5)] * 3
+        ex = Exhaustion(g, [np.arange(6)] * 2 + [np.array([], dtype=int)] * 3, cutoffs)
+        assert q.evaluate(f) == 5.0
+        res = reflected_form(q, ex, f)
+        assert res.main_trace == [5.0, 5.0, 1.25, 1.25, 1.25]
+        assert res.main_value == 1.25 and not res.converged
+        assert not main_part(q, ex, f).converged
+        assert not killing_part(q, ex, f).converged
+        rising = Exhaustion(g, ex.sets[::-1], cutoffs[::-1])
+        assert main_part(q, rising, f).converged and reflected_form(q, rising, f).converged
 
     def test_traces_match_whole_graph_loop(self):
         count = 0
