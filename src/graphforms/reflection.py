@@ -146,23 +146,25 @@ def _spans(begin: np.ndarray, end: np.ndarray) -> tuple:
     return index, np.arange(len(index)) - np.repeat(np.cumsum(span) - span - begin, span)
 
 
-def _energy_terms(phi_p, h_p, w, phi_x, h_x, c) -> tuple:
-    """Terms of Q(phi h) and of Q(phi h^2, phi): pairs first, then vertices.
+def _energy_terms(phi_p, h_p, w, phi_x, h_x, c, with_energy: bool) -> list:
+    """Terms of Q(phi h), unless ``with_energy`` is False, and of Q(phi h^2, phi):
+    pairs first, then vertices.
 
     Rows 0 and 1 of ``phi_p`` and ``h_p`` hold the two endpoints of each pair
     (edge, with w = 2 b, or coupling); every product is formed as
     ``GraphForm._terms`` forms it, so each term is the same float.
     """
     pf = phi_p * h_p
-    d = pf[0] - pf[1]
-    pf *= h_p  # phi h^2, in place
     pfx = phi_x * h_x
-    return (
-        np.concatenate((w * d * d, c * (pfx * pfx))),
-        np.concatenate(
-            (w * (pf[0] - pf[1]) * (phi_p[0] - phi_p[1]), c * ((pfx * h_x) * phi_x))
-        ),
+    out = []
+    if with_energy:
+        d = pf[0] - pf[1]
+        out.append(np.concatenate((w * d * d, c * (pfx * pfx))))
+    pf *= h_p  # phi h^2, in place
+    out.append(
+        np.concatenate((w * (pf[0] - pf[1]) * (phi_p[0] - phi_p[1]), c * ((pfx * h_x) * phi_x)))
     )
+    return out
 
 
 def _running_sums(terms: np.ndarray, slot: np.ndarray, n_levels: int) -> list:
@@ -237,6 +239,8 @@ class _Walk:
             self.cutoff, values = cutoffs.__getitem__, partial(_gather, cutoffs)
         self.saturated = bool(np.all(self.cutoff(self.levels - 1)[q.active] == 1.0))
         self.fast = self._rows(*levels, values)
+        # Q(chi_k f) per level, left by main_part for killing_part (see there).
+        self.energy = None
 
     def _rows(self, enter, freeze, values) -> bool:
         """Set up the rows of each pair and vertex, from its entry to its freeze, and
@@ -265,22 +269,30 @@ class _Walk:
         self.slot = level + n_levels * (level < np.concatenate((pair_freeze[ip], freeze[wv])))
         return True
 
-    def _terms(self, h, killing, pairs, chi_p, verts, chi_x) -> tuple:
+    def _terms(self, h, killing, with_energy, pairs, chi_p, verts, chi_x) -> list:
         ends = self.ends[:, pairs]
         if killing:  # phi is the full cutoff and h = chi * fn
             phi_p, h_p = self.full[ends], chi_p * h[ends]
             phi_x, h_x = self.full[verts], chi_x * h[verts]
         else:
             phi_p, h_p, phi_x, h_x = chi_p, h[ends], chi_x, h[verts]
-        return _energy_terms(phi_p, h_p, self.w[pairs], phi_x, h_x, self.q.c_total[verts])
+        return _energy_terms(
+            phi_p, h_p, self.w[pairs], phi_x, h_x, self.q.c_total[verts], with_energy
+        )
 
-    def level_sums(self, h: np.ndarray, killing: bool) -> list:
+    def level_sums(self, h: np.ndarray, killing: bool, energy=None) -> list:
         """Per level k, the exact sums (Q(chi_k h), Q(chi_k h^2, chi_k)) for the main
-        part, or (Q(g), Q(g^2, 1)) with g = chi_k h for the killing part."""
-        return list(zip(*(
+        part, or (Q(g), Q(g^2, 1)) with g = chi_k h for the killing part.
+
+        Given ``energy``, the first sums already known, only the second are evaluated.
+        """
+        sums = [
             [math.fsum(parts) for parts in _running_sums(terms, self.slot, self.levels)]
-            for terms in self._terms(h, killing, *self.rows)
-        )))
+            for terms in self._terms(h, killing, energy is None, *self.rows)
+        ]
+        if energy is not None:
+            sums.insert(0, energy)
+        return list(zip(*sums))
 
     def per_level_cutoffs(self):
         return map(self.cutoff, range(self.levels))
@@ -318,7 +330,9 @@ def main_part(q: GraphForm, ex: Exhaustion, f, rel_tol: float = 1e-8) -> PartRes
     """
     walk = _walk(q, ex, f)
     if walk.fast:
-        trace = [a - b for a, b in walk.level_sums(walk.f, killing=False)]
+        sums = walk.level_sums(walk.f, killing=False)
+        walk.energy = [a for a, _ in sums]
+        trace = [a - b for a, b in sums]
     else:
         trace = [_truncated(q, chi, walk.f)[1] for chi in walk.per_level_cutoffs()]
     converged = walk.monotone and (walk.saturated or increments_settled(trace, rel_tol))
@@ -348,8 +362,8 @@ def killing_part(
     """
     walk = _walk(q, ex, f)
     f = walk.f
+    top = float(np.max(np.abs(f)))
     if clamp_levels is None:
-        top = float(np.max(np.abs(f)))
         clamp_levels = [top if top > 0 else 1.0]
     clamp_levels = list(clamp_levels)
     if not clamp_levels:
@@ -360,11 +374,16 @@ def killing_part(
         raise ValueError("clamp levels must be nondecreasing")
     # main(g) is attained at the full admissible cutoff on a finite truncation,
     # and Q(full * g) is Q(g) bit for bit because g vanishes off the active set.
+    # At a level >= max|f|, fn is f and each term of Q(g) = Q(chi f) is the float
+    # main_part formed (1.0 * (chi f) is chi f, and masked zeros keep their sign),
+    # so the level sums main_part left on the walk are reused.
     grid = []
     for level in clamp_levels:
-        fn = np.clip(f, -level, level)
+        whole = level >= top
+        fn = f if whole else np.clip(f, -level, level)
         if walk.fast:
-            grid.append([e - (e - b) for e, b in walk.level_sums(fn, killing=True)])
+            known = walk.energy if whole else None
+            grid.append([e - (e - b) for e, b in walk.level_sums(fn, True, known)])
             continue
         row = []
         for chi in walk.per_level_cutoffs():
@@ -372,7 +391,7 @@ def killing_part(
             row.append(energy - main)
         grid.append(row)
     value = grid[-1][-1]
-    saturated = walk.saturated and clamp_levels[-1] >= float(np.max(np.abs(f)))
+    saturated = walk.saturated and clamp_levels[-1] >= top
     converged = walk.monotone and (saturated or increments_settled(grid[-1], rel_tol))
     return PartResult(value=value, trace=grid, converged=converged)
 

@@ -13,7 +13,22 @@ Approximating forms use the algebraic identity (I - alpha G_alpha) = G_alpha L,
 
 which avoids the catastrophic cancellation of the textbook expression at large
 alpha and keeps the alpha -> infinity ladder accurate to near machine
-precision.
+precision.  Each such value costs one solve of (K + alpha M) w = K v, by one of
+two routes chosen from the data.  Split K + alpha M = D_alpha - W into its
+diagonal and off-diagonal parts and let
+
+    rho(alpha) = max_i sum_{j != i} |K_ij| / (K_ii + alpha m_i).
+
+When every K_ii + alpha m_i is positive and finite and rho <= 1/2 (on an
+M-matrix, whenever alpha m_i >= K_ii for all i, which the default ladder's
+rungs above the generator norm satisfy), w is the Neumann series
+
+    w = sum_{k=0}^{N} (D_alpha^{-1} W)^k D_alpha^{-1} K v,
+
+cut at the least N with (1 + rho) rho^(N+1) / (1 - rho) <= 2^-53: its tail is
+then below unit roundoff relative to max |w|, and N <= 54.  Otherwise, a
+non-finite weight included, w comes from the sparse LU factor that every other
+solve uses.
 """
 
 from __future__ import annotations
@@ -25,6 +40,24 @@ import numpy as np
 import scipy.sparse as sp
 
 from .forms import GraphForm, increments_settled
+
+#: Unit roundoff of float64, the relative size of the Neumann series' cut tail.
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _checked_vector(x, size: int, what: str = "values") -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (size,):
+        raise ValueError(f"expected {size} {what}, got {x.shape}")
+    return x
+
+
+def _series_terms(rho: float) -> int:
+    """Least N >= 0 with (1 + rho) rho^(N+1) / (1 - rho) <= 2^-53, for 0 <= rho <= 1/2."""
+    terms, tail = 0, (1.0 + rho) * rho / (1.0 - rho)
+    while tail > _UNIT_ROUNDOFF:
+        terms, tail = terms + 1, tail * rho
+    return terms
 
 
 @dataclass
@@ -127,9 +160,11 @@ class ResolventHandle:
     """Resolvent applications for one generator through one sparse LU factor.
 
     Every solve of (K + alpha M) w = rhs goes through a SuperLU factorization
-    of K + alpha M with minimum-degree ordering on A^T + A.  The factor of the
-    most recent alpha is kept, so repeated solves at one alpha factor once; a
-    new alpha releases the old factor before the new one is built.  The CSC
+    of K + alpha M with minimum-degree ordering on A^T + A, except that
+    approximating forms take the Neumann series where alpha dominates the
+    diagonal (see the module docstring).  The factor of the most recent alpha
+    is kept, so repeated solves at one alpha factor once; a new alpha releases
+    the old factor before the new one is built.  The CSC
     pattern of K + alpha M does not depend on alpha, so one CSC matrix is
     built per handle and a new alpha only refreshes its diagonal values.
     """
@@ -141,6 +176,7 @@ class ResolventHandle:
         self._base = self._shifted.data.copy()
         self._alpha = None
         self._lu = None
+        self._split = None
 
     @property
     def dim(self) -> int:
@@ -169,6 +205,36 @@ class ResolventHandle:
         """Solve (K + alpha M) w = rhs for a vector rhs."""
         return self._factor(alpha).solve(rhs)
 
+    def _splitting(self) -> tuple:
+        """K's diagonal, W = -(K's off-diagonal part) and W's absolute row sums.
+
+        Built on first use: only approximating forms need it.
+        """
+        if self._split is None:
+            K = self.generator.stiffness
+            W = -K
+            W.setdiag(0.0)
+            W.eliminate_zeros()
+            self._split = K.diagonal(), W, abs(W) @ np.ones(self.dim)
+        return self._split
+
+    def _series_solve(self, alpha: float, rhs: np.ndarray):
+        """Neumann-series solution of (K + alpha M) w = rhs, or None when the shift
+        does not dominate: some K_ii + alpha m_i is not positive and finite, or
+        rho(alpha) > 1/2 or NaN (see the module docstring)."""
+        diag, W, offsum = self._splitting()
+        d = diag + alpha * self.generator.mass
+        if not np.all((d > 0.0) & (d < math.inf)):
+            return None
+        rho = float((offsum / d).max(initial=0.0))
+        if not rho <= 0.5:
+            return None
+        # x_{k+1} = D^{-1} (rhs + W x_k) from x_0 = D^{-1} rhs is the partial sum to k + 1.
+        w = rhs / d
+        for _ in range(_series_terms(rho)):
+            w = (rhs + W @ w) / d
+        return w
+
     # -- resolvent operations ------------------------------------------------
 
     def restrict(self, f_full: np.ndarray) -> np.ndarray:
@@ -183,9 +249,7 @@ class ResolventHandle:
         """u = G_alpha f on active coordinates: (K + alpha M) u = M f."""
         if not alpha > 0:
             raise ValueError("resolvent parameter alpha must be positive")
-        f = np.asarray(f, dtype=float)
-        if f.shape != (self.dim,):
-            raise ValueError(f"expected {self.dim} active values, got {f.shape}")
+        f = _checked_vector(f, self.dim, "active values")
         return self._solve(alpha, self.generator.mass * f)
 
     def resolvent_matrix(self, alpha: float) -> np.ndarray:
@@ -195,11 +259,21 @@ class ResolventHandle:
         return self._factor(alpha).solve(np.diag(self.generator.mass))
 
     def approximating_bilinear(self, alpha: float, u: np.ndarray, v: np.ndarray) -> float:
-        """E^(alpha)(u, v) = <u, (I - alpha G_alpha) v>_m = <u, G_alpha L v>_m."""
+        """E^(alpha)(u, v) = <u, (I - alpha G_alpha) v>_m = <u, G_alpha L v>_m.
+
+        Each call is one solve of (K + alpha M) w = K v: by the Neumann series when
+        alpha dominates the diagonal (rho(alpha) <= 1/2, at most 55 sparse matvecs,
+        tail below unit roundoff relative to max |w|), otherwise by the handle's LU
+        factor.  So a ladder of distinct alphas factors nothing above the diagonal.
+        """
         if not alpha > 0:
             raise ValueError("resolvent parameter alpha must be positive")
-        w = self._solve(alpha, self.generator.stiffness @ np.asarray(v, dtype=float))
-        return float(np.sum(self.generator.mass * np.asarray(u, dtype=float) * w))
+        u = _checked_vector(u, self.dim, "active values")
+        rhs = self.generator.stiffness @ _checked_vector(v, self.dim, "active values")
+        w = self._series_solve(alpha, rhs)
+        if w is None:
+            w = self._solve(alpha, rhs)
+        return float(np.sum(self.generator.mass * u * w))
 
     def approximating_form(self, alpha: float, f: np.ndarray) -> float:
         """E^(alpha)(f); nonnegative, and alpha E^(alpha)(f) increases to Q(f)."""
@@ -263,7 +337,7 @@ def truncated_coefficients(
     ``phi`` is a function on the full truncation with 0 <= phi <= 1;
     ``partition`` lists pairwise disjoint sets of vertices (ids or indices).
     """
-    phi = np.asarray(phi, dtype=float)
+    phi = _checked_vector(phi, handle.form.n)
     if (phi < -1e-12).any() or (phi > 1 + 1e-12).any():
         raise ValueError("cutoff phi must take values in [0, 1]")
     g = handle.form.graph
@@ -342,8 +416,8 @@ def truncated_form_via_resolvent(
     is only meaningful for functions whose truncated energy is finite; a
     diverging ladder is reported, not raised.
     """
-    phi = np.asarray(phi, dtype=float)
-    f = np.asarray(f, dtype=float)
+    phi = _checked_vector(phi, handle.form.n)
+    f = _checked_vector(f, handle.form.n)
     if (phi < -1e-12).any() or (phi > 1 + 1e-12).any():
         raise ValueError("cutoff phi must take values in [0, 1]")
     if not handle.form.in_domain(phi):

@@ -84,6 +84,51 @@ class TestResolventDomination:
         )
         assert dense == probed == (True, False)
 
+    @pytest.mark.parametrize("cap, certified", [(6, True), (5, False)])
+    def test_certified_exactly_up_to_dense_cap(self, monkeypatch, cap, certified):
+        import graphforms.domination as dom
+
+        monkeypatch.setattr(dom, "DENSE_CAP", cap)
+        pair = dirichlet_neumann_pair(n=6)
+        for p in (pair, FormPair(lower=pair.upper, upper=pair.lower)):
+            _, worst = check_resolvent_domination(p, alphas=(0.5, 10.0))
+            assert worst["certified"] is certified
+        d = check_silverstein(pair).to_dict()
+        assert d["resolvent_certified"] is certified
+        # The flag has its own key; resolvent_worst keeps its three keys.
+        assert sorted(d["resolvent_worst"]) == ["alpha", "kind", "violation"]
+
+
+class TestDisagreementDefect:
+    """(i)/(ii) disagree only as a defect when both verdicts are certificates."""
+
+    @pytest.mark.parametrize(
+        "res_ok, res_certified, defect",
+        [
+            (True, True, True),  # exact comparison says ok, (ii) refutes
+            (True, False, False),  # a probed "ok" is no certificate
+        ],
+    )
+    def test_ok_against_refuted_inequality(self, monkeypatch, res_ok, res_certified, defect):
+        import graphforms.domination as dom
+
+        pair = dirichlet_neumann_pair()
+        reversed_pair = FormPair(lower=pair.upper, upper=pair.lower)  # (ii) refutes
+        worst = {"violation": 0.0, "alpha": 1.0, "kind": "basis", "certified": res_certified}
+        monkeypatch.setattr(dom, "check_resolvent_domination", lambda p: (res_ok, worst))
+        rep = check_silverstein(reversed_pair)
+        assert rep.inequality.certified and not rep.ideal_ok
+        assert bool(rep.defects) is defect
+
+    @pytest.mark.parametrize("res_certified", [True, False])
+    def test_violation_found_is_a_certificate(self, monkeypatch, res_certified):
+        import graphforms.domination as dom
+
+        worst = {"violation": 1.0, "alpha": 1.0, "kind": "probe_0", "certified": res_certified}
+        monkeypatch.setattr(dom, "check_resolvent_domination", lambda p: (False, worst))
+        rep = check_silverstein(dirichlet_neumann_pair())  # (ii) holds
+        assert rep.defects and "disagree" in rep.defects[0]
+
 
 class TestOrderIdeal:
     def test_nested_masks(self):

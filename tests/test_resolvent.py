@@ -1,5 +1,7 @@
 """Resolvent applications, approximating forms, coefficient tables."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -21,7 +23,7 @@ from graphforms import (
 from graphforms.corpus import form_corpus, random_cutoff, zero_killing
 from graphforms.forms import GraphForm
 from graphforms.graph import WeightedGraph
-from graphforms.resolvent import assemble_stiffness
+from graphforms.resolvent import _series_terms, assemble_stiffness
 
 
 def single_vertex_handle(**kw):
@@ -193,7 +195,7 @@ class TestSubMarkov:
 class TestApproximatingForm:
     def test_single_vertex_values(self):
         h = single_vertex_handle()
-        assert h.approximating_form(1.0, np.ones(1)) == pytest.approx(1.2, abs=1e-13)
+        assert h.approximating_form(1.0, np.ones(1)) == 1.2
         assert h.approximating_form(1.0, np.zeros(1)) == 0.0
 
     def test_large_alpha_limit(self):
@@ -310,3 +312,212 @@ class TestLadder:
         h = ResolventHandle(q)
         res = truncated_form_via_resolvent(h, np.ones(3), np.zeros(3))
         assert all(v == 0.0 for v in res.values)
+
+
+def lattice_ball_form(radius, boundary=()):
+    gen = SquareLatticeGenerator()
+    return assemble(truncate(gen, generator_ball(gen, "0,0", radius)), boundary=list(boundary))
+
+
+def lu_bilinear(h, alpha, u, v):
+    """E^(alpha)(u, v) through the handle's LU factor, the route every solve took before."""
+    w = h._solve(alpha, h.generator.stiffness @ v)
+    return float(np.sum(h.generator.mass * u * w)), w
+
+
+def exact_solve(h, alpha, rhs):
+    """(K + alpha M) w = rhs in rational arithmetic, for the float data as given."""
+    K, m, n = h.generator.stiffness.toarray(), h.generator.mass, h.dim
+    rows = [
+        [Fraction(K[i, j]) + (Fraction(alpha) * Fraction(m[i]) if i == j else 0) for j in range(n)]
+        + [Fraction(rhs[i])]
+        for i in range(n)
+    ]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                t = rows[r][c] / rows[c][c]
+                rows[r] = [a - t * b for a, b in zip(rows[r], rows[c])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def dominance_threshold(h):
+    """Least alpha with rho(alpha) <= 1/2: max_i (2 sum_j |K_ij| - K_ii) / m_i."""
+    diag, _, offsum = h._splitting()
+    return float(((2.0 * offsum - diag) / h.generator.mass).max())
+
+
+class TestSeriesRoute:
+    """Approximating forms above the diagonal take the Neumann series."""
+
+    @staticmethod
+    def forms():
+        for q, _ in form_corpus(31, 40, n_max=40):
+            yield q
+        yield lattice_ball_form(12)
+        yield lattice_ball_form(12, boundary=["12,0", "0,5"])
+        yield assemble(make_path(30, 0.7), extra_killing={"v4": 0.3})
+
+    def test_agrees_with_lu_on_every_ladder_rung(self):
+        rng = np.random.default_rng(32)
+        for q in self.forms():
+            h = ResolventHandle(q)
+            for alpha in default_alpha_ladder(h):
+                u, v = rng.uniform(-2, 2, (2, h.dim))
+                rhs = h.generator.stiffness @ v
+                assert h._series_solve(alpha, rhs) is not None
+                lu, w = lu_bilinear(h, alpha, u, v)
+                scale = float(np.sum(np.abs(h.generator.mass * u * w)))
+                assert abs(h.approximating_bilinear(alpha, u, v) - lu) <= 1e-14 * scale
+
+    def test_within_four_units_of_the_exact_solution(self):
+        rng = np.random.default_rng(33)
+        worst = 0.0
+        for q, _ in form_corpus(34, 60, n_max=6):
+            h = ResolventHandle(q)
+            if h.dim == 0:
+                continue
+            threshold = dominance_threshold(h)
+            # the default ladder, and alphas where rho is just below 1/2
+            near = [a for a in (threshold * 1.000001, threshold * 1.1) if a > 0]
+            alphas = default_alpha_ladder(h)[:3] + near
+            for alpha in alphas:
+                rhs = h.generator.stiffness @ rng.uniform(-2, 2, h.dim)
+                w = h._series_solve(alpha, rhs)
+                if w is None:
+                    assert not alpha > threshold
+                    continue
+                exact = exact_solve(h, alpha, rhs)
+                top = max(abs(e) for e in exact)
+                if top == 0:
+                    assert not w.any()
+                    continue
+                err = max(abs(Fraction(float(x)) - e) for x, e in zip(w, exact))
+                worst = max(worst, float(err / top) * 2.0**53)
+        assert worst <= 4.0
+
+    def test_term_count_is_the_least_that_reaches_unit_roundoff(self):
+        def tail(rho, n):
+            rho = Fraction(rho)
+            return (1 + rho) * rho ** (n + 1) / (1 - rho)
+
+        unit = Fraction(2) ** -53
+        assert _series_terms(0.0) == 0
+        assert _series_terms(0.5) == 54
+        for rho in (1e-300, 1e-17, 1e-8, 0.01, 0.1, 0.25, 0.3, 0.4649, 0.49, 0.5):
+            n = _series_terms(rho)
+            assert tail(rho, n) <= unit
+            assert n == 0 or tail(rho, n - 1) > unit
+
+    def test_below_the_diagonal_takes_the_lu(self):
+        # Without killing and boundary, sum_j |K_ij| = K_ii, so rho > 1/2 exactly
+        # when alpha m_i < K_ii for some i.
+        rng = np.random.default_rng(35)
+        for q in (assemble(make_path(7, 0.5)), lattice_ball_form(4)):
+            h = ResolventHandle(q)
+            threshold = dominance_threshold(h)
+            diag = h._splitting()[0]
+            assert threshold == float((diag / h.generator.mass).max())
+            u, v = rng.uniform(-2, 2, (2, h.dim))
+            rhs = h.generator.stiffness @ v
+            for alpha in (1e-3, 0.5 * threshold, threshold * (1 - 1e-12)):
+                assert h._series_solve(alpha, rhs) is None
+                assert h.approximating_bilinear(alpha, u, v) == lu_bilinear(h, alpha, u, v)[0]
+            assert h._series_solve(threshold * (1 + 1e-12), rhs) is not None
+
+    def test_rho_just_above_one_half_takes_the_lu(self):
+        # Killing on a path: rho sits below 1 for every alpha, and crosses 1/2 at
+        # the threshold.
+        h = ResolventHandle(assemble(make_path(5, 1.0), extra_killing={"v2": 0.3}))
+        threshold = dominance_threshold(h)
+        diag, _, offsum = h._splitting()
+        rhs = h.generator.stiffness @ np.linspace(-1, 1, h.dim)
+        for alpha, taken in ((threshold * (1 - 1e-9), False), (threshold * (1 + 1e-9), True)):
+            rho = float((offsum / (diag + alpha * h.generator.mass)).max())
+            assert (rho <= 0.5) is taken
+            assert (h._series_solve(alpha, rhs) is not None) is taken
+
+    @pytest.mark.parametrize("weight", ["edge", "killing"])
+    def test_non_finite_weight_takes_the_lu(self, monkeypatch, weight):
+        edges = [("a", "b", np.inf if weight == "edge" else 1.0), ("b", "c", 1.0)]
+        c = [np.inf if weight == "killing" else 0.0, 0.0, 0.0]
+        h = ResolventHandle(assemble(WeightedGraph(["a", "b", "c"], [1.0] * 3, c, edges)))
+        solved = []
+        monkeypatch.setattr(h, "_solve", lambda alpha, rhs: solved.append(alpha) or rhs)
+        with np.errstate(invalid="ignore"):
+            assert h._series_solve(1e6, h.generator.stiffness @ np.ones(3)) is None
+            h.approximating_bilinear(1e6, np.ones(3), np.ones(3))
+        assert solved == [1e6]
+
+    def test_no_edges_is_one_division(self):
+        g = WeightedGraph(["a", "b", "c"], [1.0, 2.0, 0.5], [0.3, 0.0, 7.0], [])
+        h = ResolventHandle(assemble(g))
+        rhs = np.array([0.7, -1.1, 3.3])
+        # below the diagonal too: rho = 0 there
+        for alpha in (1e-3, 1.0, 1e3):
+            d = h.generator.stiffness.diagonal() + alpha * h.generator.mass
+            assert np.array_equal(h._series_solve(alpha, rhs), rhs / d)
+
+    def test_ladder_factors_nothing_and_lu_routes_are_unchanged(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        handed = []
+        splu = spla.splu
+
+        def spy(A, **kw):
+            handed.append(kw)
+            return splu(A, **kw)
+
+        q = lattice_ball_form(10, boundary=["10,0"])
+        h = ResolventHandle(q)
+        rng = np.random.default_rng(36)
+        phi = np.clip(rng.uniform(-0.5, 1.5, q.n), 0.0, 1.0) * q.active
+        f = rng.uniform(-2, 2, q.n)
+        monkeypatch.setattr(spla, "splu", spy)
+        truncated_form_via_resolvent(h, phi, f)
+        assert handed == []
+
+        # Every other solve keeps the one LU factor and never reads the series.
+        def refuse(*args):
+            raise AssertionError("series route taken")
+
+        monkeypatch.setattr(ResolventHandle, "_series_solve", refuse)
+        K, m = h.generator.stiffness, h.generator.mass
+        for alpha in (1e-2, 1.0, 1e3):
+            lu = splu((K + sp.diags(alpha * m)).tocsc(), permc_spec="MMD_AT_PLUS_A")
+            x = rng.uniform(-1, 1, h.dim)
+            assert np.array_equal(h.apply(alpha, x), lu.solve(m * x))
+            assert np.array_equal(h.resolvent_matrix(alpha), lu.solve(np.diag(m)))
+            truncated_coefficients(h, alpha, phi, [["0,0"], ["1,0", "0,1"]])
+        assert len(handed) == 3
+
+
+class TestVectorSizes:
+    """Every entry point rejects a vector of the wrong length with apply's message."""
+
+    @staticmethod
+    def handle():
+        # n = 13 vertices, 12 active
+        return ResolventHandle(lattice_ball_form(2, boundary=["2,0"]))
+
+    def test_approximating_bilinear(self):
+        h = self.handle()
+        ok = np.ones(h.dim)
+        for u, v in ((np.ones(1), ok), (ok, np.ones(1)), (ok, np.ones(h.dim + 1))):
+            with pytest.raises(ValueError, match=r"expected 12 active values, got \(\d+,\)"):
+                h.approximating_bilinear(2.0, u, v)
+
+    def test_truncated_form_via_resolvent(self):
+        h = self.handle()
+        phi = h.extend(np.full(h.dim, 0.5))
+        with pytest.raises(ValueError, match=r"expected 13 values, got \(1,\)"):
+            truncated_form_via_resolvent(h, phi, np.ones(1))
+        with pytest.raises(ValueError, match=r"expected 13 values, got \(12,\)"):
+            truncated_form_via_resolvent(h, phi[:12], np.ones(13))
+
+    @pytest.mark.parametrize("size", [1, 14])
+    def test_truncated_coefficients(self, size):
+        with pytest.raises(ValueError, match=rf"expected 13 values, got \({size},\)"):
+            truncated_coefficients(self.handle(), 1.0, np.full(size, 0.5), [["0,0"]])
