@@ -2,7 +2,7 @@
 
 Subcommands: validate, decompose, dominate, counterexample, classify,
 selftest.  Reports are emitted as JSON (byte-identical for identical
-arguments and seed) or as plain text.  Exit status: 0 on success or pass,
+arguments) or as plain text.  Exit status: 0 on success or pass,
 1 when a check fails, 2 on usage or IO problems, 3 when the computation
 itself fails (a singular or unstable solve, overflow, or memory).
 """
@@ -119,7 +119,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_dominate(args) -> int:
     lower = assemble(_load_graph_arg(args.lower), boundary=_boundary_list(args.lower_boundary))
     upper = assemble(_load_graph_arg(args.upper), boundary=_boundary_list(args.upper_boundary))
-    report = check_silverstein(FormPair(lower=lower, upper=upper), seed=args.seed)
+    report = check_silverstein(FormPair(lower=lower, upper=upper))
     d = report.to_dict()
     d["config"] = {"lower": args.lower, "upper": args.upper, "seed": args.seed}
     text = "\n".join(
@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("upper")
     p.add_argument("--lower-boundary", default="", dest="lower_boundary")
     p.add_argument("--upper-boundary", default="", dest="upper_boundary")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=42, help="kept for compatibility; unused")
     p.set_defaults(handler=_cmd_dominate)
 
     p = add_parser("counterexample", help="reproduce the no-maximal-extension study")

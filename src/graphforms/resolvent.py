@@ -20,8 +20,8 @@ diagonal and off-diagonal parts and let
     rho(alpha) = max_i sum_{j != i} |K_ij| / (K_ii + alpha m_i).
 
 When every K_ii + alpha m_i is positive and finite and rho <= 1/2 (on an
-M-matrix, whenever alpha m_i >= K_ii for all i, which the default ladder's
-rungs above the generator norm satisfy), w is the Neumann series
+M-matrix, whenever alpha m_i >= K_ii for all i, and every rung of the default
+ladder has rho < 1/3), w is the Neumann series
 
     w = sum_{k=0}^{N} (D_alpha^{-1} W)^k D_alpha^{-1} K v,
 
@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .forms import GraphForm, increments_settled
+from .forms import GraphForm, as_function, increments_settled
+from .reflection import _check_cutoff
 
 #: Unit roundoff of float64, the relative size of the Neumann series' cut tail.
 _UNIT_ROUNDOFF = 2.0**-53
@@ -80,21 +81,10 @@ class GeneratorOperator:
         """<L f, g>_m = f^T K g."""
         return float(f @ (self.stiffness @ g))
 
-    def norm_estimate(self, steps: int = 50, seed: int = 0) -> float:
-        """Spectral radius of L by power iteration on M^{-1/2} K M^{-1/2}."""
-        rng = np.random.default_rng(seed)
-        s = 1.0 / np.sqrt(self.mass)
-        v = rng.standard_normal(self.dim)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(steps):
-            w = s * (self.stiffness @ (s * v))
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return 0.0
-            lam = float(v @ w)
-            v = w / nw
-        return abs(lam)
+    def norm_estimate(self) -> float:
+        """Gershgorin bound max_i sum_j |K_ij| / m_i >= spectral radius of L; inf or NaN
+        for a non-finite weight."""
+        return float((abs(self.stiffness) @ np.ones(self.dim) / self.mass).max(initial=0.0))
 
 
 def assemble_stiffness(form: GraphForm) -> sp.csr_matrix:
@@ -281,8 +271,12 @@ class ResolventHandle:
 
 
 def default_alpha_ladder(handle: ResolventHandle, rungs: int = 8, base: float = 10.0):
-    """Geometric alpha ladder anchored one unit above the generator norm."""
-    alpha0 = 1.0 + handle.generator.norm_estimate()
+    """Geometric alpha ladder from one unit above the generator's Gershgorin bound, where
+    rho(alpha) < 1/3 on an M-matrix K with nonnegative row sums."""
+    bound = handle.generator.norm_estimate()
+    if not math.isfinite(bound):
+        raise ValueError("the generator norm bound is not finite; check the weights")
+    alpha0 = 1.0 + bound
     return [alpha0 * base**k for k in range(rungs)]
 
 
@@ -334,12 +328,11 @@ def truncated_coefficients(
 ) -> CoefficientTable:
     """Coefficient families for a cutoff phi and disjoint active vertex sets.
 
-    ``phi`` is a function on the full truncation with 0 <= phi <= 1;
+    ``phi`` is a cutoff as ``truncated_form`` takes it: a function on the full
+    truncation with 0 <= phi <= 1 that vanishes off the active set;
     ``partition`` lists pairwise disjoint sets of vertices (ids or indices).
     """
-    phi = _checked_vector(phi, handle.form.n)
-    if (phi < -1e-12).any() or (phi > 1 + 1e-12).any():
-        raise ValueError("cutoff phi must take values in [0, 1]")
+    phi = _check_cutoff(handle.form, _checked_vector(phi, handle.form.n))
     g = handle.form.graph
     sets = []
     taken = set()
@@ -416,12 +409,9 @@ def truncated_form_via_resolvent(
     is only meaningful for functions whose truncated energy is finite; a
     diverging ladder is reported, not raised.
     """
-    phi = _checked_vector(phi, handle.form.n)
-    f = _checked_vector(f, handle.form.n)
-    if (phi < -1e-12).any() or (phi > 1 + 1e-12).any():
-        raise ValueError("cutoff phi must take values in [0, 1]")
-    if not handle.form.in_domain(phi):
-        raise ValueError("cutoff phi must vanish off the active set")
+    # apply's size message first, then the checks of truncated_form
+    phi = _check_cutoff(handle.form, _checked_vector(phi, handle.form.n))
+    f = as_function(handle.form.graph, _checked_vector(f, handle.form.n))
     if alpha_ladder is None:
         alpha_ladder = default_alpha_ladder(handle)
     pf = handle.restrict(phi * f)

@@ -178,11 +178,42 @@ class TestDominate:
         assert code == 1
         assert json.loads(out)["silverstein"] is False
 
-    def test_seeded_determinism(self, good_graph, capsys):
+    def test_incomparable_masks_write_strict_json(self, good_graph, capsys):
+        def refuse(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        _, out, _ = run(
+            capsys,
+            "dominate", good_graph, good_graph,
+            "--lower-boundary", "a", "--upper-boundary", "c",
+        )
+        rep = json.loads(out, parse_constant=refuse)
+        assert rep["extension_ok"] is False and rep["extension_worst"] == 0.0
+
+    def test_seeded_determinism(self, good_graph, lattice, tmp_path, capsys):
         args = ("dominate", good_graph, good_graph, "--seed", "7")
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+        # The seed is only recorded: it changes nothing else in the report,
+        # also where the forms differ on the lower domain.
+        _, gpath, _, _ = lattice
+        heavier = tmp_path / "heavier.json"
+        heavier.write_text(json.dumps(dict(GOOD, edges=[{"u": "a", "v": "b", "b": 2.0}])))
+        for pair in (
+            (good_graph, good_graph),
+            (gpath, gpath, *DOMINATE_LATTICE),
+            (good_graph, str(heavier)),
+        ):
+            reports = [json.loads(run(capsys, "dominate", *pair, "--seed", seed)[1])
+                       for seed in ("1", "2")]
+            assert [r["config"].pop("seed") for r in reports] == [1, 2]
+            assert reports[0] == reports[1]
+
+    def test_seed_help_says_it_is_kept_for_compatibility(self, capsys):
+        code, out, _ = run(capsys, "dominate", "--help")
+        assert code == 0
+        assert "compatibility" in " ".join(out.split())
 
 
 class TestCounterexample:

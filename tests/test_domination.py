@@ -1,9 +1,12 @@
 """Domination criteria, Silverstein extensions, maximality of the main part."""
 
+import math
+
 import numpy as np
 import pytest
 
 from graphforms import (
+    CounterexampleSetup,
     FormPair,
     assemble,
     check_form_inequality_nonneg,
@@ -21,6 +24,7 @@ from graphforms.corpus import (
     saturating_exhaustion,
     zero_killing,
 )
+from graphforms.domination import check_extension
 from graphforms.graph import WeightedGraph
 from graphforms.resolvent import assemble_stiffness
 
@@ -36,6 +40,49 @@ def dense_coefficient_check(pair, tol=1e-10):
     worst = float(D[i, j])
     ids = pair.lower.graph.ids
     return worst, None if worst >= -tol else (ids[idx[i]], ids[idx[j]])
+
+
+def sampled_inequality(pair, samples=200, seed=42, tol=1e-10):
+    """Sampling reference for the cone inequality: (refuted, least gap).
+
+    The least Q(f, g) - Q~(f, g) over seeded uniform nonnegative f, g on the
+    lower mask; it can refute the inequality but never certify it.
+    """
+    rng = np.random.default_rng(seed)
+    idx = np.flatnonzero(pair.lower.active)
+    worst = math.inf
+    for _ in range(samples):
+        f = np.zeros(pair.lower.n)
+        g = np.zeros(pair.lower.n)
+        f[idx] = rng.uniform(0.0, 1.0, size=len(idx))
+        g[idx] = rng.uniform(0.0, 1.0, size=len(idx))
+        worst = min(worst, pair.lower.bilinear(f, g) - pair.upper.bilinear(f, g))
+    return worst < -tol, worst
+
+
+def sampled_extension(pair, samples=50, seed=42, rel_tol=1e-10):
+    """Sampling reference for agreement on the lower domain: (ok, worst).
+
+    Compares the energies of seeded random functions on the lower mask.  A NaN
+    energy (a non-finite weight) slips through max(), so it misreads that case.
+    """
+    rng = np.random.default_rng(seed)
+    idx = np.flatnonzero(pair.lower.active)
+    worst = 0.0
+    for _ in range(samples):
+        f = np.zeros(pair.lower.n)
+        f[idx] = rng.uniform(-2.0, 2.0, size=len(idx))
+        lo = pair.lower.evaluate(f)
+        up = pair.upper.evaluate(f)
+        if math.isinf(up):
+            return False, math.inf
+        worst = max(worst, abs(lo - up) / (1.0 + abs(lo)))
+    return worst <= rel_tol, worst
+
+
+def counterexample_pairs(n):
+    _, base, ext1, ext2 = CounterexampleSetup(n=n).build()
+    return [FormPair(base, ext1), FormPair(base, ext2), FormPair(ext1, base)]
 
 
 def dirichlet_neumann_pair(n=3, h=0.5):
@@ -169,8 +216,8 @@ class TestFormInequality:
         assert res.refuted and res.certified
         assert res.witness["bilinear_gap"] < 0
         # the explicit witness also refutes through plain sampling
-        sampled = check_form_inequality_nonneg(pair, force_sampling=True, samples=500)
-        assert sampled.refuted and not sampled.certified and sampled.method == "sampled"
+        refuted, gap = sampled_inequality(pair, samples=500)
+        assert refuted and gap < 0
 
     def test_sparse_coefficients_match_dense_reference(self):
         g = make_path(5, 1.0)
@@ -195,10 +242,11 @@ class TestFormInequality:
         assert {(1e-10, True, False), (1e-10, False, True), (-0.5, True, True)} <= outcomes
 
     def test_sampling_cannot_certify(self):
-        res = check_form_inequality_nonneg(
-            dirichlet_neumann_pair(), force_sampling=True, samples=50
-        )
-        assert not res.refuted and not res.certified
+        # Sampling finds no violation; only the coefficient path certifies that.
+        pair = dirichlet_neumann_pair()
+        assert not sampled_inequality(pair, samples=50)[0]
+        res = check_form_inequality_nonneg(pair)
+        assert res.ok and res.certified and res.method == "coefficient"
 
 
 class TestSilverstein:
@@ -222,6 +270,63 @@ class TestSilverstein:
         d = rep.to_dict()
         assert d["silverstein"] is True
         assert "inequality_method" in d
+
+
+class TestExtension:
+    """Agreement on the lower domain is equality of the restricted stiffness matrices."""
+
+    def test_matches_sampled_verdict(self):
+        pairs = [p for seed in range(5) for p in domination_pair_corpus(seed, 50)]
+        for n in (5, 51, 201, 301):
+            pairs += counterexample_pairs(n)
+        verdicts = []
+        for pair in pairs:
+            ok, worst = check_extension(pair)
+            assert ok == sampled_extension(pair)[0], worst
+            verdicts.append(ok)
+        assert len(verdicts) >= 250
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_counterexample_extensions(self):
+        ext1, ext2, reversed_pair = counterexample_pairs(51)
+        assert check_extension(ext1) == (True, 0.0)
+        assert check_extension(ext2) == (True, 0.0)
+        assert not check_extension(reversed_pair)[0]
+
+    def test_infinite_lower_weight_fails(self):
+        ids = ["a", "b", "c"]
+        edges = [("a", "b", 1.0), ("b", "c", 1.0)]
+        finite = assemble(WeightedGraph(ids, [1.0] * 3, [0.0] * 3, edges))
+        edges[0] = ("a", "b", math.inf)
+        infinite = assemble(WeightedGraph(ids, [1.0] * 3, [0.0] * 3, edges))
+        for pair in (FormPair(infinite, finite), FormPair(infinite, infinite)):
+            ok, worst = check_extension(pair)
+            assert not ok and math.isnan(worst)
+        # The NaN energies slip through the sampled loop.
+        assert sampled_extension(FormPair(infinite, finite)) == (True, 0.0)
+
+    def test_small_edge_change_fails(self):
+        g = make_path(5, 1.0)
+        edges = [
+            (g.ids[u], g.ids[v], float(b) * (1.0 + 1e-6 if k == 1 else 1.0))
+            for k, (u, v, b) in enumerate(zip(g.edge_u, g.edge_v, g.edge_b))
+        ]
+        changed = assemble(WeightedGraph(g.ids, g.m, g.c, edges), boundary=["v0"])
+        ok, worst = check_extension(FormPair(assemble(g, boundary=["v0"]), changed))
+        assert not ok
+        assert worst == pytest.approx(1e-6, rel=1e-5)
+
+    def test_incomparable_masks_fail_with_a_finite_worst(self):
+        g = make_path(4, 1.0)
+        pair = FormPair(assemble(g, boundary=["v0"]), assemble(g, boundary=["v3"]))
+        ok, worst = check_extension(pair)
+        assert not ok and worst == 0.0
+        rep = check_silverstein(pair)
+        assert not rep.extension_ok and not rep.silverstein
+        assert math.isfinite(rep.to_dict()["extension_worst"])
+
+    def test_nested_masks_are_extensions(self):
+        assert check_extension(dirichlet_neumann_pair()) == (True, 0.0)
 
 
 class TestCriterionEquivalence:

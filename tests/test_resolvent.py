@@ -18,6 +18,7 @@ from graphforms import (
     single_vertex,
     truncate,
     truncated_coefficients,
+    truncated_form,
     truncated_form_via_resolvent,
 )
 from graphforms.corpus import form_corpus, random_cutoff, zero_killing
@@ -171,6 +172,29 @@ class TestGeneratorOperator:
             b = float(np.sum(gen.mass * f * lg))
             assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
             assert float(np.sum(gen.mass * lf * f)) >= -1e-12
+
+    def test_norm_estimate_is_the_gershgorin_bound(self):
+        forms = [q for q, _ in form_corpus(24, 20, n_max=30)] + list(TestCachedPattern.forms())
+        for q in forms:
+            gen = build_generator(q)
+            K = gen.stiffness.toarray()
+            bound = gen.norm_estimate()
+            rows = np.abs(K).sum(axis=1) / gen.mass
+            assert bound == pytest.approx(float(rows.max(initial=0.0)))
+            s = 1.0 / np.sqrt(gen.mass)
+            spectrum = np.linalg.eigvalsh(s[:, None] * K * s[None, :]) if gen.dim else [0.0]
+            assert max(abs(x) for x in spectrum) <= bound * (1 + 1e-12)
+
+    @pytest.mark.parametrize("weight", ["edge", "killing"])
+    def test_non_finite_bound_is_rejected_by_the_ladder(self, weight):
+        edges = [("a", "b", np.inf if weight == "edge" else 1.0), ("b", "c", 1.0)]
+        c = [np.inf if weight == "killing" else 0.0, 0.0, 0.0]
+        h = ResolventHandle(assemble(WeightedGraph(["a", "b", "c"], [1.0] * 3, c, edges)))
+        assert h.generator.norm_estimate() == np.inf
+        with pytest.raises(ValueError, match="norm bound is not finite"):
+            default_alpha_ladder(h)
+        with pytest.raises(ValueError, match="norm bound is not finite"):
+            truncated_form_via_resolvent(h, np.ones(3), np.ones(3))
 
 
 class TestSubMarkov:
@@ -360,6 +384,14 @@ class TestSeriesRoute:
         yield lattice_ball_form(12, boundary=["12,0", "0,5"])
         yield assemble(make_path(30, 0.7), extra_killing={"v4": 0.3})
 
+    def test_every_default_rung_is_below_one_third(self):
+        for q in self.forms():
+            h = ResolventHandle(q)
+            diag, _, offsum = h._splitting()
+            for alpha in default_alpha_ladder(h):
+                rho = float((offsum / (diag + alpha * h.generator.mass)).max(initial=0.0))
+                assert rho <= 1.0 / 3.0
+
     def test_agrees_with_lu_on_every_ladder_rung(self):
         rng = np.random.default_rng(32)
         for q in self.forms():
@@ -521,3 +553,35 @@ class TestVectorSizes:
     def test_truncated_coefficients(self, size):
         with pytest.raises(ValueError, match=rf"expected 13 values, got \({size},\)"):
             truncated_coefficients(self.handle(), 1.0, np.full(size, 0.5), [["0,0"]])
+
+
+class TestNonFiniteInputs:
+    """A non-finite cutoff or function is rejected, as ``truncated_form`` rejects it."""
+
+    handle = staticmethod(TestVectorSizes.handle)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_cutoff(self, bad):
+        h = self.handle()
+        phi = h.extend(np.full(h.dim, 0.5))
+        phi[h.generator.active_index[3]] = bad
+        for check in (
+            lambda: truncated_form_via_resolvent(h, phi, np.ones(13)),
+            lambda: truncated_coefficients(h, 1.0, phi, [["0,0"]]),
+            lambda: truncated_form(h.form, phi, np.ones(13)),
+        ):
+            with pytest.raises(ValueError, match="vertex functions must be finite"):
+                check()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_function(self, bad):
+        h = self.handle()
+        f = np.ones(13)
+        f[5] = bad
+        with pytest.raises(ValueError, match="vertex functions must be finite"):
+            truncated_form_via_resolvent(h, h.extend(np.full(h.dim, 0.5)), f)
+
+    def test_cutoff_off_the_active_set(self):
+        h = self.handle()
+        with pytest.raises(ValueError, match="vanish off the active set"):
+            truncated_coefficients(h, 1.0, np.full(13, 0.5), [["0,0"]])
