@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -89,6 +90,14 @@ class GraphForm:
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @cached_property
+    def stiffness(self):
+        """Full-space stiffness matrix K (``resolvent.assemble_stiffness``), assembled
+        on first use and shared, read-only, by every generator and check on this form."""
+        from .resolvent import assemble_stiffness  # resolvent imports this module
+
+        return assemble_stiffness(self)
 
     def in_domain(self, f: np.ndarray) -> bool:
         return bool(np.all(f[~self.active] == 0.0))

@@ -124,7 +124,7 @@ def build_generator(form: GraphForm) -> GeneratorOperator:
     diagonal entry is stored, zero or not.
     """
     idx = np.flatnonzero(form.active)
-    K_aa = _restrict(assemble_stiffness(form), form.active)
+    K_aa = _restrict(form.stiffness, form.active)
     return GeneratorOperator(K_aa, form.graph.m[idx].copy(), idx)
 
 
@@ -183,6 +183,8 @@ class ResolventHandle:
             A = self._shifted
             A.data[:] = self._base
             A.data[self._diag] += alpha * self.generator.mass
+            if not np.isfinite(A.data).all():
+                raise ValueError("K + alpha M is not finite; check the weights")
             if not A.data[self._diag].all():
                 # K_ii + alpha m_i cancelled or underflowed: drop it, as a sparse sum does
                 A = A.copy()
@@ -193,6 +195,15 @@ class ResolventHandle:
 
     def _solve(self, alpha: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (K + alpha M) w = rhs for a vector rhs."""
+        return self._factor(alpha).solve(rhs)
+
+    def solve_columns(self, alpha: float, rhs: np.ndarray) -> np.ndarray:
+        """Solve (K + alpha M) X = rhs for a (dim, k) array rhs in one call on the factor."""
+        if not alpha > 0:
+            raise ValueError("resolvent parameter alpha must be positive")
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.ndim != 2 or rhs.shape[0] != self.dim:
+            raise ValueError(f"expected {self.dim} rows of right-hand sides, got {rhs.shape}")
         return self._factor(alpha).solve(rhs)
 
     def _splitting(self) -> tuple:
@@ -244,9 +255,7 @@ class ResolventHandle:
 
     def resolvent_matrix(self, alpha: float) -> np.ndarray:
         """Dense matrix of G_alpha on active coordinates, from the LU factor."""
-        if not alpha > 0:
-            raise ValueError("resolvent parameter alpha must be positive")
-        return self._factor(alpha).solve(np.diag(self.generator.mass))
+        return self.solve_columns(alpha, np.diag(self.generator.mass))
 
     def approximating_bilinear(self, alpha: float, u: np.ndarray, v: np.ndarray) -> float:
         """E^(alpha)(u, v) = <u, (I - alpha G_alpha) v>_m = <u, G_alpha L v>_m.

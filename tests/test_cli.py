@@ -225,7 +225,7 @@ class TestCounterexample:
         assert rep["gap"] == pytest.approx(1.0, abs=1e-9)
 
     def test_grid_above_dense_cap(self, capsys):
-        # n = 301 > DENSE_CAP: criterion (i) runs on probes, not full matrices
+        # n = 301: |b| |a| is above the dense budget, so criterion (i) takes the rank-2 hull
         code, out, _ = run(capsys, "counterexample", "--n", "301")
         assert code == 0
         rep = json.loads(out)

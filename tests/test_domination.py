@@ -8,12 +8,16 @@ import pytest
 from graphforms import (
     CounterexampleSetup,
     FormPair,
+    ResolventHandle,
+    SquareLatticeGenerator,
     assemble,
     check_form_inequality_nonneg,
     check_order_ideal,
     check_resolvent_domination,
     check_silverstein,
+    generator_ball,
     make_path,
+    truncate,
     verify_maximality,
 )
 from graphforms.corpus import (
@@ -24,7 +28,7 @@ from graphforms.corpus import (
     saturating_exhaustion,
     zero_killing,
 )
-from graphforms.domination import check_extension
+from graphforms.domination import _DEFAULT_ALPHAS, _max_inner, check_extension
 from graphforms.graph import WeightedGraph
 from graphforms.resolvent import assemble_stiffness
 
@@ -80,6 +84,47 @@ def sampled_extension(pair, samples=50, seed=42, rel_tol=1e-10):
     return worst <= rel_tol, worst
 
 
+def _resolvent_full(handle, alpha):
+    """Resolvent matrix embedded by zero on inactive rows and columns."""
+    n = handle.form.n
+    G = np.zeros((n, n))
+    idx = handle.generator.active_index
+    G[np.ix_(idx, idx)] = handle.resolvent_matrix(alpha)
+    return G
+
+
+def dense_differences(pair, alphas=_DEFAULT_ALPHAS):
+    """Entrywise oracle for criterion (i): |G| - G~ as n x n arrays, one per alpha."""
+    h_low, h_up = ResolventHandle(pair.lower), ResolventHandle(pair.upper)
+    return [np.abs(_resolvent_full(h_low, a)) - _resolvent_full(h_up, a) for a in alphas]
+
+
+def assert_matches_oracle(pair, alphas=_DEFAULT_ALPHAS, tol=1e-9):
+    """A certified criterion (i) against the n x n comparison: the same verdict, and
+    the violation within 1e-12 of the largest entry over the columns it covers."""
+    ok, worst = check_resolvent_domination(pair, alphas=alphas, tol=tol)
+    diffs = dense_differences(pair, alphas)
+    a, b = pair.lower.active, pair.upper.active
+    assert worst["certified"], worst
+    assert ok == (max(D.max() for D in diffs) <= tol), worst
+    # "ideal" reads the columns of G at the lower vertices the upper set lacks.
+    cols = a & ~b if worst["kind"] == "ideal" else a
+    assert abs(worst["violation"] - max(D[:, cols].max() for D in diffs)) <= 1e-12, worst
+    return worst
+
+
+def lattice_pair(radius, rim_boundary=False, killing=None):
+    """Lattice ball forms: lower with a Dirichlet rim or none, upper free with extra
+    killing (a weight for every vertex, or a dict)."""
+    gen = SquareLatticeGenerator()
+    g = truncate(gen, generator_ball(gen, "0,0", radius))
+    rim = [v for v in g.ids if sum(abs(int(t)) for t in v.split(",")) == radius]
+    if killing is not None and not isinstance(killing, dict):
+        killing = {v: killing for v in g.ids}
+    return FormPair(assemble(g, boundary=rim if rim_boundary else []),
+                    assemble(g, extra_killing=killing))
+
+
 def counterexample_pairs(n):
     _, base, ext1, ext2 = CounterexampleSetup(n=n).build()
     return [FormPair(base, ext1), FormPair(base, ext2), FormPair(ext1, base)]
@@ -115,35 +160,215 @@ class TestResolventDomination:
             FormPair(lower=assemble(make_path(3, 1.0)), upper=assemble(make_path(4, 1.0)))
 
     def test_probe_path_agrees_with_dense(self, monkeypatch):
-        # force the probe-based route above DENSE_CAP and compare verdicts
+        # Above the dense budget a pair of rank r > 2 is probed; the verdicts
+        # still match the oracle, but only the violation is a certificate.
         import graphforms.domination as dom
 
-        pair = dirichlet_neumann_pair(n=6)
-        reversed_pair = FormPair(lower=pair.upper, upper=pair.lower)
-        dense = (
-            check_resolvent_domination(pair)[0],
-            check_resolvent_domination(reversed_pair)[0],
-        )
-        monkeypatch.setattr(dom, "DENSE_CAP", 2)
-        probed = (
-            check_resolvent_domination(pair, alphas=(0.5, 1.0, 10.0))[0],
-            check_resolvent_domination(reversed_pair, alphas=(0.5, 1.0, 10.0))[0],
-        )
-        assert dense == probed == (True, False)
+        monkeypatch.setattr(dom, "DENSE_BUDGET", 0)
+        killing = lattice_pair(2, killing=0.1)  # r = n = 13
+        for pair, verdict in ((FormPair(killing.upper, killing.lower), True), (killing, False)):
+            ok, worst = check_resolvent_domination(pair, alphas=(0.5, 1.0, 10.0))
+            whole = max(D.max() for D in dense_differences(pair, (0.5, 1.0, 10.0)))
+            assert ok == (whole <= 1e-9) == verdict
+            assert worst["kind"].startswith("probe_") and not worst["certified"]
 
-    @pytest.mark.parametrize("cap, certified", [(6, True), (5, False)])
-    def test_certified_exactly_up_to_dense_cap(self, monkeypatch, cap, certified):
+    @pytest.mark.parametrize("offset", [0, -1], ids=["within", "above"])
+    def test_route_follows_rank_and_budget(self, monkeypatch, offset):
+        # The route depends on r and on |b| |a| against the budget, not on n.
         import graphforms.domination as dom
 
-        monkeypatch.setattr(dom, "DENSE_CAP", cap)
-        pair = dirichlet_neumann_pair(n=6)
-        for p in (pair, FormPair(lower=pair.upper, upper=pair.lower)):
-            _, worst = check_resolvent_domination(p, alphas=(0.5, 10.0))
-            assert worst["certified"] is certified
-        d = check_silverstein(pair).to_dict()
-        assert d["resolvent_certified"] is certified
+        cases = [  # (pair, |b| |a|, route within the budget, route above it)
+            (dirichlet_neumann_pair(n=6), 6 * 4, "product", "rank2"),
+            (lattice_pair(3, rim_boundary=True), 25 * 13, "product", None),  # r = 12 < |a|
+            (lattice_pair(2, killing=0.1), 13 * 13, "blocks", None),  # r = |a|
+        ]
+        for pair, size, within, above in cases:
+            monkeypatch.setattr(dom, "DENSE_BUDGET", size + offset)
+            kind = within if offset == 0 else above
+            if kind is None:
+                _, worst = check_resolvent_domination(pair, alphas=(0.5, 10.0))
+                assert worst["kind"].startswith("probe_") and not worst["certified"]
+            else:
+                assert assert_matches_oracle(pair, alphas=(0.5, 10.0))["kind"] == kind
+        monkeypatch.setattr(dom, "DENSE_BUDGET", cases[1][1] + offset)
+        d = check_silverstein(cases[1][0]).to_dict()
+        assert d["resolvent_certified"] is (offset == 0)
         # The flag has its own key; resolvent_worst keeps its three keys.
         assert sorted(d["resolvent_worst"]) == ["alpha", "kind", "violation"]
+
+
+class TestIdentityRoutes:
+    """Criterion (i) through E G - G~ E = U V^T M_a against the n x n comparison."""
+
+    def test_corpus_matches_dense_oracle(self):
+        kinds = set()
+        for seed in range(5):
+            for pair in domination_pair_corpus(seed, 50):
+                kinds.add(assert_matches_oracle(pair)["kind"])
+        assert kinds >= {"ideal", "rank0", "rank1", "product", "blocks"}
+
+    @pytest.mark.parametrize("n, kind", [(51, "product"), (201, "product"),
+                                         (255, "product"), (301, "rank2")])
+    def test_counterexample_pairs_certified(self, n, kind):
+        ext1, ext2, reversed_pair = counterexample_pairs(n)
+        assert assert_matches_oracle(ext1)["kind"] == kind
+        assert assert_matches_oracle(ext2)["kind"] == kind
+        assert assert_matches_oracle(reversed_pair)["kind"] == "ideal"
+
+    def test_rank2_hull_below_the_budget(self, monkeypatch):
+        import graphforms.domination as dom
+
+        monkeypatch.setattr(dom, "DENSE_BUDGET", 0)
+        pairs = counterexample_pairs(51)[:2] + [dirichlet_neumann_pair(n=7)]
+        pairs += domination_pair_corpus(3, 30)
+        kinds = [check_resolvent_domination(p, alphas=(1.0,))[1]["kind"] for p in pairs]
+        assert kinds[:3] == ["rank2"] * 3 and kinds.count("rank2") >= 6
+        for pair, kind in zip(pairs, kinds):
+            if kind == "rank2":
+                assert_matches_oracle(pair)
+
+    def test_lower_set_outside_the_upper_one(self):
+        pair = dirichlet_neumann_pair()
+        worst = assert_matches_oracle(FormPair(lower=pair.upper, upper=pair.lower))
+        assert worst["kind"] == "ideal" and worst["violation"] > 1e-9
+        # a \ b = {v2} is position 1 of a's coordinates, not position 0
+        g = make_path(4, 1.0)
+        pair = FormPair(assemble(g, boundary=["v0"]), assemble(g, boundary=["v2"]))
+        assert assert_matches_oracle(pair)["kind"] == "ideal"
+
+    def test_ideal_covers_every_vertex_the_upper_set_lacks(self, monkeypatch):
+        # G's column at v0 is m_0 A^{-1} e_0, below tol for a tiny m_0; the one
+        # at v3 is not.  Chunks of one column each read the same maximum.
+        import graphforms.domination as dom
+
+        g = make_path(4, 1.0)
+        g = WeightedGraph(g.ids, [1e-12, 1.0, 1.0, 1.0], g.c, [("v0", "v1", 1.0),
+                          ("v1", "v2", 1.0), ("v2", "v3", 1.0)])
+        pair = FormPair(assemble(g), assemble(g, boundary=["v0", "v3"]))
+        worst = assert_matches_oracle(pair)
+        assert worst["kind"] == "ideal" and worst["violation"] > 1e-9
+        monkeypatch.setattr(dom, "DENSE_BUDGET", 1)
+        assert assert_matches_oracle(pair) == worst
+        rep = check_silverstein(pair)
+        assert not rep.resolvent_ok and not rep.defects
+
+    def test_ideal_ok_is_no_certificate(self):
+        # Only the tiny-measure vertex is masked: its column stays below tol, but
+        # the columns both sets share hold the violation, which "ideal" never reads.
+        g = make_path(3, 1.0)
+        g = WeightedGraph(g.ids, [1e-12, 1.0, 1.0], g.c, [("v0", "v1", 1.0), ("v1", "v2", 1.0)])
+        pair = FormPair(assemble(g), assemble(g, boundary=["v0"]))
+        ok, worst = check_resolvent_domination(pair)
+        assert ok and worst["kind"] == "ideal" and not worst["certified"]
+        assert max(D.max() for D in dense_differences(pair)) > 1e-9
+        rep = check_silverstein(pair)
+        assert not rep.ideal_ok and rep.resolvent_ok and not rep.defects
+
+    def test_equal_stiffness_is_rank0(self):
+        g = make_path(5, 1.0)
+        for lower, upper in ((assemble(g), assemble(g)),
+                             (assemble(g, boundary=["v0"]), assemble(g, boundary=["v0"]))):
+            ok, worst = check_resolvent_domination(FormPair(lower, upper))
+            assert ok and worst == {"violation": 0.0, "alpha": None, "kind": "rank0",
+                                    "certified": True}
+            assert assert_matches_oracle(FormPair(lower, upper))["kind"] == "rank0"
+
+    def test_disconnected_upper_graph(self):
+        # two components: G~ vanishes between them, and so does G
+        ids = [f"v{i}" for i in range(6)]
+        edges = [("v0", "v1", 1.0), ("v1", "v2", 0.5), ("v3", "v4", 2.0), ("v4", "v5", 1.0)]
+        m, c = [1.0, 0.5, 2.0, 1.0, 1.5, 0.7], [0.0, 0.2, 0.0, 0.0, 0.0, 0.1]
+        g = WeightedGraph(ids, m, c, edges)
+        for boundary in (["v0"], ["v2", "v3"], ["v0", "v1", "v2"]):
+            assert_matches_oracle(FormPair(assemble(g, boundary=boundary), assemble(g)))
+        worst = assert_matches_oracle(FormPair(assemble(g), assemble(g, extra_killing={"v4": 1.0})))
+        assert worst["kind"] == "rank1" and worst["violation"] > 1e-9
+
+    def test_violating_lattice_pair(self):
+        pair = lattice_pair(3, killing=0.1)
+        worst = assert_matches_oracle(pair)
+        assert worst["kind"] == "blocks" and worst["violation"] > 1e-9
+        # one killed vertex beats the Dirichlet rim on the diagonal there
+        worst = assert_matches_oracle(lattice_pair(4, rim_boundary=True, killing={"0,0": 1.0}))
+        assert worst["kind"] == "product" and worst["violation"] > 1e-9  # r = 17 < |a| = 25
+
+
+class TestCriterionInputs:
+    """Criterion (i) needs M-matrices; other weights get a classified error."""
+
+    def test_infinite_weight(self):
+        ids = ["a", "b", "c"]
+        finite, infinite = (
+            assemble(WeightedGraph(ids, [1.0] * 3, [0.0] * 3, [("a", "b", w), ("b", "c", 1.0)]))
+            for w in (1.0, math.inf)
+        )
+        for pair in (FormPair(infinite, finite), FormPair(finite, infinite),
+                     FormPair(infinite, infinite)):
+            for check in (check_resolvent_domination, check_silverstein):
+                with pytest.raises(ValueError, match="not finite; check the weights"):
+                    check(pair)
+
+    def test_negative_weight(self):
+        g = make_path(3, 1.0)
+        negative = assemble(WeightedGraph(g.ids, g.m, g.c, [("v0", "v1", -0.5), ("v1", "v2", 0.5)]))
+        with pytest.raises(ValueError, match="nonnegative weights and a positive measure"):
+            check_resolvent_domination(FormPair(negative, assemble(g)))
+
+    def test_stiffness_assembled_once_per_form(self, monkeypatch):
+        import graphforms.resolvent as res
+
+        assembled = []
+        original = res.assemble_stiffness
+
+        def spy(form):
+            assembled.append(form)
+            return original(form)
+
+        monkeypatch.setattr(res, "assemble_stiffness", spy)
+        pair = lattice_pair(2, killing=0.1)
+        check_silverstein(pair)
+        assert assembled == [pair.lower, pair.upper]
+        # The counterexample's base form is shared by its pairs and assembled once.
+        assembled.clear()
+        pairs = counterexample_pairs(11)
+        for pair in pairs:
+            check_silverstein(pair)
+        assert assembled == [pairs[0].lower, pairs[0].upper, pairs[1].upper]
+
+
+class TestMaxInner:
+    """The rank-1 extremes and the rank-2 hull against brute force."""
+
+    @pytest.mark.parametrize("kind", ["rank1", "rank2"])
+    def test_matches_brute_force(self, kind):
+        rng = np.random.default_rng(0)
+        r = int(kind[-1])
+        for k in range(200):
+            nu, nw = (int(x) for x in rng.integers(1, 40, size=2))
+            U, W = rng.normal(size=(nu, r)), rng.normal(size=(nw, r))
+            shape = k % 6
+            if shape == 1:  # collinear
+                W = rng.normal() + np.outer(rng.normal(size=nw), rng.normal(size=r))
+            elif shape == 2:  # one point, repeated
+                W = np.repeat(W[:1], nw, axis=0)
+            elif shape == 3:  # duplicates
+                W = np.repeat(W[: max(1, nw // 3)], 3, axis=0)
+            elif shape == 4:  # ties on a small lattice
+                W = rng.integers(-2, 3, size=(nw, r)).astype(float)
+            elif shape == 5:  # directions of zero length, and all on a circle
+                U[: nu // 2] = 0.0
+                if r == 2:
+                    theta = rng.uniform(0.0, 2.0 * math.pi, nw)
+                    W = np.column_stack([np.cos(theta), np.sin(theta)])
+            assert abs(_max_inner(kind, U, W) - (U @ W.T).max()) <= 1e-12
+
+    def test_hull_that_needs_the_stack_scan(self):
+        # A convex arc ending below a far point: the one-pass drops creep along
+        # the arc one point at a time, so the chain finishes with the stack scan.
+        x = np.linspace(0.0, 1.0, 400)
+        W = np.vstack([np.column_stack([x, x**2]), [[1.0, -100.0]]])
+        U = np.random.default_rng(1).normal(size=(300, 2))
+        assert abs(_max_inner("rank2", U, W) - (U @ W.T).max()) <= 1e-12
 
 
 class TestDisagreementDefect:

@@ -585,3 +585,35 @@ class TestNonFiniteInputs:
         h = self.handle()
         with pytest.raises(ValueError, match="vanish off the active set"):
             truncated_coefficients(h, 1.0, np.full(13, 0.5), [["0,0"]])
+
+
+def infinite_weight_path(weight="edge"):
+    """The 3-vertex path a - b - c with b(a, b) or c(a) infinite."""
+    edges = [("a", "b", np.inf if weight == "edge" else 1.0), ("b", "c", 1.0)]
+    c = [np.inf if weight == "killing" else 0.0, 0.0, 0.0]
+    return assemble(WeightedGraph(["a", "b", "c"], [1.0] * 3, c, edges))
+
+
+class TestFactorInputs:
+    """The LU path rejects what it cannot factor with a classified error."""
+
+    @pytest.mark.parametrize("weight", ["edge", "killing"])
+    def test_infinite_weight_is_a_value_error(self, weight):
+        h = ResolventHandle(infinite_weight_path(weight))
+        for call in (lambda: h.apply(1.0, np.ones(3)),
+                     lambda: h.resolvent_matrix(1.0),
+                     lambda: h.solve_columns(1.0, np.eye(3))):
+            with pytest.raises(ValueError, match="not finite; check the weights"):
+                call()
+
+    def test_solve_columns_matches_column_solves(self):
+        h = ResolventHandle(lattice_ball_form(3, boundary=["3,0"]))
+        rhs = np.random.default_rng(0).normal(size=(h.dim, 5))
+        X = h.solve_columns(0.3, rhs)
+        for j in range(5):
+            np.testing.assert_allclose(X[:, j], h._solve(0.3, rhs[:, j]), rtol=1e-14, atol=1e-15)
+        for bad in (rhs[:, 0], rhs[1:]):
+            with pytest.raises(ValueError, match="rows of right-hand sides"):
+                h.solve_columns(0.3, bad)
+        with pytest.raises(ValueError, match="must be positive"):
+            h.solve_columns(0.0, rhs)
