@@ -94,10 +94,19 @@ class GraphForm:
     @cached_property
     def stiffness(self):
         """Full-space stiffness matrix K (``resolvent.assemble_stiffness``), assembled
-        on first use and shared, read-only, by every generator and check on this form."""
-        from .resolvent import assemble_stiffness  # resolvent imports this module
+        on first use and shared by every generator and check on this form.  Its
+        arrays are read-only, so an in-place write raises instead of reaching them all."""
+        from .resolvent import _freeze, assemble_stiffness  # resolvent imports this module
 
-        return assemble_stiffness(self)
+        return _freeze(assemble_stiffness(self))
+
+    @cached_property
+    def generator(self):
+        """The generator on the active vertices (``resolvent.build_generator``), built
+        on first use and shared, read-only, by every resolvent handle on this form."""
+        from .resolvent import build_generator
+
+        return build_generator(self)
 
     def in_domain(self, f: np.ndarray) -> bool:
         return bool(np.all(f[~self.active] == 0.0))

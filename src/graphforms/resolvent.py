@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,6 +54,11 @@ def _checked_vector(x, size: int, what: str = "values") -> np.ndarray:
     return x
 
 
+def _check_alpha(alpha: float) -> None:
+    if not alpha > 0:
+        raise ValueError("resolvent parameter alpha must be positive")
+
+
 def _series_terms(rho: float) -> int:
     """Least N >= 0 with (1 + rho) rho^(N+1) / (1 - rho) <= 2^-53, for 0 <= rho <= 1/2."""
     terms, tail = 0, (1.0 + rho) * rho / (1.0 - rho)
@@ -61,9 +67,27 @@ def _series_terms(rho: float) -> int:
     return terms
 
 
+def _freeze(x):
+    """Make the arrays of x read-only and return x: an array, a sparse matrix or a
+    tuple of these."""
+    if isinstance(x, tuple):
+        for part in x:
+            _freeze(part)
+    elif sp.issparse(x):
+        for a in (x.data, x.indices, x.indptr):
+            a.flags.writeable = False
+    else:
+        x.flags.writeable = False
+    return x
+
+
 @dataclass
 class GeneratorOperator:
-    """Sparse stiffness/mass data of the generator on the active vertex space."""
+    """Sparse stiffness/mass data of the generator on the active vertex space.
+
+    One operator serves every resolvent handle on its form (``GraphForm.generator``),
+    so its arrays, and the alpha-independent data it caches on first use, are read-only.
+    """
 
     stiffness: sp.csr_matrix
     mass: np.ndarray
@@ -72,6 +96,24 @@ class GeneratorOperator:
     @property
     def dim(self) -> int:
         return len(self.mass)
+
+    @cached_property
+    def shift_pattern(self) -> tuple:
+        """``_shift_pattern`` of the stiffness: the CSC pattern of K + alpha M and
+        its diagonal positions."""
+        return _freeze(_shift_pattern(self.stiffness))
+
+    @cached_property
+    def splitting(self) -> tuple:
+        """K's diagonal, W = -(K's off-diagonal part) and W's absolute row sums.
+
+        Only approximating forms need it.
+        """
+        K = self.stiffness
+        W = -K
+        W.setdiag(0.0)
+        W.eliminate_zeros()
+        return _freeze((K.diagonal(), W, abs(W) @ np.ones(self.dim)))
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """L f = M^{-1} K f on active coordinates."""
@@ -125,7 +167,7 @@ def build_generator(form: GraphForm) -> GeneratorOperator:
     """
     idx = np.flatnonzero(form.active)
     K_aa = _restrict(form.stiffness, form.active)
-    return GeneratorOperator(K_aa, form.graph.m[idx].copy(), idx)
+    return GeneratorOperator(*_freeze((K_aa, form.graph.m[idx].copy(), idx)))
 
 
 def _shift_pattern(K: sp.csr_matrix) -> tuple:
@@ -154,19 +196,22 @@ class ResolventHandle:
     approximating forms take the Neumann series where alpha dominates the
     diagonal (see the module docstring).  The factor of the most recent alpha
     is kept, so repeated solves at one alpha factor once; a new alpha releases
-    the old factor before the new one is built.  The CSC
-    pattern of K + alpha M does not depend on alpha, so one CSC matrix is
-    built per handle and a new alpha only refreshes its diagonal values.
+    the old factor before the new one is built.  The generator and the CSC
+    pattern of K + alpha M do not depend on alpha, so they are built once per
+    form and shared by its handles; a handle owns only the data array that a
+    new alpha refreshes.
     """
 
     def __init__(self, form: GraphForm):
         self.form = form
-        self.generator = build_generator(form)
-        self._shifted, self._diag = _shift_pattern(self.generator.stiffness)
-        self._base = self._shifted.data.copy()
+        self.generator = form.generator
+        pattern, self._diag = self.generator.shift_pattern
+        self._base = pattern.data
+        self._shifted = sp.csc_matrix(
+            (pattern.data.copy(), pattern.indices, pattern.indptr), shape=pattern.shape
+        )
         self._alpha = None
         self._lu = None
-        self._split = None
 
     @property
     def dim(self) -> int:
@@ -199,31 +244,17 @@ class ResolventHandle:
 
     def solve_columns(self, alpha: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (K + alpha M) X = rhs for a (dim, k) array rhs in one call on the factor."""
-        if not alpha > 0:
-            raise ValueError("resolvent parameter alpha must be positive")
+        _check_alpha(alpha)
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim != 2 or rhs.shape[0] != self.dim:
             raise ValueError(f"expected {self.dim} rows of right-hand sides, got {rhs.shape}")
         return self._factor(alpha).solve(rhs)
 
-    def _splitting(self) -> tuple:
-        """K's diagonal, W = -(K's off-diagonal part) and W's absolute row sums.
-
-        Built on first use: only approximating forms need it.
-        """
-        if self._split is None:
-            K = self.generator.stiffness
-            W = -K
-            W.setdiag(0.0)
-            W.eliminate_zeros()
-            self._split = K.diagonal(), W, abs(W) @ np.ones(self.dim)
-        return self._split
-
     def _series_solve(self, alpha: float, rhs: np.ndarray):
         """Neumann-series solution of (K + alpha M) w = rhs, or None when the shift
         does not dominate: some K_ii + alpha m_i is not positive and finite, or
         rho(alpha) > 1/2 or NaN (see the module docstring)."""
-        diag, W, offsum = self._splitting()
+        diag, W, offsum = self.generator.splitting
         d = diag + alpha * self.generator.mass
         if not np.all((d > 0.0) & (d < math.inf)):
             return None
@@ -248,8 +279,7 @@ class ResolventHandle:
 
     def apply(self, alpha: float, f: np.ndarray) -> np.ndarray:
         """u = G_alpha f on active coordinates: (K + alpha M) u = M f."""
-        if not alpha > 0:
-            raise ValueError("resolvent parameter alpha must be positive")
+        _check_alpha(alpha)
         f = _checked_vector(f, self.dim, "active values")
         return self._solve(alpha, self.generator.mass * f)
 
@@ -265,8 +295,7 @@ class ResolventHandle:
         tail below unit roundoff relative to max |w|), otherwise by the handle's LU
         factor.  So a ladder of distinct alphas factors nothing above the diagonal.
         """
-        if not alpha > 0:
-            raise ValueError("resolvent parameter alpha must be positive")
+        _check_alpha(alpha)
         u = _checked_vector(u, self.dim, "active values")
         rhs = self.generator.stiffness @ _checked_vector(v, self.dim, "active values")
         w = self._series_solve(alpha, rhs)
@@ -340,54 +369,53 @@ def truncated_coefficients(
     ``phi`` is a cutoff as ``truncated_form`` takes it: a function on the full
     truncation with 0 <= phi <= 1 that vanishes off the active set;
     ``partition`` lists pairwise disjoint sets of vertices (ids or indices).
+    Vertices of a set off the active set count for nothing.
+
+    The 2k + 2 resolvents behind a table of k sets, of M 1_Aj, M phi 1_Aj,
+    M 1_U and M phi 1_rest, come from one multi-column solve on the handle's
+    factor, and each column of coefficients is one ``np.bincount`` over the
+    set labels of the active members.  Raises ValueError unless alpha > 0.
     """
     phi = _check_cutoff(handle.form, _checked_vector(phi, handle.form.n))
     g = handle.form.graph
-    sets = []
-    taken = set()
+    label = np.full(g.n, -1)  # the set of each vertex, -1 for none
+    k = 0
     for A in partition:
-        idx = [g._resolve(v) for v in A]
-        if taken.intersection(idx):
+        idx = np.fromiter(map(g._resolve, A), dtype=int)
+        if (label[idx] >= 0).any():
             raise ValueError("partition sets must be pairwise disjoint")
-        taken.update(idx)
-        sets.append(np.asarray(idx, dtype=int))
+        label[idx] = k
+        k += 1
 
-    act = handle.generator.active_index
-    pos = {v: i for i, v in enumerate(act)}
-    mass = handle.generator.mass
-    phi_a = phi[act]
+    # Factor before the right-hand sides exist, so they never sit beside its workspace.
+    _check_alpha(alpha)
+    handle._factor(alpha)
+    gen = handle.generator
+    label = label[gen.active_index]
+    rows = np.flatnonzero(label >= 0)  # the active members of U, the union of the sets
+    label = label[rows]
+    mass, phi_mass = gen.mass, gen.mass * phi[gen.active_index]
+    rhs = np.zeros((handle.dim, 2 * k + 2))
+    rhs[rows, label] = mass[rows]
+    rhs[rows, k + label] = phi_mass[rows]
+    rhs[rows, 2 * k] = mass[rows]
+    rhs[:, 2 * k + 1] = phi_mass
+    rhs[rows, 2 * k + 1] = 0.0
+    X = handle.solve_columns(alpha, rhs)[rows]
+    mass, phi_mass = mass[rows], phi_mass[rows]
 
-    def indicator(idx_set):
-        one = np.zeros(handle.dim)
-        for v in idx_set:
-            if v in pos:
-                one[pos[v]] = 1.0
-        return one
+    def set_sums(terms):
+        return np.bincount(label, weights=terms, minlength=k)
 
-    ones = [indicator(A) for A in sets]
-    union = np.clip(np.sum(ones, axis=0), 0.0, 1.0) if ones else np.zeros(handle.dim)
-    rest = 1.0 - union
-
-    k = len(sets)
     b = np.zeros((k, k))
     b_phi = np.zeros((k, k))
-    g_plain = [handle._solve(alpha, mass * one) for one in ones]
-    g_trunc = [handle._solve(alpha, mass * (phi_a * one)) for one in ones]
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            b[i, j] = alpha * float(np.sum(mass * ones[i] * g_plain[j]))
-            b_phi[i, j] = alpha * float(np.sum(mass * (phi_a * ones[i]) * g_trunc[j]))
-
-    gu = handle._solve(alpha, mass * union)
-    grest = handle._solve(alpha, mass * (phi_a * rest))
-    c = np.array(
-        [float(np.sum(mass * ones[i] * (union - alpha * gu))) for i in range(k)]
-    )
-    c_phi = np.array(
-        [alpha * float(np.sum(mass * (phi_a * ones[i]) * grest)) for i in range(k)]
-    )
+    for j in range(k):
+        b[:, j] = alpha * set_sums(mass * X[:, j])
+        b_phi[:, j] = alpha * set_sums(phi_mass * X[:, k + j])
+    np.fill_diagonal(b, 0.0)
+    np.fill_diagonal(b_phi, 0.0)
+    c = set_sums(mass * (1.0 - alpha * X[:, 2 * k]))
+    c_phi = alpha * set_sums(phi_mass * X[:, 2 * k + 1])
     return CoefficientTable(alpha=alpha, b=b, b_phi=b_phi, c=c, c_phi=c_phi)
 
 

@@ -23,7 +23,6 @@ from .domination import FormPair, check_silverstein
 from .forms import GraphForm, assemble
 from .graph import Exhaustion, make_path
 from .reflection import effective_killing, reflected_form
-from .resolvent import build_generator
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +216,7 @@ def classify_recurrence(q: GraphForm, ex: Exhaustion) -> dict:
     # imported here: scipy.sparse.csgraph adds ~0.1 s to `import graphforms`
     from scipy.sparse.csgraph import connected_components
 
-    gen = build_generator(q)
+    gen = q.generator
     K = gen.stiffness
     rows = np.repeat(np.arange(gen.dim), np.diff(K.indptr))
     ceff = effective_killing(q.graph, q.active, q.killing_extra, q.couplings)[gen.active_index]
@@ -365,7 +364,22 @@ def monotone_equivalence_test(
     NOT_REFUTED.  In dimension <= 3 an exhaustive grid over {-1,-0.5,0,0.5,1}^n
     runs first, which makes small-dimension refutations deterministic.  The
     two verdicts must agree whenever the domain is a lattice, as it is here.
+
+    A symmetric A makes q both monotone and nonnegative definite iff A is
+    diagonal with A_ii >= 0.  For i != j and s = sgn(A_ij), f = e_i - s e_j
+    and g = e_i + s e_j have |g| = |f| but q(g) - q(f) = 4 |A_ij|, so
+    monotonicity forces A_ij = 0; and q(e_i, -s e_j) = -|A_ij| with
+    e_i (-s e_j) = 0 pointwise, so nonnegative definiteness forces it too.
+    For a diagonal A >= 0 neither search can find a witness, even in floating
+    point: the computed q(f, g) sums, rounding step by step, the terms
+    fl(f_i A_ii) g_i.  Each term is >= 0 when f g >= 0, and each term of
+    q(f) = q(f, f) grows with |f_i| (rounding is monotone), so q(f) <= q(g)
+    whenever |f| <= |g|.  Such an A, with tol >= 0, gets at once the
+    NOT_REFUTED report that every search would end with.
     """
+    A = spec.matrix
+    if tol >= 0.0 and np.array_equal(A, np.diag(np.diag(A))) and (np.diag(A) >= 0.0).all():
+        return EquivalenceReport(monotone=NOT_REFUTED, nonneg_definite=NOT_REFUTED, agree=True)
     rng = np.random.default_rng(seed)
     mono_witness, nonneg_witness = _grid_witnesses(spec, tol) if spec.dim <= 3 else ({}, {})
 

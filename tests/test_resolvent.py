@@ -8,10 +8,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from graphforms import (
+    Exhaustion,
+    GraphFormatError,
     ResolventHandle,
     SquareLatticeGenerator,
     assemble,
     build_generator,
+    classify_recurrence,
     default_alpha_ladder,
     generator_ball,
     make_path,
@@ -21,6 +24,7 @@ from graphforms import (
     truncated_form,
     truncated_form_via_resolvent,
 )
+from graphforms import resolvent
 from graphforms.corpus import form_corpus, random_cutoff, zero_killing
 from graphforms.forms import GraphForm
 from graphforms.graph import WeightedGraph
@@ -91,7 +95,7 @@ class TestResolventApply:
 
 
 class TestCachedPattern:
-    """K + alpha M is refreshed on a pattern built once per handle."""
+    """K + alpha M is refreshed on a pattern built once per form."""
 
     @staticmethod
     def forms():
@@ -313,6 +317,221 @@ class TestTruncatedCoefficients:
             truncated_coefficients(h, 1.0, np.ones(3), [["v0", "v1"], ["v1"]])
 
 
+def column_loop_coefficients(h, alpha, phi, partition):
+    """(b, b_phi, c, c_phi) from one vector solve per column and dense indicators:
+    the reference for the labelled multi-column table."""
+    act, mass = h.generator.active_index, h.generator.mass
+    pos = {v: i for i, v in enumerate(act)}
+    phi_a = phi[act]
+    ones = []
+    for A in partition:
+        one = np.zeros(h.dim)
+        for v in A:
+            i = pos.get(h.form.graph._resolve(v))
+            if i is not None:
+                one[i] = 1.0
+        ones.append(one)
+    union = np.clip(np.sum(ones, axis=0), 0.0, 1.0) if ones else np.zeros(h.dim)
+    k = len(ones)
+    b, b_phi = np.zeros((k, k)), np.zeros((k, k))
+    g_plain = [h._solve(alpha, mass * one) for one in ones]
+    g_trunc = [h._solve(alpha, mass * (phi_a * one)) for one in ones]
+    for i in range(k):
+        for j in range(k):
+            if i != j:
+                b[i, j] = alpha * float(np.sum(mass * ones[i] * g_plain[j]))
+                b_phi[i, j] = alpha * float(np.sum(mass * (phi_a * ones[i]) * g_trunc[j]))
+    gu = h._solve(alpha, mass * union)
+    grest = h._solve(alpha, mass * (phi_a * (1.0 - union)))
+    c = np.array([float(np.sum(mass * one * (union - alpha * gu))) for one in ones])
+    c_phi = np.array([alpha * float(np.sum(mass * (phi_a * one) * grest)) for one in ones])
+    return b, b_phi, c, c_phi
+
+
+def random_partition(rng, q, k):
+    """k disjoint vertex sets, boundary vertices included, each vertex an id or an index."""
+    chosen = rng.permutation(q.n)[: rng.integers(k, q.n + 1)]
+    cuts = np.sort(rng.choice(np.arange(1, len(chosen)), size=k - 1, replace=False))
+    ids = q.graph.ids
+    return [
+        [ids[v] if rng.random() < 0.5 else int(v) for v in part]
+        for part in np.split(chosen, cuts)
+    ]
+
+
+class TestCoefficientColumns:
+    """A table takes one multi-column solve and labelled sums over its sets."""
+
+    ALPHAS = (1e-3, 1.0, 1e3)
+
+    @staticmethod
+    def cases(seed, count, n_max):
+        rng = np.random.default_rng(seed)
+        for q, _ in form_corpus(seed, count, n_max=n_max):
+            yield q, rng.uniform(0.0, 1.0, q.n) * q.active, random_partition(rng, q, min(4, q.n))
+
+    def test_matches_the_column_loop(self):
+        worst = 0.0
+        for q, phi, partition in self.cases(40, 30, 40):
+            h = ResolventHandle(q)
+            for alpha in self.ALPHAS:
+                t = truncated_coefficients(h, alpha, phi, partition)
+                want = column_loop_coefficients(h, alpha, phi, partition)
+                for got, ref in zip((t.b, t.b_phi, t.c, t.c_phi), want):
+                    assert got.shape == ref.shape
+                    gap = np.abs(got - ref) / np.maximum(np.abs(ref), 1e-300)
+                    worst = max(worst, float(gap.max(initial=0.0)))
+        assert worst <= 1e-14
+
+    def test_matches_exact_rational_solves(self):
+        for q, phi, partition in self.cases(41, 12, 6):
+            h = ResolventHandle(q)
+            act, mass = h.generator.active_index, h.generator.mass
+            member = [np.isin(act, [q.graph._resolve(v) for v in A]) for A in partition]
+            union = np.any(member, axis=0)
+            for alpha in self.ALPHAS:
+                t = truncated_coefficients(h, alpha, phi, partition)
+
+                def pair_sum(weights, i, rhs):
+                    x = exact_solve(h, alpha, rhs)
+                    return sum(Fraction(w) * x[r] for r, w in enumerate(weights) if member[i][r])
+
+                pm = mass * phi[act]
+                k = len(partition)
+                exact = {
+                    "b": [[alpha * pair_sum(mass, i, mass * member[j]) if i != j else 0
+                           for j in range(k)] for i in range(k)],
+                    "b_phi": [[alpha * pair_sum(pm, i, pm * member[j]) if i != j else 0
+                               for j in range(k)] for i in range(k)],
+                    "c_phi": [alpha * pair_sum(pm, i, pm * ~union) for i in range(k)],
+                }
+                gu = exact_solve(h, alpha, mass * union)
+                exact["c"] = [
+                    sum(Fraction(mass[r]) * (1 - Fraction(alpha) * gu[r])
+                        for r in range(h.dim) if member[i][r])
+                    for i in range(k)
+                ]
+                for name, want in exact.items():
+                    want = np.array(want, dtype=float)
+                    np.testing.assert_allclose(getattr(t, name), want, rtol=1e-12, atol=1e-15)
+
+    def test_one_factor_and_one_solve_per_table(self, monkeypatch):
+        factors, solves = [], []
+        splu = scipy.sparse.linalg.splu
+
+        class CountingLU:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                solves.append(np.shape(rhs))
+                return self.lu.solve(rhs)
+
+        def spy(A, **kw):
+            factors.append(A.shape)
+            return CountingLU(splu(A, **kw))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+        for q, phi, partition in self.cases(42, 5, 30):
+            for alpha in self.ALPHAS:
+                h = ResolventHandle(q)
+                factors.clear()
+                solves.clear()
+                truncated_coefficients(h, alpha, phi, partition)
+                assert factors == [(h.dim, h.dim)]
+                assert solves == [(h.dim, 2 * len(partition) + 2)]
+
+    def test_one_generator_per_form(self, monkeypatch):
+        built = []
+        build = resolvent.build_generator
+        monkeypatch.setattr(resolvent, "build_generator", lambda q: built.append(q) or build(q))
+        q = lattice_ball_form(4, boundary=["4,0"])
+        phi = np.clip(np.random.default_rng(43).uniform(-0.5, 1.5, q.n), 0.0, 1.0) * q.active
+        handles = [ResolventHandle(q) for _ in range(4)]
+        for h in handles:
+            h.apply(1.0, np.ones(h.dim))
+            truncated_coefficients(h, 0.5, phi, [["0,0"], ["1,0", "0,1"]])
+            truncated_form_via_resolvent(h, phi, np.ones(q.n))
+        classify_recurrence(q, Exhaustion.full(q.graph))
+        assert built == [q]
+        assert all(h.generator is q.generator for h in handles)
+
+    def test_interleaved_alphas_on_two_handles_match_fresh_handles(self):
+        rng = np.random.default_rng(44)
+        for q, phi, partition in self.cases(44, 8, 30):
+            h1, h2 = ResolventHandle(q), ResolventHandle(q)
+            f = rng.uniform(-1, 1, h1.dim)
+            for a1, a2 in ((1.0, 1e3), (1e3, 1e-3), (1e-3, 1.0), (1.0, 1.0)):
+                for h, alpha in ((h1, a1), (h2, a2), (h1, a2)):
+                    fresh = ResolventHandle(q)
+                    assert np.array_equal(h.apply(alpha, f), fresh.apply(alpha, f))
+                    got = truncated_coefficients(h, alpha, phi, partition)
+                    want = truncated_coefficients(ResolventHandle(q), alpha, phi, partition)
+                    for name in ("b", "b_phi", "c", "c_phi"):
+                        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_partition_shapes(self):
+        q = lattice_ball_form(3, boundary=["3,0", "0,3"])
+        h = ResolventHandle(q)
+        phi = np.full(q.n, 0.5) * q.active
+        empty = truncated_coefficients(h, 1.0, phi, [])
+        assert empty.b.shape == empty.b_phi.shape == (0, 0)
+        assert empty.c.shape == empty.c_phi.shape == (0,)
+        # a set of boundary vertices only has no active member: all its coefficients vanish
+        sets = [["0,0", "1,0"], ["3,0", "0,3"], ["2,1"]]
+        t = truncated_coefficients(h, 1.0, phi, sets)
+        for name in ("b", "b_phi"):
+            table = getattr(t, name)
+            assert (table[1] == 0.0).all() and (table[:, 1] == 0.0).all()
+        assert t.c[1] == t.c_phi[1] == 0.0
+        without = truncated_coefficients(h, 1.0, phi, [sets[0], sets[2]])
+        keep = np.array([0, 2])
+        for name in ("b", "b_phi"):
+            assert np.array_equal(getattr(t, name)[np.ix_(keep, keep)], getattr(without, name))
+        for name in ("c", "c_phi"):
+            assert np.array_equal(getattr(t, name)[keep], getattr(without, name))
+        # ids and indices name the same vertices
+        index = q.graph.index
+        mixed = [[index["0,0"], "1,0"], [index["3,0"], "0,3"], [np.int64(index["2,1"])]]
+        same = truncated_coefficients(h, 1.0, phi, mixed)
+        for name in ("b", "b_phi", "c", "c_phi"):
+            assert np.array_equal(getattr(same, name), getattr(t, name)), name
+
+    def test_rejected_partitions_and_alphas(self):
+        h = ResolventHandle(lattice_ball_form(3))
+        phi = np.full(h.form.n, 0.5)
+        with pytest.raises(GraphFormatError, match="unknown vertex id 'nowhere'"):
+            truncated_coefficients(h, 1.0, phi, [["0,0"], ["1,0", "nowhere"]])
+        with pytest.raises(GraphFormatError, match="out of range"):
+            truncated_coefficients(h, 1.0, phi, [[h.form.n]])
+        index = h.form.graph.index
+        with pytest.raises(ValueError, match="disjoint"):
+            truncated_coefficients(h, 1.0, phi, [["0,0", "1,0"], [index["1,0"]]])
+        for alpha in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="must be positive"):
+                truncated_coefficients(h, alpha, phi, [["0,0"]])
+
+
+class TestSharedDataIsReadOnly:
+    def test_in_place_writes_raise(self):
+        q = lattice_ball_form(3, boundary=["3,0"])
+        h = ResolventHandle(q)
+        f = np.linspace(-1, 1, h.dim)
+        before = (h.apply(1.0, f), h.approximating_form(50.0, f))
+        gen = q.generator
+        pattern, diag = gen.shift_pattern
+        W = gen.splitting[1]
+        arrays = [gen.mass, gen.active_index, diag, *gen.splitting[::2]]
+        for K in (q.stiffness, gen.stiffness, pattern, W):
+            arrays += [K.data, K.indices, K.indptr]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 7
+        fresh = ResolventHandle(q)
+        assert np.array_equal(fresh.apply(1.0, f), before[0])
+        assert fresh.approximating_form(50.0, f) == before[1]
+
+
 class TestLadder:
     def test_full_cutoff_recovers_energy(self):
         rng = np.random.default_rng(7)
@@ -369,7 +588,7 @@ def exact_solve(h, alpha, rhs):
 
 def dominance_threshold(h):
     """Least alpha with rho(alpha) <= 1/2: max_i (2 sum_j |K_ij| - K_ii) / m_i."""
-    diag, _, offsum = h._splitting()
+    diag, _, offsum = h.generator.splitting
     return float(((2.0 * offsum - diag) / h.generator.mass).max())
 
 
@@ -387,7 +606,7 @@ class TestSeriesRoute:
     def test_every_default_rung_is_below_one_third(self):
         for q in self.forms():
             h = ResolventHandle(q)
-            diag, _, offsum = h._splitting()
+            diag, _, offsum = h.generator.splitting
             for alpha in default_alpha_ladder(h):
                 rho = float((offsum / (diag + alpha * h.generator.mass)).max(initial=0.0))
                 assert rho <= 1.0 / 3.0
@@ -450,7 +669,7 @@ class TestSeriesRoute:
         for q in (assemble(make_path(7, 0.5)), lattice_ball_form(4)):
             h = ResolventHandle(q)
             threshold = dominance_threshold(h)
-            diag = h._splitting()[0]
+            diag = h.generator.splitting[0]
             assert threshold == float((diag / h.generator.mass).max())
             u, v = rng.uniform(-2, 2, (2, h.dim))
             rhs = h.generator.stiffness @ v
@@ -464,7 +683,7 @@ class TestSeriesRoute:
         # the threshold.
         h = ResolventHandle(assemble(make_path(5, 1.0), extra_killing={"v2": 0.3}))
         threshold = dominance_threshold(h)
-        diag, _, offsum = h._splitting()
+        diag, _, offsum = h.generator.splitting
         rhs = h.generator.stiffness @ np.linspace(-1, 1, h.dim)
         for alpha, taken in ((threshold * (1 - 1e-9), False), (threshold * (1 + 1e-9), True)):
             rho = float((offsum / (diag + alpha * h.generator.mass)).max())

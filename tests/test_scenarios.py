@@ -24,6 +24,7 @@ from graphforms import (
     run_counterexample,
     single_vertex,
 )
+from graphforms import scenarios
 from graphforms.corpus import form_corpus, induced_active_graph, saturating_exhaustion
 from graphforms.resolvent import assemble_stiffness
 from graphforms.scenarios import NOT_REFUTED, REFUTED, EquivalenceReport, _grid
@@ -363,6 +364,35 @@ class TestMonotoneEquivalence:
             assert got == loop_equivalence_test(spec, samples=30, seed=k).to_dict()
             refuted[got["monotone"]] += 1
         assert min(refuted.values()) >= 8
+
+    def test_diagonal_report_matches_the_search(self):
+        # A diagonal A >= 0 is answered without a search, with the report the search gives.
+        rng = np.random.default_rng(21)
+        for k in range(60):
+            dim = k % 6 + 1
+            d = rng.uniform(0.0, 2.0, dim) * (rng.random(dim) < 0.7)
+            d[rng.random(dim) < 0.2] = [0.0, -0.0, 1e-300, 1e300][k % 4]
+            spec = MonotoneFormSpec(np.diag(d))
+            got = monotone_equivalence_test(spec, samples=200, seed=k).to_dict()
+            assert got == loop_equivalence_test(spec, samples=200, seed=k).to_dict()
+            assert got["monotone"] == got["nonneg_definite"] == NOT_REFUTED
+
+    def test_only_a_nonnegative_diagonal_skips_the_search(self, monkeypatch):
+        searched = []
+        grid_witnesses = scenarios._grid_witnesses
+        monkeypatch.setattr(
+            scenarios, "_grid_witnesses", lambda *a: searched.append(1) or grid_witnesses(*a)
+        )
+        monotone_equivalence_test(MonotoneFormSpec(np.diag([0.0, 1.0, 2.0])))
+        assert searched == []
+        # -1e-11 passes the spec's eigenvalue check; an off-diagonal 1e-300 is not diagonal
+        for A in (np.diag([1.0, -1e-11]), np.array([[1.0, 1e-300], [1e-300, 1.0]])):
+            spec = MonotoneFormSpec(A)
+            got = monotone_equivalence_test(spec, samples=50, seed=3).to_dict()
+            assert got == loop_equivalence_test(spec, samples=50, seed=3).to_dict()
+        got = monotone_equivalence_test(MonotoneFormSpec(np.eye(2)), samples=5, tol=-1.0)
+        assert got.monotone == REFUTED
+        assert len(searched) == 3
 
     def test_validation(self):
         with pytest.raises(ValueError, match="symmetric"):
