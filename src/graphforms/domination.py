@@ -14,7 +14,9 @@ so criterion (i) reduces to an entrywise matrix comparison.  It is decided
 without forming either matrix: by the second resolvent identity the
 difference is U V^T M_a, of rank r, the number of stiffness rows where the
 pair differs, and its maximum is exact for r <= 2 at any size and within a
-dense budget otherwise (see check_resolvent_domination).  The cone
+dense budget otherwise (see check_resolvent_domination).  For an extension
+pair V follows from U alone, so only the upper form is factored, under a
+forward-error bound (see _schur_route).  The cone
 inequality in (ii) and the agreement in (iii) are both decided exactly from
 D = K - K~, the difference of the stiffness matrices restricted to the smaller
 active set: (ii) holds iff D >= 0 entrywise (indicator functions are
@@ -28,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,7 +38,7 @@ import scipy.sparse as sp
 from .forms import GraphForm
 from .graph import Exhaustion
 from .reflection import main_part
-from .resolvent import ResolventHandle, _restrict
+from .resolvent import _UNIT_ROUNDOFF, ResolventHandle, _freeze, _restrict
 
 #: Largest block of resolvent entries that criterion (i) forms as one dense
 #: array (see check_resolvent_domination): the memory of a 256 x 256 resolvent
@@ -46,7 +49,7 @@ DENSE_BUDGET = 256 * 256
 _DEFAULT_ALPHAS = tuple(float(a) for a in np.logspace(-3.0, 3.0, 13))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FormPair:
     """Lower form Q and upper candidate Q~ over the same measure space."""
 
@@ -58,6 +61,20 @@ class FormPair:
             raise ValueError("forms must share the same vertex index space")
         if not np.array_equal(self.lower.graph.m, self.upper.graph.m):
             raise ValueError("forms must share the same vertex measure")
+
+    @cached_property
+    def _stiffness_difference(self) -> tuple:
+        """(K, K~, D = K - K~), each restricted to the lower active set, built once
+        per pair for criteria (ii) and (iii).
+
+        K is the lower generator's stiffness.  D is canonical: its data run in
+        row-major order and store no zeros.  All three are read-only.
+        """
+        K_low = self.lower.generator.stiffness
+        K_up = _restrict(self.upper.stiffness, self.lower.active)
+        D = K_low - K_up
+        D.sum_duplicates()
+        return _freeze((K_low, K_up, D))
 
 
 def _check_m_matrix_data(pair: FormPair) -> None:
@@ -133,6 +150,74 @@ def _max_inner(kind: str, U: np.ndarray, W: np.ndarray) -> float:
     return float((U @ W.T).max())
 
 
+def _gamma(k: int) -> float:
+    """k u / (1 - k u): the relative rounding of a k-term sum of products (u = 2^-53)."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def _schur_route(gen, S: np.ndarray, pos: np.ndarray):
+    """For an extension pair: alpha, U -> (V, delta) from U = A~^{-1}[:, S] alone.
+
+    For an extension pair C vanishes on a's rows, so A = A~[a, a], S lies in
+    b \\ a and A~[a, S] = C_S^T.  The rows a of A~ U = I[:, S] then read
+    A U_a + C_S^T U_S = 0, so V = A^{-1} C_S^T = -U_a Z with Z = U_S^{-1}.  U_S
+    is a principal block of A~^{-1}, so it is symmetric positive definite, and
+    V = -U_a L^{-T} L^{-1} from its Cholesky factor L.  ``gen`` is A~'s
+    generator; the returned function gives (None, inf) when the Cholesky factor
+    fails, and the data that do not depend on alpha are read once.  numpy's
+    LAPACK does it, not scipy's: the two link separate OpenBLAS builds, and on a
+    2-core machine with two BLAS threads a scipy solve between numpy's products
+    left their worker threads contending (~9 ms a call, not ~0.3).
+
+    delta bounds the error of every entry of U V^T M_a formed from the computed
+    U^ and V^.  With T = b \\ S, y_i = U_i Z is e_i for i in S and row i of
+    -A~_TT^{-1} A~_TS for i in T (block elimination): nonnegative, with
+    ||y_i||_1 <= 1 because A~ 1 >= 0; so is -V_j = y_j, j in a.  Let
+    ||U^ - U||_max <= eps and Q = V^ U^_S + U^_a.  Then
+    g = (V^ - V) U_S = Q - (U^_a - U_a) - V^ (U^_S - U_S), and
+
+        U^_i . V^_j - U_i . V_j = (U^_i - U_i) . V^_j + g_j . y_i,
+
+    at most ||Q||_max + eps (1 + 2 nu) with nu = max_j ||V^_j||_1.  With the
+    rounding of Q and of the r-term products,
+
+        delta = max m_a [||Q^||_max + eps (1 + 2 nu) + gamma_{r+1} (2 nu + 1) ||U^||_max].
+
+    The conditioning of U_S enters only through the measured Q: U's rows undo
+    what Z amplifies in V.  eps comes from U's residual: U^ - U =
+    A~^{-1} (A~ U^ - I[:, S]), ||A~^{-1}||_inf <= 1 / (alpha min m) since
+    A~^{-1} >= 0 and A~ 1 >= alpha m, and the residual as computed is off by at
+    most gamma_{k+3} (||A~||_inf ||U^||_max + 1), k the most stored entries in a
+    row of K~, with ||A~||_inf <= 2 max_i (K~_ii + alpha m_i) as A~ is
+    diagonally dominant.
+    """
+    K, m = gen.stiffness, gen.mass
+    k = int(np.diff(K.indptr).max())
+    diag_max, m_max, m_min, m_a_max = K.diagonal().max(), m.max(), m.min(), m[pos].max()
+    cols = np.arange(len(S))
+    g_res, g_dot = _gamma(k + 3), _gamma(len(S) + 1)
+
+    def factor(alpha: float, U: np.ndarray) -> tuple:
+        U_S, U_a = U[S], U[pos]
+        try:
+            L_inv = np.linalg.inv(np.linalg.cholesky(U_S))
+        except np.linalg.LinAlgError:
+            return None, math.inf
+        V = (U_a @ L_inv.T) @ -L_inv
+        res = K @ U
+        res += (alpha * m)[:, None] * U
+        res[S, cols] -= 1.0
+        u_max = abs(U).max()
+        a_norm = 2.0 * (diag_max + alpha * m_max)
+        eps = (abs(res).max() + g_res * (a_norm * u_max + 1.0)) / (alpha * m_min)
+        nu = abs(V).sum(axis=1).max()
+        q = abs(V @ U_S + U_a).max()
+        rounding = g_dot * (2.0 * nu + 1.0) * u_max
+        return V, float(m_a_max * (q + eps * (1.0 + 2.0 * nu) + rounding))
+
+    return factor
+
+
 def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -> tuple:
     """Criterion (i): |G_alpha f| <= G~_alpha |f| elementwise, all probes and alpha.
 
@@ -158,7 +243,13 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
       budget, |b| |a| <= DENSE_BUDGET, "product" forms U V^T M_a, or, for
       r >= |a|, where that product costs more, "blocks" compares E G with
       G~ E.  Above it, "rank2" takes the support function of hull{m_j V_j}
-      at each row of U.  Each of these is certified.
+      at each row of U.  Each of these is certified.  When C vanishes on a's
+      rows (an extension pair: A = A~[a, a]), "rank1", "rank2" and "product"
+      take V = -U_a U_S^{-1} from U through a Cholesky factor of U_S and
+      factor only A~, one factorization per alpha.  An alpha's value counts
+      when it lies farther than the bound delta of _schur_route from tol;
+      otherwise, or when the Cholesky factor fails, V comes from A's own
+      factor, as for every other pair.
     * "probe_k": above the budget with r > 2, the first 64 basis vectors and
       16 seeded random sign vectors go through both resolvents, uncertified.
 
@@ -232,14 +323,18 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
         rhs = np.zeros((nb, r))
         rhs[S, np.arange(r)] = 1.0
         C_S = C[S].T.toarray()
+        # C vanishes on a's rows for an extension pair: A = A~[a, a]
+        schur = None if a[b][S].any() else _schur_route(h_up.generator, S, pos)
     for alpha in alphas:
         U = h_up.solve_columns(alpha, rhs)
         if kind == "blocks":
             U[pos] -= h_low.resolvent_matrix(alpha)
             v = -U.min()
         else:
-            V = h_low.solve_columns(alpha, C_S)
-            v = _max_inner(kind, U, V * m_a[:, None])
+            V, delta = schur(alpha, U) if schur else (None, math.inf)
+            v = None if V is None else _max_inner(kind, U, V * m_a[:, None])
+            if v is None or not abs(v - tol) > delta:  # within delta of tol, or NaN
+                v = _max_inner(kind, U, h_low.solve_columns(alpha, C_S) * m_a[:, None])
         record(max(v, floor), alpha, kind)
     return worst["violation"] <= tol, worst
 
@@ -268,17 +363,6 @@ class InequalityResult:
         return not self.refuted
 
 
-def _stiffness_difference(pair: FormPair) -> tuple:
-    """(K, K~, D = K - K~), each restricted to the lower active set.
-
-    D is canonical: its data run in row-major order and store no zeros.
-    """
-    K_low, K_up = (_restrict(q.stiffness, pair.lower.active) for q in (pair.lower, pair.upper))
-    D = K_low - K_up
-    D.sum_duplicates()
-    return K_low, K_up, D
-
-
 def _first_min(D: sp.csr_matrix) -> tuple:
     """Row-major first position of the smallest entry of canonical D, zeros included."""
     k = int(np.argmin(D.data)) if D.nnz else 0
@@ -301,7 +385,7 @@ def check_form_inequality_nonneg(pair: FormPair, tol: float = 1e-10) -> Inequali
     first smallest entry in row-major order.
     """
     idx = np.flatnonzero(pair.lower.active)
-    D = _stiffness_difference(pair)[2]
+    D = pair._stiffness_difference[2]
     i, j = _first_min(D)
     worst = float(D[i, j])
     witness = {}
@@ -359,7 +443,7 @@ def check_extension(pair: FormPair, rel_tol: float = 1e-10) -> tuple:
     stiffness matrices agree there, NaN (a failed check) for a non-finite
     weight.  ok needs worst <= rel_tol and the order ideal.
     """
-    K_low, K_up, D = _stiffness_difference(pair)
+    K_low, K_up, D = pair._stiffness_difference
     worst = 0.0
     if D.nnz:
         C = D.tocoo()

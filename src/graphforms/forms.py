@@ -69,23 +69,35 @@ class Coupling:
             raise ValueError("coupling weight must be nonnegative")
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    """A read-only copy of values: writing to it raises, and the caller's array stays apart."""
+    x = np.array(values, dtype=dtype)
+    x.flags.writeable = False
+    return x
+
+
 class GraphForm:
-    """Energy form on a finite truncation with a Dirichlet-style domain mask."""
+    """Energy form on a finite truncation with a Dirichlet-style domain mask.
+
+    The mask, the extra killing and the total killing are read-only copies, since
+    ``stiffness`` and ``generator`` cache what is built from them.
+    """
 
     def __init__(self, graph, active, killing_extra=None, couplings=()):
         self.graph = graph
-        self.active = np.asarray(active, dtype=bool)
+        self.active = _read_only(active, bool)
         if self.active.shape != (graph.n,):
             raise ValueError("active mask must have one entry per vertex")
         if not self.active.any():
             raise ValueError("empty domain: no active vertices")
         if killing_extra is None:
             killing_extra = np.zeros(graph.n)
-        self.killing_extra = np.asarray(killing_extra, dtype=float)
+        self.killing_extra = _read_only(killing_extra, float)
         if (self.killing_extra < 0).any():
             raise ValueError("extra killing must be nonnegative")
         self.couplings = tuple(couplings)
         self.c_total = self.graph.c + self.killing_extra
+        self.c_total.flags.writeable = False
 
     @property
     def n(self) -> int:

@@ -64,10 +64,16 @@ class WeightedGraph:
 
     @classmethod
     def _from_arrays(cls, ids, m, c, edge_u, edge_v, edge_b) -> "WeightedGraph":
-        """Graph from vertex data and edge index arrays, without resolving ids."""
+        """Graph from vertex data and edge index arrays, without resolving ids.
+
+        The edges must already be distinct pairs (u, v) with u < v, as
+        ``_IntegerGrid._ball`` builds them: they are taken as they are, with
+        neither the sort nor the duplicate check of ``_set_edges``.
+        """
         g = cls.__new__(cls)
         g._set_vertices(ids, m, c)
-        g._set_edges(edge_u, edge_v, edge_b)
+        g.edge_u, g.edge_v, g.edge_b = edge_u, edge_v, edge_b
+        g._set_adjacency()
         return g
 
     def _set_vertices(self, ids, m, c):
@@ -92,8 +98,10 @@ class WeightedGraph:
             if iu == iv:
                 raise GraphFormatError(f"self-loop edge at vertex {self.ids[iu]!r}")
             raise GraphFormatError(f"duplicate edge ({self.ids[iu]!r}, {self.ids[iv]!r})")
+        self._set_adjacency()
 
-        # CSR adjacency: every edge in both directions, in edge order per vertex.
+    def _set_adjacency(self):
+        """CSR adjacency: every edge in both directions, in edge order per vertex."""
         src = np.column_stack((self.edge_u, self.edge_v)).ravel()
         order = np.argsort(src, kind="stable")
         self._nbr = np.column_stack((self.edge_v, self.edge_u)).ravel()[order]

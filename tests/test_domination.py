@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphforms import (
     CounterexampleSetup,
@@ -17,6 +20,7 @@ from graphforms import (
     check_silverstein,
     generator_ball,
     make_path,
+    run_counterexample,
     truncate,
     verify_maximality,
 )
@@ -28,6 +32,7 @@ from graphforms.corpus import (
     saturating_exhaustion,
     zero_killing,
 )
+import graphforms.domination as dom
 from graphforms.domination import _DEFAULT_ALPHAS, _max_inner, check_extension
 from graphforms.graph import WeightedGraph
 from graphforms.resolvent import assemble_stiffness
@@ -291,6 +296,130 @@ class TestIdentityRoutes:
         # one killed vertex beats the Dirichlet rim on the diagonal there
         worst = assert_matches_oracle(lattice_pair(4, rim_boundary=True, killing={"0,0": 1.0}))
         assert worst["kind"] == "product" and worst["violation"] > 1e-9  # r = 17 < |a| = 25
+
+
+def factored_dims(monkeypatch) -> list:
+    """Wrap splu so that each factorization appends its matrix dimension to the list."""
+    dims = []
+    splu = scipy.sparse.linalg.splu
+
+    def spy(A, **kw):
+        dims.append(A.shape[0])
+        return splu(A, **kw)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+    return dims
+
+
+@st.composite
+def extension_pairs(draw):
+    """Random Silverstein extension pairs: the upper form's Dirichlet vertices plus
+    extra ones for the lower form, a coupling from the lower domain into the extra
+    vertices in both forms, and killing on the extra vertices that only the upper
+    form keeps, with a coupling among them when there are two."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_connected_graph(rng, 4, 12)
+    order = [g.ids[i] for i in rng.permutation(g.n)]
+    n_up = draw(st.integers(0, g.n - 2))
+    n_extra = draw(st.integers(1, g.n - 1 - n_up))
+    upper_bd, extra = order[:n_up], order[n_up:n_up + n_extra]
+    a = order[n_up + n_extra:]
+    killing = {v: float(rng.uniform(0.0, 1.0)) for v in a}
+    cps = [(a[0], extra[0], draw(st.floats(0.0, 2.0)))] if draw(st.booleans()) else []
+    moved = dict(killing, **{v: float(rng.uniform(0.0, 2.0)) for v in extra})
+    cps_up = cps + [(extra[0], extra[1], 1.0)] if len(extra) > 1 else cps
+    lower = assemble(g, boundary=upper_bd + extra, extra_killing=killing, couplings=cps)
+    return FormPair(lower, assemble(g, boundary=upper_bd, extra_killing=moved, couplings=cps_up))
+
+
+class TestOneFactorRoute:
+    """Extension pairs take V = -U_a U_S^{-1} from the upper factor alone."""
+
+    @staticmethod
+    def two_factor(pair, **kw):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dom, "_schur_route", lambda *args: lambda alpha, U: (None, math.inf))
+            return check_resolvent_domination(pair, **kw)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(extension_pairs())
+    def test_matches_two_factor_route_and_oracle(self, pair):
+        assert check_extension(pair)[0]
+        with pytest.MonkeyPatch.context() as mp:
+            dims = factored_dims(mp)
+            _, worst = check_resolvent_domination(pair)
+        if worst["kind"] in ("rank1", "rank2", "product"):
+            assert dims == [pair.upper.generator.dim] * len(_DEFAULT_ALPHAS)
+        assert assert_matches_oracle(pair) == worst
+        ok2, worst2 = self.two_factor(pair)
+        assert ok2 and worst2["kind"] == worst["kind"] and worst2["certified"]
+        assert abs(worst["violation"] - worst2["violation"]) <= 1e-12
+
+    @pytest.mark.parametrize("pair", [lattice_pair(4, rim_boundary=True), dirichlet_neumann_pair(7),
+                                      *counterexample_pairs(51)[:2]],
+                             ids=["lattice-rim", "path", "ext1", "ext2"])
+    def test_bound_covers_the_difference(self, pair):
+        # delta bounds the one-factor entries' error; the two-factor ones are nearer still.
+        h_low, h_up = ResolventHandle(pair.lower), ResolventHandle(pair.upper)
+        K = h_up.generator.stiffness
+        pos = np.flatnonzero(pair.lower.active[pair.upper.active])
+        # S: the upper vertices outside a that couple to a; C_S^T = K~[a, S]
+        S = np.setdiff1d(np.flatnonzero(np.diff(K[:, pos].tocsr().indptr)), pos)
+        m_a = h_low.generator.mass
+        for alpha in _DEFAULT_ALPHAS:
+            rhs = np.zeros((h_up.dim, len(S)))
+            rhs[S, np.arange(len(S))] = 1.0
+            U = h_up.solve_columns(alpha, rhs)
+            V, delta = dom._schur_route(h_up.generator, S, pos)(alpha, U)
+            V2 = h_low.solve_columns(alpha, K[S][:, pos].T.toarray())
+            P = U @ (V * m_a[:, None]).T
+            assert abs(P.max() - 1e-9) > delta  # this alpha counts
+            assert np.abs(P - U @ (V2 * m_a[:, None]).T).max() <= delta
+
+    def test_failed_cholesky_falls_back(self):
+        pair = lattice_pair(3, rim_boundary=True)
+        h_up = ResolventHandle(pair.upper)
+        S = np.array([0, 1])
+        U = -h_up.solve_columns(1.0, np.eye(h_up.dim)[:, S])  # U_S negative definite
+        route = dom._schur_route(h_up.generator, S, np.arange(2, h_up.dim))
+        assert route(1.0, U) == (None, math.inf)
+
+    def test_fallback_through_the_lower_factor(self, monkeypatch):
+        # A delta above every margin sends each alpha through A's own factor, which
+        # gives exactly the two-factor report.
+        pair = lattice_pair(4, rim_boundary=True)
+        dims = factored_dims(monkeypatch)
+        one = check_resolvent_domination(pair)
+        assert one[1]["kind"] == "product" and dims == [41] * 13
+        route = dom._schur_route
+        monkeypatch.setattr(dom, "_schur_route",
+                            lambda *args: lambda alpha, U: (route(*args)(alpha, U)[0], math.inf))
+        dims.clear()
+        forced = check_resolvent_domination(pair)
+        assert sorted(dims) == [25] * 13 + [41] * 13
+        assert forced == self.two_factor(pair)
+        assert forced[0] == one[0] and abs(forced[1]["violation"] - one[1]["violation"]) <= 1e-12
+
+    def test_factorizations_per_pair(self, monkeypatch):
+        calls = []
+        route = dom._schur_route
+        monkeypatch.setattr(dom, "_schur_route",
+                            lambda *args: lambda alpha, U: calls.append(1) or route(*args)(alpha, U))
+        dims = factored_dims(monkeypatch)
+        # extension: one factor per alpha, of the upper form
+        _, worst = check_resolvent_domination(lattice_pair(4, rim_boundary=True))
+        assert worst["kind"] == "product" and dims == [41] * 13 and len(calls) == 13
+        # not an extension (the lower form kills at the centre): both forms, no Schur step
+        dims.clear()
+        calls.clear()
+        _, worst = check_resolvent_domination(
+            lattice_pair(4, rim_boundary=True, killing={"0,0": 1.0}))
+        assert worst["kind"] == "product" and sorted(dims) == [25] * 13 + [41] * 13
+        assert not calls
+        # both counterexample pairs are extensions: the base form (dim 49) is never factored
+        dims.clear()
+        assert run_counterexample(CounterexampleSetup(n=51)).contradiction_reproduced
+        assert dims == [51] * 26
 
 
 class TestCriterionInputs:

@@ -7,6 +7,8 @@ import pytest
 
 from graphforms import (
     OUT_OF_DOMAIN,
+    GraphForm,
+    ResolventHandle,
     absolute,
     apply_contraction,
     assemble,
@@ -74,6 +76,29 @@ class TestAssembleAndEvaluate:
         q = assemble(make_path(2, 1.0))
         with pytest.raises(ValueError, match="finite"):
             q.evaluate([np.nan, 0.0])
+
+
+class TestReadOnlyData:
+    """The mask and killing arrays are read-only copies: generator and stiffness are
+    cached from them, so a later write must not reach the form."""
+
+    def test_in_place_writes_raise(self):
+        q = assemble(make_path(5, 1.0), extra_killing={"v1": 0.5})
+        ResolventHandle(q)
+        for x in (q.active, q.killing_extra, q.c_total):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 0
+
+    def test_caller_arrays_stay_apart(self):
+        mask, killing = np.ones(5, dtype=bool), np.zeros(5)
+        q = GraphForm(make_path(5, 1.0), mask, killing)
+        assert ResolventHandle(q).dim == 5
+        mask[0] = False
+        killing[1] = 3.0
+        assert q.active.all() and not q.killing_extra.any() and not q.c_total.any()
+        assert ResolventHandle(q).dim == 5
+        assert q.evaluate(np.eye(1, 5, 0)[0]) == 1.0
+        assert q.evaluate(np.eye(1, 5, 1)[0]) == 2.0
 
 
 class TestBilinear:
