@@ -13,16 +13,17 @@ On a finite vertex space the resolvents are entrywise nonnegative matrices,
 so criterion (i) reduces to an entrywise matrix comparison.  It is decided
 without forming either matrix: by the second resolvent identity the
 difference is U V^T M_a, of rank r, the number of stiffness rows where the
-pair differs, and its maximum is exact for r <= 2 at any size and within a
-dense budget otherwise (see check_resolvent_domination).  For an extension
-pair V follows from U alone, so only the upper form is factored, under a
-forward-error bound (see _schur_route).  The cone
-inequality in (ii) and the agreement in (iii) are both decided exactly from
-D = K - K~, the difference of the stiffness matrices restricted to the smaller
-active set: (ii) holds iff D >= 0 entrywise (indicator functions are
-admissible nonnegative probes, so the coefficient condition is necessary as
-well as sufficient), and the forms agree on the smaller domain iff D = 0 (a
-quadratic form determines its symmetric matrix).
+pair differs, and its maximum is exact for r <= 2 at any size and, for
+larger r, within a dense budget or a budget of multiplies per alpha (see
+check_resolvent_domination).  For an extension pair V follows from U alone,
+so only the upper form is factored, under a forward-error bound (see
+_schur_route).  The cone inequality in (ii) and the agreement in (iii) are
+both decided exactly from D = K - K~, the difference of the stiffness
+matrices restricted to the smaller active set: (ii) holds iff D >= 0
+entrywise (indicator functions are admissible nonnegative probes, so the
+coefficient condition is necessary as well as sufficient), and the forms
+agree on the smaller domain iff D = 0 (a quadratic form determines its
+symmetric matrix).
 """
 
 from __future__ import annotations
@@ -42,9 +43,23 @@ from .resolvent import _UNIT_ROUNDOFF, ResolventHandle, _freeze, _restrict
 
 #: Largest block of resolvent entries that criterion (i) forms as one dense
 #: array (see check_resolvent_domination): the memory of a 256 x 256 resolvent
-#: matrix.  A pair of rank r > 2 whose |b| x |a| block exceeds it is probed,
-#: uncertified.
+#: matrix.  Above it, "blocks" (r >= |a|) is slower than probes: on killing
+#: pairs (r = n) blocks take 89 vs 104 ms at n = 221, within the budget, but
+#: 165 vs 130 ms at n = 313 and 606 vs 195 ms at n = 545.
 DENSE_BUDGET = 256 * 256
+
+#: Most multiplies per alpha, r |b| |a|, up to which a pair of rank 2 < r < |a|
+#: above DENSE_BUDGET still forms U V^T M_a ("product", certified) instead of
+#: probing: the crossover of the two.  Medians of 5 calls on lattice pairs with
+#: a Dirichlet rim (one factor per alpha), 2 vCPUs, 2 BLAS threads:
+#:
+#:     n      r |b| |a|   product   probes
+#:     313    4.0e6        33 ms    100 ms
+#:     545    1.7e7        71 ms    160 ms
+#:     841    5.1e7       140 ms    210 ms
+#:     1201   1.27e8      266 ms    267 ms
+#:     1861   3.9e8       689 ms    451 ms
+PRODUCT_BUDGET = 2**27
 
 _DEFAULT_ALPHAS = tuple(float(a) for a in np.logspace(-3.0, 3.0, 13))
 
@@ -141,13 +156,25 @@ def _support_2d(P: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 
 def _max_inner(kind: str, U: np.ndarray, W: np.ndarray) -> float:
-    """max over i, j of <U_i, W_j>: by extremes ("rank1"), hull ("rank2") or product."""
+    """max over i, j of <U_i, W_j>: by extremes ("rank1"), hull ("rank2") or product.
+
+    The product W U^T runs on scipy's BLAS (see _schur_route) in blocks of its
+    rows, at most DENSE_BUDGET entries at a time (one row when a row is longer).
+    """
     if kind == "rank1":
         u, w = U[:, 0], W[:, 0]
         return float(max(x * y for x in (u.min(), u.max()) for y in (w.min(), w.max())))
     if kind == "rank2":
         return float(_support_2d(W, U).max())
-    return float((U @ W.T).max())
+    # imported here: scipy.linalg adds ~0.14 s to `import graphforms`
+    from scipy.linalg.blas import dgemm
+
+    U, W = np.asfortranarray(U), np.ascontiguousarray(W)
+    step = max(1, DENSE_BUDGET // len(U))
+    # Rows j of W U^T.  dgemm takes Fortran order, which U has and the transpose
+    # of a block of W's rows has, so no block is copied.
+    return max(float(dgemm(1.0, W[j:j + step].T, U, trans_a=True, trans_b=True).max())
+               for j in range(0, len(W), step))
 
 
 def _gamma(k: int) -> float:
@@ -164,10 +191,13 @@ def _schur_route(gen, S: np.ndarray, pos: np.ndarray):
     is a principal block of A~^{-1}, so it is symmetric positive definite, and
     V = -U_a L^{-T} L^{-1} from its Cholesky factor L.  ``gen`` is A~'s
     generator; the returned function gives (None, inf) when the Cholesky factor
-    fails, and the data that do not depend on alpha are read once.  numpy's
-    LAPACK does it, not scipy's: the two link separate OpenBLAS builds, and on a
-    2-core machine with two BLAS threads a scipy solve between numpy's products
-    left their worker threads contending (~9 ms a call, not ~0.3).
+    fails, and the data that do not depend on alpha are read once.  scipy's
+    BLAS and LAPACK do the dense steps (dgemm, dpotrf, dtrtri), as they do the
+    product in _max_inner: the library that SuperLU's solves already use.  numpy
+    links a separate OpenBLAS build, and on a 2-core machine with two BLAS
+    threads each library's threaded call right after the other's left their two
+    worker pools contending (~10 ms a product, not ~0.2).  So all of an alpha's
+    linear algebra runs in one library, never two.
 
     delta bounds the error of every entry of U V^T M_a formed from the computed
     U^ and V^.  With T = b \\ S, y_i = U_i Z is e_i for i in S and row i of
@@ -191,6 +221,9 @@ def _schur_route(gen, S: np.ndarray, pos: np.ndarray):
     row of K~, with ||A~||_inf <= 2 max_i (K~_ii + alpha m_i) as A~ is
     diagonally dominant.
     """
+    from scipy.linalg.blas import dgemm  # imported here, as in _max_inner
+    from scipy.linalg.lapack import dpotrf, dtrtri
+
     K, m = gen.stiffness, gen.mass
     k = int(np.diff(K.indptr).max())
     diag_max, m_max, m_min, m_a_max = K.diagonal().max(), m.max(), m.min(), m[pos].max()
@@ -199,21 +232,23 @@ def _schur_route(gen, S: np.ndarray, pos: np.ndarray):
 
     def factor(alpha: float, U: np.ndarray) -> tuple:
         U_S, U_a = U[S], U[pos]
-        try:
-            L_inv = np.linalg.inv(np.linalg.cholesky(U_S))
-        except np.linalg.LinAlgError:
+        L, info = dpotrf(U_S, lower=1)  # info > 0: U_S is not positive definite
+        if info == 0:
+            L_inv, info = dtrtri(L, lower=1)
+        if info:
             return None, math.inf
-        V = (U_a @ L_inv.T) @ -L_inv
+        # V^T = -L^{-T} L^{-1} U_a^T, in Fortran order as dgemm takes it
+        Vt = dgemm(-1.0, L_inv, dgemm(1.0, L_inv, U_a.T), trans_a=True)
         res = K @ U
         res += (alpha * m)[:, None] * U
         res[S, cols] -= 1.0
         u_max = abs(U).max()
         a_norm = 2.0 * (diag_max + alpha * m_max)
         eps = (abs(res).max() + g_res * (a_norm * u_max + 1.0)) / (alpha * m_min)
-        nu = abs(V).sum(axis=1).max()
-        q = abs(V @ U_S + U_a).max()
+        nu = abs(Vt).sum(axis=0).max()
+        q = abs(dgemm(1.0, U_S.T, Vt, 1.0, U_a.T, overwrite_c=True)).max()  # Q^T, into U_a^T
         rounding = g_dot * (2.0 * nu + 1.0) * u_max
-        return V, float(m_a_max * (q + eps * (1.0 + 2.0 * nu) + rounding))
+        return Vt.T, float(m_a_max * (q + eps * (1.0 + 2.0 * nu) + rounding))
 
     return factor
 
@@ -243,15 +278,18 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
       budget, |b| |a| <= DENSE_BUDGET, "product" forms U V^T M_a, or, for
       r >= |a|, where that product costs more, "blocks" compares E G with
       G~ E.  Above it, "rank2" takes the support function of hull{m_j V_j}
-      at each row of U.  Each of these is certified.  When C vanishes on a's
-      rows (an extension pair: A = A~[a, a]), "rank1", "rank2" and "product"
-      take V = -U_a U_S^{-1} from U through a Cholesky factor of U_S and
-      factor only A~, one factorization per alpha.  An alpha's value counts
+      at each row of U, and for 2 < r < |a| "product" still forms U V^T M_a,
+      in blocks of DENSE_BUDGET entries, while r |b| |a| <= PRODUCT_BUDGET.
+      Each of these is certified.  When C vanishes on a's rows (an extension
+      pair: A = A~[a, a]), "rank1", "rank2" and "product" take
+      V = -U_a U_S^{-1} from U through a Cholesky factor of U_S and factor
+      only A~, one factorization per alpha.  An alpha's value counts
       when it lies farther than the bound delta of _schur_route from tol;
       otherwise, or when the Cholesky factor fails, V comes from A's own
       factor, as for every other pair.
-    * "probe_k": above the budget with r > 2, the first 64 basis vectors and
-      16 seeded random sign vectors go through both resolvents, uncertified.
+    * "probe_k": above DENSE_BUDGET with r >= |a|, or with r > 2 and above
+      PRODUCT_BUDGET, the first 64 basis vectors and 16 seeded random sign
+      vectors go through both resolvents, uncertified.
 
     Returns (ok, worst).  worst["violation"] is the largest entry of G - G~
     over the columns in a (over those in a \\ b for "ideal", over the probes'
@@ -300,6 +338,8 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
         kind = f"rank{r}"
     elif within:
         kind = "product" if r < na else "blocks"
+    elif r < na and r * nb * na <= PRODUCT_BUDGET:
+        kind = "product"
     else:
         worst["certified"] = False
         n = pair.lower.n

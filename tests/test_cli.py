@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,6 +275,15 @@ class TestSelftest:
         rep = json.loads(out)
         assert rep["passed"] is True
         assert len(rep["results"]) >= 20
+
+    def test_runs_as_a_module(self):
+        # A checkout runs the CLI as `python -m graphforms`, without installing.
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-m", "graphforms", "selftest", "--format", "text"],
+                              env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "[PASS]" in proc.stdout
 
 
 class TestReportDeterminism:

@@ -1,11 +1,15 @@
 """Domination criteria, Silverstein extensions, maximality of the main part."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphforms import (
@@ -165,7 +169,7 @@ class TestResolventDomination:
             FormPair(lower=assemble(make_path(3, 1.0)), upper=assemble(make_path(4, 1.0)))
 
     def test_probe_path_agrees_with_dense(self, monkeypatch):
-        # Above the dense budget a pair of rank r > 2 is probed; the verdicts
+        # Above the dense budget a pair of rank r >= |a| is probed; the verdicts
         # still match the oracle, but only the violation is a certificate.
         import graphforms.domination as dom
 
@@ -177,27 +181,30 @@ class TestResolventDomination:
             assert ok == (whole <= 1e-9) == verdict
             assert worst["kind"].startswith("probe_") and not worst["certified"]
 
-    @pytest.mark.parametrize("offset", [0, -1], ids=["within", "above"])
-    def test_route_follows_rank_and_budget(self, monkeypatch, offset):
-        # The route depends on r and on |b| |a| against the budget, not on n.
-        import graphforms.domination as dom
-
-        cases = [  # (pair, |b| |a|, route within the budget, route above it)
-            (dirichlet_neumann_pair(n=6), 6 * 4, "product", "rank2"),
-            (lattice_pair(3, rim_boundary=True), 25 * 13, "product", None),  # r = 12 < |a|
-            (lattice_pair(2, killing=0.1), 13 * 13, "blocks", None),  # r = |a|
+    @pytest.mark.parametrize("dense, multiply", [(0, 0), (-1, 0), (-1, -1)],
+                             ids=["within", "multiply", "above"])
+    def test_route_follows_rank_and_budget(self, monkeypatch, dense, multiply):
+        # The route depends on r, on |b| |a| against DENSE_BUDGET and, for
+        # 2 < r < |a| above it, on r |b| |a| against PRODUCT_BUDGET; not on n.
+        cases = [  # (pair, r, |b| |a|, route within DENSE_BUDGET, routes above it)
+            (dirichlet_neumann_pair(n=6), 2, 6 * 4, "product", ("rank2", "rank2")),
+            # r = 12 < |a|: product up to r |b| |a| multiplies, probes above
+            (lattice_pair(3, rim_boundary=True), 12, 25 * 13, "product", ("product", None)),
+            (lattice_pair(2, killing=0.1), 13, 13 * 13, "blocks", (None, None)),  # r = |a|
         ]
-        for pair, size, within, above in cases:
-            monkeypatch.setattr(dom, "DENSE_BUDGET", size + offset)
-            kind = within if offset == 0 else above
+        for pair, r, size, within, above in cases:
+            monkeypatch.setattr(dom, "DENSE_BUDGET", size + dense)
+            monkeypatch.setattr(dom, "PRODUCT_BUDGET", r * size + multiply)
+            kind = within if dense == 0 else above[multiply == -1]
             if kind is None:
                 _, worst = check_resolvent_domination(pair, alphas=(0.5, 10.0))
                 assert worst["kind"].startswith("probe_") and not worst["certified"]
             else:
                 assert assert_matches_oracle(pair, alphas=(0.5, 10.0))["kind"] == kind
-        monkeypatch.setattr(dom, "DENSE_BUDGET", cases[1][1] + offset)
+        monkeypatch.setattr(dom, "DENSE_BUDGET", cases[1][2] + dense)
+        monkeypatch.setattr(dom, "PRODUCT_BUDGET", cases[1][1] * cases[1][2] + multiply)
         d = check_silverstein(cases[1][0]).to_dict()
-        assert d["resolvent_certified"] is (offset == 0)
+        assert d["resolvent_certified"] is (multiply == 0)
         # The flag has its own key; resolvent_worst keeps its three keys.
         assert sorted(d["resolvent_worst"]) == ["alpha", "kind", "violation"]
 
@@ -420,6 +427,65 @@ class TestOneFactorRoute:
         dims.clear()
         assert run_counterexample(CounterexampleSetup(n=51)).contradiction_reproduced
         assert dims == [51] * 26
+
+
+@st.composite
+def rank_r_pairs(draw):
+    """Random pairs of rank r > 2, most with r < |a|: Dirichlet vertices that only
+    the lower form has, and the upper form's killing on a few vertices either
+    raised there in the lower form (criterion (i) holds) or moved among them
+    (it mostly fails)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_connected_graph(rng, 8, 16)
+    order = [g.ids[i] for i in rng.permutation(g.n)]
+    n_bd, n_spots = draw(st.integers(0, 3)), draw(st.integers(3, 5))
+    boundary, spots = order[:n_bd], order[n_bd:n_bd + n_spots]
+    up = rng.uniform(0.1, 1.0, size=n_spots)
+    low = up + rng.uniform(0.0, 1.0, size=n_spots) if draw(st.booleans()) else np.roll(up, 1)
+    return FormPair(assemble(g, boundary=boundary, extra_killing=dict(zip(spots, low.tolist()))),
+                    assemble(g, extra_killing=dict(zip(spots, up.tolist()))))
+
+
+class TestProductRoute:
+    """Above DENSE_BUDGET, 2 < r < |a| forms U V^T M_a in row blocks, on scipy's BLAS."""
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(rank_r_pairs(), st.integers(1, 3))
+    def test_row_blocks_match_one_block_and_oracle(self, pair, rows):
+        with pytest.MonkeyPatch.context() as mp:
+            # blocks of `rows` rows of W U^T, each |b| long
+            mp.setattr(dom, "DENSE_BUDGET", rows * pair.upper.generator.dim)
+            blocked = check_resolvent_domination(pair)
+            assume(blocked[1]["kind"] == "product")
+            assert assert_matches_oracle(pair) == blocked[1]
+        one = check_resolvent_domination(pair)
+        assert one[1]["kind"] == "product" and one[0] == blocked[0]
+        assert abs(one[1]["violation"] - blocked[1]["violation"]) <= 1e-12
+
+    def test_no_numpy_linear_algebra(self, monkeypatch):
+        # Each alpha's dense steps run on scipy's BLAS and LAPACK, as SuperLU's
+        # solves do; numpy links another OpenBLAS build.
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy's LAPACK called")
+
+        for name in ("cholesky", "inv", "solve"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        # n = 313: r = 48, |b| |a| = 313 * 265 > DENSE_BUDGET, r |b| |a| = 4.0e6
+        rim = lattice_pair(12, rim_boundary=True)
+        assert rim.upper.n * rim.lower.generator.dim > dom.DENSE_BUDGET
+        g = make_path(6, 1.0)
+        one_vertex = FormPair(assemble(g, boundary=["v0"]), assemble(g))
+        for pair, kind in ((rim, "product"), (one_vertex, "rank1")):
+            assert check_extension(pair)[0]
+            ok, worst = check_resolvent_domination(pair)
+            assert ok and worst["kind"] == kind and worst["certified"]
+
+    def test_import_leaves_scipy_linalg_out(self):
+        root = Path(__file__).resolve().parents[1]
+        code = "import sys, graphforms; sys.exit('scipy.linalg' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCriterionInputs:
