@@ -32,14 +32,17 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .forms import GraphForm
 from .graph import Exhaustion
 from .reflection import main_part
 from .resolvent import _UNIT_ROUNDOFF, ResolventHandle, _freeze, _restrict
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: Largest block of resolvent entries that criterion (i) forms as one dense
 #: array (see check_resolvent_domination): the memory of a 256 x 256 resolvent
@@ -298,6 +301,8 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
     or from "ideal": neither compared every column.  A violation found is
     always a certificate.
     """
+    import scipy.sparse as sp  # imported here, as in resolvent.assemble_stiffness
+
     if alphas is None:
         alphas = _DEFAULT_ALPHAS
     _check_m_matrix_data(pair)

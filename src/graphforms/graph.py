@@ -76,6 +76,20 @@ class WeightedGraph:
         g._set_adjacency()
         return g
 
+    @classmethod
+    def _from_ends(cls, ids, m, c, ends: list, edge_b: np.ndarray) -> "WeightedGraph":
+        """``cls(ids, m, c, zip(ends[::2], ends[1::2], edge_b))`` for endpoint ids
+        listed as u_0, v_0, u_1, v_1, ..., without building the edge tuples."""
+        g = cls.__new__(cls)
+        g._set_vertices(ids, m, c)
+        try:
+            ends = np.fromiter(map(g.index.__getitem__, ends), int, len(ends))
+        except KeyError:
+            bad = next(v for v in ends if v not in g.index)
+            raise GraphFormatError(f"unknown vertex id {bad!r}") from None
+        g._set_edges(ends[0::2], ends[1::2], edge_b)
+        return g
+
     def _set_vertices(self, ids, m, c):
         self.ids = list(ids)
         self.index = {v: i for i, v in enumerate(self.ids)}
@@ -215,13 +229,13 @@ def graph_from_dict(data: dict) -> WeightedGraph:
         ids = [str(rec["id"]) for rec in data["vertices"]]
         m = [float(rec["m"]) for rec in data["vertices"]]
         c = [float(rec["c"]) for rec in data["vertices"]]
-        edges = [
-            (str(rec["u"]), str(rec["v"]), float(rec["b"]))
-            for rec in data.get("edges", [])
-        ]
+        ends, b = [], []  # ends: u_0, v_0, u_1, v_1, ...
+        for rec in data.get("edges", []):
+            ends += (str(rec["u"]), str(rec["v"]))
+            b.append(float(rec["b"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"malformed record: {exc}") from None
-    return WeightedGraph(ids, m, c, edges)
+    return WeightedGraph._from_ends(ids, m, c, ends, np.array(b, dtype=float))
 
 
 def load_graph(source) -> WeightedGraph:
@@ -246,9 +260,53 @@ def load_graph(source) -> WeightedGraph:
     return g
 
 
+#: json's names for the floats that float.__repr__ writes as nan, inf and -inf.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(values: np.ndarray) -> list:
+    """Each value as ``json.dumps`` writes a float."""
+    texts = list(map(float.__repr__, values.tolist()))
+    if not np.isfinite(values).all():
+        texts = [_JSON_NONFINITE.get(t, t) for t in texts]
+    return texts
+
+
+def _json_id(v) -> str:
+    """A vertex id as ``json.dumps`` writes it at a record's depth of indent=2."""
+    if isinstance(v, str):
+        return json.encoder.encode_basestring_ascii(v)
+    return json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n      ")
+
+
+def _json_records(records: list) -> str:
+    return "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+
+
 def emit_graph(g: WeightedGraph) -> str:
-    """Serialize to the JSON schema; inverse of load_graph for valid graphs."""
-    return json.dumps(g.to_dict(), sort_keys=True, indent=2) + "\n"
+    """Serialize to the JSON schema; inverse of load_graph for valid graphs.
+
+    The text is ``json.dumps(g.to_dict(), sort_keys=True, indent=2) + "\\n"``, byte
+    for byte, written in one pass: each id is encoded once, and each record is
+    one f-string.  Edges are in ``to_dict``'s order, by (u, v) with u <= v.
+    """
+    ids = g.ids
+    text = list(map(_json_id, ids))
+    ends = [(v, u) if ids[v] < ids[u] else (u, v)
+            for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist())]
+    keys = [(ids[u], ids[v]) for u, v in ends]
+    order = sorted(range(len(ends)), key=keys.__getitem__)
+    b = _json_floats(g.edge_b)
+    edges = [
+        f'    {{\n      "b": {b[k]},\n      "u": {text[ends[k][0]]},\n'
+        f'      "v": {text[ends[k][1]]}\n    }}'
+        for k in order
+    ]
+    verts = [
+        f'    {{\n      "c": {c},\n      "id": {t},\n      "m": {m}\n    }}'
+        for t, m, c in zip(text, _json_floats(g.m), _json_floats(g.c))
+    ]
+    return f'{{\n  "edges": {_json_records(edges)},\n  "vertices": {_json_records(verts)}\n}}\n'
 
 
 def make_path(n: int, h: float) -> WeightedGraph:
@@ -294,25 +352,21 @@ class _IntegerGrid:
     def killing(self, vid: str) -> float:
         return self.c
 
-    def _ball(self, root: str, radius: int) -> tuple:
-        """``truncate(self, generator_ball(self, root, radius))``, built in index space,
-        and every vertex's hop distance from the root.
+    def _ball_order(self, root: str, radius: int) -> tuple:
+        """The ball |x - root|_1 <= radius in ``generator_ball``'s order: the root's
+        coordinates, each point's offset from them and its hop distance.
 
-        The ball is |x - root|_1 <= radius, so the distances are the graph's.  One
-        sort puts it in the queue BFS's first-occurrence order for the steps -e_1,
-        +e_1, -e_2, +e_2, ...: by distance, then per coordinate by sign class of
-        x_i - root_i (-, +, 0) and by -|x_i - root_i|.  A point is first reached
-        from its neighbour one step nearer the root in its last nonzero
-        coordinate, and ordering points by that neighbour and then by the step
-        is this order; ``TestIndexBall`` checks it against ``truncate`` up to
-        radius 304.  Edges are the pairs (i, j), j > i, by i and then by step.
+        One sort puts the ball in the queue BFS's first-occurrence order for the
+        steps -e_1, +e_1, -e_2, +e_2, ...: by distance, then per coordinate by
+        sign class of x_i - root_i (-, +, 0) and by -|x_i - root_i|.  A point is
+        first reached from its neighbour one step nearer the root in its last
+        nonzero coordinate, and ordering points by that neighbour and then by the
+        step is this order; ``TestIndexBall`` checks it against ``_bfs_ball`` up
+        to radius 304.  The root and radius must already be checked.
         """
-        if not self.contains(root):
-            raise ValueError(f"root {root!r} not generated")
         origin = np.array([int(t) for t in root.split(",")])
         dim = len(origin)
-        steps = np.array(self.steps)
-        assert np.array_equal(steps, np.kron(np.eye(dim, dtype=int), [[-1], [1]])), steps
+        assert np.array_equal(self.steps, np.kron(np.eye(dim, dtype=int), [[-1], [1]])), self.steps
         offsets = np.indices((2 * radius + 1,) * dim).reshape(dim, -1).T - radius
         dist = np.abs(offsets).sum(axis=1)
         offsets, dist = offsets[dist <= radius], dist[dist <= radius]
@@ -320,7 +374,27 @@ class _IntegerGrid:
         for x in offsets.T:
             keys += [2 * (x == 0) + (x > 0), -np.abs(x)]
         order = np.lexsort(keys[::-1])
-        offsets, n = offsets[order], len(order)
+        return origin, offsets[order], dist[order]
+
+    @staticmethod
+    def _ids(origin: np.ndarray, offsets: np.ndarray, radius: int) -> list:
+        """The id of each point origin + offset, every |offset_i| <= radius."""
+        # Each coordinate takes 2 radius + 1 values; each is formatted once.
+        labels = [np.array([str(t + v) for v in range(-radius, radius + 1)], dtype=object)
+                  for t in origin.tolist()]
+        return list(map(",".join, zip(*(a[x + radius].tolist() for a, x in zip(labels, offsets.T)))))
+
+    def _ball(self, root: str, radius: int) -> tuple:
+        """``truncate(self, generator_ball(self, root, radius))``, built in index space,
+        and every vertex's hop distance from the root.
+
+        The ball is |x - root|_1 <= radius, so the distances are the graph's.
+        Edges are the pairs (i, j), j > i, by i and then by step.
+        """
+        _check_ball(self, root, radius)
+        origin, offsets, dist = self._ball_order(root, radius)
+        n, dim = offsets.shape
+        steps = np.array(self.steps)
         side = 2 * radius + 3  # the box around the ball also holds its neighbours
         scale = side ** np.arange(dim)
         key = (offsets + radius + 1) @ scale
@@ -328,19 +402,15 @@ class _IntegerGrid:
         position[key] = np.arange(n)
         nbr = position[key[:, None] + steps @ scale]
         later = nbr > np.arange(n)[:, None]
-        # Each coordinate takes 2 radius + 1 values; each is formatted once.
-        labels = [np.array([str(t + v) for v in range(-radius, radius + 1)], dtype=object)
-                  for t in origin.tolist()]
-        ids = list(map(",".join, zip(*(a[x + radius].tolist() for a, x in zip(labels, offsets.T)))))
         graph = WeightedGraph._from_arrays(
-            ids,
+            self._ids(origin, offsets, radius),
             np.full(n, float(self.m)),
             np.full(n, float(self.c)),
             np.nonzero(later)[0],
             nbr[later],
             np.full(int(later.sum()), float(self.b)),
         )
-        return graph, dist[order].astype(float)
+        return graph, dist.astype(float)
 
 
 @dataclass(frozen=True)
@@ -383,10 +453,31 @@ class SquareLatticeGenerator(_IntegerGrid):
         ]
 
 
-def generator_ball(gen, root: str, radius: int) -> list:
-    """Vertex ids within hop distance radius of root, in BFS order."""
+def _check_ball(gen, root, radius) -> None:
+    """Raise ValueError unless gen generates root and radius is a nonnegative integer."""
     if not gen.contains(root):
         raise ValueError(f"root {root!r} not generated")
+    if not isinstance(radius, (int, np.integer)) or radius < 0:
+        raise ValueError(f"radius must be a nonnegative integer, got {radius!r}")
+
+
+def generator_ball(gen, root: str, radius: int) -> list:
+    """Vertex ids within hop distance radius of root, in BFS order.
+
+    On the built-in grids the order comes from one sort in index space
+    (``_IntegerGrid._ball_order``); other generators are walked by ``_bfs_ball``.
+    A root that gen does not generate, or a radius that is not a nonnegative
+    integer, raises ValueError.
+    """
+    _check_ball(gen, root, radius)
+    if isinstance(gen, _IntegerGrid):
+        origin, offsets, _ = gen._ball_order(root, radius)
+        return gen._ids(origin, offsets, radius)
+    return _bfs_ball(gen, root, radius)
+
+
+def _bfs_ball(gen, root: str, radius: int) -> list:
+    """``generator_ball`` by a queue BFS over ``gen.neighbors``, for any generator."""
     order = [root]
     dist = {root: 0}
     queue = deque([root])

@@ -36,12 +36,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .forms import GraphForm, as_function, increments_settled
 from .reflection import _check_cutoff
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: Unit roundoff of float64, the relative size of the Neumann series' cut tail.
 _UNIT_ROUNDOFF = 2.0**-53
@@ -73,11 +76,11 @@ def _freeze(x):
     if isinstance(x, tuple):
         for part in x:
             _freeze(part)
-    elif sp.issparse(x):
+    elif isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    else:  # a CSR or CSC matrix, told apart without importing scipy
         for a in (x.data, x.indices, x.indptr):
             a.flags.writeable = False
-    else:
-        x.flags.writeable = False
     return x
 
 
@@ -131,6 +134,9 @@ class GeneratorOperator:
 
 def assemble_stiffness(form: GraphForm) -> sp.csr_matrix:
     """Full-space stiffness matrix K with Q(f, g) = f^T K g (no mask applied)."""
+    # imported here: scipy.sparse adds ~0.2 s to `import graphforms`
+    import scipy.sparse as sp
+
     g = form.graph
     n = g.n
     cps = form.couplings
@@ -146,6 +152,8 @@ def assemble_stiffness(form: GraphForm) -> sp.csr_matrix:
 
 def _restrict(K: sp.csr_matrix, mask: np.ndarray) -> sp.csr_matrix:
     """The rows and columns of canonical K in ``mask``: ``K[idx][:, idx]``, array for array."""
+    import scipy.sparse as sp  # imported here, as in assemble_stiffness
+
     idx = np.flatnonzero(mask)
     # Keep the entries in a kept row and column, in order, and renumber the columns.
     keep = np.repeat(mask, np.diff(K.indptr)) & mask[K.indices]
@@ -178,6 +186,8 @@ def _shift_pattern(K: sp.csr_matrix) -> tuple:
     positions of the data gives, entry for entry, the canonical CSC of the
     sparse sum K + diag(alpha m).
     """
+    import scipy.sparse as sp  # imported here, as in assemble_stiffness
+
     A = K.tocsc()
     n = A.shape[0]
     col = np.repeat(np.arange(n), np.diff(A.indptr))
@@ -203,6 +213,8 @@ class ResolventHandle:
     """
 
     def __init__(self, form: GraphForm):
+        import scipy.sparse as sp  # imported here, as in assemble_stiffness
+
         self.form = form
         self.generator = form.generator
         pattern, self._diag = self.generator.shift_pattern

@@ -15,14 +15,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .domination import FormPair, check_silverstein
 from .forms import GraphForm, assemble
 from .graph import Exhaustion, make_path
 from .reflection import effective_killing, reflected_form
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +217,7 @@ def classify_recurrence(q: GraphForm, ex: Exhaustion) -> dict:
     non-finite weight or a nonpositive measure on the active graph.
     """
     # imported here: scipy.sparse.csgraph adds ~0.1 s to `import graphforms`
+    import scipy.sparse as sp  # and scipy.sparse, as in resolvent.assemble_stiffness
     from scipy.sparse.csgraph import connected_components
 
     gen = q.generator

@@ -66,7 +66,7 @@ def _result(name, passed, detail=""):
 # -- graph model -------------------------------------------------------------
 
 
-def check_exhaustion_cutoffs():
+def check_exhaustion_cutoffs(corpora=None):
     gen = IntegerLineGenerator()
     ex = build_exhaustion(gen, "0", n_levels=4, plateau=2)
     ok = True
@@ -77,7 +77,7 @@ def check_exhaustion_cutoffs():
     return _result("exhaustion-cutoff-invariants", ok)
 
 
-def check_graph_roundtrip():
+def check_graph_roundtrip(corpora=None):
     rng = np.random.default_rng(SEED)
     worst = 0
     for _ in range(10):
@@ -89,7 +89,7 @@ def check_graph_roundtrip():
     return _result("graph-json-roundtrip", worst == 0)
 
 
-def check_path_energy():
+def check_path_energy(corpora=None):
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for n in range(2, 11):
@@ -104,24 +104,41 @@ def check_path_energy():
 # -- form engine -------------------------------------------------------------
 
 
-def _small_forms(count=8, n_max=20):
-    return [q for q, _ in corpus.form_corpus(SEED, count, n_max=n_max)]
+def _forms(corpora, seed, count, n_max):
+    """``corpus.form_corpus(seed, count, n_max=n_max)``.
+
+    ``corpora`` is the dict that one ``run_selftest`` call shares among its
+    checks: each (seed, n_max) stream is built there once, and a shorter
+    corpus is a prefix of a longer one.  Forms are read-only, so sharing them,
+    and the generators they cache, changes no check's result.  A check run on
+    its own (corpora None) builds its own corpus.
+    """
+    if corpora is None:
+        return corpus.form_corpus(seed, count, n_max=n_max)
+    built = corpora.get((seed, n_max), [])
+    if len(built) < count:
+        built = corpora[seed, n_max] = corpus.form_corpus(seed, count, n_max=n_max)
+    return built[:count]
 
 
-def check_markov_contractions():
+def _small_forms(corpora, count=8, n_max=20):
+    return [q for q, _ in _forms(corpora, SEED, count, n_max)]
+
+
+def check_markov_contractions(corpora=None):
     rng = np.random.default_rng(SEED)
     worst = -math.inf
-    for q in _small_forms():
+    for q in _small_forms(corpora):
         for C in contraction_catalog():
             f = corpus.random_masked_function(rng, q)
             worst = max(worst, q.evaluate(apply_contraction(C, f)) - q.evaluate(f))
     return _result("markov-contraction-property", worst <= 1e-12, f"worst excess {worst:.2e}")
 
 
-def check_homogeneity():
+def check_homogeneity(corpora=None):
     rng = np.random.default_rng(SEED)
     worst = 0.0
-    for q in _small_forms():
+    for q in _small_forms(corpora):
         f = corpus.random_masked_function(rng, q)
         qf = q.evaluate(f)
         for lam in (-2.0, -1.0, 0.0, 0.5, 3.0):
@@ -130,10 +147,10 @@ def check_homogeneity():
     return _result("quadratic-homogeneity", worst <= 1e-12, f"worst rel {worst:.2e}")
 
 
-def check_lattice_stability():
+def check_lattice_stability(corpora=None):
     rng = np.random.default_rng(SEED)
     worst = -math.inf
-    for q in _small_forms():
+    for q in _small_forms(corpora):
         f = corpus.random_masked_function(rng, q)
         g = corpus.random_masked_function(rng, q)
         rf, rg = math.sqrt(q.evaluate(f)), math.sqrt(q.evaluate(g))
@@ -142,10 +159,10 @@ def check_lattice_stability():
     return _result("lattice-stability", worst <= 1e-10, f"worst excess {worst:.2e}")
 
 
-def check_bounded_product():
+def check_bounded_product(corpora=None):
     rng = np.random.default_rng(SEED)
     worst = -math.inf
-    for q in _small_forms():
+    for q in _small_forms(corpora):
         f = corpus.random_masked_function(rng, q, bound=1.5)
         g = corpus.random_masked_function(rng, q, bound=1.5)
         lhs = math.sqrt(q.evaluate(f * g))
@@ -156,11 +173,11 @@ def check_bounded_product():
     return _result("bounded-product-bound", worst <= 1e-10, f"worst excess {worst:.2e}")
 
 
-def check_parallelogram_law():
+def check_parallelogram_law(corpora=None):
     rng = np.random.default_rng(SEED)
     ok = True
     worst = 0.0
-    for q in _small_forms():
+    for q in _small_forms(corpora):
         pairs = [
             (corpus.random_masked_function(rng, q), corpus.random_masked_function(rng, q))
             for _ in range(20)
@@ -174,9 +191,9 @@ def check_parallelogram_law():
 # -- resolvent engine ---------------------------------------------------------
 
 
-def check_sub_markov():
+def check_sub_markov(corpora=None):
     worst_low, worst_high = math.inf, -math.inf
-    for q, _ in corpus.form_corpus(SEED, 6, n_max=30):
+    for q, _ in _forms(corpora, SEED, 6, 30):
         handle = ResolventHandle(q)
         ones = np.ones(handle.dim)
         for alpha in (0.5, 1.0, 10.0, 1e3):
@@ -187,10 +204,10 @@ def check_sub_markov():
     return _result("resolvent-sub-markov", ok, f"range [{worst_low:.3e}, {worst_high:.6f}]")
 
 
-def check_positivity_preserving():
+def check_positivity_preserving(corpora=None):
     rng = np.random.default_rng(SEED)
     worst = math.inf
-    for q, _ in corpus.form_corpus(SEED, 6, n_max=30):
+    for q, _ in _forms(corpora, SEED, 6, 30):
         handle = ResolventHandle(q)
         for alpha in (0.5, 1.0, 10.0):
             f = rng.uniform(0.0, 2.0, handle.dim)
@@ -198,10 +215,10 @@ def check_positivity_preserving():
     return _result("resolvent-positivity", worst >= -1e-10, f"min entry {worst:.3e}")
 
 
-def check_monotone_ladder():
+def check_monotone_ladder(corpora=None):
     rng = np.random.default_rng(SEED)
     worst = -math.inf
-    for q, _ in corpus.form_corpus(SEED, 5, n_max=16):
+    for q, _ in _forms(corpora, SEED, 5, 16):
         handle = ResolventHandle(q)
         f = rng.uniform(-2, 2, handle.dim)
         vals = [a * handle.approximating_form(a, f) for a in default_alpha_ladder(handle)]
@@ -210,9 +227,9 @@ def check_monotone_ladder():
     return _result("monotone-alpha-ladder", worst <= 1e-10, f"worst decrease {worst:.2e}")
 
 
-def check_resolvent_identity():
+def check_resolvent_identity(corpora=None):
     worst = 0.0
-    for q, _ in corpus.form_corpus(SEED + 1, 5, n_max=12):
+    for q, _ in _forms(corpora, SEED + 1, 5, 12):
         handle = ResolventHandle(q)
         for alpha, beta in ((0.5, 2.0), (1.0, 10.0)):
             Ga = handle.resolvent_matrix(alpha)
@@ -223,11 +240,11 @@ def check_resolvent_identity():
     return _result("resolvent-identity", worst <= 1e-8, f"worst {worst:.2e}")
 
 
-def check_coefficient_consistency():
+def check_coefficient_consistency(corpora=None):
     rng = np.random.default_rng(SEED)
     worst = 0.0
     bounds_ok = True
-    for q, _ in corpus.form_corpus(SEED + 2, 5, n_max=12):
+    for q, _ in _forms(corpora, SEED + 2, 5, 12):
         handle = ResolventHandle(q)
         act = handle.generator.active_index
         k = min(4, len(act))
@@ -255,10 +272,10 @@ def check_coefficient_consistency():
 # -- reflection ---------------------------------------------------------------
 
 
-def check_phi_monotonicity():
+def check_phi_monotonicity(corpora=None):
     rng = np.random.default_rng(SEED)
     worst = -math.inf
-    for q in _small_forms():
+    for q in _small_forms(corpora):
         f = corpus.random_function(rng, q.n)
         psi = corpus.random_cutoff(rng, q)
         phi = psi * rng.uniform(0.0, 1.0, q.n)
@@ -266,20 +283,20 @@ def check_phi_monotonicity():
     return _result("truncated-monotone-in-cutoff", worst <= 1e-10, f"worst {worst:.2e}")
 
 
-def check_truncated_below_energy():
+def check_truncated_below_energy(corpora=None):
     rng = np.random.default_rng(SEED)
     worst = -math.inf
-    for q in _small_forms():
+    for q in _small_forms(corpora):
         f = corpus.random_masked_function(rng, q)
         phi = corpus.random_cutoff(rng, q)
         worst = max(worst, truncated_form(q, phi, f).value - q.evaluate(f))
     return _result("truncated-below-energy", worst <= 1e-10, f"worst {worst:.2e}")
 
 
-def check_lsc_in_phi():
+def check_lsc_in_phi(corpora=None):
     rng = np.random.default_rng(SEED)
     worst = -math.inf
-    for q in _small_forms(count=5):
+    for q in _small_forms(corpora, count=5):
         f = corpus.random_function(rng, q.n)
         phi = corpus.random_cutoff(rng, q) * 0.9
         target = truncated_form(q, phi, f).value
@@ -292,20 +309,20 @@ def check_lsc_in_phi():
     return _result("truncated-lsc-in-cutoff", worst <= 1e-8, f"worst {worst:.2e}")
 
 
-def check_reflected_extension():
+def check_reflected_extension(corpora=None):
     rng = np.random.default_rng(SEED)
     worst = 0.0
-    for q, ex in corpus.form_corpus(SEED + 3, 8, n_max=30):
+    for q, ex in _forms(corpora, SEED + 3, 8, 30):
         f = corpus.random_masked_function(rng, q)
         res = reflected_form(q, ex, f)
         worst = max(worst, abs(res.reflected_value - q.evaluate(f)) / (1.0 + q.evaluate(f)))
     return _result("reflected-extends-energy", worst <= 1e-9, f"worst rel {worst:.2e}")
 
 
-def check_finite_exactness():
+def check_finite_exactness(corpora=None):
     rng = np.random.default_rng(SEED)
     worst = 0.0
-    for q, ex in corpus.form_corpus(SEED + 4, 8, n_max=30):
+    for q, ex in _forms(corpora, SEED + 4, 8, 30):
         f = corpus.random_function(rng, q.n)
         res = reflected_form(q, ex, f)
         om, ok_ = form_oracle_main(q, f), form_oracle_killing(q, f)
@@ -317,10 +334,10 @@ def check_finite_exactness():
     return _result("finite-graph-oracle-exactness", worst <= 1e-10, f"worst rel {worst:.2e}")
 
 
-def check_decomposition_markov():
+def check_decomposition_markov(corpora=None):
     rng = np.random.default_rng(SEED)
     worst = -math.inf
-    for q, ex in corpus.form_corpus(SEED + 5, 4, n_max=20):
+    for q, ex in _forms(corpora, SEED + 5, 4, 20):
         f = corpus.random_function(rng, q.n)
         base = reflected_form(q, ex, f)
         for C in contraction_catalog():
@@ -336,7 +353,7 @@ def check_decomposition_markov():
 # -- domination ----------------------------------------------------------------
 
 
-def check_criterion_equivalence():
+def check_criterion_equivalence(corpora=None):
     pairs = corpus.domination_pair_corpus(SEED, 50)
     disagreements = 0
     for pair in pairs:
@@ -347,15 +364,15 @@ def check_criterion_equivalence():
                    f"{disagreements} disagreements over {len(pairs)} pairs")
 
 
-def check_domination_reflexivity():
-    for q, _ in corpus.form_corpus(SEED + 6, 5, n_max=12):
+def check_domination_reflexivity(corpora=None):
+    for q, _ in _forms(corpora, SEED + 6, 5, 12):
         ok, worst = check_resolvent_domination(FormPair(lower=q, upper=q))
         if not ok:
             return _result("domination-reflexivity", False, str(worst))
     return _result("domination-reflexivity", True)
 
 
-def check_domination_transitivity():
+def check_domination_transitivity(corpora=None):
     rng = np.random.default_rng(SEED)
     checked = 0
     for _ in range(10):
@@ -378,7 +395,7 @@ def check_domination_transitivity():
 # -- scenarios ------------------------------------------------------------------
 
 
-def check_gap_invariance():
+def check_gap_invariance(corpora=None):
     for n in (5, 7, 9, 51):
         rep = run_counterexample(CounterexampleSetup(n=n))
         if abs(rep.gap - 1.0) > 1e-9:
@@ -386,8 +403,8 @@ def check_gap_invariance():
     return _result("counterexample-gap-invariance", True)
 
 
-def check_corpus_monotone():
-    for k, (q, _) in enumerate(corpus.form_corpus(SEED + 7, 10, n_max=30)):
+def check_corpus_monotone(corpora=None):
+    for k, (q, _) in enumerate(_forms(corpora, SEED + 7, 10, 30)):
         spec = killing_difference_spec(q, seed=k)
         rep = monotone_equivalence_test(spec, samples=200, seed=SEED)
         if rep.monotone != NOT_REFUTED or rep.nonneg_definite != NOT_REFUTED:
@@ -395,7 +412,7 @@ def check_corpus_monotone():
     return _result("killing-difference-monotone", True)
 
 
-def check_counterexample_killing_persists():
+def check_counterexample_killing_persists(corpora=None):
     setup = CounterexampleSetup(n=21)
     _, _, _, ext2 = setup.build()
     ex = corpus.saturating_exhaustion(ext2.graph)
@@ -434,10 +451,15 @@ REGISTRY = [
 
 
 def run_selftest(echo=None) -> list:
-    """Run every registered check; optionally echo one line per check."""
+    """Run every registered check; optionally echo one line per check.
+
+    The checks share the seeded corpora they build (see ``_forms``) for this
+    call only.
+    """
     results = []
+    corpora = {}
     for fn in REGISTRY:
-        res = fn()
+        res = fn(corpora)
         results.append(res)
         if echo is not None:
             status = "PASS" if res.passed else "FAIL"

@@ -286,6 +286,28 @@ class TestSelftest:
         assert "[PASS]" in proc.stdout
 
 
+class TestColdStart:
+    """validate and decompose run without loading scipy."""
+
+    @pytest.mark.parametrize("command", ["validate", "decompose"])
+    def test_runs_without_scipy(self, command, tmp_path):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(GOOD))
+        fpath = tmp_path / "f.json"
+        fpath.write_text("[1.0, -0.5, 2.0]")
+        extra = {"validate": [], "decompose": [f"--f={fpath}", "--root=a"]}[command]
+        src = Path(__file__).resolve().parents[1] / "src"
+        # -X importtime lists every module the process imports on stderr.
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "graphforms", command, str(gpath), *extra],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "graphforms.cli" in imported
+        assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
+
 class TestReportDeterminism:
     """Identical arguments write byte-identical JSON reports."""
 

@@ -481,11 +481,16 @@ class TestProductRoute:
             assert ok and worst["kind"] == kind and worst["certified"]
 
     def test_import_leaves_scipy_linalg_out(self):
+        # Neither import loads any scipy module: scipy is imported where it is first used.
         root = Path(__file__).resolve().parents[1]
-        code = "import sys, graphforms; sys.exit('scipy.linalg' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=60)
-        assert proc.returncode == 0, proc.stderr
+        code = ("import importlib, sys; importlib.import_module(sys.argv[1]); "
+                "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        for module in ("graphforms", "graphforms.cli"):
+            proc = subprocess.run([sys.executable, "-c", code, module], capture_output=True,
+                                  text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                                  timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == "", f"import {module} loaded {proc.stdout}"
 
 
 class TestCriterionInputs:

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphforms import (
     GraphFormatError,
@@ -19,9 +21,11 @@ from graphforms import (
     generator_ball,
     load_graph,
     make_path,
+    single_vertex,
     truncate,
     validate,
 )
+from graphforms.graph import _bfs_ball
 
 TWO_VERTEX = json.dumps(
     {
@@ -171,6 +175,64 @@ class TestRoundTrip:
         )
         edges = g.to_dict()["edges"]
         assert [(e["u"], e["v"]) for e in edges] == [("a", "k"), ("a", "z"), ("k", "z")]
+
+
+def _emit_oracle(g):
+    """What emit_graph writes, by the json module's own encoder."""
+    return json.dumps(g.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+_SPECIAL = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e308,
+            1.7976931348623157e308, math.inf, -math.inf, math.nan)
+_ID_CHARS = st.sampled_from('"\\,/\x00\x08\x1f\x7f\n\t aé→\u2028😀') | st.characters()
+
+
+@st.composite
+def json_graphs(draw):
+    """Small graphs with awkward ids and floats; about half are valid."""
+    ids = draw(st.one_of(
+        st.lists(st.text(_ID_CHARS, max_size=5), min_size=1, max_size=7, unique=True),
+        st.lists(st.integers(-10**20, 10**20), min_size=1, max_size=7, unique=True),
+    ))
+    n = len(ids)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    if draw(st.booleans()):
+        value = st.floats(min_value=5e-324, max_value=1e306)
+        killing = st.just(0.0) | st.just(-0.0) | st.floats(min_value=0.0, max_value=1e306)
+    else:
+        value = killing = st.sampled_from(_SPECIAL) | st.floats()
+    m, c, b = (draw(st.lists(s, min_size=k, max_size=k))
+               for s, k in ((value, n), (killing, n), (value, len(chosen))))
+    return WeightedGraph(ids, m, c, [(i, j, w) for (i, j), w in zip(chosen, b)])
+
+
+class TestEmitGraph:
+    """emit_graph writes the json module's indent=2 text byte for byte."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(json_graphs())
+    def test_matches_json_dumps(self, g):
+        text = emit_graph(g)
+        assert text == _emit_oracle(g)
+        if isinstance(g.ids[0], str) and not validate(g):
+            back = load_graph(text)
+            assert back.ids == g.ids and emit_graph(back) == text
+            assert np.array_equal(back.m, g.m) and np.array_equal(back.c, g.c)
+
+    @pytest.mark.parametrize("g", [
+        single_vertex(1.0, 0.0),
+        single_vertex(math.inf, -0.0, vid='q"\\\x01,é'),
+        WeightedGraph([3, -1, 2], [1, 2, 3], [0, 0, 0], [(0, 1, 1.0), (2, 1, 2.0)]),
+        make_path(5, 0.3),
+    ])
+    def test_examples(self, g):
+        assert emit_graph(g) == _emit_oracle(g)
+
+    def test_lattice(self):
+        gen = SquareLatticeGenerator(m=0.3, c=0.1, b=1 / 3)
+        g = truncate(gen, generator_ball(gen, "2,-1", 9))
+        assert emit_graph(g) == _emit_oracle(g)
 
 
 class TestMakePath:
@@ -386,6 +448,24 @@ def _same_graph(a, b):
         assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
+class _Ring:
+    """A generator that is not a built-in grid: the cycle a -> b -> c -> a."""
+
+    def contains(self, vid):
+        return vid in {"a", "b", "c"}
+
+    def measure(self, vid):
+        return 1.0
+
+    def killing(self, vid):
+        return 0.0
+
+    def neighbors(self, vid):
+        nxt = {"a": "b", "b": "c", "c": "a"}
+        prev = {v: u for u, v in nxt.items()}
+        return [(nxt[vid], 1.0), (prev[vid], 1.0)]
+
+
 class TestIndexBall:
     """The index-space ball of a built-in generator equals its string-path truncation."""
 
@@ -401,7 +481,7 @@ class TestIndexBall:
     def test_matches_string_truncation(self, gen, roots):
         for root in roots:
             for radius in range(9):
-                oracle = truncate(gen, generator_ball(gen, root, radius))
+                oracle = truncate(gen, _bfs_ball(gen, root, radius))
                 _same_graph(gen._ball(root, radius)[0], oracle)
 
     @pytest.mark.parametrize(
@@ -413,7 +493,7 @@ class TestIndexBall:
         # The one-sort order against the queue BFS at the benchmark's sizes.
         for root in roots:
             graph, dist = gen._ball(root, radius)
-            _same_graph(graph, truncate(gen, generator_ball(gen, root, radius)))
+            _same_graph(graph, truncate(gen, _bfs_ball(gen, root, radius)))
             assert dist.dtype == np.float64
             assert np.array_equal(dist, graph.distances_from([graph.index[root]]))
 
@@ -423,7 +503,7 @@ class TestIndexBall:
     def test_build_exhaustion_graph_matches_string_path(self, gen, root):
         for levels, plateau in ((1, 1), (5, 2), (12, 3)):
             ex = build_exhaustion(gen, root, n_levels=levels, plateau=plateau)
-            oracle = truncate(gen, generator_ball(gen, root, levels + plateau))
+            oracle = truncate(gen, _bfs_ball(gen, root, levels + plateau))
             _same_graph(ex.graph, oracle)
 
     @pytest.mark.parametrize(
@@ -441,23 +521,41 @@ class TestIndexBall:
                 assert np.array_equal(dist, graph.distances_from([graph.index[root]]))
 
     def test_non_grid_generator_takes_the_string_path(self):
-        class Ring:
-            def contains(self, vid):
-                return vid in {"a", "b", "c"}
-
-            def measure(self, vid):
-                return 1.0
-
-            def killing(self, vid):
-                return 0.0
-
-            def neighbors(self, vid):
-                nxt = {"a": "b", "b": "c", "c": "a"}
-                prev = {v: u for u, v in nxt.items()}
-                return [(nxt[vid], 1.0), (prev[vid], 1.0)]
-
-        ex = build_exhaustion(Ring(), "a", n_levels=1, plateau=1)
+        ex = build_exhaustion(_Ring(), "a", n_levels=1, plateau=1)
         assert ex.graph.ids == ["a", "b", "c"]
+
+
+class TestGeneratorBall:
+    """generator_ball takes the grids' index-space order, equal to the queue BFS."""
+
+    @pytest.mark.parametrize(
+        "gen,roots",
+        [
+            (SquareLatticeGenerator(), ["0,0", "3,-2", "-17,40"]),
+            (IntegerLineGenerator(), ["0", "-5", "123"]),
+        ],
+    )
+    def test_matches_the_generic_bfs(self, gen, roots):
+        for root in roots:
+            for radius in range(41):
+                assert generator_ball(gen, root, radius) == _bfs_ball(gen, root, radius)
+
+    @pytest.mark.parametrize("radius", [-1, -40, 2.5, 2.0, math.nan, "3", None])
+    @pytest.mark.parametrize(
+        "gen,root", [(SquareLatticeGenerator(), "0,0"), (IntegerLineGenerator(), "0"),
+                     (_Ring(), "a")]
+    )
+    def test_rejects_a_bad_radius(self, gen, root, radius):
+        with pytest.raises(ValueError, match="radius must be a nonnegative integer"):
+            generator_ball(gen, root, radius)
+        if isinstance(gen, SquareLatticeGenerator | IntegerLineGenerator):
+            with pytest.raises(ValueError, match="radius must be a nonnegative integer"):
+                gen._ball(root, radius)
+
+    def test_integer_radius_types(self):
+        gen = SquareLatticeGenerator()
+        assert generator_ball(gen, "0,0", np.int64(3)) == generator_ball(gen, "0,0", 3)
+        assert generator_ball(_Ring(), "a", 0) == ["a"]
 
 
 class TestCanonicalIds:
