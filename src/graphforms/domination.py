@@ -17,13 +17,14 @@ pair differs, and its maximum is exact for r <= 2 at any size and, for
 larger r, within a dense budget or a budget of multiplies per alpha (see
 check_resolvent_domination).  For an extension pair V follows from U alone,
 so only the upper form is factored, under a forward-error bound (see
-_schur_route).  The cone inequality in (ii) and the agreement in (iii) are
-both decided exactly from D = K - K~, the difference of the stiffness
-matrices restricted to the smaller active set: (ii) holds iff D >= 0
-entrywise (indicator functions are admissible nonnegative probes, so the
-coefficient condition is necessary as well as sufficient), and the forms
-agree on the smaller domain iff D = 0 (a quadratic form determines its
-symmetric matrix).
+_schur_route).  Pairs of at most SMALL_DIM vertices skip that step and the
+sparse factors: both forms are factored densely (see _small_route).  The
+cone inequality in (ii) and the agreement in (iii) are both decided exactly
+from D = K - K~, the difference of the stiffness matrices restricted to the
+smaller active set: (ii) holds iff D >= 0 entrywise (indicator functions
+are admissible nonnegative probes, so the coefficient condition is
+necessary as well as sufficient), and the forms agree on the smaller domain
+iff D = 0 (a quadratic form determines its symmetric matrix).
 """
 
 from __future__ import annotations
@@ -63,6 +64,25 @@ DENSE_BUDGET = 256 * 256
 #:     1201   1.27e8      266 ms    267 ms
 #:     1861   3.9e8       689 ms    451 ms
 PRODUCT_BUDGET = 2**27
+
+#: Most vertices in either active set up to which criterion (i) decides a pair on
+#: dense Cholesky factors (_small_route): below it SuperLU's setup, the handles
+#: and the Schur step cost more than dense LAPACK does.  The crossover of the
+#: two on path pairs (the counterexample's base and ext1, tridiagonal, where
+#: SuperLU is cheapest); lattice pairs, with a Dirichlet rim ("rim") or killing
+#: on every vertex ("kill"), cross above n = 145.  Minimum of 3 x 3 calls at the
+#: 13 default alphas, 2 vCPUs, 2 BLAS threads:
+#:
+#:     pair    |b|    sparse    dense
+#:     rim      85    10.1 ms    3.2 ms
+#:     rim     145    15.0 ms   10.0 ms
+#:     kill    113    21.0 ms   10.0 ms
+#:     kill    145    27.8 ms   20.8 ms
+#:     path    101     5.1 ms    3.4 ms
+#:     path    121     5.5 ms    4.4 ms
+#:     path    131     5.4 ms    6.2 ms
+#:     path    151     5.8 ms    9.0 ms
+SMALL_DIM = 128
 
 _DEFAULT_ALPHAS = tuple(float(a) for a in np.logspace(-3.0, 3.0, 13))
 
@@ -256,6 +276,108 @@ def _schur_route(gen, S: np.ndarray, pos: np.ndarray):
     return factor
 
 
+def _checked_alphas(alphas) -> tuple:
+    """The alphas as floats; ValueError unless there is one and each is positive and finite."""
+    alphas = tuple(float(alpha) for alpha in alphas)
+    if not alphas or not all(0.0 < alpha < math.inf for alpha in alphas):
+        raise ValueError(f"criterion (i) needs positive finite alphas, got {alphas}")
+    return alphas
+
+
+def _new_worst() -> dict:
+    return {"violation": -math.inf, "alpha": None, "kind": None, "certified": True}
+
+
+def _record(worst: dict, v, alpha, kind: str) -> None:
+    """Keep the largest violation seen in worst, with its alpha and route."""
+    if v > worst["violation"]:
+        worst.update(violation=float(v) + 0.0, alpha=float(alpha), kind=kind)  # no -0.0
+
+
+class _FactorFailed(Exception):
+    """A K + alpha M of _small_route is not finite or has no Cholesky factor."""
+
+
+def _small_route(pair: FormPair, alphas: tuple, tol: float) -> dict:
+    """check_resolvent_domination's worst for a pair of at most SMALL_DIM active
+    vertices a side, from dense Cholesky factors.
+
+    Each form's K is read densely once, and K + alpha M is factored and solved
+    by scipy's dposv: two factors per alpha (one for "ideal") and no Schur
+    step.  The routes, their values and the floor are those of the sparse
+    path within DENSE_BUDGET.  Raises _FactorFailed when some K + alpha M is
+    not finite or a factor fails; the sparse path then decides the pair, and
+    raises what it raises.
+    """
+    from scipy.linalg.lapack import dposv  # imported here, as in _max_inner
+
+    top = max(alphas)
+
+    def dense(gen) -> tuple:
+        """gen's K as a dense array, and alpha, rhs -> (K + alpha M)^{-1} rhs."""
+        K, m = np.asfortranarray(gen.stiffness.toarray()), gen.mass
+        i = np.arange(len(m))
+        diag = K[i, i]
+        # K_ii, m_i >= 0, so no K_ii + alpha m_i rounds above this sum
+        if not (np.isfinite(K).all()
+                and math.isfinite(diag.max(initial=0.0) + top * m.max(initial=0.0))):
+            raise _FactorFailed
+
+        def solve(alpha: float, rhs: np.ndarray) -> np.ndarray:
+            A = K.copy(order="F")
+            A[i, i] = diag + alpha * m
+            _, X, info = dposv(A, rhs, overwrite_a=1)
+            if info:
+                raise _FactorFailed
+            return X
+
+        return K, solve
+
+    a, b = pair.lower.active, pair.upper.active
+    K_low, solve_low = dense(pair.lower.generator)
+    m_low = pair.lower.generator.mass
+    na = len(m_low)
+    worst = _new_worst()
+    if not b[a].all():
+        cols = np.flatnonzero(~b[a])
+        rhs = np.zeros((na, len(cols)), order="F")
+        rhs[cols, np.arange(len(cols))] = m_low[cols]  # G's columns on a \ b
+        for alpha in alphas:
+            _record(worst, solve_low(alpha, rhs).max(), alpha, "ideal")
+        worst["certified"] = worst["violation"] > tol
+        return worst
+
+    K_up, solve_up = dense(pair.upper.generator)
+    nb = len(K_up)
+    pos = np.flatnonzero(a[b])
+    C = K_up[:, pos]  # C = K~|b E - E K|a
+    C[pos] -= K_low
+    S = np.flatnonzero(C.any(axis=1))
+    r = len(S)
+    if r == 0:
+        worst.update(violation=0.0, kind="rank0")
+        return worst
+    kind = "rank1" if r == 1 else "product" if r < na else "blocks"
+    floor = 0.0 if nb < pair.lower.n else -math.inf
+    if kind == "blocks":  # G~ E and G
+        rhs_up = np.zeros((nb, na), order="F")
+        rhs_up[pos, np.arange(na)] = m_low
+        rhs_low = np.diag(m_low)
+    else:  # U = A~^{-1}[:, S] and V = A^{-1} C_S^T
+        rhs_up = np.zeros((nb, r), order="F")
+        rhs_up[S, np.arange(r)] = 1.0
+        rhs_low = C[S].T
+    for alpha in alphas:
+        U, V = solve_up(alpha, rhs_up), solve_low(alpha, rhs_low)
+        if kind == "blocks":
+            U[pos] -= V
+            v = -U.min()
+        else:
+            v = _max_inner(kind, U, V * m_low[:, None])
+        _record(worst, max(v, floor), alpha, kind)
+    return worst
+
+
 def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -> tuple:
     """Criterion (i): |G_alpha f| <= G~_alpha |f| elementwise, all probes and alpha.
 
@@ -294,6 +416,14 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
       PRODUCT_BUDGET, the first 64 basis vectors and 16 seeded random sign
       vectors go through both resolvents, uncertified.
 
+    The solves above run on SuperLU factors (see ResolventHandle), except
+    for pairs of at most SMALL_DIM active vertices a side: _small_route
+    decides those on dense Cholesky factors of K + alpha M on scipy's LAPACK,
+    two factors per alpha and no Schur step, through the routes and values
+    listed within DENSE_BUDGET.  A dense factor that fails sends the pair
+    down the sparse path.  alphas, when given, must be a nonempty sequence
+    of positive finite numbers (else ValueError, before any route).
+
     Returns (ok, worst).  worst["violation"] is the largest entry of G - G~
     over the columns in a (over those in a \\ b for "ideal", over the probes'
     |G f| - G~|f| for "probe_k"), with its alpha (None for "rank0"); ok is
@@ -303,17 +433,17 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
     """
     import scipy.sparse as sp  # imported here, as in resolvent.assemble_stiffness
 
-    if alphas is None:
-        alphas = _DEFAULT_ALPHAS
+    alphas = _DEFAULT_ALPHAS if alphas is None else _checked_alphas(alphas)
     _check_m_matrix_data(pair)
     a, b = pair.lower.active, pair.upper.active
+    if max(np.count_nonzero(a), np.count_nonzero(b)) <= SMALL_DIM:
+        try:
+            worst = _small_route(pair, alphas, tol)
+            return worst["violation"] <= tol, worst
+        except _FactorFailed:
+            pass  # the sparse path decides the pair
     h_low = ResolventHandle(pair.lower)
-    worst = {"violation": -math.inf, "alpha": None, "kind": None, "certified": True}
-
-    def record(v, alpha, kind):
-        if v > worst["violation"]:
-            worst.update(violation=float(v) + 0.0, alpha=float(alpha), kind=kind)  # no -0.0
-
+    worst = _new_worst()
     if not b[a].all():
         cols = np.flatnonzero(~b[a])
         step = max(1, DENSE_BUDGET // h_low.dim)
@@ -321,7 +451,7 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
             for j in np.array_split(cols, -(-len(cols) // step)):
                 rhs = np.zeros((h_low.dim, len(j)))
                 rhs[j, np.arange(len(j))] = h_low.generator.mass[j]  # G's columns j
-                record(h_low.solve_columns(alpha, rhs).max(), alpha, "ideal")
+                _record(worst, h_low.solve_columns(alpha, rhs).max(), alpha, "ideal")
         worst["certified"] = worst["violation"] > tol
         return worst["violation"] <= tol, worst
 
@@ -355,7 +485,7 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
             for k, f in enumerate(probes):
                 u = h_low.extend(h_low.apply(alpha, h_low.restrict(f)))
                 w = h_up.extend(h_up.apply(alpha, h_up.restrict(np.abs(f))))
-                record(float((np.abs(u) - w).max()), alpha, f"probe_{k}")
+                _record(worst, float((np.abs(u) - w).max()), alpha, f"probe_{k}")
         return worst["violation"] <= tol, worst
 
     # Rows outside b of a column in a are 0 in both resolvents.
@@ -380,7 +510,7 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
             v = None if V is None else _max_inner(kind, U, V * m_a[:, None])
             if v is None or not abs(v - tol) > delta:  # within delta of tol, or NaN
                 v = _max_inner(kind, U, h_low.solve_columns(alpha, C_S) * m_a[:, None])
-        record(max(v, floor), alpha, kind)
+        _record(worst, max(v, floor), alpha, kind)
     return worst["violation"] <= tol, worst
 
 

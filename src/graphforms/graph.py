@@ -389,28 +389,63 @@ class _IntegerGrid:
         and every vertex's hop distance from the root.
 
         The ball is |x - root|_1 <= radius, so the distances are the graph's.
-        Edges are the pairs (i, j), j > i, by i and then by step.
         """
         _check_ball(self, root, radius)
         origin, offsets, dist = self._ball_order(root, radius)
-        n, dim = offsets.shape
-        steps = np.array(self.steps)
-        side = 2 * radius + 3  # the box around the ball also holds its neighbours
-        scale = side ** np.arange(dim)
-        key = (offsets + radius + 1) @ scale
-        position = np.full(side**dim, -1)
+        bound = np.full(len(origin), radius)
+        graph = self._induced(self._ids(origin, offsets, radius), offsets, -bound, bound)
+        return graph, dist.astype(float)
+
+    def _points(self, ids: list):
+        """(points, low, high): the points of ids as an (n, d) int array and their
+        least and greatest coordinates, or None unless the box around the points
+        and their neighbours, ``_induced``'s table, has at most 16 n + 64 points
+        and each id is the id of its point, as ``contains`` demands.  Each id
+        is parsed once, and each coordinate value formatted once to check it."""
+        dim = len(self.steps) // 2
+        try:
+            parts = ",".join(ids).split(",")
+            points = np.array(list(map(int, parts)), dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):  # no str id, no int, too large
+            return None
+        if len(parts) != dim * len(ids):
+            return None
+        points = points.reshape(-1, dim)
+        low, high = points.min(axis=0), points.max(axis=0)
+        # in Python ints: int64 differences could wrap
+        if math.prod(h - l + 3 for l, h in zip(low.tolist(), high.tolist())) > 16 * len(ids) + 64:
+            return None
+        centre = low + (high - low) // 2
+        offsets = points - centre
+        if self._ids(centre, offsets, int(abs(offsets).max())) != ids:
+            return None
+        return points, low, high
+
+    def _induced(self, ids: list, points: np.ndarray, low, high) -> WeightedGraph:
+        """The graph on the nonempty ids of the given distinct points, (n, d) ints
+        with coordinates from low to high, arrays of d bounds.
+
+        A table over the box around the points and their neighbours holds each
+        point's position, so a neighbour is one lookup.  Edges are the pairs
+        (i, j), j > i, by i and then by step, the order in which
+        ``_truncate_loop`` emits them.
+        """
+        n = len(points)
+        side = high - low + 3
+        scale = np.cumprod(np.concatenate(([1], side[:-1])))
+        key = (points - (low - 1)) @ scale
+        position = np.full(int(np.prod(side)), -1)
         position[key] = np.arange(n)
-        nbr = position[key[:, None] + steps @ scale]
+        nbr = position[key[:, None] + np.array(self.steps) @ scale]
         later = nbr > np.arange(n)[:, None]
-        graph = WeightedGraph._from_arrays(
-            self._ids(origin, offsets, radius),
+        return WeightedGraph._from_arrays(
+            ids,
             np.full(n, float(self.m)),
             np.full(n, float(self.c)),
             np.nonzero(later)[0],
             nbr[later],
             np.full(int(later.sum()), float(self.b)),
         )
-        return graph, dist.astype(float)
 
 
 @dataclass(frozen=True)
@@ -494,8 +529,23 @@ def _bfs_ball(gen, root: str, radius: int) -> list:
 
 
 def truncate(gen, vertex_ids) -> WeightedGraph:
-    """Finite truncation of a generated graph, induced on the given ids."""
+    """Finite truncation of a generated graph, induced on the given ids.
+
+    On the built-in grids, when each id is the id of its point, the ids are
+    parsed once and the edges found in index space (``_IntegerGrid._induced``);
+    other generators and ids are walked by ``_truncate_loop``.  Both give the
+    same graph.
+    """
     ids = list(vertex_ids)
+    if isinstance(gen, _IntegerGrid):
+        points = gen._points(ids)
+        if points is not None:
+            return gen._induced(ids, *points)
+    return _truncate_loop(gen, ids)
+
+
+def _truncate_loop(gen, ids: list) -> WeightedGraph:
+    """``truncate`` through ``gen.neighbors``, vertex by vertex, for any generator."""
     position = {v: i for i, v in enumerate(ids)}
     m = [gen.measure(v) for v in ids]
     c = [gen.killing(v) for v in ids]

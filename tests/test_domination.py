@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +38,11 @@ from graphforms.corpus import (
     zero_killing,
 )
 import graphforms.domination as dom
+import graphforms.selftest as selftest
 from graphforms.domination import _DEFAULT_ALPHAS, _max_inner, check_extension
 from graphforms.graph import WeightedGraph
 from graphforms.resolvent import assemble_stiffness
+from test_resolvent import exact_solve
 
 
 def dense_coefficient_check(pair, tol=1e-10):
@@ -173,6 +176,7 @@ class TestResolventDomination:
         # still match the oracle, but only the violation is a certificate.
         import graphforms.domination as dom
 
+        monkeypatch.setattr(dom, "SMALL_DIM", 0)
         monkeypatch.setattr(dom, "DENSE_BUDGET", 0)
         killing = lattice_pair(2, killing=0.1)  # r = n = 13
         for pair, verdict in ((FormPair(killing.upper, killing.lower), True), (killing, False)):
@@ -186,6 +190,7 @@ class TestResolventDomination:
     def test_route_follows_rank_and_budget(self, monkeypatch, dense, multiply):
         # The route depends on r, on |b| |a| against DENSE_BUDGET and, for
         # 2 < r < |a| above it, on r |b| |a| against PRODUCT_BUDGET; not on n.
+        monkeypatch.setattr(dom, "SMALL_DIM", 0)
         cases = [  # (pair, r, |b| |a|, route within DENSE_BUDGET, routes above it)
             (dirichlet_neumann_pair(n=6), 2, 6 * 4, "product", ("rank2", "rank2")),
             # r = 12 < |a|: product up to r |b| |a| multiplies, probes above
@@ -221,7 +226,8 @@ class TestIdentityRoutes:
 
     @pytest.mark.parametrize("n, kind", [(51, "product"), (201, "product"),
                                          (255, "product"), (301, "rank2")])
-    def test_counterexample_pairs_certified(self, n, kind):
+    def test_counterexample_pairs_certified(self, monkeypatch, n, kind):
+        monkeypatch.setattr(dom, "SMALL_DIM", 0)
         ext1, ext2, reversed_pair = counterexample_pairs(n)
         assert assert_matches_oracle(ext1)["kind"] == kind
         assert assert_matches_oracle(ext2)["kind"] == kind
@@ -230,6 +236,7 @@ class TestIdentityRoutes:
     def test_rank2_hull_below_the_budget(self, monkeypatch):
         import graphforms.domination as dom
 
+        monkeypatch.setattr(dom, "SMALL_DIM", 0)
         monkeypatch.setattr(dom, "DENSE_BUDGET", 0)
         pairs = counterexample_pairs(51)[:2] + [dirichlet_neumann_pair(n=7)]
         pairs += domination_pair_corpus(3, 30)
@@ -239,7 +246,8 @@ class TestIdentityRoutes:
             if kind == "rank2":
                 assert_matches_oracle(pair)
 
-    def test_lower_set_outside_the_upper_one(self):
+    def test_lower_set_outside_the_upper_one(self, monkeypatch):
+        monkeypatch.setattr(dom, "SMALL_DIM", 0)
         pair = dirichlet_neumann_pair()
         worst = assert_matches_oracle(FormPair(lower=pair.upper, upper=pair.lower))
         assert worst["kind"] == "ideal" and worst["violation"] > 1e-9
@@ -253,6 +261,7 @@ class TestIdentityRoutes:
         # at v3 is not.  Chunks of one column each read the same maximum.
         import graphforms.domination as dom
 
+        monkeypatch.setattr(dom, "SMALL_DIM", 0)
         g = make_path(4, 1.0)
         g = WeightedGraph(g.ids, [1e-12, 1.0, 1.0, 1.0], g.c, [("v0", "v1", 1.0),
                           ("v1", "v2", 1.0), ("v2", "v3", 1.0)])
@@ -296,7 +305,8 @@ class TestIdentityRoutes:
         worst = assert_matches_oracle(FormPair(assemble(g), assemble(g, extra_killing={"v4": 1.0})))
         assert worst["kind"] == "rank1" and worst["violation"] > 1e-9
 
-    def test_violating_lattice_pair(self):
+    def test_violating_lattice_pair(self, monkeypatch):
+        monkeypatch.setattr(dom, "SMALL_DIM", 0)
         pair = lattice_pair(3, killing=0.1)
         worst = assert_matches_oracle(pair)
         assert worst["kind"] == "blocks" and worst["violation"] > 1e-9
@@ -353,12 +363,13 @@ class TestOneFactorRoute:
     def test_matches_two_factor_route_and_oracle(self, pair):
         assert check_extension(pair)[0]
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dom, "SMALL_DIM", 0)
             dims = factored_dims(mp)
             _, worst = check_resolvent_domination(pair)
-        if worst["kind"] in ("rank1", "rank2", "product"):
-            assert dims == [pair.upper.generator.dim] * len(_DEFAULT_ALPHAS)
-        assert assert_matches_oracle(pair) == worst
-        ok2, worst2 = self.two_factor(pair)
+            if worst["kind"] in ("rank1", "rank2", "product"):
+                assert dims == [pair.upper.generator.dim] * len(_DEFAULT_ALPHAS)
+            assert assert_matches_oracle(pair) == worst
+            ok2, worst2 = self.two_factor(pair)
         assert ok2 and worst2["kind"] == worst["kind"] and worst2["certified"]
         assert abs(worst["violation"] - worst2["violation"]) <= 1e-12
 
@@ -394,6 +405,7 @@ class TestOneFactorRoute:
     def test_fallback_through_the_lower_factor(self, monkeypatch):
         # A delta above every margin sends each alpha through A's own factor, which
         # gives exactly the two-factor report.
+        monkeypatch.setattr(dom, "SMALL_DIM", 0)
         pair = lattice_pair(4, rim_boundary=True)
         dims = factored_dims(monkeypatch)
         one = check_resolvent_domination(pair)
@@ -408,6 +420,7 @@ class TestOneFactorRoute:
         assert forced[0] == one[0] and abs(forced[1]["violation"] - one[1]["violation"]) <= 1e-12
 
     def test_factorizations_per_pair(self, monkeypatch):
+        monkeypatch.setattr(dom, "SMALL_DIM", 0)
         calls = []
         route = dom._schur_route
         monkeypatch.setattr(dom, "_schur_route",
@@ -446,6 +459,137 @@ def rank_r_pairs(draw):
                     assemble(g, extra_killing=dict(zip(spots, up.tolist()))))
 
 
+def exact_violation(pair, alphas):
+    """Criterion (i)'s violation in rational arithmetic: the largest entry of G - G~
+    over all n rows and the columns in a (in a \\ b when a is not in b)."""
+    a, b = pair.lower.active, pair.upper.active
+    h_low, h_up = ResolventHandle(pair.lower), ResolventHandle(pair.upper)
+    low, up = h_low.generator, h_up.generator
+    cols = np.flatnonzero(~b[a]) if not b[a].all() else np.arange(low.dim)
+    rows_a = {int(i): k for k, i in enumerate(low.active_index)}
+    worst = None
+    for alpha in alphas:
+        rhs = np.zeros((low.dim, len(cols)))
+        rhs[cols, np.arange(len(cols))] = low.mass[cols]
+        G = exact_solve(h_low, alpha, rhs)
+        if not b[a].all():  # G~ vanishes on these columns
+            entries = [x for row in G for x in row]
+        else:
+            rhs = np.zeros((up.dim, low.dim))
+            rhs[np.flatnonzero(a[b]), np.arange(low.dim)] = low.mass
+            G_up = exact_solve(h_up, alpha, rhs)
+            entries = [(G[rows_a[i]][j] if i in rows_a else 0) - G_up[k][j]
+                       for k, i in enumerate(up.active_index.tolist()) for j in range(low.dim)]
+        if len(entries) < pair.lower.n * len(cols):  # rows where both resolvents vanish
+            entries.append(Fraction(0))
+        worst = max(entries) if worst is None else max(worst, *entries)
+    return worst
+
+
+@st.composite
+def small_pairs(draw):
+    """(pair, route) on at most 12 vertices, with killing and a coupling in both forms.
+
+    The upper form masks a lower active vertex ("ideal"), equals the lower one
+    ("rank0"), or one of them raises the killing of one ("rank1"), some
+    ("product") or all ("blocks") lower active vertices.  Half the "rank1" pairs free a lower
+    Dirichlet vertex next to the active set instead (an extension pair), and
+    half the "product" pairs change the weight of a coupling between two active
+    vertices.
+    """
+    route = draw(st.sampled_from(["ideal", "rank0", "rank1", "product", "blocks"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_connected_graph(rng, 3, 12)
+    order = [g.ids[i] for i in rng.permutation(g.n)]
+    k = draw(st.integers(0, g.n - 3))  # |a| >= 3
+    boundary, a = order[:k], order[k:]
+    killing = {v: float(rng.uniform(0.0, 1.0)) for v in order if rng.random() < 0.5}
+    partner = draw(st.sampled_from(a[1:] if route == "product" else order[:k] + a[1:]))
+    cps = [(a[0], partner, float(rng.uniform(0.1, 2.0)))]
+    up_boundary, up_killing, up_cps = boundary, dict(killing), cps
+    inside = {g.index[v] for v in a}
+    freed = [v for v in boundary if any(j in inside for j, _ in g.neighbors(g.index[v]))]
+    if route == "ideal":
+        up_boundary = boundary + [a[draw(st.integers(0, len(a) - 1))]]
+    elif route == "rank1" and freed and draw(st.booleans()):
+        up_boundary = [v for v in boundary if v != freed[0]]
+    elif route == "product" and draw(st.booleans()):
+        up_cps = [(a[0], partner, 1.5 * cps[0][2])]  # rows a[0] and partner differ
+    elif route != "rank0":
+        r = {"rank1": 1, "product": draw(st.integers(2, len(a) - 1)), "blocks": len(a)}[route]
+        # raised in the lower form (criterion (i) holds) or in the upper one
+        raised = killing if draw(st.booleans()) else up_killing
+        for v in a[:r]:
+            raised[v] = raised.get(v, 0.0) + float(rng.uniform(0.1, 1.0))
+    lower = assemble(g, boundary=boundary, extra_killing=killing, couplings=cps)
+    upper = assemble(g, boundary=up_boundary, extra_killing=up_killing, couplings=up_cps)
+    return FormPair(lower, upper), route
+
+
+class TestSmallRoute:
+    """Pairs of at most SMALL_DIM active vertices a side are decided on dense
+    Cholesky factors, with the sparse path's routes and values."""
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(small_pairs(), st.lists(st.sampled_from(_DEFAULT_ALPHAS), min_size=1, max_size=2,
+                                   unique=True))
+    def test_matches_sparse_route_and_exact_resolvents(self, case, alphas):
+        pair, route = case
+        with pytest.MonkeyPatch.context() as mp:
+            dims = factored_dims(mp)
+            ok, worst = check_resolvent_domination(pair, alphas=alphas)
+            assert not dims
+            mp.setattr(dom, "SMALL_DIM", 0)
+            ok_sparse, worst_sparse = check_resolvent_domination(pair, alphas=alphas)
+        assert worst["kind"] == worst_sparse["kind"] == route
+        assert ok == ok_sparse and worst["certified"] == worst_sparse["certified"]
+        exact = exact_violation(pair, alphas)
+        assert abs(worst["violation"] - exact) <= 1e-10 * (1 + abs(exact)), (worst, float(exact))
+
+    @staticmethod
+    def spied(monkeypatch) -> tuple:
+        """Factor dimensions of splu and the calls of _schur_route, as lists."""
+        schur, route = [], dom._schur_route
+        monkeypatch.setattr(dom, "_schur_route", lambda *args: schur.append(args) or route(*args))
+        return factored_dims(monkeypatch), schur
+
+    def test_dispatch_at_the_floor(self, monkeypatch):
+        dims, schur = self.spied(monkeypatch)
+        for n in (dom.SMALL_DIM, dom.SMALL_DIM + 1):
+            # an extension pair of rank 1 with |b| = n active vertices
+            g = make_path(n, 1.0)
+            pair = FormPair(assemble(g, boundary=["v0"]), assemble(g))
+            ok, worst = check_resolvent_domination(pair)
+            assert ok and worst["kind"] == "rank1" and worst["certified"]
+            if n == dom.SMALL_DIM:
+                assert not dims and not schur
+            else:  # one upper-form factor per alpha and the one-factor route
+                assert dims == [n] * len(_DEFAULT_ALPHAS) and len(schur) == 1
+
+    def test_selftest_domination_checks_factor_nothing(self, monkeypatch):
+        dims, schur = self.spied(monkeypatch)
+        names = {"check_criterion_equivalence", "check_domination_reflexivity",
+                 "check_domination_transitivity"}
+        checks = [fn for fn in selftest.REGISTRY if fn.__name__ in names]
+        assert len(checks) == 3
+        corpora = {}
+        for fn in checks:
+            assert fn(corpora).passed
+        assert not dims and not schur
+
+    def test_failed_factor_takes_the_sparse_path(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        pair = dirichlet_neumann_pair(n=6)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dom, "SMALL_DIM", 0)
+            sparse = check_resolvent_domination(pair)
+        dposv = lapack.dposv  # info 1: "not positive definite"
+        monkeypatch.setattr(lapack, "dposv", lambda *a, **kw: (*dposv(*a, **kw)[:2], 1))
+        dims = factored_dims(monkeypatch)
+        assert check_resolvent_domination(pair) == sparse and dims
+
+
 class TestProductRoute:
     """Above DENSE_BUDGET, 2 < r < |a| forms U V^T M_a in row blocks, on scipy's BLAS."""
 
@@ -453,12 +597,14 @@ class TestProductRoute:
     @given(rank_r_pairs(), st.integers(1, 3))
     def test_row_blocks_match_one_block_and_oracle(self, pair, rows):
         with pytest.MonkeyPatch.context() as mp:
-            # blocks of `rows` rows of W U^T, each |b| long
-            mp.setattr(dom, "DENSE_BUDGET", rows * pair.upper.generator.dim)
-            blocked = check_resolvent_domination(pair)
-            assume(blocked[1]["kind"] == "product")
-            assert assert_matches_oracle(pair) == blocked[1]
-        one = check_resolvent_domination(pair)
+            mp.setattr(dom, "SMALL_DIM", 0)
+            with pytest.MonkeyPatch.context() as budget:
+                # blocks of `rows` rows of W U^T, each |b| long
+                budget.setattr(dom, "DENSE_BUDGET", rows * pair.upper.generator.dim)
+                blocked = check_resolvent_domination(pair)
+                assume(blocked[1]["kind"] == "product")
+                assert assert_matches_oracle(pair) == blocked[1]
+            one = check_resolvent_domination(pair)
         assert one[1]["kind"] == "product" and one[0] == blocked[0]
         assert abs(one[1]["violation"] - blocked[1]["violation"]) <= 1e-12
 
@@ -513,6 +659,18 @@ class TestCriterionInputs:
         negative = assemble(WeightedGraph(g.ids, g.m, g.c, [("v0", "v1", -0.5), ("v1", "v2", 0.5)]))
         with pytest.raises(ValueError, match="nonnegative weights and a positive measure"):
             check_resolvent_domination(FormPair(negative, assemble(g)))
+
+    @pytest.mark.parametrize("alphas", [(), (-1.0,), (0.0,), (math.inf,), (math.nan,),
+                                        (1.0, -1.0)])
+    def test_alphas_checked_before_any_route(self, monkeypatch, alphas):
+        # Nothing checked is no certificate, and rank0 solves nothing to reject alpha with.
+        g = make_path(4, 1.0)
+        pair = dirichlet_neumann_pair()
+        for small_dim in (dom.SMALL_DIM, 0):
+            monkeypatch.setattr(dom, "SMALL_DIM", small_dim)
+            for p in (FormPair(assemble(g), assemble(g)), pair, FormPair(pair.upper, pair.lower)):
+                with pytest.raises(ValueError, match="needs positive finite alphas"):
+                    check_resolvent_domination(p, alphas=alphas)
 
     def test_stiffness_assembled_once_per_form(self, monkeypatch):
         import graphforms.resolvent as res

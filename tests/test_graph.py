@@ -25,7 +25,7 @@ from graphforms import (
     truncate,
     validate,
 )
-from graphforms.graph import _bfs_ball
+from graphforms.graph import _bfs_ball, _truncate_loop
 
 TWO_VERTEX = json.dumps(
     {
@@ -481,7 +481,7 @@ class TestIndexBall:
     def test_matches_string_truncation(self, gen, roots):
         for root in roots:
             for radius in range(9):
-                oracle = truncate(gen, _bfs_ball(gen, root, radius))
+                oracle = _truncate_loop(gen, _bfs_ball(gen, root, radius))
                 _same_graph(gen._ball(root, radius)[0], oracle)
 
     @pytest.mark.parametrize(
@@ -493,7 +493,7 @@ class TestIndexBall:
         # The one-sort order against the queue BFS at the benchmark's sizes.
         for root in roots:
             graph, dist = gen._ball(root, radius)
-            _same_graph(graph, truncate(gen, _bfs_ball(gen, root, radius)))
+            _same_graph(graph, _truncate_loop(gen, _bfs_ball(gen, root, radius)))
             assert dist.dtype == np.float64
             assert np.array_equal(dist, graph.distances_from([graph.index[root]]))
 
@@ -503,7 +503,7 @@ class TestIndexBall:
     def test_build_exhaustion_graph_matches_string_path(self, gen, root):
         for levels, plateau in ((1, 1), (5, 2), (12, 3)):
             ex = build_exhaustion(gen, root, n_levels=levels, plateau=plateau)
-            oracle = truncate(gen, _bfs_ball(gen, root, levels + plateau))
+            oracle = _truncate_loop(gen, _bfs_ball(gen, root, levels + plateau))
             _same_graph(ex.graph, oracle)
 
     @pytest.mark.parametrize(
@@ -556,6 +556,71 @@ class TestGeneratorBall:
         gen = SquareLatticeGenerator()
         assert generator_ball(gen, "0,0", np.int64(3)) == generator_ball(gen, "0,0", 3)
         assert generator_ball(_Ring(), "a", 0) == ["a"]
+
+
+@st.composite
+def grid_id_lists(draw):
+    """(generator, ids): part of a grid ball in any order, on random grid data, now
+    and then with an id that is not canonical, unknown, repeated or far away."""
+    lattice = draw(st.booleans())
+    data = {k: draw(st.sampled_from([0.0, 0.25, 1.0, 3.0])) for k in ("c", "b")}
+    cls = SquareLatticeGenerator if lattice else IntegerLineGenerator
+    gen = cls(m=draw(st.sampled_from([0.5, 1.0, 2.0])), **data)
+    root = draw(st.sampled_from(["0,0", "-3,5"] if lattice else ["0", "17"]))
+    ball = generator_ball(gen, root, draw(st.integers(0, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = [ball[i] for i in rng.permutation(len(ball)) if rng.random() < 0.8]
+    if draw(st.booleans()):
+        odd = draw(st.sampled_from(["+1,0", "01,2", " 1,0", "-0,0", "1_0,0", "1,2,3", "4",
+                                    "a,b", "", "9223372036854775808,0", "9223372036854775807,0",
+                                    "-9223372036854775808,0", "400,-400", "dup"]))
+        if not lattice:  # the line's counterpart
+            odd = "4,0" if odd == "4" else odd.split(",")[0]
+        if odd == "dup":
+            odd = ids[0] if ids else "dup"
+        ids.insert(int(rng.integers(len(ids) + 1)), odd)
+    return gen, ids
+
+
+class TestIndexTruncate:
+    """truncate on the built-in grids finds the edges in index space, with the graph
+    (or the error) that the loop over gen.neighbors gives."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(grid_id_lists())
+    def test_matches_the_loop(self, case):
+        gen, ids = case
+        try:
+            oracle = _truncate_loop(gen, list(ids))
+        except ValueError as exc:  # GraphFormatError included
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                truncate(gen, ids)
+        else:
+            _same_graph(truncate(gen, iter(ids)), oracle)
+
+    @pytest.mark.parametrize(
+        "gen,root,radius",
+        [(SquareLatticeGenerator(c=0.1), "2,-1", 70), (IntegerLineGenerator(b=0.5), "-9", 300)],
+    )
+    def test_balls_take_the_index_path(self, gen, root, radius):
+        ids = generator_ball(gen, root, radius)
+        assert np.array_equal(gen._points(ids)[0][0], [int(t) for t in root.split(",")])
+        _same_graph(truncate(gen, ids), _truncate_loop(gen, ids))
+        _same_graph(truncate(gen, ids[::-1]), _truncate_loop(gen, ids[::-1]))
+
+    @pytest.mark.parametrize("ids", [["-9223372036854775808,0", "-9223372036854775808,1"],
+                                     ["9223372036854775807,-3", "9223372036854775806,-3"]])
+    def test_extreme_coordinates(self, ids):
+        # int64 differences wrap at the ends of the range, and keys must not
+        gen = SquareLatticeGenerator()
+        assert gen._points(ids) is not None
+        _same_graph(truncate(gen, ids), _truncate_loop(gen, ids))
+        assert truncate(gen, ids).edge_u.tolist() == [0]
+
+    @pytest.mark.parametrize("ids", [["0,0", "+1,0"], ["0,0", "1000,0"], [], ["0,0", 7]])
+    def test_other_ids_take_the_loop(self, ids):
+        # a non-canonical id, a box too sparse for the table, no ids, an id that is no str
+        assert SquareLatticeGenerator()._points(ids) is None
 
 
 class TestCanonicalIds:

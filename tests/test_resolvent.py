@@ -569,11 +569,15 @@ def lu_bilinear(h, alpha, u, v):
 
 
 def exact_solve(h, alpha, rhs):
-    """(K + alpha M) w = rhs in rational arithmetic, for the float data as given."""
+    """(K + alpha M) w = rhs in rational arithmetic, for the float data as given.
+
+    For a (dim, k) rhs, one list of k Fractions per row of the solution.
+    """
     K, m, n = h.generator.stiffness.toarray(), h.generator.mass, h.dim
+    rhs = np.asarray(rhs, dtype=float)
     rows = [
         [Fraction(K[i, j]) + (Fraction(alpha) * Fraction(m[i]) if i == j else 0) for j in range(n)]
-        + [Fraction(rhs[i])]
+        + [Fraction(x) for x in np.atleast_1d(rhs[i])]
         for i in range(n)
     ]
     for c in range(n):
@@ -583,7 +587,8 @@ def exact_solve(h, alpha, rhs):
             if r != c and rows[r][c] != 0:
                 t = rows[r][c] / rows[c][c]
                 rows[r] = [a - t * b for a, b in zip(rows[r], rows[c])]
-    return [rows[i][n] / rows[i][i] for i in range(n)]
+    w = [[x / rows[i][i] for x in rows[i][n:]] for i in range(n)]
+    return w if rhs.ndim == 2 else [row[0] for row in w]
 
 
 def dominance_threshold(h):
