@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 
 import numpy as np
 
@@ -167,7 +168,9 @@ def _cmd_selftest(args) -> int:
     return 0 if report["passed"] else CHECK_FAILED
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "text"), default=argparse.SUPPRESS

@@ -38,9 +38,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .forms import GraphForm
-from .graph import Exhaustion
+from .graph import Exhaustion, _freeze
 from .reflection import main_part
-from .resolvent import _UNIT_ROUNDOFF, ResolventHandle, _freeze, _restrict
+from .resolvent import _UNIT_ROUNDOFF, ResolventHandle, _restrict
 
 if TYPE_CHECKING:
     import scipy.sparse as sp

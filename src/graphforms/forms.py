@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _freeze, _read_only
 
 #: Distinguished energy value of functions outside the form domain.
 OUT_OF_DOMAIN = math.inf
@@ -69,13 +69,6 @@ class Coupling:
             raise ValueError("coupling weight must be nonnegative")
 
 
-def _read_only(values, dtype) -> np.ndarray:
-    """A read-only copy of values: writing to it raises, and the caller's array stays apart."""
-    x = np.array(values, dtype=dtype)
-    x.flags.writeable = False
-    return x
-
-
 class GraphForm:
     """Energy form on a finite truncation with a Dirichlet-style domain mask.
 
@@ -108,7 +101,7 @@ class GraphForm:
         """Full-space stiffness matrix K (``resolvent.assemble_stiffness``), assembled
         on first use and shared by every generator and check on this form.  Its
         arrays are read-only, so an in-place write raises instead of reaching them all."""
-        from .resolvent import _freeze, assemble_stiffness  # resolvent imports this module
+        from .resolvent import assemble_stiffness  # resolvent imports this module
 
         return _freeze(assemble_stiffness(self))
 

@@ -14,6 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -23,12 +24,35 @@ class GraphFormatError(ValueError):
     """Raised when graph data cannot be assembled into a WeightedGraph."""
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    """A read-only copy of values: writing to it raises, and the caller's array stays apart."""
+    x = np.array(values, dtype=dtype)
+    x.flags.writeable = False
+    return x
+
+
+def _freeze(x):
+    """Make the arrays of x read-only and return x: an array, a sparse matrix or a
+    tuple of these."""
+    if isinstance(x, tuple):
+        for part in x:
+            _freeze(part)
+    elif isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    else:  # a CSR or CSC matrix, told apart without importing scipy
+        for a in (x.data, x.indices, x.indptr):
+            a.flags.writeable = False
+    return x
+
+
 class WeightedGraph:
     """Finite weighted graph (b, c, m) with opaque string vertex ids.
 
     Vertex ids are mapped to dense indices in construction order.  Edges are
     normalized to index pairs (u, v) with u < v; energy evaluation uses the
-    ordered-pair convention, so each stored edge counts twice.
+    ordered-pair convention, so each stored edge counts twice.  ``m``, ``c``
+    and the edge arrays are read-only, and ``m`` and ``c`` are copies, since
+    forms and the adjacency are derived from them.
     """
 
     def __init__(self, ids, m, c, edges):
@@ -68,12 +92,13 @@ class WeightedGraph:
 
         The edges must already be distinct pairs (u, v) with u < v, as
         ``_IntegerGrid._ball`` builds them: they are taken as they are, with
-        neither the sort nor the duplicate check of ``_set_edges``.
+        neither the sort nor the duplicate check of ``_set_edges``, and made
+        read-only in place.
         """
         g = cls.__new__(cls)
         g._set_vertices(ids, m, c)
         g.edge_u, g.edge_v, g.edge_b = edge_u, edge_v, edge_b
-        g._set_adjacency()
+        _freeze((edge_u, edge_v, edge_b))
         return g
 
     @classmethod
@@ -95,14 +120,15 @@ class WeightedGraph:
         self.index = {v: i for i, v in enumerate(self.ids)}
         if len(self.index) != len(self.ids):
             raise GraphFormatError("duplicate vertex id")
-        self.m = np.asarray(m, dtype=float)
-        self.c = np.asarray(c, dtype=float)
+        self.m = _read_only(m, float)
+        self.c = _read_only(c, float)
         if self.m.shape != (self.n,) or self.c.shape != (self.n,):
             raise GraphFormatError("m and c must have one value per vertex")
 
     def _set_edges(self, edge_u, edge_v, edge_b):
         self.edge_u, self.edge_v = np.sort(np.column_stack((edge_u, edge_v)), axis=1).T.copy()
-        self.edge_b = edge_b
+        self.edge_b = _read_only(edge_b, float)
+        _freeze((self.edge_u, self.edge_v))
         # The first edge in order that is a self-loop or repeats an earlier pair.
         repeat = np.ones(len(edge_b), dtype=bool)
         repeat[np.unique(self.edge_u * self.n + self.edge_v, return_index=True)[1]] = False
@@ -112,15 +138,30 @@ class WeightedGraph:
             if iu == iv:
                 raise GraphFormatError(f"self-loop edge at vertex {self.ids[iu]!r}")
             raise GraphFormatError(f"duplicate edge ({self.ids[iu]!r}, {self.ids[iv]!r})")
-        self._set_adjacency()
 
-    def _set_adjacency(self):
-        """CSR adjacency: every edge in both directions, in edge order per vertex."""
+    @cached_property
+    def _adjacency(self) -> tuple:
+        """CSR adjacency (indptr, neighbours, weights): every edge in both directions,
+        in edge order per vertex.  Built on first use, since the grids' level walk
+        never reads it, and kept, since the edge arrays are read-only."""
         src = np.column_stack((self.edge_u, self.edge_v)).ravel()
         order = np.argsort(src, kind="stable")
-        self._nbr = np.column_stack((self.edge_v, self.edge_u)).ravel()[order]
-        self._nbr_b = np.repeat(self.edge_b, 2)[order]
-        self._indptr = np.searchsorted(src[order], np.arange(self.n + 1))
+        nbr = np.column_stack((self.edge_v, self.edge_u)).ravel()[order]
+        nbr_b = np.repeat(self.edge_b, 2)[order]
+        indptr = np.searchsorted(src[order], np.arange(self.n + 1))
+        return _freeze((indptr, nbr, nbr_b))
+
+    @property
+    def _indptr(self) -> np.ndarray:
+        return self._adjacency[0]
+
+    @property
+    def _nbr(self) -> np.ndarray:
+        return self._adjacency[1]
+
+    @property
+    def _nbr_b(self) -> np.ndarray:
+        return self._adjacency[2]
 
     def _resolve(self, v) -> int:
         if isinstance(v, (int, np.integer)):
@@ -579,11 +620,18 @@ class _Balls:
 
     def values(self, level, vertices) -> np.ndarray:
         """Cutoff value of each (level, vertex) pair, computed as the dense cutoffs are."""
-        beyond = np.maximum(self.dist_root[vertices] - self.radii[level], 0.0)
-        chi = np.maximum(1.0 - beyond / (self.plateau + 1.0), 0.0)
+        # max(1 - max(dist - radius, 0) / (plateau + 1), 0), each step in place.
+        chi = self.dist_root[vertices]
+        chi -= self.radii[level]
+        np.maximum(chi, 0.0, out=chi)
+        chi /= self.plateau + 1.0
+        np.subtract(1.0, chi, out=chi)
+        np.maximum(chi, 0.0, out=chi)
         if self.saturate:
             chi = np.where(level == len(self.radii) - 1, 1.0, chi)
-        return chi if self.mask is None else chi * self.mask[vertices]
+        if self.mask is not None:
+            chi *= self.mask[vertices]
+        return chi
 
     def cutoff(self, k: int) -> np.ndarray:
         return self.values(k, np.arange(len(self.dist_root)))

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import pairwise
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,6 +90,11 @@ def truncated_oracle(q: GraphForm, phi, f) -> float:
 #: so that no partial sum of fsum or of the extraction below can overflow.
 _TERM_BOUND = 2.0**960
 
+#: Rows per block of a level sum.  A block's terms are formed and extracted on
+#: their own, so a sum's temporaries stay near 10 MB at any size; a ball of
+#: n = 9941 vertices has ~77 000 rows, one block.
+_BLOCK_ROWS = 2**17
+
 
 def _check_truncation(q: GraphForm, ex: Exhaustion) -> None:
     if ex.graph.n != q.n:
@@ -147,23 +153,42 @@ def _spans(begin: np.ndarray, end: np.ndarray) -> tuple:
 
 
 def _energy_terms(phi_p, h_p, w, phi_x, h_x, c, with_energy: bool) -> list:
-    """Terms of Q(phi h), unless ``with_energy`` is False, and of Q(phi h^2, phi):
-    pairs first, then vertices.
+    """Terms of Q(phi h), unless ``with_energy`` is False, and of Q(phi h^2, phi),
+    each sum in one new array: pairs first, then vertices.
 
     Rows 0 and 1 of ``phi_p`` and ``h_p`` hold the two endpoints of each pair
-    (edge, with w = 2 b, or coupling); every product is formed as
-    ``GraphForm._terms`` forms it, so each term is the same float.
+    (edge, with w = 2 b, or coupling).  Every term is formed in the order
+    ``GraphForm._terms`` forms it: ``(w * d) * d`` and ``c * (pfx * pfx)`` for
+    Q(phi h), with pf = phi h and d = pf_0 - pf_1, then ``(w * ((pf h)_0 - (pf h)_1))
+    * (phi_0 - phi_1)`` and ``c * ((pfx * h_x) * phi_x)`` for Q(phi h^2, phi).  The
+    products are written in place into the output, their two operands swapped at
+    most, so each term is the same float.  The inputs are not written to.
     """
+    rp = len(w)
     pf = phi_p * h_p
     pfx = phi_x * h_x
+    d = np.empty(rp)
     out = []
     if with_energy:
-        d = pf[0] - pf[1]
-        out.append(np.concatenate((w * d * d, c * (pfx * pfx))))
-    pf *= h_p  # phi h^2, in place
-    out.append(
-        np.concatenate((w * (pf[0] - pf[1]) * (phi_p[0] - phi_p[1]), c * ((pfx * h_x) * phi_x)))
-    )
+        terms = np.empty(rp + len(c))
+        tp, tx = terms[:rp], terms[rp:]
+        np.subtract(pf[0], pf[1], out=d)
+        np.multiply(w, d, out=tp)
+        tp *= d
+        np.multiply(pfx, pfx, out=tx)
+        tx *= c
+        out.append(terms)
+    pf *= h_p  # phi h^2
+    terms = np.empty(rp + len(c))
+    tp, tx = terms[:rp], terms[rp:]
+    np.subtract(pf[0], pf[1], out=tp)
+    tp *= w
+    np.subtract(phi_p[0], phi_p[1], out=d)
+    tp *= d
+    np.multiply(pfx, h_x, out=tx)
+    tx *= phi_x
+    tx *= c
+    out.append(terms)
     return out
 
 
@@ -197,6 +222,22 @@ def _running_sums(terms: np.ndarray, slot: np.ndarray, n_levels: int) -> list:
     return [[v for v in col if v] for col in np.array(rounds).T.tolist()]
 
 
+class _Rows(NamedTuple):
+    """A block of the row table: the pair rows (endpoints, cutoff values and f at
+    both endpoints, and the weight), the vertex rows (vertex, cutoff value, f and
+    total killing), and the slot of every row, pairs first."""
+
+    ends: np.ndarray
+    chi_p: np.ndarray
+    f_p: np.ndarray
+    w: np.ndarray
+    verts: np.ndarray
+    chi_x: np.ndarray
+    f_x: np.ndarray
+    c: np.ndarray
+    slot: np.ndarray
+
+
 class _Walk:
     """The levels of one exhaustion, checked once for a form and a function.
 
@@ -210,7 +251,8 @@ class _Walk:
     window terms together, a few floats per level with the level's exact sum,
     and each level value is one fsum over them.  fsum rounds the exact sum
     correctly, so every level value is the float that summing the whole graph
-    gives.
+    gives.  The rows, with everything the sums read of them, are gathered once
+    into a row table (``blocks``) that the sums of both parts share.
 
     ``monotone`` is False when explicit cutoffs decrease somewhere; the last
     level is then no supremum, and neither part reports convergence.
@@ -243,53 +285,72 @@ class _Walk:
         self.energy = None
 
     def _rows(self, enter, freeze, values) -> bool:
-        """Set up the rows of each pair and vertex, from its entry to its freeze, and
-        their slots; False for a non-finite weight or terms that could overflow."""
+        """Set up the row table: the rows of each pair and vertex, from its entry to
+        its freeze, with everything every level sum reads of them, and their slots,
+        in blocks of at most ``_BLOCK_ROWS`` rows; False for a non-finite weight or
+        terms that could overflow."""
         q, f, n_levels = self.q, self.f, self.levels
         g, cps = q.graph, q.couplings
         coupled = np.array([(cp.u, cp.v) for cp in cps], dtype=int).reshape(-1, 2).T
-        self.ends = np.concatenate((np.stack((g.edge_u, g.edge_v)), coupled), axis=1)
+        ends = np.concatenate((np.stack((g.edge_u, g.edge_v)), coupled), axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
-            self.w = np.concatenate((2.0 * g.edge_b, [cp.w for cp in cps]))
-            s = np.abs(f[self.ends]).sum(axis=0)
-            bound = np.sum(np.abs(self.w) * s * s) + np.sum(np.abs(q.c_total) * f * f)
+            w = np.concatenate((2.0 * g.edge_b, [cp.w for cp in cps]))
+            s = np.abs(f[ends]).sum(axis=0)
+            bound = np.sum(np.abs(w) * s * s) + np.sum(np.abs(q.c_total) * f * f)
         if not bound <= _TERM_BOUND:
             return False
-        pair_enter = enter[self.ends].min(axis=0)
-        pairs = np.flatnonzero((pair_enter < n_levels) & (self.w != 0.0))
+        pair_enter = enter[ends].min(axis=0)
+        pairs = np.flatnonzero((pair_enter < n_levels) & (w != 0.0))
         verts = np.flatnonzero((enter < n_levels) & (q.c_total != 0.0))
-        pair_freeze = freeze[self.ends[:, pairs]].max(axis=0)
+        # take, not ends[:, pairs]: numpy's indexing is several times slower on a column.
+        pair_freeze = freeze[ends.take(pairs, axis=1)].max(axis=0)
         ip, lp = _spans(pair_enter[pairs], pair_freeze + 1)
         iv, lv = _spans(enter[verts], freeze[verts] + 1)
-        wp, wv = pairs[ip], verts[iv]
-        self.rows = (wp, values(lp, self.ends[:, wp]), wv, values(lv, wv))
-        # A row at its freeze level counts at every later level too (slot = level),
-        # a window row at its own level only (slot = n_levels + level).
-        level = np.concatenate((lp, lv))
-        self.slot = level + n_levels * (level < np.concatenate((pair_freeze[ip], freeze[wv])))
+        # Block b holds rows b B to (b + 1) B - 1 of the pair rows followed by the
+        # vertex rows, B = _BLOCK_ROWS; there is one block even without rows.
+        n_p = len(ip)
+        self.blocks = []
+        for lo in range(0, max(n_p + len(iv), 1), _BLOCK_ROWS):
+            hi = lo + _BLOCK_ROWS
+            bp, bv = slice(min(lo, n_p), min(hi, n_p)), slice(max(lo - n_p, 0), max(hi - n_p, 0))
+            wp, wv = pairs[ip[bp]], verts[iv[bv]]
+            rows = ends.take(wp, axis=1)
+            # A row at its freeze level counts at every later level too (slot = level),
+            # a window row at its own level only (slot = n_levels + level).
+            level = np.concatenate((lp[bp], lv[bv]))
+            slot = level + n_levels * (level < np.concatenate((pair_freeze[ip[bp]], freeze[wv])))
+            self.blocks.append(_Rows(rows, values(lp[bp], rows), f[rows], w[wp],
+                                     wv, values(lv[bv], wv), f[wv], q.c_total[wv], slot))
         return True
 
-    def _terms(self, h, killing, with_energy, pairs, chi_p, verts, chi_x) -> list:
-        ends = self.ends[:, pairs]
+    def _terms(self, rows: _Rows, h, killing, with_energy) -> list:
+        if h is self.f:
+            h_p, h_x = rows.f_p, rows.f_x
+        else:  # a clamped f
+            h_p, h_x = h[rows.ends], h[rows.verts]
         if killing:  # phi is the full cutoff and h = chi * fn
-            phi_p, h_p = self.full[ends], chi_p * h[ends]
-            phi_x, h_x = self.full[verts], chi_x * h[verts]
+            phi_p, h_p = self.full[rows.ends], rows.chi_p * h_p
+            phi_x, h_x = self.full[rows.verts], rows.chi_x * h_x
         else:
-            phi_p, h_p, phi_x, h_x = chi_p, h[ends], chi_x, h[verts]
-        return _energy_terms(
-            phi_p, h_p, self.w[pairs], phi_x, h_x, self.q.c_total[verts], with_energy
-        )
+            phi_p, phi_x = rows.chi_p, rows.chi_x
+        return _energy_terms(phi_p, h_p, rows.w, phi_x, h_x, rows.c, with_energy)
 
     def level_sums(self, h: np.ndarray, killing: bool, energy=None) -> list:
         """Per level k, the exact sums (Q(chi_k h), Q(chi_k h^2, chi_k)) for the main
         part, or (Q(g), Q(g^2, 1)) with g = chi_k h for the killing part.
 
         Given ``energy``, the first sums already known, only the second are evaluated.
+        Each block's terms are extracted on their own, and each level value is one
+        fsum over the floats of every block.
         """
-        sums = [
-            [math.fsum(parts) for parts in _running_sums(terms, self.slot, self.levels)]
-            for terms in self._terms(h, killing, energy is None, *self.rows)
-        ]
+        parts = None
+        for rows in self.blocks:
+            got = [_running_sums(terms, rows.slot, self.levels)
+                   for terms in self._terms(rows, h, killing, energy is None)]
+            parts = got if parts is None else [
+                [a + b for a, b in zip(old, new)] for old, new in zip(parts, got)
+            ]
+        sums = [[math.fsum(floats) for floats in per_level] for per_level in parts]
         if energy is not None:
             sums.insert(0, energy)
         return list(zip(*sums))
@@ -376,7 +437,8 @@ def killing_part(
     # and Q(full * g) is Q(g) bit for bit because g vanishes off the active set.
     # At a level >= max|f|, fn is f and each term of Q(g) = Q(chi f) is the float
     # main_part formed (1.0 * (chi f) is chi f, and masked zeros keep their sign),
-    # so the level sums main_part left on the walk are reused.
+    # so the level sums main_part left on the walk are reused, and the row table's
+    # gathers of f serve the second sums; a clamped fn is gathered fresh.
     grid = []
     for level in clamp_levels:
         whole = level >= top

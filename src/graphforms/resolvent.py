@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .forms import GraphForm, as_function, increments_settled
+from .graph import _freeze
 from .reflection import _check_cutoff
 
 if TYPE_CHECKING:
@@ -68,20 +69,6 @@ def _series_terms(rho: float) -> int:
     while tail > _UNIT_ROUNDOFF:
         terms, tail = terms + 1, tail * rho
     return terms
-
-
-def _freeze(x):
-    """Make the arrays of x read-only and return x: an array, a sparse matrix or a
-    tuple of these."""
-    if isinstance(x, tuple):
-        for part in x:
-            _freeze(part)
-    elif isinstance(x, np.ndarray):
-        x.flags.writeable = False
-    else:  # a CSR or CSC matrix, told apart without importing scipy
-        for a in (x.data, x.indices, x.indptr):
-            a.flags.writeable = False
-    return x
 
 
 @dataclass

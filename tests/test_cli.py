@@ -260,6 +260,21 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
+    def test_one_parser_serves_every_call(self, good_graph, tmp_path, capsys):
+        from graphforms.cli import build_parser
+
+        assert build_parser() is build_parser()
+        f = tmp_path / "f.json"
+        f.write_text("[1, 2, 3]")
+        code, out, _ = run(capsys, "--format", "text", "validate", good_graph)
+        assert (code, out) == (0, "valid\n")
+        assert run(capsys, "decompose", good_graph)[0] == 2  # --f is missing
+        code, out, _ = run(capsys, "decompose", good_graph, f"--f={f}")
+        assert code == 0
+        assert json.loads(out)["config"]["levels"] == 3  # JSON again: no option carried over
+        assert run(capsys, "--help")[0] == 0
+        assert run(capsys, "validate", good_graph)[0] == 0
+
     def test_output_file(self, good_graph, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         code, out, _ = run(capsys, "--output", str(out_path), "validate", good_graph)

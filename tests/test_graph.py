@@ -3,6 +3,8 @@
 import json
 import math
 import re
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -726,3 +728,130 @@ class TestImplicitCutoffs:
         for n in (ex.graph.n - 1, ex.graph.n + 1):
             with pytest.raises(ValueError, match="broadcast"):
                 ex.masked(np.ones(n, dtype=bool))
+
+
+def _eager_csr(g):
+    """(indptr, neighbours, weights) by a loop over the edges: each edge in both
+    directions, in edge order per vertex."""
+    rows = [[] for _ in range(g.n)]
+    for u, v, b in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_b.tolist()):
+        rows[u].append((v, b))
+        rows[v].append((u, b))
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    pairs = [p for r in rows for p in r]
+    return indptr, np.array([v for v, _ in pairs], dtype=int), np.array([b for _, b in pairs])
+
+
+def _bfs(rows, source):
+    dist = [math.inf] * len(rows)
+    dist[source], frontier = 0, [source]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y, _ in rows[x]:
+                if dist[y] == math.inf:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+def _adjacency_graphs():
+    """(label, graph) from every constructor: ids, int indices, JSON, grids and a ring."""
+    ids = ["a", "b", "c", "d", "e"]
+    edges = [("c", "a", 1.5), ("b", "c", 2.0), ("a", "d", 0.25), ("d", "b", 1e308), ("b", "a", 1e308)]
+    yield "ids", WeightedGraph(ids, [1.0] * 5, [0.0, 0.5, 0.0, 0.0, 1.0], edges)
+    yield "indices", WeightedGraph(ids, [1.0] * 5, [0.0] * 5, [(3, 0, 1.0), (2, 1, 0.5), (4, 1, 3.0)])
+    yield "from_ends", WeightedGraph._from_ends(ids, [1.0] * 5, [0.0] * 5,
+                                                ["e", "a", "c", "e", "b", "c"],
+                                                np.array([1.0, 2.0, 0.5]))
+    gen = SquareLatticeGenerator(b=0.5)
+    yield "truncate grid", truncate(gen, generator_ball(gen, "2,-1", 4)[::-1])
+    yield "truncate ring", truncate(_Ring(), ["c", "a", "b"])
+    yield "load_graph", load_graph(emit_graph(truncate(gen, generator_ball(gen, "0,0", 3))))
+    yield "build_exhaustion grid", build_exhaustion(IntegerLineGenerator(), "0", 4, 2).graph
+    yield "build_exhaustion ring", build_exhaustion(_Ring(), "b", 1, 1).graph
+    yield "isolated", _two_components()
+
+
+def _counting_adjacency(monkeypatch) -> list:
+    """Record each graph whose adjacency is built, from here on."""
+    build = WeightedGraph._adjacency.func
+    builds = []
+
+    def counting(self):
+        builds.append(self)
+        return build(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(WeightedGraph, "_adjacency")
+    monkeypatch.setattr(WeightedGraph, "_adjacency", prop)
+    return builds
+
+
+class TestLazyAdjacency:
+    """The CSR adjacency is built on first use, once, and equals an eager build."""
+
+    @pytest.mark.parametrize("label", [label for label, _ in _adjacency_graphs()])
+    def test_matches_an_eager_build(self, label, monkeypatch):
+        g = dict(_adjacency_graphs())[label]
+        builds = _counting_adjacency(monkeypatch)
+        indptr, nbr, nbr_b = _eager_csr(g)
+        rows = [list(zip(nbr[a:b].tolist(), nbr_b[a:b].tolist())) for a, b in zip(indptr, indptr[1:])]
+        for i in range(g.n):
+            assert g.neighbors(i) == rows[i]
+            exact = sum(Fraction(b) for _, b in rows[i])
+            assert g.weighted_degree(i) == (math.inf if exact > 2**1024 else float(exact))
+            assert g.distances_from([i]).tolist() == _bfs(rows, i)
+        eager = WeightedGraph.__new__(WeightedGraph)
+        eager.__dict__.update(g.__dict__, _adjacency=(indptr, nbr, nbr_b))
+        assert validate(g) == validate(eager)
+        assert builds in ([], [g])  # [] when load_graph's validate built it
+        for got, want in zip((g._indptr, g._nbr, g._nbr_b), (indptr, nbr, nbr_b)):
+            assert got.dtype.kind == want.dtype.kind and np.array_equal(got, want)
+            assert not got.flags.writeable
+
+    def test_built_once_on_first_use(self, monkeypatch):
+        builds = _counting_adjacency(monkeypatch)
+        g = WeightedGraph(["a", "b", "c"], [1.0] * 3, [0.0] * 3, [("a", "b", 1.0), ("b", "c", 2.0)])
+        assert builds == []
+        for _ in range(2):
+            g.neighbors(1), g.weighted_degree(1), g.distances_from([0]), validate(g)
+        assert builds == [g]
+
+    def test_grid_decomposition_never_builds_it(self, monkeypatch):
+        from graphforms import reflected_form
+
+        builds = _counting_adjacency(monkeypatch)
+        for gen, root in ((SquareLatticeGenerator(c=0.1), "0,0"), (IntegerLineGenerator(), "3")):
+            ex = build_exhaustion(gen, root, n_levels=5, plateau=2)
+            q = assemble(ex.graph, boundary=[ex.graph.ids[1]])
+            f = np.linspace(-1.0, 2.0, q.n) * q.active
+            for clamp_levels in (None, [0.5, 3.0]):
+                reflected_form(q, ex, f, clamp_levels=clamp_levels)
+        assert builds == []
+
+
+class TestStoredArrays:
+    """A graph keeps read-only copies of its data: no caller write reaches it."""
+
+    def test_caller_writes_do_not_reach_the_graph(self):
+        from graphforms.reflection import form_oracle_killing, form_oracle_main
+
+        m, c = np.ones(3), np.zeros(3)
+        g = WeightedGraph(["a", "b", "c"], m, c, [("a", "b", 1.0), ("b", "c", 1.0)])
+        q = assemble(g)
+        q.stiffness
+        m[0], c[1] = 5.0, 2.0
+        f = [0.0, 1.0, 0.0]
+        assert q.evaluate(f) == 4.0
+        assert form_oracle_main(q, f) + form_oracle_killing(q, f) == 4.0
+        assert g.m.tolist() == [1.0] * 3 and g.c.tolist() == [0.0] * 3
+
+    def test_arrays_are_read_only(self):
+        gen = SquareLatticeGenerator()
+        for g in (make_path(4, 0.5), load_graph(TWO_VERTEX), truncate(gen, generator_ball(gen, "0,0", 2)),
+                  build_exhaustion(gen, "0,0", 2, 1).graph, truncate(_Ring(), ["a", "b", "c"])):
+            for name in ("m", "c", "edge_u", "edge_v", "edge_b"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(g, name)[0] = 0

@@ -4,9 +4,12 @@ import json
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphforms import (
     Exhaustion,
@@ -41,8 +44,10 @@ from graphforms.corpus import (
     random_function,
     random_masked_function,
 )
+from graphforms import reflection
 from graphforms.reflection import (
     _running_sums,
+    _truncated,
     _Walk,
     effective_killing,
     form_oracle_killing,
@@ -660,3 +665,85 @@ class TestLevelSupports:
         ex = Exhaustion(q.graph, [np.array([1])], [np.array([0.0, 1.5, 0.0])])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             killing_part(q, ex, np.ones(3))
+
+
+def _per_level_oracle(q, mex, f, clamp_levels):
+    """Main trace and killing grid from ``_truncated`` on the whole graph, level by level."""
+    main = [_truncated(q, chi, f)[1] for chi in mex.cutoffs]
+    if clamp_levels is None:
+        top = float(np.max(np.abs(f)))
+        clamp_levels = [top if top > 0 else 1.0]
+    full = np.where(q.active, 1.0, 0.0)
+    grid = []
+    for level in clamp_levels:
+        fn = np.clip(f, -level, level)
+        grid.append([e - t for e, t in (_truncated(q, full, chi * fn) for chi in mex.cutoffs)])
+    return main, grid
+
+
+_WEIGHTS = st.sampled_from([0.0, 0.25, 1.0, 3.0, 1e-3, 7.5e5])
+
+
+@st.composite
+def walk_cases(draw):
+    """(form, exhaustion, f, clamp ladder): a random graph with killing, couplings, extra
+    killing and a Dirichlet mask, ball or explicit (not nested) cutoffs, and a ladder
+    that may stop below max|f|."""
+    n = draw(st.integers(2, 10))
+    ids = [f"v{i}" for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n))
+    edges = [(ids[i], ids[j], draw(_WEIGHTS.filter(bool))) for i, j in chosen]
+    c = draw(st.lists(_WEIGHTS, min_size=n, max_size=n))
+    g = WeightedGraph(ids, [1.0] * n, c, edges)
+    boundary = draw(st.lists(st.sampled_from(ids), unique=True, max_size=n - 1))
+    extra = {v: draw(_WEIGHTS) for v in draw(st.lists(st.sampled_from(ids), unique=True, max_size=3))}
+    couplings = [(ids[u], ids[v], draw(_WEIGHTS))
+                 for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                           max_size=3)) if u != v]
+    q = assemble(g, boundary=boundary, extra_killing=extra, couplings=couplings)
+    levels = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        ex = ball_exhaustion(g, draw(st.sampled_from(ids)), n_levels=levels,
+                             plateau=draw(st.integers(1, 3)), saturate=draw(st.booleans()))
+    else:
+        value = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+        cutoffs = [np.array(draw(st.lists(value, min_size=n, max_size=n))) for _ in range(levels)]
+        ex = Exhaustion(g, [np.flatnonzero(chi == 1.0) for chi in cutoffs], cutoffs)
+    f = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-4.0, 4.0),
+                               min_size=n, max_size=n))) * q.active
+    clamp_levels = draw(st.none() | st.lists(st.floats(0.05, 5.0), min_size=1, max_size=3).map(sorted))
+    return q, ex, f, clamp_levels
+
+
+class TestRowTable:
+    """One row table serves both parts, in blocks of any size, bit for bit."""
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(walk_cases(), st.sampled_from([1, 2, 5, 2**17]))
+    def test_parts_match_the_per_level_oracle(self, case, block):
+        q, ex, f, clamp_levels = case
+        mex = ex.masked(q.active)
+        main, grid = _per_level_oracle(q, mex, f, clamp_levels)
+        want = _hex(main), [_hex(row) for row in grid]
+        with mock.patch.object(reflection, "_BLOCK_ROWS", block):
+            assert _Walk(q, mex, f).fast
+            res = reflected_form(q, ex, f, clamp_levels=clamp_levels)
+            alone = main_part(q, mex, f), killing_part(q, mex, f, clamp_levels=clamp_levels)
+        assert (_hex(res.main_trace), [_hex(row) for row in res.killing_trace]) == want
+        assert (_hex(alone[0].trace), [_hex(row) for row in alone[1].trace]) == want
+
+    def test_blocks_split_the_rows(self, monkeypatch):
+        ex = build_exhaustion(SquareLatticeGenerator(c=0.1), "0,0", n_levels=4, plateau=2)
+        q = assemble(ex.graph, boundary=["1,0"], couplings=[("0,0", "2,1", 0.5)])
+        f = np.linspace(-1.0, 1.0, q.n) * q.active
+        mex = ex.masked(q.active)
+        (whole,) = _Walk(q, mex, f).blocks
+        monkeypatch.setattr(reflection, "_BLOCK_ROWS", 8)
+        blocks = _Walk(q, mex, f).blocks
+        assert [len(b.slot) for b in blocks[:-1]] == [8] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1].slot) <= 8
+        # Consecutive slices of the pair rows followed by the vertex rows.
+        for k, field in enumerate(whole):
+            assert np.array_equal(np.concatenate([b[k] for b in blocks], axis=-1), field)
+        assert len(whole.w) % 8 and len(whole.c)  # a block holds pairs and vertices
