@@ -7,12 +7,12 @@ Three self-contained studies built on the other modules:
   values on a hypothetical maximal one);
 * recurrence and transience classification of a form;
 * the equivalence of monotonicity and nonnegative definiteness for quadratic
-  forms on a lattice domain, run as a refutation search.
+  forms on a lattice domain, decided from the coefficient matrix with an
+  explicit witness for each refutation.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -259,13 +259,11 @@ def classify_recurrence(q: GraphForm, ex: Exhaustion) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Monotone vs nonnegative-definite equivalence (refutation search)
+# Monotone vs nonnegative-definite equivalence (decided from the coefficients)
 # ---------------------------------------------------------------------------
 
 REFUTED = "REFUTED"
 NOT_REFUTED = "NOT_REFUTED"
-
-_GRID_VALUES = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
 
 @dataclass
@@ -282,8 +280,6 @@ class MonotoneFormSpec:
         A = np.asarray(self.matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("coefficient matrix must be square")
-        if A.shape[0] > 6:
-            raise ValueError("scenario forms are capped at dimension 6")
         if not np.allclose(A, A.T, atol=1e-12):
             raise ValueError("coefficient matrix must be symmetric")
         if float(np.linalg.eigvalsh(A)[0]) < -1e-10:
@@ -318,95 +314,49 @@ class EquivalenceReport:
         }
 
 
-def _grid(dim: int):
-    return [np.array(p) for p in itertools.product(_GRID_VALUES, repeat=dim)]
+def monotone_equivalence_test(spec: MonotoneFormSpec) -> EquivalenceReport:
+    """Decide monotonicity and nonnegative definiteness of q from its coefficients.
 
-
-def _grid_witnesses(spec: MonotoneFormSpec, tol: float) -> tuple:
-    """First grid refutations of monotonicity and of nonnegative definiteness.
-
-    Pairs are ordered g outer, f inner.  Every pair is screened at once with
-    array values of q, padded by a slack far above their rounding error, and
-    only the surviving candidates are confirmed with ``spec.q`` in that order,
-    so the witnesses are those of the pair-by-pair search.
+    Monotone: |f| <= |g| implies q(f) <= q(g).  Nonnegative definite:
+    q(f, g) >= 0 whenever f g >= 0 pointwise.  On the full lattice both hold
+    iff A is diagonal with A_ii >= 0.  Each verdict is decided on the stored
+    floats, and its witness comes from the first failing (i, j) in row-major
+    order: A_ii < 0 gives (0, e_i) and (e_i, e_i); A_ij + A_ji != 0 gives
+    f = e_i + s e_j, g = e_i - s e_j with s = sgn(A_ij + A_ji), so |f| = |g|
+    and q(f) - q(g) = 2 |A_ij + A_ji|; A_ij != 0 gives f = e_i and
+    g = -sgn(A_ij) e_j, so f g = 0 and q(f, g) = -|A_ij|.  Both properties are
+    homogeneous of degree 2, so a scaled witness beats any tolerance; none is
+    applied, and the reported floats q_f, q_g may round to equal.  Monotone
+    reads A_ij + A_ji, nonnegative definite reads A_ij: ``agree`` holds for
+    every exactly symmetric A and can fail only for an A within the spec's
+    1e-12 symmetry slack (A_ij = -A_ji != 0).
     """
-    grid = _grid(spec.dim)
-    P = np.array(grid)
-    B = P @ spec.matrix @ P.T  # B[i, j] ~ q(P_i, P_j)
-    q = np.diag(B)
-    slack = 1e-9 * (1.0 + np.abs(spec.matrix).sum())
-    absP = np.abs(P)
-    # Index [j, i] pairs g = P_j with f = P_i.
-    dominated = np.all(absP[None, :, :] <= absP[:, None, :], axis=2)
-    same_sign = np.all(P[None, :, :] * P[:, None, :] >= 0.0, axis=2)
+    A, n = spec.matrix, spec.dim
+    negative = np.diag(np.diag(A) < 0.0)
+    off = ~np.eye(n, dtype=bool)
 
-    mono_witness = {}
-    for j, i in np.argwhere(dominated & (q[None, :] > q[:, None] + (tol - slack))):
-        f, g = grid[i], grid[j]
-        qg = spec.q(g)
-        if spec.q(f) > qg + tol:
-            mono_witness = {"f": f.tolist(), "g": g.tolist(), "q_f": spec.q(f), "q_g": qg}
-            break
-    nonneg_witness = {}
-    for j, i in np.argwhere(same_sign & (B.T < slack - tol)):
-        f, g = grid[i], grid[j]
-        val = spec.q(f, g)
-        if val < -tol:
-            nonneg_witness = {"f": f.tolist(), "g": g.tolist(), "q_fg": val}
-            break
-    return mono_witness, nonneg_witness
+    def vector(*entries):
+        v = [0.0] * n  # +0.0 throughout, so no witness holds a -0.0
+        for k, x in entries:
+            v[k] = x
+        return v
 
-
-def monotone_equivalence_test(
-    spec: MonotoneFormSpec, samples: int = 500, seed: int = 42, tol: float = 1e-10
-) -> EquivalenceReport:
-    """Search for refutations of monotonicity and of nonnegative definiteness.
-
-    Monotone means |f| <= |g| implies q(f) <= q(g); nonnegative definite means
-    q(f, g) >= 0 whenever f g >= 0 pointwise.  Both are universally quantified,
-    so sampling yields tri-state verdicts: REFUTED with a witness, or
-    NOT_REFUTED.  In dimension <= 3 an exhaustive grid over {-1,-0.5,0,0.5,1}^n
-    runs first, which makes small-dimension refutations deterministic.  The
-    two verdicts must agree whenever the domain is a lattice, as it is here.
-
-    A symmetric A makes q both monotone and nonnegative definite iff A is
-    diagonal with A_ii >= 0.  For i != j and s = sgn(A_ij), f = e_i - s e_j
-    and g = e_i + s e_j have |g| = |f| but q(g) - q(f) = 4 |A_ij|, so
-    monotonicity forces A_ij = 0; and q(e_i, -s e_j) = -|A_ij| with
-    e_i (-s e_j) = 0 pointwise, so nonnegative definiteness forces it too.
-    For a diagonal A >= 0 neither search can find a witness, even in floating
-    point: the computed q(f, g) sums, rounding step by step, the terms
-    fl(f_i A_ii) g_i.  Each term is >= 0 when f g >= 0, and each term of
-    q(f) = q(f, f) grows with |f_i| (rounding is monotone), so q(f) <= q(g)
-    whenever |f| <= |g|.  Such an A, with tol >= 0, gets at once the
-    NOT_REFUTED report that every search would end with.
-    """
-    A = spec.matrix
-    if tol >= 0.0 and np.array_equal(A, np.diag(np.diag(A))) and (np.diag(A) >= 0.0).all():
-        return EquivalenceReport(monotone=NOT_REFUTED, nonneg_definite=NOT_REFUTED, agree=True)
-    rng = np.random.default_rng(seed)
-    mono_witness, nonneg_witness = _grid_witnesses(spec, tol) if spec.dim <= 3 else ({}, {})
-
-    for _ in range(samples):
-        if mono_witness and nonneg_witness:
-            break
-        g = rng.uniform(-1.0, 1.0, size=spec.dim)
-        shrink = rng.uniform(0.0, 1.0, size=spec.dim)
-        signs = rng.choice([-1.0, 1.0], size=spec.dim)
-        f = signs * shrink * np.abs(g)
-        if not mono_witness and spec.q(f) > spec.q(g) + tol:
-            mono_witness = {
-                "f": f.tolist(), "g": g.tolist(), "q_f": spec.q(f), "q_g": spec.q(g),
-            }
-        sigma = rng.choice([-1.0, 1.0], size=spec.dim)
-        u = sigma * np.abs(rng.uniform(0, 1, size=spec.dim))
-        v = sigma * np.abs(rng.uniform(0, 1, size=spec.dim))
-        u[rng.random(spec.dim) < 0.3] = 0.0
-        v[rng.random(spec.dim) < 0.3] = 0.0
-        if not nonneg_witness:
-            val = spec.q(u, v)
-            if val < -tol:
-                nonneg_witness = {"f": u.tolist(), "g": v.tolist(), "q_fg": val}
+    mono_witness, nonneg_witness = {}, {}
+    hits = np.flatnonzero(negative | (off & (A + A.T != 0.0)))
+    if hits.size:
+        i, j = divmod(int(hits[0]), n)
+        if i == j:
+            mono_witness = {"f": vector(), "g": vector((i, 1.0)), "q_f": 0.0, "q_g": float(A[i, i])}
+        else:
+            s = math.copysign(1.0, A[i, j] + A[j, i])
+            f, g = vector((i, 1.0), (j, s)), vector((i, 1.0), (j, -s))
+            mono_witness = {"f": f, "g": g, "q_f": spec.q(f), "q_g": spec.q(g)}
+    hits = np.flatnonzero(negative | (off & (A != 0.0)))
+    if hits.size:
+        i, j = divmod(int(hits[0]), n)
+        f = vector((i, 1.0))
+        g = f if i == j else vector((j, -math.copysign(1.0, A[i, j])))
+        nonneg_witness = {"f": f, "g": g, "q_fg": spec.q(f, g)}
 
     monotone = REFUTED if mono_witness else NOT_REFUTED
     nonneg = REFUTED if nonneg_witness else NOT_REFUTED

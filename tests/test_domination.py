@@ -358,7 +358,7 @@ class TestOneFactorRoute:
             mp.setattr(dom, "_schur_route", lambda *args: lambda alpha, U: (None, math.inf))
             return check_resolvent_domination(pair, **kw)
 
-    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(extension_pairs())
     def test_matches_two_factor_route_and_oracle(self, pair):
         assert check_extension(pair)[0]
@@ -530,7 +530,7 @@ class TestSmallRoute:
     """Pairs of at most SMALL_DIM active vertices a side are decided on dense
     Cholesky factors, with the sparse path's routes and values."""
 
-    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(small_pairs(), st.lists(st.sampled_from(_DEFAULT_ALPHAS), min_size=1, max_size=2,
                                    unique=True))
     def test_matches_sparse_route_and_exact_resolvents(self, case, alphas):
@@ -593,7 +593,7 @@ class TestSmallRoute:
 class TestProductRoute:
     """Above DENSE_BUDGET, 2 < r < |a| forms U V^T M_a in row blocks, on scipy's BLAS."""
 
-    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(rank_r_pairs(), st.integers(1, 3))
     def test_row_blocks_match_one_block_and_oracle(self, pair, rows):
         with pytest.MonkeyPatch.context() as mp:

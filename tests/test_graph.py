@@ -212,7 +212,7 @@ def json_graphs(draw):
 class TestEmitGraph:
     """emit_graph writes the json module's indent=2 text byte for byte."""
 
-    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(json_graphs())
     def test_matches_json_dumps(self, g):
         text = emit_graph(g)
@@ -588,7 +588,7 @@ class TestIndexTruncate:
     """truncate on the built-in grids finds the edges in index space, with the graph
     (or the error) that the loop over gen.neighbors gives."""
 
-    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(grid_id_lists())
     def test_matches_the_loop(self, case):
         gen, ids = case

@@ -719,7 +719,7 @@ def walk_cases(draw):
 class TestRowTable:
     """One row table serves both parts, in blocks of any size, bit for bit."""
 
-    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @settings(max_examples=120)
     @given(walk_cases(), st.sampled_from([1, 2, 5, 2**17]))
     def test_parts_match_the_per_level_oracle(self, case, block):
         q, ex, f, clamp_levels = case

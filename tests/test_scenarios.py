@@ -1,11 +1,15 @@
 """Counterexample study, recurrence classification, monotone equivalence."""
 
 import functools
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphforms import (
     CounterexampleSetup,
@@ -24,35 +28,60 @@ from graphforms import (
     run_counterexample,
     single_vertex,
 )
-from graphforms import scenarios
 from graphforms.corpus import form_corpus, induced_active_graph, saturating_exhaustion
 from graphforms.resolvent import assemble_stiffness
-from graphforms.scenarios import NOT_REFUTED, REFUTED, EquivalenceReport, _grid
+from graphforms.scenarios import NOT_REFUTED, REFUTED, EquivalenceReport
 
 
-def loop_equivalence_test(spec, samples=500, seed=42, tol=1e-10):
-    """Pair-by-pair grid search, the reference for the array-screened grid."""
-    rng = np.random.default_rng(seed)
+_GRID_VALUES = (-1.0, -0.5, 0.0, 0.5, 1.0)
+
+
+def _grid(dim):
+    return [np.array(p) for p in itertools.product(_GRID_VALUES, repeat=dim)]
+
+
+def _grid_witnesses(spec, tol):
+    """First grid refutations of monotonicity and of nonnegative definiteness.
+
+    Pairs are ordered g outer, f inner.  Every pair is screened at once with
+    array values of q, padded by a slack far above their rounding error, and
+    only the surviving candidates are confirmed with ``spec.q`` in that order.
+    """
+    grid = _grid(spec.dim)
+    P = np.array(grid)
+    B = P @ spec.matrix @ P.T  # B[i, j] ~ q(P_i, P_j)
+    q = np.diag(B)
+    slack = 1e-9 * (1.0 + np.abs(spec.matrix).sum())
+    absP = np.abs(P)
+    # Index [j, i] pairs g = P_j with f = P_i.
+    dominated = np.all(absP[None, :, :] <= absP[:, None, :], axis=2)
+    same_sign = np.all(P[None, :, :] * P[:, None, :] >= 0.0, axis=2)
+
     mono_witness = {}
+    for j, i in np.argwhere(dominated & (q[None, :] > q[:, None] + (tol - slack))):
+        f, g = grid[i], grid[j]
+        qg = spec.q(g)
+        if spec.q(f) > qg + tol:
+            mono_witness = {"f": f.tolist(), "g": g.tolist(), "q_f": spec.q(f), "q_g": qg}
+            break
     nonneg_witness = {}
+    for j, i in np.argwhere(same_sign & (B.T < slack - tol)):
+        f, g = grid[i], grid[j]
+        val = spec.q(f, g)
+        if val < -tol:
+            nonneg_witness = {"f": f.tolist(), "g": g.tolist(), "q_fg": val}
+            break
+    return mono_witness, nonneg_witness
 
-    if spec.dim <= 3:
-        grid = _grid(spec.dim)
-        for g in grid:
-            qg = spec.q(g)
-            for f in grid:
-                if not mono_witness and np.all(np.abs(f) <= np.abs(g)):
-                    if spec.q(f) > qg + tol:
-                        mono_witness = {
-                            "f": f.tolist(), "g": g.tolist(),
-                            "q_f": spec.q(f), "q_g": qg,
-                        }
-                if not nonneg_witness and np.all(f * g >= 0.0):
-                    val = spec.q(f, g)
-                    if val < -tol:
-                        nonneg_witness = {"f": f.tolist(), "g": g.tolist(), "q_fg": val}
-            if mono_witness and nonneg_witness:
-                break
+
+def search_equivalence_test(spec, samples=500, seed=42, tol=1e-10):
+    """Refutation search, the oracle for the coefficient rule.
+
+    The grid {-1, -0.5, 0, 0.5, 1}^n is screened in dimension <= 3, then
+    seeded random pairs are tried; a refutation needs a float margin above tol.
+    """
+    rng = np.random.default_rng(seed)
+    mono_witness, nonneg_witness = _grid_witnesses(spec, tol) if spec.dim <= 3 else ({}, {})
 
     for _ in range(samples):
         if mono_witness and nonneg_witness:
@@ -84,18 +113,6 @@ def loop_equivalence_test(spec, samples=500, seed=42, tol=1e-10):
         monotone_witness=mono_witness,
         nonneg_witness=nonneg_witness,
     )
-
-
-def random_spec(rng, dim):
-    """Nonnegative symmetric spec: diagonal, coupled, or coupled at the tolerance scale."""
-    kind = rng.integers(3)
-    if kind == 0:
-        return MonotoneFormSpec(np.diag(rng.uniform(0.0, 2.0, dim)))
-    L = rng.normal(size=(dim, dim)) * (rng.random((dim, dim)) < 0.6)
-    A = L @ L.T
-    if kind == 2:
-        A = np.diag(np.diag(A) + 1.0) + 1e-10 * rng.uniform(-2.0, 2.0) * (A - np.diag(np.diag(A)))
-    return MonotoneFormSpec(A)
 
 
 class TestCounterexample:
@@ -317,10 +334,56 @@ class TestClassifyOracle:
             classify_recurrence(assemble(graph), Exhaustion.full(graph))
 
 
+def exact_q(A, f, g):
+    """f A g in rational arithmetic."""
+    n = len(f)
+    return sum(Fraction(f[k]) * Fraction(A[k, l]) * Fraction(g[l]) for k in range(n) for l in range(n))
+
+
+def holds_no_negative_zero(witness):
+    values = [*witness.get("f", []), *witness.get("g", [])]
+    values += [v for key, v in witness.items() if key.startswith("q_")]
+    return not any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in values)
+
+
+_DIAGONALS = st.floats(0.0, 2.0) | st.sampled_from([0.0, -0.0, 1e-300, 1e300, -1e-11])
+
+
+@st.composite
+def spec_matrices(draw):
+    """Valid spec matrices of dims 1-6, exactly symmetric except for "skew".
+
+    diagonal: A_ii from [0, 2], 0.0, -0.0, 1e-300, 1e300 and -1e-11;
+    tiny: off-diagonals of 0.0, -0.0 and +-1e-300 as well; coupled: L L^T
+    plus a diagonal; faint: couplings at the 1e-10 scale; skew: A_ij = -A_ji
+    = t with |t| <= 2e-13, within the spec's symmetry slack.  Only the first
+    two keep A_ii = 1e300, whose rounding would hide small eigenvalues from
+    the spec's nonnegativity check.
+    """
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["diagonal", "coupled", "faint", "tiny", "skew"]))
+    d = np.array(draw(st.lists(_DIAGONALS, min_size=n, max_size=n)))
+    u = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n)))
+    u = u.reshape(n, n)
+    if kind == "diagonal":
+        A = np.diag(d)
+    elif kind == "tiny":
+        off = draw(st.lists(st.sampled_from([0.0, -0.0, 1e-300, -1e-300]), min_size=n * n, max_size=n * n))
+        A = np.diag(d) + np.triu(np.reshape(off, (n, n)), 1)
+    elif kind == "coupled":
+        A = u @ u.T + np.diag(np.minimum(d, 2.0))
+    elif kind == "faint":
+        A = np.diag(1.0 + np.minimum(d, 2.0)) + 1e-10 * u
+    else:
+        t = np.triu(1e-13 * u, 1)
+        return np.diag(np.clip(d, 0.0, 2.0)) + t - t.T
+    return np.triu(A) + np.triu(A, 1).T
+
+
 class TestMonotoneEquivalence:
     def test_positive_off_diagonal_refuted_deterministically(self):
         spec = MonotoneFormSpec(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        rep = monotone_equivalence_test(spec, samples=0)  # grid only
+        rep = monotone_equivalence_test(spec)
         assert rep.monotone == REFUTED
         assert rep.monotone_witness  # explicit pair recorded
         f = np.array(rep.monotone_witness["f"])
@@ -332,7 +395,7 @@ class TestMonotoneEquivalence:
 
     def test_diagonal_not_refuted(self):
         spec = MonotoneFormSpec(np.diag([0.3, 0.0, 2.0]))
-        rep = monotone_equivalence_test(spec, samples=300, seed=1)
+        rep = monotone_equivalence_test(spec)
         assert rep.monotone == NOT_REFUTED
         assert rep.nonneg_definite == NOT_REFUTED
         assert rep.agree
@@ -340,7 +403,7 @@ class TestMonotoneEquivalence:
     def test_killing_difference_forms_not_refuted(self):
         for k, (q, _) in enumerate(form_corpus(45, 6, n_max=25)):
             spec = killing_difference_spec(q, seed=k)
-            rep = monotone_equivalence_test(spec, samples=300, seed=k)
+            rep = monotone_equivalence_test(spec)
             assert rep.monotone == NOT_REFUTED
             assert rep.nonneg_definite == NOT_REFUTED
 
@@ -350,54 +413,71 @@ class TestMonotoneEquivalence:
         q = assemble(make_path(2, 1.0), extra_killing={"v0": 1.0, "v1": 1.0})
         K = assemble_stiffness(q).toarray()
         spec = MonotoneFormSpec(K)
-        rep = monotone_equivalence_test(spec, samples=0)
+        rep = monotone_equivalence_test(spec)
         assert rep.monotone == REFUTED
         assert rep.nonneg_definite == REFUTED
         assert rep.agree
 
-    def test_grid_screen_matches_pair_by_pair_search(self):
-        rng = np.random.default_rng(20)
-        refuted = {REFUTED: 0, NOT_REFUTED: 0}
-        for k in range(40):
-            spec = random_spec(rng, int(rng.integers(1, 4)))
-            got = monotone_equivalence_test(spec, samples=30, seed=k).to_dict()
-            assert got == loop_equivalence_test(spec, samples=30, seed=k).to_dict()
-            refuted[got["monotone"]] += 1
-        assert min(refuted.values()) >= 8
+    @settings(max_examples=150)
+    @given(spec_matrices())
+    def test_rule_matches_the_search(self, A):
+        spec = MonotoneFormSpec(A)
+        rep = monotone_equivalence_test(spec).to_dict()
+        oracle = search_equivalence_test(spec, samples=100).to_dict()
+        for verdict in ("monotone", "nonneg_definite"):
+            assert oracle[verdict] == NOT_REFUTED or rep[verdict] == REFUTED
+        mono, nonneg = rep["monotone_witness"], rep["nonneg_witness"]
+        assert bool(mono) == (rep["monotone"] == REFUTED)
+        assert bool(nonneg) == (rep["nonneg_definite"] == REFUTED)
+        if mono:
+            f, g = mono["f"], mono["g"]
+            assert all(abs(x) <= abs(y) for x, y in zip(f, g))
+            assert exact_q(A, f, f) > exact_q(A, g, g)
+        if nonneg:
+            f, g = nonneg["f"], nonneg["g"]
+            assert all(x * y >= 0.0 for x, y in zip(f, g))
+            assert exact_q(A, f, g) == Fraction(nonneg["q_fg"]) < 0
+        assert holds_no_negative_zero(mono) and holds_no_negative_zero(nonneg)
+        if np.array_equal(A, A.T):
+            assert rep["agree"]
 
-    def test_diagonal_report_matches_the_search(self):
-        # A diagonal A >= 0 is answered without a search, with the report the search gives.
-        rng = np.random.default_rng(21)
-        for k in range(60):
-            dim = k % 6 + 1
-            d = rng.uniform(0.0, 2.0, dim) * (rng.random(dim) < 0.7)
-            d[rng.random(dim) < 0.2] = [0.0, -0.0, 1e-300, 1e300][k % 4]
-            spec = MonotoneFormSpec(np.diag(d))
-            got = monotone_equivalence_test(spec, samples=200, seed=k).to_dict()
-            assert got == loop_equivalence_test(spec, samples=200, seed=k).to_dict()
-            assert got["monotone"] == got["nonneg_definite"] == NOT_REFUTED
+    def test_first_witness_in_row_major_order(self):
+        # (0, 2) precedes the negative A_11 in row-major order
+        A = np.array([[2.0, 0.0, 0.5], [0.0, -1e-11, 0.0], [0.5, 0.0, 1.0]])
+        rep = monotone_equivalence_test(MonotoneFormSpec(A))
+        assert rep.monotone_witness == {
+            "f": [1.0, 0.0, 1.0], "g": [1.0, 0.0, -1.0], "q_f": 4.0, "q_g": 2.0,
+        }
+        assert rep.nonneg_witness == {"f": [1.0, 0.0, 0.0], "g": [0.0, 0.0, -1.0], "q_fg": -0.5}
 
-    def test_only_a_nonnegative_diagonal_skips_the_search(self, monkeypatch):
-        searched = []
-        grid_witnesses = scenarios._grid_witnesses
-        monkeypatch.setattr(
-            scenarios, "_grid_witnesses", lambda *a: searched.append(1) or grid_witnesses(*a)
-        )
-        monotone_equivalence_test(MonotoneFormSpec(np.diag([0.0, 1.0, 2.0])))
-        assert searched == []
-        # -1e-11 passes the spec's eigenvalue check; an off-diagonal 1e-300 is not diagonal
-        for A in (np.diag([1.0, -1e-11]), np.array([[1.0, 1e-300], [1e-300, 1.0]])):
+    def test_refutations_below_the_old_tolerance(self):
+        rep = monotone_equivalence_test(MonotoneFormSpec(np.diag([1.0, -1e-11])))
+        assert rep.monotone_witness == {"f": [0.0, 0.0], "g": [0.0, 1.0], "q_f": 0.0, "q_g": -1e-11}
+        assert rep.nonneg_witness == {"f": [0.0, 1.0], "g": [0.0, 1.0], "q_fg": -1e-11}
+        rep = monotone_equivalence_test(MonotoneFormSpec(np.array([[1.0, 1e-300], [1e-300, 1.0]])))
+        assert rep.monotone == rep.nonneg_definite == REFUTED
+        # q(f) = 2 + 2e-300 and q(g) = 2 - 2e-300 round to the same float
+        assert rep.monotone_witness["q_f"] == rep.monotone_witness["q_g"] == 2.0
+        assert rep.nonneg_witness == {"f": [1.0, 0.0], "g": [0.0, -1.0], "q_fg": -1e-300}
+
+    def test_antisymmetric_slack_is_the_only_disagreement(self):
+        A = np.array([[1.0, 1e-13], [-1e-13, 1.0]])
+        rep = monotone_equivalence_test(MonotoneFormSpec(A))
+        assert (rep.monotone, rep.nonneg_definite, rep.agree) == (NOT_REFUTED, REFUTED, False)
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("monotone_equivalence_test drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for A in (np.diag([0.0, 1.0, 2.0]), np.array([[1.0, 0.5], [0.5, 1.0]])):
             spec = MonotoneFormSpec(A)
-            got = monotone_equivalence_test(spec, samples=50, seed=3).to_dict()
-            assert got == loop_equivalence_test(spec, samples=50, seed=3).to_dict()
-        got = monotone_equivalence_test(MonotoneFormSpec(np.eye(2)), samples=5, tol=-1.0)
-        assert got.monotone == REFUTED
-        assert len(searched) == 3
+            assert monotone_equivalence_test(spec).to_dict() == monotone_equivalence_test(spec).to_dict()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="symmetric"):
             MonotoneFormSpec(np.array([[1.0, 0.2], [0.0, 1.0]]))
-        with pytest.raises(ValueError, match="dimension 6"):
-            MonotoneFormSpec(np.eye(7))
         with pytest.raises(ValueError, match="nonnegative"):
             MonotoneFormSpec(np.array([[-1.0]]))
+        rep = monotone_equivalence_test(MonotoneFormSpec(np.eye(7)))
+        assert rep.monotone == rep.nonneg_definite == NOT_REFUTED
