@@ -74,6 +74,38 @@ def _grid_witnesses(spec, tol):
     return mono_witness, nonneg_witness
 
 
+def loop_grid_witnesses(spec, tol):
+    """Pair-by-pair grid search, the reference for the array-screened grid."""
+    mono_witness = {}
+    nonneg_witness = {}
+    grid = _grid(spec.dim)
+    for g in grid:
+        qg = spec.q(g)
+        for f in grid:
+            if not mono_witness and np.all(np.abs(f) <= np.abs(g)):
+                if spec.q(f) > qg + tol:
+                    mono_witness = {"f": f.tolist(), "g": g.tolist(), "q_f": spec.q(f), "q_g": qg}
+            if not nonneg_witness and np.all(f * g >= 0.0):
+                val = spec.q(f, g)
+                if val < -tol:
+                    nonneg_witness = {"f": f.tolist(), "g": g.tolist(), "q_fg": val}
+        if mono_witness and nonneg_witness:
+            break
+    return mono_witness, nonneg_witness
+
+
+def random_spec(rng, dim):
+    """Nonnegative symmetric spec: diagonal, coupled, or coupled at the tolerance scale."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return MonotoneFormSpec(np.diag(rng.uniform(0.0, 2.0, dim)))
+    L = rng.normal(size=(dim, dim)) * (rng.random((dim, dim)) < 0.6)
+    A = L @ L.T
+    if kind == 2:
+        A = np.diag(np.diag(A) + 1.0) + 1e-10 * rng.uniform(-2.0, 2.0) * (A - np.diag(np.diag(A)))
+    return MonotoneFormSpec(A)
+
+
 def search_equivalence_test(spec, samples=500, seed=42, tol=1e-10):
     """Refutation search, the oracle for the coefficient rule.
 
@@ -440,6 +472,33 @@ class TestMonotoneEquivalence:
         assert holds_no_negative_zero(mono) and holds_no_negative_zero(nonneg)
         if np.array_equal(A, A.T):
             assert rep["agree"]
+
+    def test_grid_screen_matches_pair_by_pair_search(self):
+        # The oracle's array-screened grid finds the pair-by-pair loop's
+        # witnesses, and the coefficient rule refutes whatever the search refutes.
+        rng = np.random.default_rng(20)
+        refuted = {REFUTED: 0, NOT_REFUTED: 0}
+        for k in range(40):
+            spec = random_spec(rng, int(rng.integers(1, 4)))
+            assert _grid_witnesses(spec, 1e-10) == loop_grid_witnesses(spec, 1e-10)
+            oracle = search_equivalence_test(spec, samples=30, seed=k)
+            rep = monotone_equivalence_test(spec)
+            assert oracle.monotone == NOT_REFUTED or rep.monotone == REFUTED
+            assert oracle.nonneg_definite == NOT_REFUTED or rep.nonneg_definite == REFUTED
+            refuted[oracle.monotone] += 1
+        assert min(refuted.values()) >= 8
+
+    def test_diagonal_report_matches_the_search(self):
+        # A diagonal A >= 0 gets the report the search gives.
+        rng = np.random.default_rng(21)
+        for k in range(60):
+            dim = k % 6 + 1
+            d = rng.uniform(0.0, 2.0, dim) * (rng.random(dim) < 0.7)
+            d[rng.random(dim) < 0.2] = [0.0, -0.0, 1e-300, 1e300][k % 4]
+            spec = MonotoneFormSpec(np.diag(d))
+            got = monotone_equivalence_test(spec).to_dict()
+            assert got == search_equivalence_test(spec, samples=200, seed=k).to_dict()
+            assert got["monotone"] == got["nonneg_definite"] == NOT_REFUTED
 
     def test_first_witness_in_row_major_order(self):
         # (0, 2) precedes the negative A_11 in row-major order
