@@ -17,14 +17,14 @@ pair differs, and its maximum is exact for r <= 2 at any size and, for
 larger r, within a dense budget or a budget of multiplies per alpha (see
 check_resolvent_domination).  For an extension pair V follows from U alone,
 so only the upper form is factored, under a forward-error bound (see
-_schur_route).  Pairs of at most SMALL_DIM vertices skip that step and the
-sparse factors: both forms are factored densely (see _small_route).  The
-cone inequality in (ii) and the agreement in (iii) are both decided exactly
-from D = K - K~, the difference of the stiffness matrices restricted to the
-smaller active set: (ii) holds iff D >= 0 entrywise (indicator functions
-are admissible nonnegative probes, so the coefficient condition is
-necessary as well as sufficient), and the forms agree on the smaller domain
-iff D = 0 (a quadratic form determines its symmetric matrix).
+_schur_route), unless it has at most resolvent.SMALL_DIM active vertices
+and a dense factor.  The cone inequality in (ii) and the agreement in (iii)
+are both decided exactly from D = K - K~, the difference of the stiffness
+matrices restricted to the smaller active set: (ii) holds iff D >= 0
+entrywise (indicator functions are admissible nonnegative probes, so the
+coefficient condition is necessary as well as sufficient), and the forms
+agree on the smaller domain iff D = 0 (a quadratic form determines its
+symmetric matrix).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import numpy as np
 from .forms import GraphForm
 from .graph import Exhaustion, _freeze
 from .reflection import main_part
+from . import resolvent
 from .resolvent import _UNIT_ROUNDOFF, ResolventHandle, _restrict
 
 if TYPE_CHECKING:
@@ -64,25 +65,6 @@ DENSE_BUDGET = 256 * 256
 #:     1201   1.27e8      266 ms    267 ms
 #:     1861   3.9e8       689 ms    451 ms
 PRODUCT_BUDGET = 2**27
-
-#: Most vertices in either active set up to which criterion (i) decides a pair on
-#: dense Cholesky factors (_small_route): below it SuperLU's setup, the handles
-#: and the Schur step cost more than dense LAPACK does.  The crossover of the
-#: two on path pairs (the counterexample's base and ext1, tridiagonal, where
-#: SuperLU is cheapest); lattice pairs, with a Dirichlet rim ("rim") or killing
-#: on every vertex ("kill"), cross above n = 145.  Minimum of 3 x 3 calls at the
-#: 13 default alphas, 2 vCPUs, 2 BLAS threads:
-#:
-#:     pair    |b|    sparse    dense
-#:     rim      85    10.1 ms    3.2 ms
-#:     rim     145    15.0 ms   10.0 ms
-#:     kill    113    21.0 ms   10.0 ms
-#:     kill    145    27.8 ms   20.8 ms
-#:     path    101     5.1 ms    3.4 ms
-#:     path    121     5.5 ms    4.4 ms
-#:     path    131     5.4 ms    6.2 ms
-#:     path    151     5.8 ms    9.0 ms
-SMALL_DIM = 128
 
 _DEFAULT_ALPHAS = tuple(float(a) for a in np.logspace(-3.0, 3.0, 13))
 
@@ -284,98 +266,10 @@ def _checked_alphas(alphas) -> tuple:
     return alphas
 
 
-def _new_worst() -> dict:
-    return {"violation": -math.inf, "alpha": None, "kind": None, "certified": True}
-
-
 def _record(worst: dict, v, alpha, kind: str) -> None:
     """Keep the largest violation seen in worst, with its alpha and route."""
     if v > worst["violation"]:
         worst.update(violation=float(v) + 0.0, alpha=float(alpha), kind=kind)  # no -0.0
-
-
-class _FactorFailed(Exception):
-    """A K + alpha M of _small_route is not finite or has no Cholesky factor."""
-
-
-def _small_route(pair: FormPair, alphas: tuple, tol: float) -> dict:
-    """check_resolvent_domination's worst for a pair of at most SMALL_DIM active
-    vertices a side, from dense Cholesky factors.
-
-    Each form's K is read densely once, and K + alpha M is factored and solved
-    by scipy's dposv: two factors per alpha (one for "ideal") and no Schur
-    step.  The routes, their values and the floor are those of the sparse
-    path within DENSE_BUDGET.  Raises _FactorFailed when some K + alpha M is
-    not finite or a factor fails; the sparse path then decides the pair, and
-    raises what it raises.
-    """
-    from scipy.linalg.lapack import dposv  # imported here, as in _max_inner
-
-    top = max(alphas)
-
-    def dense(gen) -> tuple:
-        """gen's K as a dense array, and alpha, rhs -> (K + alpha M)^{-1} rhs."""
-        K, m = np.asfortranarray(gen.stiffness.toarray()), gen.mass
-        i = np.arange(len(m))
-        diag = K[i, i]
-        # K_ii, m_i >= 0, so no K_ii + alpha m_i rounds above this sum
-        if not (np.isfinite(K).all()
-                and math.isfinite(diag.max(initial=0.0) + top * m.max(initial=0.0))):
-            raise _FactorFailed
-
-        def solve(alpha: float, rhs: np.ndarray) -> np.ndarray:
-            A = K.copy(order="F")
-            A[i, i] = diag + alpha * m
-            _, X, info = dposv(A, rhs, overwrite_a=1)
-            if info:
-                raise _FactorFailed
-            return X
-
-        return K, solve
-
-    a, b = pair.lower.active, pair.upper.active
-    K_low, solve_low = dense(pair.lower.generator)
-    m_low = pair.lower.generator.mass
-    na = len(m_low)
-    worst = _new_worst()
-    if not b[a].all():
-        cols = np.flatnonzero(~b[a])
-        rhs = np.zeros((na, len(cols)), order="F")
-        rhs[cols, np.arange(len(cols))] = m_low[cols]  # G's columns on a \ b
-        for alpha in alphas:
-            _record(worst, solve_low(alpha, rhs).max(), alpha, "ideal")
-        worst["certified"] = worst["violation"] > tol
-        return worst
-
-    K_up, solve_up = dense(pair.upper.generator)
-    nb = len(K_up)
-    pos = np.flatnonzero(a[b])
-    C = K_up[:, pos]  # C = K~|b E - E K|a
-    C[pos] -= K_low
-    S = np.flatnonzero(C.any(axis=1))
-    r = len(S)
-    if r == 0:
-        worst.update(violation=0.0, kind="rank0")
-        return worst
-    kind = "rank1" if r == 1 else "product" if r < na else "blocks"
-    floor = 0.0 if nb < pair.lower.n else -math.inf
-    if kind == "blocks":  # G~ E and G
-        rhs_up = np.zeros((nb, na), order="F")
-        rhs_up[pos, np.arange(na)] = m_low
-        rhs_low = np.diag(m_low)
-    else:  # U = A~^{-1}[:, S] and V = A^{-1} C_S^T
-        rhs_up = np.zeros((nb, r), order="F")
-        rhs_up[S, np.arange(r)] = 1.0
-        rhs_low = C[S].T
-    for alpha in alphas:
-        U, V = solve_up(alpha, rhs_up), solve_low(alpha, rhs_low)
-        if kind == "blocks":
-            U[pos] -= V
-            v = -U.min()
-        else:
-            v = _max_inner(kind, U, V * m_low[:, None])
-        _record(worst, max(v, floor), alpha, kind)
-    return worst
 
 
 def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -> tuple:
@@ -408,21 +302,21 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
       Each of these is certified.  When C vanishes on a's rows (an extension
       pair: A = A~[a, a]), "rank1", "rank2" and "product" take
       V = -U_a U_S^{-1} from U through a Cholesky factor of U_S and factor
-      only A~, one factorization per alpha.  An alpha's value counts
-      when it lies farther than the bound delta of _schur_route from tol;
-      otherwise, or when the Cholesky factor fails, V comes from A's own
-      factor, as for every other pair.
+      only A~, one factorization per alpha, when |b| > resolvent.SMALL_DIM.
+      An alpha's value counts when it lies farther than the bound delta of
+      _schur_route from tol; otherwise, or when the Cholesky factor fails,
+      V comes from A's own factor, as for every other pair.
     * "probe_k": above DENSE_BUDGET with r >= |a|, or with r > 2 and above
-      PRODUCT_BUDGET, the first 64 basis vectors and 16 seeded random sign
-      vectors go through both resolvents, uncertified.
+      PRODUCT_BUDGET, the first 64 basis vectors and the all-ones vector
+      (probe_64 when n > 64) go through both resolvents, uncertified.  As
+      G >= 0, every sign vector f has |G f| <= G 1 and G~ |f| = G~ 1, so
+      the ones vector stands for all of them.
 
-    The solves above run on SuperLU factors (see ResolventHandle), except
-    for pairs of at most SMALL_DIM active vertices a side: _small_route
-    decides those on dense Cholesky factors of K + alpha M on scipy's LAPACK,
-    two factors per alpha and no Schur step, through the routes and values
-    listed within DENSE_BUDGET.  A dense factor that fails sends the pair
-    down the sparse path.  alphas, when given, must be a nonempty sequence
-    of positive finite numbers (else ValueError, before any route).
+    Each form's solves run on its ResolventHandle's factor of K + alpha M:
+    dense Cholesky up to resolvent.SMALL_DIM active vertices, SuperLU above
+    that size or where the Cholesky factor fails.  alphas, when given, must
+    be a nonempty sequence of positive finite numbers (else ValueError,
+    before any route).
 
     Returns (ok, worst).  worst["violation"] is the largest entry of G - G~
     over the columns in a (over those in a \\ b for "ideal", over the probes'
@@ -431,19 +325,11 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
     or from "ideal": neither compared every column.  A violation found is
     always a certificate.
     """
-    import scipy.sparse as sp  # imported here, as in resolvent.assemble_stiffness
-
     alphas = _DEFAULT_ALPHAS if alphas is None else _checked_alphas(alphas)
     _check_m_matrix_data(pair)
     a, b = pair.lower.active, pair.upper.active
-    if max(np.count_nonzero(a), np.count_nonzero(b)) <= SMALL_DIM:
-        try:
-            worst = _small_route(pair, alphas, tol)
-            return worst["violation"] <= tol, worst
-        except _FactorFailed:
-            pass  # the sparse path decides the pair
     h_low = ResolventHandle(pair.lower)
-    worst = _new_worst()
+    worst = {"violation": -math.inf, "alpha": None, "kind": None, "certified": True}
     if not b[a].all():
         cols = np.flatnonzero(~b[a])
         step = max(1, DENSE_BUDGET // h_low.dim)
@@ -458,12 +344,20 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
     h_up = ResolventHandle(pair.upper)
     na, nb = h_low.dim, h_up.dim
     pos = np.flatnonzero(a[b])  # a's vertices in b's coordinates
-    EA = h_low.generator.stiffness.tocoo()
-    C = h_up.generator.stiffness[:, pos] - sp.csr_matrix(
-        (EA.data, (pos[EA.row], EA.col)), shape=(nb, na)
-    )
-    C.eliminate_zeros()
-    S = np.flatnonzero(np.diff(C.indptr))
+    # C's entries K~_ij - K_ij, i in b and j in a, keyed i |a| + j: K~'s entries in
+    # a's columns, then K's rows in b's coordinates, summed in that order.
+    K_up, K_low = h_up.generator.stiffness, h_low.generator.stiffness
+    col = np.full(nb, -1)
+    col[pos] = np.arange(na)  # b's vertices in a's coordinates, -1 off a
+    up_col = col[K_up.indices]
+    keep = up_col >= 0
+    key, at = np.unique(np.concatenate([
+        np.repeat(np.arange(nb), np.diff(K_up.indptr))[keep] * na + up_col[keep],
+        np.repeat(pos * na, np.diff(K_low.indptr)) + K_low.indices,
+    ]), return_inverse=True)
+    value = np.bincount(at, np.concatenate([K_up.data[keep], -K_low.data]), len(key))
+    key, value = key[value != 0.0], value[value != 0.0]
+    S, row = np.unique(key // na, return_inverse=True)  # C's nonzero rows
     r = len(S)
     if r == 0:
         worst.update(violation=0.0, kind="rank0")
@@ -478,9 +372,8 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
     else:
         worst["certified"] = False
         n = pair.lower.n
-        rng = np.random.default_rng(42)
-        probes = [np.eye(1, n, k)[0] for k in range(min(n, 64))]
-        probes += [rng.choice([-1.0, 1.0], size=n) for _ in range(16)]
+        # G >= 0, so a sign vector f has |G f| <= G 1 and G~ |f| = G~ 1: 1 stands for them all.
+        probes = [np.eye(1, n, k)[0] for k in range(min(n, 64))] + [np.ones(n)]
         for alpha in alphas:
             for k, f in enumerate(probes):
                 u = h_low.extend(h_low.apply(alpha, h_low.restrict(f)))
@@ -497,9 +390,12 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
     else:
         rhs = np.zeros((nb, r))
         rhs[S, np.arange(r)] = 1.0
-        C_S = C[S].T.toarray()
-        # C vanishes on a's rows for an extension pair: A = A~[a, a]
-        schur = None if a[b][S].any() else _schur_route(h_up.generator, S, pos)
+        C_S = np.zeros((na, r))
+        C_S[key % na, row] = value
+        # C vanishes on a's rows for an extension pair: A = A~[a, a].  Small
+        # handles factor densely, where the Schur step costs more than A's factor.
+        schur = (None if a[b][S].any() or nb <= resolvent.SMALL_DIM
+                 else _schur_route(h_up.generator, S, pos))
     for alpha in alphas:
         U = h_up.solve_columns(alpha, rhs)
         if kind == "blocks":

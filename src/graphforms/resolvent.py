@@ -27,8 +27,10 @@ ladder has rho < 1/3), w is the Neumann series
 
 cut at the least N with (1 + rho) rho^(N+1) / (1 - rho) <= 2^-53: its tail is
 then below unit roundoff relative to max |w|, and N <= 54.  Otherwise, a
-non-finite weight included, w comes from the sparse LU factor that every other
-solve uses.
+non-finite weight included, w comes from the handle's factor of K + alpha M,
+which every other solve uses: a dense Cholesky factor on scipy's LAPACK up to
+SMALL_DIM active vertices, and a SuperLU factor above that size or where the
+Cholesky factor fails.
 """
 
 from __future__ import annotations
@@ -49,6 +51,26 @@ if TYPE_CHECKING:
 
 #: Unit roundoff of float64, the relative size of the Neumann series' cut tail.
 _UNIT_ROUNDOFF = 2.0**-53
+
+#: Most active vertices up to which a handle factors K + alpha M densely
+#: (ResolventHandle._factor), and criterion (i) skips the Schur step
+#: (domination._schur_route): below it SuperLU's setup and the Schur step cost
+#: more than dense LAPACK does.  The crossover of the two in criterion (i) on
+#: path pairs (the counterexample's base and ext1, tridiagonal, where SuperLU is
+#: cheapest); lattice pairs, with a Dirichlet rim ("rim") or killing on every
+#: vertex ("kill"), cross above n = 145.  Minimum of 3 x 3 calls at the 13
+#: default alphas, 2 vCPUs, 2 BLAS threads:
+#:
+#:     pair    |b|    sparse    dense
+#:     rim      85    10.1 ms    3.2 ms
+#:     rim     145    15.0 ms   10.0 ms
+#:     kill    113    21.0 ms   10.0 ms
+#:     kill    145    27.8 ms   20.8 ms
+#:     path    101     5.1 ms    3.4 ms
+#:     path    121     5.5 ms    4.4 ms
+#:     path    131     5.4 ms    6.2 ms
+#:     path    151     5.8 ms    9.0 ms
+SMALL_DIM = 128
 
 
 def _checked_vector(x, size: int, what: str = "values") -> np.ndarray:
@@ -92,6 +114,14 @@ class GeneratorOperator:
         """``_shift_pattern`` of the stiffness: the CSC pattern of K + alpha M and
         its diagonal positions."""
         return _freeze(_shift_pattern(self.stiffness))
+
+    @cached_property
+    def _dense_stiffness(self) -> tuple:
+        """K as a read-only Fortran-ordered array, max_i K_ii (inf when some entry of K
+        is not finite) and max_i m_i; only handles of at most SMALL_DIM rows read it."""
+        K = np.asfortranarray(self.stiffness.toarray())
+        k_max = float(K.diagonal().max(initial=0.0)) if np.isfinite(K).all() else math.inf
+        return _freeze(K), k_max, float(self.mass.max(initial=0.0))
 
     @cached_property
     def splitting(self) -> tuple:
@@ -186,31 +216,27 @@ def _shift_pattern(K: sp.csr_matrix) -> tuple:
 
 
 class ResolventHandle:
-    """Resolvent applications for one generator through one sparse LU factor.
+    """Resolvent applications for one generator through one factor of K + alpha M.
 
-    Every solve of (K + alpha M) w = rhs goes through a SuperLU factorization
-    of K + alpha M with minimum-degree ordering on A^T + A, except that
-    approximating forms take the Neumann series where alpha dominates the
-    diagonal (see the module docstring).  The factor of the most recent alpha
-    is kept, so repeated solves at one alpha factor once; a new alpha releases
-    the old factor before the new one is built.  The generator and the CSC
-    pattern of K + alpha M do not depend on alpha, so they are built once per
-    form and shared by its handles; a handle owns only the data array that a
-    new alpha refreshes.
+    Every solve of (K + alpha M) w = rhs goes through the factor of _factor,
+    except that approximating forms take the Neumann series where alpha
+    dominates the diagonal (see the module docstring).  Up to SMALL_DIM active
+    vertices that is a dense Cholesky factor on scipy's LAPACK (dpotrf, then
+    dpotrs per solve); above that size, or where K + alpha M is not positive
+    definite or may not be finite, a SuperLU factor with minimum-degree
+    ordering on A^T + A, which raises ValueError for a non-finite entry.  The
+    factor of the most recent alpha is kept, so repeated solves at one alpha
+    factor once; a new alpha releases the old factor before the new one is
+    built.  The generator, its dense K and the CSC pattern of K + alpha M do
+    not depend on alpha, so they are built once per form, on first use, and
+    shared by its handles.
     """
 
     def __init__(self, form: GraphForm):
-        import scipy.sparse as sp  # imported here, as in assemble_stiffness
-
         self.form = form
         self.generator = form.generator
-        pattern, self._diag = self.generator.shift_pattern
-        self._base = pattern.data
-        self._shifted = sp.csc_matrix(
-            (pattern.data.copy(), pattern.indices, pattern.indptr), shape=pattern.shape
-        )
         self._alpha = None
-        self._lu = None
+        self._solver = None
 
     @property
     def dim(self) -> int:
@@ -218,28 +244,55 @@ class ResolventHandle:
 
     # -- linear algebra -----------------------------------------------------
 
-    def _factor(self, alpha: float):
-        if alpha != self._alpha:
-            # imported here: scipy.sparse.linalg adds ~0.13 s to `import graphforms`
-            from scipy.sparse.linalg import splu
+    @cached_property
+    def _shifted(self) -> sp.csc_matrix:
+        """A CSC matrix in the shared pattern of K + alpha M, with data of its own."""
+        import scipy.sparse as sp  # imported here, as in assemble_stiffness
 
-            self._alpha = self._lu = None
-            A = self._shifted
-            A.data[:] = self._base
-            A.data[self._diag] += alpha * self.generator.mass
-            if not np.isfinite(A.data).all():
-                raise ValueError("K + alpha M is not finite; check the weights")
-            if not A.data[self._diag].all():
-                # K_ii + alpha m_i cancelled or underflowed: drop it, as a sparse sum does
-                A = A.copy()
-                A.eliminate_zeros()
-            self._lu = splu(A, permc_spec="MMD_AT_PLUS_A")
+        p = self.generator.shift_pattern[0]
+        return sp.csc_matrix((p.data.copy(), p.indices, p.indptr), shape=p.shape)
+
+    def _factor(self, alpha: float):
+        """rhs -> (K + alpha M)^{-1} rhs, through the factor of alpha."""
+        if alpha != self._alpha:
+            self._alpha = self._solver = None
+            gen = self.generator
+            n = len(gen.mass)
+            if n <= SMALL_DIM:
+                K, k_max, m_max = gen._dense_stiffness
+                # No K_ii + alpha m_i rounds above k_max + alpha m_max.  Past it, or for a
+                # K that is not finite, SuperLU checks every entry.
+                if k_max + alpha * m_max < math.inf:
+                    # imported here: scipy.linalg adds ~0.14 s to `import graphforms`
+                    from scipy.linalg.lapack import dpotrf, dpotrs
+
+                    A = K.copy(order="F")
+                    diag = A.ravel(order="K")[:: n + 1]  # a view of A's diagonal
+                    diag += alpha * gen.mass
+                    factor, info = dpotrf(A, lower=0, clean=0, overwrite_a=1)
+                    if info == 0:  # info > 0: not positive definite, left to SuperLU
+                        self._solver = lambda rhs: dpotrs(factor, rhs)[0]
+            if self._solver is None:
+                # imported here: scipy.sparse.linalg adds ~0.13 s to `import graphforms`
+                from scipy.sparse.linalg import splu
+
+                pattern, diag = gen.shift_pattern
+                A = self._shifted
+                A.data[:] = pattern.data
+                A.data[diag] += alpha * gen.mass
+                if not np.isfinite(A.data).all():
+                    raise ValueError("K + alpha M is not finite; check the weights")
+                if not A.data[diag].all():
+                    # K_ii + alpha m_i cancelled or underflowed: drop it, as a sparse sum does
+                    A = A.copy()
+                    A.eliminate_zeros()
+                self._solver = splu(A, permc_spec="MMD_AT_PLUS_A").solve
             self._alpha = alpha
-        return self._lu
+        return self._solver
 
     def _solve(self, alpha: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (K + alpha M) w = rhs for a vector rhs."""
-        return self._factor(alpha).solve(rhs)
+        return self._factor(alpha)(rhs)
 
     def solve_columns(self, alpha: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (K + alpha M) X = rhs for a (dim, k) array rhs in one call on the factor."""
@@ -247,7 +300,7 @@ class ResolventHandle:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim != 2 or rhs.shape[0] != self.dim:
             raise ValueError(f"expected {self.dim} rows of right-hand sides, got {rhs.shape}")
-        return self._factor(alpha).solve(rhs)
+        return self._factor(alpha)(rhs)
 
     def _series_solve(self, alpha: float, rhs: np.ndarray):
         """Neumann-series solution of (K + alpha M) w = rhs, or None when the shift
@@ -283,7 +336,7 @@ class ResolventHandle:
         return self._solve(alpha, self.generator.mass * f)
 
     def resolvent_matrix(self, alpha: float) -> np.ndarray:
-        """Dense matrix of G_alpha on active coordinates, from the LU factor."""
+        """Dense matrix of G_alpha on active coordinates, from the handle's factor."""
         return self.solve_columns(alpha, np.diag(self.generator.mass))
 
     def approximating_bilinear(self, alpha: float, u: np.ndarray, v: np.ndarray) -> float:
@@ -291,7 +344,7 @@ class ResolventHandle:
 
         Each call is one solve of (K + alpha M) w = K v: by the Neumann series when
         alpha dominates the diagonal (rho(alpha) <= 1/2, at most 55 sparse matvecs,
-        tail below unit roundoff relative to max |w|), otherwise by the handle's LU
+        tail below unit roundoff relative to max |w|), otherwise by the handle's
         factor.  So a ladder of distinct alphas factors nothing above the diagonal.
         """
         _check_alpha(alpha)

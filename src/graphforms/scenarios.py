@@ -200,8 +200,10 @@ def _smallest_eigenvalue(A: sp.csc_matrix) -> float:
 def classify_recurrence(q: GraphForm, ex: Exhaustion) -> dict:
     """Recurrence flags of the main part, the reflected form and the base form.
 
-    The main part annihilates constants by construction.  The reflected form
-    is recurrent exactly when the total effective killing vanishes.  The base
+    Each part's flag says that its value at 1 is exactly 0.0.  The main part
+    annihilates constants by construction.  The reflected form is recurrent
+    exactly when the total effective killing, a sum of nonnegative terms,
+    vanishes, however small a positive term is.  The base
     form has a trivial kernel exactly when every connected component of the
     active graph (edges and couplings of positive weight between active
     vertices) carries positive effective killing: with nonnegative weights,
@@ -249,8 +251,8 @@ def classify_recurrence(q: GraphForm, ex: Exhaustion) -> dict:
         A = sp.csc_matrix((K.data * s[rows] * s[K.indices], K.indices, K.indptr), shape=K.shape)
         lam_min = _smallest_eigenvalue(A)
     return {
-        "main_recurrent": bool(abs(result.main_value) <= 1e-10),
-        "reflected_recurrent": bool(result.reflected_value <= 1e-10),
+        "main_recurrent": result.main_value == 0.0,
+        "reflected_recurrent": result.reflected_value == 0.0,
         "base_kernel_trivial": kernel_trivial,
         "kernel_certified": True,
         "reflected_value_at_1": result.reflected_value,

@@ -27,6 +27,7 @@ from graphforms import (
     make_path,
     run_counterexample,
     truncate,
+    truncated_coefficients,
     verify_maximality,
 )
 from graphforms.corpus import (
@@ -38,11 +39,12 @@ from graphforms.corpus import (
     zero_killing,
 )
 import graphforms.domination as dom
+import graphforms.resolvent as resolvent
 import graphforms.selftest as selftest
 from graphforms.domination import _DEFAULT_ALPHAS, _max_inner, check_extension
 from graphforms.graph import WeightedGraph
 from graphforms.resolvent import assemble_stiffness
-from test_resolvent import exact_solve
+from test_resolvent import exact_solve, factored_dims
 
 
 def dense_coefficient_check(pair, tol=1e-10):
@@ -174,23 +176,45 @@ class TestResolventDomination:
     def test_probe_path_agrees_with_dense(self, monkeypatch):
         # Above the dense budget a pair of rank r >= |a| is probed; the verdicts
         # still match the oracle, but only the violation is a certificate.
+        # The probes are the 13 basis vectors and the ones vector (probe_13), whose
+        # value bounds that of every sign vector, here 16 seeded ones.
         import graphforms.domination as dom
 
-        monkeypatch.setattr(dom, "SMALL_DIM", 0)
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)
         monkeypatch.setattr(dom, "DENSE_BUDGET", 0)
         killing = lattice_pair(2, killing=0.1)  # r = n = 13
+        alphas, n = (0.5, 1.0, 10.0), killing.lower.n
+        rng = np.random.default_rng(42)
+        signs = [rng.choice([-1.0, 1.0], size=n) for _ in range(16)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the probe route drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
         for pair, verdict in ((FormPair(killing.upper, killing.lower), True), (killing, False)):
-            ok, worst = check_resolvent_domination(pair, alphas=(0.5, 1.0, 10.0))
-            whole = max(D.max() for D in dense_differences(pair, (0.5, 1.0, 10.0)))
+            ok, worst = check_resolvent_domination(pair, alphas=alphas)
+            whole = max(D.max() for D in dense_differences(pair, alphas))
             assert ok == (whole <= 1e-9) == verdict
             assert worst["kind"].startswith("probe_") and not worst["certified"]
+            assert 0 <= int(worst["kind"][len("probe_"):]) <= 13
+            h_low, h_up = ResolventHandle(pair.lower), ResolventHandle(pair.upper)
+
+            def value(alpha, f):
+                u = h_low.extend(h_low.apply(alpha, h_low.restrict(f)))
+                w = h_up.extend(h_up.apply(alpha, h_up.restrict(np.abs(f))))
+                return float((np.abs(u) - w).max())
+
+            for alpha in alphas:
+                ones = value(alpha, np.ones(n))
+                assert worst["violation"] >= ones
+                assert all(ones >= value(alpha, f) for f in signs), alpha
 
     @pytest.mark.parametrize("dense, multiply", [(0, 0), (-1, 0), (-1, -1)],
                              ids=["within", "multiply", "above"])
     def test_route_follows_rank_and_budget(self, monkeypatch, dense, multiply):
         # The route depends on r, on |b| |a| against DENSE_BUDGET and, for
         # 2 < r < |a| above it, on r |b| |a| against PRODUCT_BUDGET; not on n.
-        monkeypatch.setattr(dom, "SMALL_DIM", 0)
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)
         cases = [  # (pair, r, |b| |a|, route within DENSE_BUDGET, routes above it)
             (dirichlet_neumann_pair(n=6), 2, 6 * 4, "product", ("rank2", "rank2")),
             # r = 12 < |a|: product up to r |b| |a| multiplies, probes above
@@ -227,7 +251,7 @@ class TestIdentityRoutes:
     @pytest.mark.parametrize("n, kind", [(51, "product"), (201, "product"),
                                          (255, "product"), (301, "rank2")])
     def test_counterexample_pairs_certified(self, monkeypatch, n, kind):
-        monkeypatch.setattr(dom, "SMALL_DIM", 0)
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)
         ext1, ext2, reversed_pair = counterexample_pairs(n)
         assert assert_matches_oracle(ext1)["kind"] == kind
         assert assert_matches_oracle(ext2)["kind"] == kind
@@ -236,7 +260,7 @@ class TestIdentityRoutes:
     def test_rank2_hull_below_the_budget(self, monkeypatch):
         import graphforms.domination as dom
 
-        monkeypatch.setattr(dom, "SMALL_DIM", 0)
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)
         monkeypatch.setattr(dom, "DENSE_BUDGET", 0)
         pairs = counterexample_pairs(51)[:2] + [dirichlet_neumann_pair(n=7)]
         pairs += domination_pair_corpus(3, 30)
@@ -247,7 +271,7 @@ class TestIdentityRoutes:
                 assert_matches_oracle(pair)
 
     def test_lower_set_outside_the_upper_one(self, monkeypatch):
-        monkeypatch.setattr(dom, "SMALL_DIM", 0)
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)
         pair = dirichlet_neumann_pair()
         worst = assert_matches_oracle(FormPair(lower=pair.upper, upper=pair.lower))
         assert worst["kind"] == "ideal" and worst["violation"] > 1e-9
@@ -261,7 +285,7 @@ class TestIdentityRoutes:
         # at v3 is not.  Chunks of one column each read the same maximum.
         import graphforms.domination as dom
 
-        monkeypatch.setattr(dom, "SMALL_DIM", 0)
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)
         g = make_path(4, 1.0)
         g = WeightedGraph(g.ids, [1e-12, 1.0, 1.0, 1.0], g.c, [("v0", "v1", 1.0),
                           ("v1", "v2", 1.0), ("v2", "v3", 1.0)])
@@ -306,26 +330,13 @@ class TestIdentityRoutes:
         assert worst["kind"] == "rank1" and worst["violation"] > 1e-9
 
     def test_violating_lattice_pair(self, monkeypatch):
-        monkeypatch.setattr(dom, "SMALL_DIM", 0)
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)
         pair = lattice_pair(3, killing=0.1)
         worst = assert_matches_oracle(pair)
         assert worst["kind"] == "blocks" and worst["violation"] > 1e-9
         # one killed vertex beats the Dirichlet rim on the diagonal there
         worst = assert_matches_oracle(lattice_pair(4, rim_boundary=True, killing={"0,0": 1.0}))
         assert worst["kind"] == "product" and worst["violation"] > 1e-9  # r = 17 < |a| = 25
-
-
-def factored_dims(monkeypatch) -> list:
-    """Wrap splu so that each factorization appends its matrix dimension to the list."""
-    dims = []
-    splu = scipy.sparse.linalg.splu
-
-    def spy(A, **kw):
-        dims.append(A.shape[0])
-        return splu(A, **kw)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
-    return dims
 
 
 @st.composite
@@ -363,7 +374,7 @@ class TestOneFactorRoute:
     def test_matches_two_factor_route_and_oracle(self, pair):
         assert check_extension(pair)[0]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dom, "SMALL_DIM", 0)
+            mp.setattr(resolvent, "SMALL_DIM", 0)
             dims = factored_dims(mp)
             _, worst = check_resolvent_domination(pair)
             if worst["kind"] in ("rank1", "rank2", "product"):
@@ -405,7 +416,7 @@ class TestOneFactorRoute:
     def test_fallback_through_the_lower_factor(self, monkeypatch):
         # A delta above every margin sends each alpha through A's own factor, which
         # gives exactly the two-factor report.
-        monkeypatch.setattr(dom, "SMALL_DIM", 0)
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)
         pair = lattice_pair(4, rim_boundary=True)
         dims = factored_dims(monkeypatch)
         one = check_resolvent_domination(pair)
@@ -420,7 +431,7 @@ class TestOneFactorRoute:
         assert forced[0] == one[0] and abs(forced[1]["violation"] - one[1]["violation"]) <= 1e-12
 
     def test_factorizations_per_pair(self, monkeypatch):
-        monkeypatch.setattr(dom, "SMALL_DIM", 0)
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)
         calls = []
         route = dom._schur_route
         monkeypatch.setattr(dom, "_schur_route",
@@ -527,8 +538,8 @@ def small_pairs(draw):
 
 
 class TestSmallRoute:
-    """Pairs of at most SMALL_DIM active vertices a side are decided on dense
-    Cholesky factors, with the sparse path's routes and values."""
+    """Forms of at most resolvent.SMALL_DIM active vertices are factored densely,
+    and their pairs take the SuperLU factors' routes and values."""
 
     @settings(max_examples=80)
     @given(small_pairs(), st.lists(st.sampled_from(_DEFAULT_ALPHAS), min_size=1, max_size=2,
@@ -539,7 +550,7 @@ class TestSmallRoute:
             dims = factored_dims(mp)
             ok, worst = check_resolvent_domination(pair, alphas=alphas)
             assert not dims
-            mp.setattr(dom, "SMALL_DIM", 0)
+            mp.setattr(resolvent, "SMALL_DIM", 0)
             ok_sparse, worst_sparse = check_resolvent_domination(pair, alphas=alphas)
         assert worst["kind"] == worst_sparse["kind"] == route
         assert ok == ok_sparse and worst["certified"] == worst_sparse["certified"]
@@ -555,13 +566,13 @@ class TestSmallRoute:
 
     def test_dispatch_at_the_floor(self, monkeypatch):
         dims, schur = self.spied(monkeypatch)
-        for n in (dom.SMALL_DIM, dom.SMALL_DIM + 1):
+        for n in (resolvent.SMALL_DIM, resolvent.SMALL_DIM + 1):
             # an extension pair of rank 1 with |b| = n active vertices
             g = make_path(n, 1.0)
             pair = FormPair(assemble(g, boundary=["v0"]), assemble(g))
             ok, worst = check_resolvent_domination(pair)
             assert ok and worst["kind"] == "rank1" and worst["certified"]
-            if n == dom.SMALL_DIM:
+            if n == resolvent.SMALL_DIM:
                 assert not dims and not schur
             else:  # one upper-form factor per alpha and the one-factor route
                 assert dims == [n] * len(_DEFAULT_ALPHAS) and len(schur) == 1
@@ -580,14 +591,56 @@ class TestSmallRoute:
     def test_failed_factor_takes_the_sparse_path(self, monkeypatch):
         from scipy.linalg import lapack
 
-        pair = dirichlet_neumann_pair(n=6)
+        # Not an extension pair (the lower form kills at the centre), so the forced
+        # SuperLU route takes no Schur step either and factors both forms.
+        pair = lattice_pair(4, rim_boundary=True, killing={"0,0": 1.0})
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dom, "SMALL_DIM", 0)
+            mp.setattr(resolvent, "SMALL_DIM", 0)
             sparse = check_resolvent_domination(pair)
-        dposv = lapack.dposv  # info 1: "not positive definite"
-        monkeypatch.setattr(lapack, "dposv", lambda *a, **kw: (*dposv(*a, **kw)[:2], 1))
+        assert sparse[1]["kind"] == "product"
+        dpotrf = lapack.dpotrf  # info 1: "not positive definite"
+        monkeypatch.setattr(lapack, "dpotrf", lambda *a, **kw: (dpotrf(*a, **kw)[0], 1))
         dims = factored_dims(monkeypatch)
-        assert check_resolvent_domination(pair) == sparse and dims
+        assert check_resolvent_domination(pair) == sparse
+        assert sorted(dims) == [25] * len(_DEFAULT_ALPHAS) + [41] * len(_DEFAULT_ALPHAS)
+
+
+class TestOneFactorSite:
+    """K + alpha M is factored in one place, ResolventHandle._factor."""
+
+    def test_every_factorization_has_one_of_three_callers(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        callers = set()
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                callers.add((name, sys._getframe(1).f_code.co_qualname))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        spy(scipy.sparse.linalg, "splu")
+        spy(lapack, "dpotrf")
+        spy(lapack, "dposv")
+        corpora = {}
+        for fn in selftest.REGISTRY:
+            if fn.__name__ in {"check_criterion_equivalence", "check_domination_reflexivity",
+                               "check_domination_transitivity"}:
+                assert fn(corpora).passed
+        assert run_counterexample(CounterexampleSetup(n=51)).contradiction_reproduced
+        assert check_silverstein(lattice_pair(10, rim_boundary=True)).resolvent_ok
+        q = assemble(make_path(5, 1.0), boundary=["v4"])
+        truncated_coefficients(ResolventHandle(q), 1.0, np.full(5, 0.5) * q.active, [["v0"]])
+        # the handle's factors, the Cholesky factor of the r x r block U_S (not of
+        # K + alpha M), and the factor of the recurrence eigensolver
+        allowed = {("splu", "ResolventHandle._factor"), ("dpotrf", "ResolventHandle._factor"),
+                   ("dpotrf", "_schur_route.<locals>.factor"), ("splu", "_smallest_eigenvalue")}
+        assert callers <= allowed, callers - allowed
+        assert {("splu", "ResolventHandle._factor"), ("dpotrf", "ResolventHandle._factor"),
+                ("dpotrf", "_schur_route.<locals>.factor")} <= callers
 
 
 class TestProductRoute:
@@ -597,7 +650,7 @@ class TestProductRoute:
     @given(rank_r_pairs(), st.integers(1, 3))
     def test_row_blocks_match_one_block_and_oracle(self, pair, rows):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dom, "SMALL_DIM", 0)
+            mp.setattr(resolvent, "SMALL_DIM", 0)
             with pytest.MonkeyPatch.context() as budget:
                 # blocks of `rows` rows of W U^T, each |b| long
                 budget.setattr(dom, "DENSE_BUDGET", rows * pair.upper.generator.dim)
@@ -666,8 +719,8 @@ class TestCriterionInputs:
         # Nothing checked is no certificate, and rank0 solves nothing to reject alpha with.
         g = make_path(4, 1.0)
         pair = dirichlet_neumann_pair()
-        for small_dim in (dom.SMALL_DIM, 0):
-            monkeypatch.setattr(dom, "SMALL_DIM", small_dim)
+        for small_dim in (resolvent.SMALL_DIM, 0):
+            monkeypatch.setattr(resolvent, "SMALL_DIM", small_dim)
             for p in (FormPair(assemble(g), assemble(g)), pair, FormPair(pair.upper, pair.lower)):
                 with pytest.raises(ValueError, match="needs positive finite alphas"):
                     check_resolvent_domination(p, alphas=alphas)

@@ -111,6 +111,7 @@ class TestCachedPattern:
             yield q
 
     def test_factored_matrix_equals_sparse_sum(self, monkeypatch):
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)  # every handle factors by SuperLU
         handed = []
         splu = scipy.sparse.linalg.splu
 
@@ -139,6 +140,87 @@ class TestCachedPattern:
                 fresh = ResolventHandle(q)
                 assert np.array_equal(h.apply(alpha, f), fresh.apply(alpha, f))
                 assert np.array_equal(h.resolvent_matrix(alpha), fresh.resolvent_matrix(alpha))
+
+
+def factored_dims(monkeypatch) -> list:
+    """Wrap splu so that each factorization appends its matrix dimension to the list."""
+    dims = []
+    splu = scipy.sparse.linalg.splu
+
+    def spy(A, **kw):
+        dims.append(A.shape[0])
+        return splu(A, **kw)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+    return dims
+
+
+class TestFactorChoice:
+    """Up to SMALL_DIM active vertices a handle factors K + alpha M by dense Cholesky,
+    above it and where that fails by SuperLU."""
+
+    @staticmethod
+    def solves(h, alpha, f, rhs):
+        return h.apply(alpha, f), h.resolvent_matrix(alpha), h.solve_columns(alpha, rhs)
+
+    def test_dense_and_superlu_match_exact_solves(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        dims = factored_dims(monkeypatch)
+        for q, _ in form_corpus(45, 12, n_max=6):
+            h = ResolventHandle(q)
+            f, rhs = rng.uniform(0.0, 1.0, h.dim), rng.uniform(0.0, 1.0, (h.dim, 3))
+            for alpha in (1e-3, 1.0, 1e3):
+                dense = self.solves(h, alpha, f, rhs)
+                assert not dims
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(resolvent, "SMALL_DIM", 0)
+                    superlu = self.solves(ResolventHandle(q), alpha, f, rhs)
+                assert dims == [h.dim]  # one factor serves all three calls
+                dims.clear()
+                mass = h.generator.mass
+                exact = (exact_solve(h, alpha, mass * f), exact_solve(h, alpha, np.diag(mass)),
+                         exact_solve(h, alpha, rhs))
+                for got_dense, got_superlu, want in zip(dense, superlu, exact):
+                    want = np.array(want, dtype=float)
+                    for got in (got_dense, got_superlu):
+                        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_size_picks_the_factor(self, monkeypatch):
+        dims = factored_dims(monkeypatch)
+        for n in (resolvent.SMALL_DIM, resolvent.SMALL_DIM + 1):
+            h = ResolventHandle(assemble(make_path(n, 1.0), extra_killing={"v0": 0.5}))
+            for alpha in (1e-3, 1.0, 1.0, 1e3):
+                u = h.apply(alpha, np.ones(n))
+                assert float((alpha * u).max()) <= 1.0 + 1e-10
+            assert dims == ([] if n == resolvent.SMALL_DIM else [n] * 3)
+
+    def test_non_finite_small_handle_is_a_value_error(self, monkeypatch):
+        dims = factored_dims(monkeypatch)
+        # an infinite weight, and K_ii + alpha m_i = 1e308 + 1e308 on finite data
+        huge = WeightedGraph(["a", "b"], [1.0, 1.0], [0.0, 0.0], [("a", "b", 0.5e308)])
+        for q, alpha in ((infinite_weight_path("edge"), 1.0),
+                         (infinite_weight_path("killing"), 1.0),
+                         (assemble(huge), 1e308)):
+            h = ResolventHandle(q)
+            assert h.dim <= resolvent.SMALL_DIM
+            with (pytest.raises(ValueError, match="K \\+ alpha M is not finite; check the weights"),
+                  np.errstate(over="ignore")):
+                h.apply(alpha, np.ones(h.dim))
+        assert not dims
+
+    def test_cancelled_diagonal_falls_back_to_superlu(self, monkeypatch):
+        q = list(TestCachedPattern.forms())[1]  # K_aa + alpha m_a = 0 at alpha = 1
+        h = ResolventHandle(q)
+        dims = factored_dims(monkeypatch)
+        f = np.array([1.0, -2.0, 0.5])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(resolvent, "SMALL_DIM", 0)
+            want = ResolventHandle(q).apply(1.0, f)
+        dims.clear()
+        assert np.array_equal(h.apply(1.0, f), want)
+        assert dims == [3]
+        h.apply(1e3, f)  # positive definite there: a dense factor
+        assert dims == [3]
 
 
 class TestGeneratorOperator:
@@ -416,6 +498,7 @@ class TestCoefficientColumns:
                     np.testing.assert_allclose(getattr(t, name), want, rtol=1e-12, atol=1e-15)
 
     def test_one_factor_and_one_solve_per_table(self, monkeypatch):
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)  # every handle factors by SuperLU
         factors, solves = [], []
         splu = scipy.sparse.linalg.splu
 
@@ -435,6 +518,25 @@ class TestCoefficientColumns:
         for q, phi, partition in self.cases(42, 5, 30):
             for alpha in self.ALPHAS:
                 h = ResolventHandle(q)
+                factors.clear()
+                solves.clear()
+                truncated_coefficients(h, alpha, phi, partition)
+                assert factors == [(h.dim, h.dim)]
+                assert solves == [(h.dim, 2 * len(partition) + 2)]
+
+    def test_one_dense_factor_and_one_solve_per_table(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        factors, solves = [], []
+        dpotrf, dpotrs = lapack.dpotrf, lapack.dpotrs
+        monkeypatch.setattr(lapack, "dpotrf", lambda A, **kw: factors.append(A.shape)
+                            or dpotrf(A, **kw))
+        monkeypatch.setattr(lapack, "dpotrs", lambda c, rhs, **kw: solves.append(np.shape(rhs))
+                            or dpotrs(c, rhs, **kw))
+        for q, phi, partition in self.cases(42, 5, 30):
+            for alpha in self.ALPHAS:
+                h = ResolventHandle(q)
+                assert h.dim <= resolvent.SMALL_DIM
                 factors.clear()
                 solves.clear()
                 truncated_coefficients(h, alpha, phi, partition)
@@ -521,7 +623,7 @@ class TestSharedDataIsReadOnly:
         gen = q.generator
         pattern, diag = gen.shift_pattern
         W = gen.splitting[1]
-        arrays = [gen.mass, gen.active_index, diag, *gen.splitting[::2]]
+        arrays = [gen.mass, gen.active_index, diag, *gen.splitting[::2], gen._dense_stiffness[0]]
         for K in (q.stiffness, gen.stiffness, pattern, W):
             arrays += [K.data, K.indices, K.indptr]
         for a in arrays:

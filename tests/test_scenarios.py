@@ -198,7 +198,24 @@ class TestClassifyRecurrence:
             np.sum(effective_killing(q.graph, q.active, q.killing_extra, q.couplings))
         )
         assert rep["reflected_value_at_1"] == pytest.approx(ceff_total, rel=1e-10, abs=1e-12)
-        assert rep["reflected_recurrent"] == (ceff_total <= 1e-10)
+        assert rep["reflected_recurrent"] == (ceff_total == 0.0)
+
+    def test_tiny_killing_is_not_recurrent(self):
+        # The reflected value at 1 is the total effective killing, 1e-12 > 0 here.
+        q = assemble(make_path(5, 1.0), extra_killing={"v0": 1e-12})
+        rep = classify_recurrence(q, saturating_exhaustion(q.graph))
+        assert rep["reflected_value_at_1"] > 0.0
+        assert rep["main_recurrent"] and not rep["reflected_recurrent"]
+        assert rep["base_kernel_trivial"]
+
+    def test_flags_are_exact_zeros_on_the_corpus(self):
+        for seed in range(2):
+            for q, ex in form_corpus(seed, 30, n_max=12):
+                rep = classify_recurrence(q, ex)
+                ceff = effective_killing(q.graph, q.active, q.killing_extra, q.couplings)
+                assert rep["reflected_recurrent"] == (rep["reflected_value_at_1"] == 0.0)
+                assert rep["reflected_recurrent"] == (not (ceff[q.active] > 0.0).any())
+                assert rep["main_recurrent"]
 
     def test_single_vertex_transient(self):
         q = assemble(single_vertex(2.0, 3.0))
