@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import WeightedGraph, _freeze, _read_only
+from .graph import WeightedGraph, _read_only
 
 #: Distinguished energy value of functions outside the form domain.
 OUT_OF_DOMAIN = math.inf
@@ -73,7 +73,7 @@ class GraphForm:
     """Energy form on a finite truncation with a Dirichlet-style domain mask.
 
     The mask, the extra killing and the total killing are read-only copies, since
-    ``stiffness`` and ``generator`` cache what is built from them.
+    ``generator`` caches what is built from them.
     """
 
     def __init__(self, graph, active, killing_extra=None, couplings=()):
@@ -97,19 +97,10 @@ class GraphForm:
         return self.graph.n
 
     @cached_property
-    def stiffness(self):
-        """Full-space stiffness matrix K (``resolvent.assemble_stiffness``), assembled
-        on first use and shared by every generator and check on this form.  Its
-        arrays are read-only, so an in-place write raises instead of reaching them all."""
-        from .resolvent import assemble_stiffness  # resolvent imports this module
-
-        return _freeze(assemble_stiffness(self))
-
-    @cached_property
     def generator(self):
         """The generator on the active vertices (``resolvent.build_generator``), built
         on first use and shared, read-only, by every resolvent handle on this form."""
-        from .resolvent import build_generator
+        from .resolvent import build_generator  # resolvent imports this module
 
         return build_generator(self)
 

@@ -1,11 +1,14 @@
 """Generator matrices, Markovian resolvents and approximating forms.
 
 The generator L of a masked graph form satisfies <Lf, g>_m = Q(f, g) on the
-active vertex space, so L = M^{-1} K with K the stiffness matrix (ordered-pair
-edge terms folded with killing and couplings, boundary columns dropped) and
-M = diag(m).  The resolvent u = G_alpha f solves (K + alpha M) u = M f; it is
-positivity preserving and alpha G_alpha is sub-Markov because K + alpha M is a
-symmetric M-matrix with nonnegative row sums.
+active vertex space, so L = M^{-1} K with M = diag(m) and K the stiffness
+matrix on the active vertices, built from the graph arrays in one numpy pass
+(assemble_stiffness): edge and coupling terms off the diagonal; on it the full
+weighted degree, couplings and killing, summed by one np.bincount in assembly
+order (u ends, v ends, killing), so boundary edges act as killing.  The
+resolvent u = G_alpha f solves (K + alpha M) u = M f; it is positivity
+preserving and alpha G_alpha is sub-Markov because K + alpha M is a symmetric
+M-matrix with nonnegative row sums.
 
 Approximating forms use the algebraic identity (I - alpha G_alpha) = G_alpha L,
 
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -71,6 +74,13 @@ _UNIT_ROUNDOFF = 2.0**-53
 #:     path    131     5.4 ms    6.2 ms
 #:     path    151     5.8 ms    9.0 ms
 SMALL_DIM = 128
+
+
+@cache
+def _linalg() -> tuple:
+    """scipy.linalg's BLAS and LAPACK: imported on first use (~0.14 s) and only once."""
+    from scipy.linalg import blas, lapack
+    return blas, lapack
 
 
 def _checked_vector(x, size: int, what: str = "values") -> np.ndarray:
@@ -149,49 +159,50 @@ class GeneratorOperator:
         return float((abs(self.stiffness) @ np.ones(self.dim) / self.mass).max(initial=0.0))
 
 
-def assemble_stiffness(form: GraphForm) -> sp.csr_matrix:
-    """Full-space stiffness matrix K with Q(f, g) = f^T K g (no mask applied)."""
-    # imported here: scipy.sparse adds ~0.2 s to `import graphforms`
-    import scipy.sparse as sp
+def _csr(key: np.ndarray, data: np.ndarray, k: int) -> sp.csr_matrix:
+    """k x k CSR with ``data`` at the sorted distinct keys row * k + col, scipy's index dtype."""
+    import scipy.sparse as sp  # imported here: it adds ~0.2 s to `import graphforms`
+    index = np.int32 if max(k, len(key)) < 2**31 else np.int64
+    indptr = np.searchsorted(key, np.arange(0, k * k + 1, k)).astype(index)
+    return sp.csr_matrix((data, (key % k).astype(index), indptr), shape=(k, k))
 
-    g = form.graph
-    n = g.n
-    cps = form.couplings
+
+def assemble_stiffness(form: GraphForm, vertices=None) -> sp.csr_matrix:
+    """Canonical CSR of K, Q(f, g) = f^T K g, on the rows and columns of the boolean
+    mask ``vertices`` (None: all), in one pass over the graph arrays.
+
+    Off the diagonal: -2b per edge, -w per coupling, summed edges first, as (u, v)
+    then as (v, u).  Every diagonal entry is stored: the full weighted degree plus
+    couplings plus killing, summed by one np.bincount in the order of a COO -> CSR
+    conversion with a stable row sort (u ends, v ends, a self-coupling's -w twice).
+    """
+    g, n, cps = form.graph, form.n, form.couplings
     u = np.concatenate([g.edge_u, np.array([cp.u for cp in cps], dtype=int)])
     v = np.concatenate([g.edge_v, np.array([cp.v for cp in cps], dtype=int)])
     w = np.concatenate([2.0 * g.edge_b, np.array([cp.w for cp in cps], dtype=float)])
-    diag = np.arange(n)
-    rows = np.concatenate([u, v, u, v, diag])
-    cols = np.concatenate([u, v, v, u, diag])
-    vals = np.concatenate([w, w, -w, -w, form.c_total])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def _restrict(K: sp.csr_matrix, mask: np.ndarray) -> sp.csr_matrix:
-    """The rows and columns of canonical K in ``mask``: ``K[idx][:, idx]``, array for array."""
-    import scipy.sparse as sp  # imported here, as in assemble_stiffness
-
-    idx = np.flatnonzero(mask)
-    # Keep the entries in a kept row and column, in order, and renumber the columns.
-    keep = np.repeat(mask, np.diff(K.indptr)) & mask[K.indices]
+    loop = u == v
+    diag = np.bincount(np.concatenate([u, v, u[loop], v[loop], np.arange(n)]),
+                       np.concatenate([w, w, -w[loop], -w[loop], form.c_total]), n)
+    mask = np.ones(n, dtype=bool) if vertices is None else vertices
+    rows, cols, w = np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w])
+    keep = mask[rows] & mask[cols] & (rows != cols)
     position = np.cumsum(mask) - 1
-    kept_before_row = np.concatenate(([0], np.cumsum(keep)))[K.indptr]
-    # A dropped row keeps nothing, so each kept row ends where the next one starts.
-    indptr = kept_before_row[np.append(idx, len(mask))]
-    return sp.csr_matrix(
-        (K.data[keep], position[K.indices[keep]], indptr), shape=(len(idx), len(idx))
-    )
+    rows, cols, w = position[rows[keep]], position[cols[keep]], w[keep]
+    k = int(mask.sum())
+    key, at = np.unique(np.concatenate([rows * k + cols, np.arange(k) * (k + 1)]),
+                        return_inverse=True)
+    # -(w_1 + w_2) is -w_1 - w_2 exactly, -0.0 for zero weights; an empty bincount is int
+    data = -np.bincount(at[:len(w)], w, len(key)).astype(float)
+    data[at[len(w):]] = diag[mask]
+    return _csr(key, data, k)
 
 
 def build_generator(form: GraphForm) -> GeneratorOperator:
-    """Restrict the stiffness matrix to active vertices, mask folded in.
-
-    The diagonal keeps the full weighted degree, so edges into the boundary
-    act as extra killing, exactly as the Dirichlet mask demands.  Every
-    diagonal entry is stored, zero or not.
-    """
+    """K on the active vertices, ``assemble_stiffness(form, form.active)``, and their
+    masses: each diagonal entry is the full weighted degree plus couplings plus killing,
+    one np.bincount sum in assembly order, so edges into the boundary act as killing."""
     idx = np.flatnonzero(form.active)
-    K_aa = _restrict(form.stiffness, form.active)
+    K_aa = assemble_stiffness(form, form.active)
     return GeneratorOperator(*_freeze((K_aa, form.graph.m[idx].copy(), idx)))
 
 
@@ -203,7 +214,7 @@ def _shift_pattern(K: sp.csr_matrix) -> tuple:
     positions of the data gives, entry for entry, the canonical CSC of the
     sparse sum K + diag(alpha m).
     """
-    import scipy.sparse as sp  # imported here, as in assemble_stiffness
+    import scipy.sparse as sp  # imported here, as in _csr
 
     A = K.tocsc()
     n = A.shape[0]
@@ -247,7 +258,7 @@ class ResolventHandle:
     @cached_property
     def _shifted(self) -> sp.csc_matrix:
         """A CSC matrix in the shared pattern of K + alpha M, with data of its own."""
-        import scipy.sparse as sp  # imported here, as in assemble_stiffness
+        import scipy.sparse as sp  # imported here, as in _csr
 
         p = self.generator.shift_pattern[0]
         return sp.csc_matrix((p.data.copy(), p.indices, p.indptr), shape=p.shape)
@@ -263,15 +274,13 @@ class ResolventHandle:
                 # No K_ii + alpha m_i rounds above k_max + alpha m_max.  Past it, or for a
                 # K that is not finite, SuperLU checks every entry.
                 if k_max + alpha * m_max < math.inf:
-                    # imported here: scipy.linalg adds ~0.14 s to `import graphforms`
-                    from scipy.linalg.lapack import dpotrf, dpotrs
-
+                    lapack = _linalg()[1]
                     A = K.copy(order="F")
                     diag = A.ravel(order="K")[:: n + 1]  # a view of A's diagonal
                     diag += alpha * gen.mass
-                    factor, info = dpotrf(A, lower=0, clean=0, overwrite_a=1)
+                    factor, info = lapack.dpotrf(A, lower=0, clean=0, overwrite_a=1)
                     if info == 0:  # info > 0: not positive definite, left to SuperLU
-                        self._solver = lambda rhs: dpotrs(factor, rhs)[0]
+                        self._solver = lambda rhs: lapack.dpotrs(factor, rhs)[0]
             if self._solver is None:
                 # imported here: scipy.sparse.linalg adds ~0.13 s to `import graphforms`
                 from scipy.sparse.linalg import splu

@@ -219,7 +219,7 @@ def classify_recurrence(q: GraphForm, ex: Exhaustion) -> dict:
     non-finite weight or a nonpositive measure on the active graph.
     """
     # imported here: scipy.sparse.csgraph adds ~0.1 s to `import graphforms`
-    import scipy.sparse as sp  # and scipy.sparse, as in resolvent.assemble_stiffness
+    import scipy.sparse as sp  # and scipy.sparse, as in resolvent._csr
     from scipy.sparse.csgraph import connected_components
 
     gen = q.generator

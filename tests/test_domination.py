@@ -297,17 +297,28 @@ class TestIdentityRoutes:
         rep = check_silverstein(pair)
         assert not rep.resolvent_ok and not rep.defects
 
-    def test_ideal_ok_is_no_certificate(self):
-        # Only the tiny-measure vertex is masked: its column stays below tol, but
-        # the columns both sets share hold the violation, which "ideal" never reads.
+    def test_ideal_route_is_a_certified_failure(self):
+        # A tiny measure at the vertex only the upper form masks keeps its column of G
+        # below tol, but G_jj > 0 there while G~ vanishes: (i) fails, certified, as (ii)
+        # does.  The solved column stays the reported violation.
         g = make_path(3, 1.0)
         g = WeightedGraph(g.ids, [1e-12, 1.0, 1.0], g.c, [("v0", "v1", 1.0), ("v1", "v2", 1.0)])
-        pair = FormPair(assemble(g), assemble(g, boundary=["v0"]))
-        ok, worst = check_resolvent_domination(pair)
-        assert ok and worst["kind"] == "ideal" and not worst["certified"]
-        assert max(D.max() for D in dense_differences(pair)) > 1e-9
-        rep = check_silverstein(pair)
-        assert not rep.ideal_ok and rep.resolvent_ok and not rep.defects
+        path = make_path(7, 1.0)
+        m = np.ones(7)
+        m[3] = 1e-12
+        path = WeightedGraph(path.ids, m, path.c, zip(path.edge_u, path.edge_v, path.edge_b))
+        for pair, boundary in ((FormPair(assemble(g), assemble(g, boundary=["v0"])), "v0"),
+                               (FormPair(assemble(path), assemble(path, boundary=["v3"])), "v3")):
+            ok, worst = check_resolvent_domination(pair)
+            assert not ok and worst["kind"] == "ideal" and worst["certified"]
+            j = pair.lower.graph.index[boundary]
+            column = max(D[:, j].max() for D in dense_differences(pair))
+            assert 0.0 < worst["violation"] <= 1e-9
+            assert abs(worst["violation"] - column) <= 1e-12 * column
+            rep = check_silverstein(pair)
+            assert not rep.ideal_ok and not rep.resolvent_ok and not rep.defects
+            assert rep.to_dict()["resolvent_certified"]
+        assert worst["alpha"] == 1e-3 and worst["violation"] == pytest.approx(1.67e-10, rel=1e-2)
 
     def test_equal_stiffness_is_rank0(self):
         g = make_path(5, 1.0)
@@ -692,6 +703,80 @@ class TestProductRoute:
             assert proc.stdout.strip() == "", f"import {module} loaded {proc.stdout}"
 
 
+class TestProbeRoute:
+    """The probes go through each form's factor as one multi-column solve per alpha."""
+
+    @pytest.mark.parametrize("small_dim", [resolvent.SMALL_DIM, 0])
+    def test_batched_probes_match_the_vector_loop(self, monkeypatch, small_dim):
+        monkeypatch.setattr(resolvent, "SMALL_DIM", small_dim)
+        monkeypatch.setattr(dom, "DENSE_BUDGET", 0)  # killing everywhere: r = |a|, probes
+        records = []
+        record = dom._record
+
+        def spy(worst, v, alpha, kind):
+            records.append((v.hex(), alpha, kind))
+            record(worst, v, alpha, kind)
+
+        monkeypatch.setattr(dom, "_record", spy)
+        pair = lattice_pair(2, killing=0.1)
+        ok, worst = check_resolvent_domination(pair)
+        assert not ok and not worst["certified"] and worst["kind"].startswith("probe_")
+        # One resolvent application per probe and form, the first largest value kept.
+        h_low, h_up = ResolventHandle(pair.lower), ResolventHandle(pair.upper)
+        n = pair.lower.n
+        probes = [np.eye(1, n, k)[0] for k in range(min(n, 64))] + [np.ones(n)]
+        expect = []
+        for alpha in _DEFAULT_ALPHAS:
+            values = [float((np.abs(h_low.extend(h_low.apply(alpha, h_low.restrict(f))))
+                             - h_up.extend(h_up.apply(alpha, h_up.restrict(np.abs(f))))).max())
+                      for f in probes]
+            k = values.index(max(values))
+            expect.append((values[k].hex(), alpha, f"probe_{k}"))
+        assert records == expect
+
+
+class TestOneAssemblyPath:
+    """Every stiffness matrix comes from assemble_stiffness's one pass, and D = K - K~
+    from one key-space sum: no COO matrix and no sparse subtraction."""
+
+    def test_no_coo_matrix_and_no_sparse_subtraction(self, monkeypatch):
+        import scipy.sparse as sp
+
+        seen = []
+
+        def spy(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                seen.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        def defining(cls, name):
+            return next(c for c in cls.__mro__ if name in vars(c))
+
+        spy(defining(sp.coo_matrix, "__init__"), "__init__")
+        for name in ("__sub__", "__rsub__", "__isub__"):
+            spy(defining(sp.csr_matrix, name), name)
+        for check in (selftest.check_criterion_equivalence, selftest.check_domination_reflexivity,
+                      selftest.check_domination_transitivity):
+            assert check().passed
+        assert run_counterexample(CounterexampleSetup(n=51)).contradiction_reproduced
+        assert seen == []
+
+    def test_difference_is_scipys(self):
+        for pair in domination_pair_corpus(42, 50):
+            K_low = pair.lower.generator.stiffness
+            want = K_low - assemble_stiffness(pair.upper, pair.lower.active)
+            want.sum_duplicates()
+            D = pair._stiffness_difference[0]
+            assert D.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                got, expect = getattr(D, name), getattr(want, name)
+                assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes(), name
+
+
 class TestCriterionInputs:
     """Criterion (i) needs M-matrices; other weights get a classified error."""
 
@@ -726,25 +811,33 @@ class TestCriterionInputs:
                     check_resolvent_domination(p, alphas=alphas)
 
     def test_stiffness_assembled_once_per_form(self, monkeypatch):
-        import graphforms.resolvent as res
-
+        # One build per (form, vertex set): each generator's on its own active set, and
+        # the upper form's on the lower active set for criteria (ii) and (iii).
         assembled = []
-        original = res.assemble_stiffness
+        original = resolvent.assemble_stiffness
 
-        def spy(form):
-            assembled.append(form)
-            return original(form)
+        def spy(form, vertices=None):
+            assembled.append((form, vertices))
+            return original(form, vertices)
 
-        monkeypatch.setattr(res, "assemble_stiffness", spy)
+        def builds(*expected):
+            assert len(assembled) == len(expected)
+            for (form, vertices), (want_form, want_vertices) in zip(assembled, expected):
+                assert form is want_form and vertices is want_vertices
+            assembled.clear()
+
+        monkeypatch.setattr(resolvent, "assemble_stiffness", spy)
         pair = lattice_pair(2, killing=0.1)
+        lower, upper = pair.lower, pair.upper
         check_silverstein(pair)
-        assert assembled == [pair.lower, pair.upper]
+        builds((lower, lower.active), (upper, lower.active), (upper, upper.active))
         # The counterexample's base form is shared by its pairs and assembled once.
-        assembled.clear()
         pairs = counterexample_pairs(11)
         for pair in pairs:
             check_silverstein(pair)
-        assert assembled == [pairs[0].lower, pairs[0].upper, pairs[1].upper]
+        base, ext1, ext2 = pairs[0].lower, pairs[0].upper, pairs[1].upper
+        builds((base, base.active), (ext1, base.active), (ext1, ext1.active),
+               (ext2, base.active), (ext2, ext2.active), (base, ext1.active))
 
 
 class TestMaxInner:

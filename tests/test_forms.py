@@ -79,8 +79,8 @@ class TestAssembleAndEvaluate:
 
 
 class TestReadOnlyData:
-    """The mask and killing arrays are read-only copies: generator and stiffness are
-    cached from them, so a later write must not reach the form."""
+    """The mask and killing arrays are read-only copies: the generator is cached
+    from them, so a later write must not reach the form."""
 
     def test_in_place_writes_raise(self):
         q = assemble(make_path(5, 1.0), extra_killing={"v1": 0.5})

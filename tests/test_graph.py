@@ -28,6 +28,7 @@ from graphforms import (
     validate,
 )
 from graphforms.graph import _bfs_ball, _truncate_loop
+from graphforms.resolvent import assemble_stiffness
 
 TWO_VERTEX = json.dumps(
     {
@@ -841,9 +842,10 @@ class TestStoredArrays:
         m, c = np.ones(3), np.zeros(3)
         g = WeightedGraph(["a", "b", "c"], m, c, [("a", "b", 1.0), ("b", "c", 1.0)])
         q = assemble(g)
-        q.stiffness
+        K = assemble_stiffness(q).toarray()
         m[0], c[1] = 5.0, 2.0
         f = [0.0, 1.0, 0.0]
+        assert np.array_equal(assemble_stiffness(q).toarray(), K)
         assert q.evaluate(f) == 4.0
         assert form_oracle_main(q, f) + form_oracle_killing(q, f) == 4.0
         assert g.m.tolist() == [1.0] * 3 and g.c.tolist() == [0.0] * 3

@@ -1,11 +1,14 @@
 """Resolvent applications, approximating forms, coefficient tables."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphforms import (
     Exhaustion,
@@ -26,7 +29,7 @@ from graphforms import (
 )
 from graphforms import resolvent
 from graphforms.corpus import form_corpus, random_cutoff, zero_killing
-from graphforms.forms import GraphForm
+from graphforms.forms import Coupling, GraphForm
 from graphforms.graph import WeightedGraph
 from graphforms.resolvent import _series_terms, assemble_stiffness
 
@@ -223,17 +226,137 @@ class TestFactorChoice:
         assert dims == [3]
 
 
+def _mask(form, vertices) -> np.ndarray:
+    return np.ones(form.n, dtype=bool) if vertices is None else vertices
+
+
+def _ordered_terms(form) -> list:
+    """The (row, col, value) terms of K in assembly order: for the edges and then the
+    couplings, (u, u, w), then (v, v, w), then (u, v, -w), then (v, u, -w); then the
+    killing (x, x, c_x)."""
+    g = form.graph
+    ends = list(zip(g.edge_u.tolist(), g.edge_v.tolist(), (2.0 * g.edge_b).tolist()))
+    ends += [(cp.u, cp.v, cp.w) for cp in form.couplings]
+    return ([(u, u, w) for u, v, w in ends] + [(v, v, w) for u, v, w in ends]
+            + [(u, v, -w) for u, v, w in ends] + [(v, u, -w) for u, v, w in ends]
+            + list(zip(range(form.n), range(form.n), form.c_total.tolist())))
+
+
+def summed_in_order(form, vertices=None) -> tuple:
+    """(indptr, indices, data) of K on ``vertices``, each entry summed term by term in
+    assembly order, from its first term on."""
+    position = {int(x): k for k, x in enumerate(np.flatnonzero(_mask(form, vertices)))}
+    entries = {}
+    for r, c, x in _ordered_terms(form):
+        if r in position and c in position:
+            key = (position[r], position[c])
+            entries[key] = entries[key] + x if key in entries else x
+    keys = sorted(entries)
+    counts = np.bincount([r for r, _ in keys], minlength=len(position))
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    indices = np.array([c for _, c in keys], dtype=np.int32)
+    return indptr, indices, np.array([entries[k] for k in keys])
+
+
+def coo_stiffness(form, vertices=None) -> sp.csr_matrix:
+    """K as scipy builds it from its terms: a full-space COO matrix converted to CSR, then
+    fancy-indexed to ``vertices``.  The conversion sums each row after sorting it by
+    column, which is stable only up to 16 entries."""
+    rows, cols, vals = zip(*_ordered_terms(form))
+    n = form.n
+    K = sp.coo_matrix((np.array(vals), (np.array(rows), np.array(cols))), shape=(n, n)).tocsr()
+    idx = np.flatnonzero(_mask(form, vertices))
+    return K[idx][:, idx].tocsr()
+
+
+def assert_matches_coo(K, form, vertices=None):
+    """K equals coo_stiffness bit for bit on each row with at most 16 terms before
+    summing; on longer rows the off-diagonal entries are equal and the diagonal is
+    within one ulp."""
+    want = coo_stiffness(form, vertices)
+    for name in ("indptr", "indices"):
+        a, b = getattr(K, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    terms = np.bincount([r for r, _, _ in _ordered_terms(form)], minlength=form.n)
+    row = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    short = (terms[_mask(form, vertices)] <= 16)[row] | (K.indices != row)
+    assert K.data[short].tobytes() == want.data[short].tobytes()
+    got, expect = K.data[~short], want.data[~short]
+    assert np.all((got == expect) | (abs(got - expect) <= np.spacing(abs(expect)))
+                  | (np.isnan(got) & np.isnan(expect)))
+
+
+def assert_same_arrays(K, arrays):
+    for name, want in zip(("indptr", "indices", "data"), arrays):
+        got = getattr(K, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+_WEIGHTS = st.sampled_from([0.0, 5e-324, 2.5e-310, 1e300, 0.25, 1.0, 3.0]) | st.floats(0.0, 8.0)
+
+
+@st.composite
+def stiffness_inputs(draw):
+    """A random form and vertex mask.  The graph has an isolated vertex, weights
+    include zero, subnormal and 1e300 values and at most one inf or NaN, couplings may
+    lie on an edge in either orientation or repeat a pair, and the mask may keep a
+    single vertex."""
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(u, v, draw(_WEIGHTS)) for u, v in edges]
+    c = [draw(_WEIGHTS) for _ in range(n + 1)]  # vertex n is isolated
+    vertex = st.integers(0, n)
+    cps = draw(st.lists(st.tuples(vertex, vertex, _WEIGHTS), max_size=4))
+    if edges and draw(st.booleans()):  # on an edge, in each orientation
+        u, v, _ = draw(st.sampled_from(edges))
+        cps += [(u, v, draw(_WEIGHTS)), (v, u, draw(_WEIGHTS))]
+    if cps and draw(st.booleans()):  # twice on one pair
+        u, v, _ = draw(st.sampled_from(cps))
+        cps.append((u, v, draw(_WEIGHTS)))
+    bad = draw(st.sampled_from([None, math.inf, math.nan]))
+    if bad is not None:
+        at = draw(st.integers(0, len(edges) + len(c) + len(cps) - 1))
+        if at < len(edges):
+            edges[at] = edges[at][:2] + (bad,)
+        elif at < len(edges) + len(c):
+            c[at - len(edges)] = bad
+        else:
+            cps[at - len(edges) - len(c)] = cps[at - len(edges) - len(c)][:2] + (bad,)
+    g = WeightedGraph([str(x) for x in range(n + 1)], [1.0] * (n + 1), c, edges)
+    killing = [draw(_WEIGHTS) if draw(st.booleans()) else 0.0 for _ in range(n + 1)]
+    form = GraphForm(g, np.ones(n + 1, dtype=bool), killing, [Coupling(*cp) for cp in cps])
+    if draw(st.booleans()):
+        mask = np.zeros(n + 1, dtype=bool)
+        mask[draw(vertex)] = True
+    else:
+        mask = np.array(draw(st.lists(st.booleans(), min_size=n + 1, max_size=n + 1)))
+    return form, (mask if mask.any() else None)
+
+
+class TestAssembleStiffness:
+    """One numpy pass builds K on a vertex set, as the terms summed in order give it."""
+
+    @settings(max_examples=200)
+    @given(stiffness_inputs())
+    def test_matches_the_ordered_sums_and_scipy(self, inputs):
+        form, mask = inputs
+        with np.errstate(invalid="ignore", over="ignore"):
+            K = assemble_stiffness(form, mask)
+            assert_same_arrays(K, summed_in_order(form, mask))
+            assert_matches_coo(K, form, mask)
+            assert_same_arrays(assemble_stiffness(form), summed_in_order(form))
+
+
 class TestGeneratorOperator:
     def test_restriction_selects_the_active_entries(self):
-        # The compaction must give the matrix that fancy indexing gives, array for array.
+        # The generator's K is the stiffness matrix on the active vertices, as the
+        # ordered sums give it, and as scipy's COO assembly does on short rows.
         forms = list(TestCachedPattern.forms()) + [q for q, _ in form_corpus(28, 20, n_max=40)]
         for q in forms:
-            idx = np.flatnonzero(q.active)
-            want = assemble_stiffness(q)[idx][:, idx].tocsr()
-            got = build_generator(q).stiffness
-            for name in ("indptr", "indices", "data"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            K = build_generator(q).stiffness
+            assert_same_arrays(K, summed_in_order(q, q.active))
+            assert_matches_coo(K, q, q.active)
 
     def test_energy_matches_form(self):
         rng = np.random.default_rng(1)
@@ -624,7 +747,7 @@ class TestSharedDataIsReadOnly:
         pattern, diag = gen.shift_pattern
         W = gen.splitting[1]
         arrays = [gen.mass, gen.active_index, diag, *gen.splitting[::2], gen._dense_stiffness[0]]
-        for K in (q.stiffness, gen.stiffness, pattern, W):
+        for K in (gen.stiffness, pattern, W):
             arrays += [K.data, K.indices, K.indptr]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
