@@ -25,6 +25,10 @@ entrywise (indicator functions are admissible nonnegative probes, so the
 coefficient condition is necessary as well as sufficient), and the forms
 agree on the smaller domain iff D = 0 (a quadratic form determines its
 symmetric matrix).
+
+All three read one difference per pair, C = K~ E - E K on rows a | b and
+columns a (FormPair._difference), whose rows on a are -D; (i) still decides
+from the resolvents, so the (i)/(ii) cross-check stays independent.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,9 +45,6 @@ from .graph import Exhaustion, _freeze
 from .reflection import main_part
 from . import resolvent
 from .resolvent import _UNIT_ROUNDOFF, ResolventHandle
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 #: Largest block of resolvent entries that criterion (i) forms as one dense
 #: array (see check_resolvent_domination): the memory of a 256 x 256 resolvent
@@ -83,20 +83,37 @@ class FormPair:
             raise ValueError("forms must share the same vertex measure")
 
     @cached_property
-    def _stiffness_difference(self) -> tuple:
-        """D = K - K~ on the lower active set and max(|K_ij|, |K~_ij|) at each stored entry
-        of D, read-only, built once per pair for criteria (ii) and (iii).  D is scipy's sparse
-        difference array for array: row-major, no stored zeros, each entry 0 + K_ij + (-K~_ij)."""
-        K = self.lower.generator.stiffness
-        K_up = resolvent.assemble_stiffness(self.upper, self.lower.active)
-        k = K.shape[0]
-        keys = [np.repeat(np.arange(k) * k, np.diff(A.indptr)) + A.indices for A in (K, K_up)]
-        key, at = np.unique(np.concatenate(keys), return_inverse=True)
-        data = np.concatenate([K.data, -K_up.data])
+    def _difference(self) -> tuple:
+        """C = K~ E - E K on rows a | b and columns a (a, b the lower and upper active sets),
+        read-only, built once per pair for criteria (i)-(iii): its sorted keys i |a| + j,
+        values 0 + K~_ij + (-K_ij) in that order with exact zeros dropped, max(|K_ij|,
+        |K~_ij|) per key, and a's rows.  K~ is the upper generator's stiffness if a is in b."""
+        a, b = self.lower.active, self.upper.active
+        K_low = self.lower.generator.stiffness
+        K_up = (self.upper.generator.stiffness if b[a].all()
+                else resolvent.assemble_stiffness(self.upper, a | b))
+        in_a = a[a | b]
+        rows, na = np.flatnonzero(in_a), int(in_a.sum())  # a's rows in a | b's coordinates
+        keep = in_a[K_up.indices]  # K~'s entries in a's columns
+        up_col = (np.cumsum(in_a) - 1)[K_up.indices[keep]]
+        key, at = np.unique(np.concatenate([
+            np.repeat(np.arange(len(in_a)), np.diff(K_up.indptr))[keep] * na + up_col,
+            np.repeat(rows * na, np.diff(K_low.indptr)) + K_low.indices,
+        ]), return_inverse=True)
+        data = np.concatenate([K_up.data[keep], -K_low.data])
         value, scale = np.bincount(at, data, len(key)), np.zeros(len(key))
         np.maximum.at(scale, at, abs(data))
         stored = value != 0.0
-        return _freeze((resolvent._csr(key[stored], value[stored], k), scale[stored]))
+        return _freeze((key[stored], value[stored], scale[stored], rows))
+
+
+def _lower_difference(pair: FormPair) -> tuple:
+    """D = K - K~ on a, keyed i |a| + j, as C's rows on a negated, with their scales:
+    -(K~_ij - K_ij) is K_ij - K~_ij in IEEE arithmetic, and no zero is stored."""
+    key, value, scale, rows = pair._difference
+    i, j = np.divmod(key, len(rows))
+    on_a = np.isin(i, rows)
+    return np.searchsorted(rows, i[on_a]) * len(rows) + j[on_a], -value[on_a], scale[on_a]
 
 
 def _check_m_matrix_data(pair: FormPair) -> None:
@@ -291,7 +308,7 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
           E G - G~ E = U V^T M_a,   U = A~^{-1}[:, S],   V = A^{-1} C_S^T,
 
       where C = A~ E - E A = K~|b E - E K|a does not depend on alpha and S
-      holds its r nonzero rows.  Off the columns in a, G = 0 <= G~, so (i)
+      holds its r nonzero rows (the pair's FormPair._difference).  Off the columns in a, G = 0 <= G~, so (i)
       holds iff max_ij <U_i, m_j V_j> <= tol.  "rank0": r = 0, E G = G~ E.
       "rank1": the maximum from the extremes of two vectors.  Within the
       budget, |b| |a| <= DENSE_BUDGET, "product" forms U V^T M_a, or, for
@@ -344,20 +361,7 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
 
     h_up = ResolventHandle(pair.upper)
     na, nb = h_low.dim, h_up.dim
-    pos = np.flatnonzero(a[b])  # a's vertices in b's coordinates
-    # C's entries K~_ij - K_ij, i in b and j in a, keyed i |a| + j: K~'s entries in
-    # a's columns, then K's rows in b's coordinates, summed in that order.
-    K_up, K_low = h_up.generator.stiffness, h_low.generator.stiffness
-    col = np.full(nb, -1)
-    col[pos] = np.arange(na)  # b's vertices in a's coordinates, -1 off a
-    up_col = col[K_up.indices]
-    keep = up_col >= 0
-    key, at = np.unique(np.concatenate([
-        np.repeat(np.arange(nb), np.diff(K_up.indptr))[keep] * na + up_col[keep],
-        np.repeat(pos * na, np.diff(K_low.indptr)) + K_low.indices,
-    ]), return_inverse=True)
-    value = np.bincount(at, np.concatenate([K_up.data[keep], -K_low.data]), len(key))
-    key, value = key[value != 0.0], value[value != 0.0]
+    key, value, _, pos = pair._difference  # pos: a's vertices in b's coordinates
     S, row = np.unique(key // na, return_inverse=True)  # C's nonzero rows
     r = len(S)
     if r == 0:
@@ -437,17 +441,15 @@ class InequalityResult:
         return not self.refuted
 
 
-def _first_min(D: sp.csr_matrix) -> tuple:
-    """Row-major first position of the smallest entry of canonical D, zeros included."""
-    k = int(np.argmin(D.data)) if D.nnz else 0
-    rows, cols = D.shape
-    if D.nnz == rows * cols or (D.nnz and not D.data[k] >= 0.0):
-        return int(np.searchsorted(D.indptr, k, side="right")) - 1, int(D.indices[k])
-    # The minimum is an implicit zero: the first gap of the first row with one.
-    i = int(np.flatnonzero(np.diff(D.indptr) < cols)[0])
-    stored = D.indices[D.indptr[i]:D.indptr[i + 1]]
-    j = int(np.flatnonzero(np.append(stored, cols) != np.arange(len(stored) + 1))[0])
-    return i, j
+def _first_min(key: np.ndarray, value: np.ndarray, k: int) -> tuple:
+    """(i, j, D_ij) at the row-major first smallest entry of the k x k matrix D stored at
+    sorted keys i k + j, with no stored zeros; an implicit zero is a missing key."""
+    first = int(np.argmin(value)) if len(key) else 0
+    if len(key) == k * k or (len(key) and not value[first] >= 0.0):
+        return *divmod(int(key[first]), k), float(value[first])
+    # The minimum is an implicit zero: the first missing key.
+    missing = int(np.flatnonzero(np.append(key, k * k) != np.arange(len(key) + 1))[0])
+    return *divmod(missing, k), 0.0
 
 
 def check_form_inequality_nonneg(pair: FormPair, tol: float = 1e-10) -> InequalityResult:
@@ -459,9 +461,8 @@ def check_form_inequality_nonneg(pair: FormPair, tol: float = 1e-10) -> Inequali
     first smallest entry in row-major order.
     """
     idx = np.flatnonzero(pair.lower.active)
-    D = pair._stiffness_difference[0]
-    i, j = _first_min(D)
-    worst = float(D[i, j])
+    key, value, _ = _lower_difference(pair)
+    i, j, worst = _first_min(key, value, len(idx))
     witness = {}
     if worst < -tol:
         f = np.eye(1, pair.lower.n, idx[i])[0]
@@ -517,11 +518,9 @@ def check_extension(pair: FormPair, rel_tol: float = 1e-10) -> tuple:
     stiffness matrices agree there, NaN (a failed check) for a non-finite
     weight.  ok needs worst <= rel_tol and the order ideal.
     """
-    D, scale = pair._stiffness_difference
-    worst = 0.0
-    if D.nnz:
-        with np.errstate(invalid="ignore"):  # inf / inf: the NaN of a non-finite weight
-            worst = float(np.max(np.abs(D.data) / scale))
+    _, value, scale = _lower_difference(pair)
+    with np.errstate(invalid="ignore"):  # inf / inf: the NaN of a non-finite weight
+        worst = float(np.max(np.abs(value) / scale, initial=0.0))
     return check_order_ideal(pair) and worst <= rel_tol, worst
 
 

@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import pairwise
 from typing import ClassVar
 
 import numpy as np
@@ -608,15 +609,22 @@ class _Balls:
     max(1 - dist(x, B_k) / (plateau + 1), 0), where dist(x, B_k) =
     max(dist_root(x) - radii[k], 0) exactly, because a geodesic from x to the
     root enters B_k after dist_root(x) - radii[k] steps.  With ``saturate`` the
-    last cutoff is 1 everywhere, unreachable vertices included; ``mask``, when
-    set, zeroes the cutoffs off the active vertices.
+    last cutoff is 1 everywhere, unreachable vertices included; ``mask`` zeroes
+    the cutoffs off the active vertices (every vertex, dist_root >= 0, unless
+    masked).  The cutoffs lie in [0, 1], so there are no ``arrays`` to check.
     """
 
     dist_root: np.ndarray
     radii: np.ndarray
     plateau: int
     saturate: bool
-    mask: np.ndarray | None = None
+    mask: np.ndarray
+    monotone: ClassVar[bool] = True
+    arrays: ClassVar[tuple] = ()
+
+    @property
+    def levels(self) -> int:
+        return len(self.radii)
 
     def values(self, level, vertices) -> np.ndarray:
         """Cutoff value of each (level, vertex) pair, computed as the dense cutoffs are."""
@@ -629,8 +637,7 @@ class _Balls:
         np.maximum(chi, 0.0, out=chi)
         if self.saturate:
             chi = np.where(level == len(self.radii) - 1, 1.0, chi)
-        if self.mask is not None:
-            chi *= self.mask[vertices]
+        chi *= self.mask[vertices]
         return chi
 
     def cutoff(self, k: int) -> np.ndarray:
@@ -641,7 +648,7 @@ class _Balls:
             F = np.arange(len(self.dist_root))
         else:
             F = np.flatnonzero(self.dist_root <= self.radii[k])
-        return F if self.mask is None else F[self.mask[F]]
+        return F[self.mask[F]]
 
     def enter_freeze(self) -> tuple:
         """Per vertex, the first level with a nonzero cutoff and the first level
@@ -656,10 +663,69 @@ class _Balls:
         freeze = np.minimum(np.searchsorted(self.radii, self.dist_root), last)
         if self.saturate:
             enter = np.minimum(enter, last)
-        if self.mask is not None:
-            enter[~self.mask] = last + 1
+        enter[~self.mask] = last + 1
         freeze[enter > last] = 0
         return enter, freeze
+
+    def masked(self, active: np.ndarray) -> "_Balls":
+        return replace(self, mask=self.mask & active)
+
+
+@dataclass(frozen=True)
+class _Cutoffs:
+    """Explicit sets and cutoff arrays, one per level, with the interface of ``_Balls``;
+    a walk checks the ``arrays`` against its form's domain."""
+
+    sets: list
+    arrays: list
+
+    @property
+    def levels(self) -> int:
+        return len(self.arrays)
+
+    @cached_property
+    def monotone(self) -> bool:
+        return all(np.all(a <= b) for a, b in pairwise(self.arrays))
+
+    def values(self, level, vertices) -> np.ndarray:
+        """Cutoff value of each (level, vertex) pair."""
+        out = np.empty(np.shape(vertices))
+        order = np.argsort(level, kind="stable")
+        bounds = np.searchsorted(level[order], np.arange(len(self.arrays) + 1))
+        for chi, (lo, hi) in zip(self.arrays, pairwise(bounds)):
+            rows = order[lo:hi]
+            out[..., rows] = chi[vertices[..., rows]]
+        return out
+
+    def cutoff(self, k: int) -> np.ndarray:
+        return self.arrays[k]
+
+    def set(self, k: int) -> np.ndarray:
+        return self.sets[k]
+
+    def enter_freeze(self) -> tuple:
+        """(enter, freeze) per vertex in one backward pass over the cutoffs.
+
+        A vertex enters at the first level whose cutoff is nonzero there and freezes
+        at the first level from which its cutoff keeps its last value; one that never
+        enters gets enter = levels and freeze = 0.  Nesting is not assumed: a vertex
+        that enters is nonzero at its entry, and zero before it, so freeze >= enter.
+        """
+        top = len(self.arrays) - 1
+        last = self.arrays[top]
+        enter = np.where(last != 0.0, top, top + 1)
+        freeze = np.full(len(last), top)
+        steady = np.ones(len(last), dtype=bool)
+        for k in range(top - 1, -1, -1):
+            chi = self.arrays[k]
+            enter[chi != 0.0] = k
+            steady &= chi == last
+            freeze[steady] = k
+        freeze[enter > top] = 0
+        return enter, freeze
+
+    def masked(self, active: np.ndarray) -> "_Cutoffs":
+        return _Cutoffs([F[active[F]] for F in self.sets], [chi * active for chi in self.arrays])
 
 
 class Exhaustion:
@@ -667,48 +733,42 @@ class Exhaustion:
 
     Every cutoff equals 1 on its set, lies in [0, 1], has finite support and
     the sequence is pointwise nondecreasing.  All data lives on one common
-    finite truncation.  Ball exhaustions keep only their root distances
-    (``_balls``) and build ``sets`` and ``cutoffs`` when these are first read.
+    finite truncation.  ``_levels`` holds explicit arrays, one cutoff per set
+    and at least one level (else ValueError), or a ball exhaustion's root
+    distances, from which ``sets`` and ``cutoffs`` are built when first read.
     """
 
     def __init__(self, graph: WeightedGraph, sets, cutoffs, nest_assumed: bool = False):
+        sets, cutoffs = list(sets), [np.asarray(chi, dtype=float) for chi in cutoffs]
+        if not cutoffs or len(sets) != len(cutoffs):
+            raise ValueError(f"an exhaustion needs one cutoff per set and at least one "
+                             f"level, got {len(sets)} sets and {len(cutoffs)} cutoffs")
         self.graph = graph
-        self._sets = sets
-        self._cutoffs = cutoffs
+        self._levels = _Cutoffs(sets, cutoffs)
         self.nest_assumed = nest_assumed
-        self._balls = None
 
     @classmethod
-    def _of_balls(cls, graph: WeightedGraph, balls: _Balls, nest_assumed: bool) -> "Exhaustion":
-        ex = cls(graph, None, None, nest_assumed)
-        ex._balls = balls
+    def _of(cls, graph: WeightedGraph, levels, nest_assumed: bool) -> "Exhaustion":
+        ex = cls.__new__(cls)
+        ex.graph, ex._levels, ex.nest_assumed = graph, levels, nest_assumed
         return ex
 
-    @property
+    @cached_property
     def sets(self) -> list:
-        if self._sets is None:
-            self._sets = [self._balls.set(k) for k in range(self.levels)]
-        return self._sets
+        return [self._levels.set(k) for k in range(self.levels)]
 
-    @property
+    @cached_property
     def cutoffs(self) -> list:
-        if self._cutoffs is None:
-            self._cutoffs = [self._balls.cutoff(k) for k in range(self.levels)]
-        return self._cutoffs
+        return [self._levels.cutoff(k) for k in range(self.levels)]
 
     @property
     def levels(self) -> int:
-        return len(self._balls.radii) if self._balls is not None else len(self.sets)
+        return self._levels.levels
 
     @classmethod
     def full(cls, graph: WeightedGraph) -> "Exhaustion":
         """Trivial exhaustion of a finite graph: one level covering everything."""
-        return cls(
-            graph=graph,
-            sets=[np.arange(graph.n)],
-            cutoffs=[np.ones(graph.n)],
-            nest_assumed=False,
-        )
+        return cls(graph, [np.arange(graph.n)], [np.ones(graph.n)])
 
     def masked(self, active: np.ndarray) -> "Exhaustion":
         """Restrict sets and cutoffs to an active-vertex mask.
@@ -717,13 +777,7 @@ class Exhaustion:
         whose domain vanishes off ``active``.
         """
         active = np.asarray(active, dtype=bool)
-        balls = self._balls
-        if balls is not None and active.shape == balls.dist_root.shape:
-            mask = active if balls.mask is None else balls.mask & active
-            return Exhaustion._of_balls(self.graph, replace(balls, mask=mask), self.nest_assumed)
-        sets = [F[active[F]] for F in self.sets]
-        cutoffs = [chi * active for chi in self.cutoffs]
-        return Exhaustion(self.graph, sets, cutoffs, self.nest_assumed)
+        return Exhaustion._of(self.graph, self._levels.masked(active), self.nest_assumed)
 
 
 def build_exhaustion(gen, root: str, n_levels: int, plateau: int) -> Exhaustion:
@@ -742,8 +796,8 @@ def build_exhaustion(gen, root: str, n_levels: int, plateau: int) -> Exhaustion:
     else:
         graph = truncate(gen, generator_ball(gen, root, n_levels + plateau))
         dist_root = graph.distances_from([graph.index[root]])
-    balls = _Balls(dist_root, np.arange(1, n_levels + 1), plateau, saturate=False)
-    return Exhaustion._of_balls(graph, balls, nest_assumed=True)
+    balls = _Balls(dist_root, np.arange(1, n_levels + 1), plateau, False, dist_root >= 0)
+    return Exhaustion._of(graph, balls, nest_assumed=True)
 
 
 def ball_exhaustion(
@@ -764,5 +818,5 @@ def ball_exhaustion(
     dist_root = graph.distances_from([root_idx])
     ecc = float(np.max(dist_root[np.isfinite(dist_root)]))
     step = max(1, math.ceil(ecc / n_levels)) if ecc > 0 else 1
-    balls = _Balls(dist_root, step * np.arange(1, n_levels + 1), plateau, saturate)
-    return Exhaustion._of_balls(graph, balls, nest_assumed=False)
+    balls = _Balls(dist_root, step * np.arange(1, n_levels + 1), plateau, saturate, dist_root >= 0)
+    return Exhaustion._of(graph, balls, nest_assumed=False)

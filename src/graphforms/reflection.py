@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import pairwise
 from typing import NamedTuple
 
@@ -101,48 +100,6 @@ def _check_truncation(q: GraphForm, ex: Exhaustion) -> None:
         raise ValueError(
             f"exhaustion and form live on different truncations ({ex.graph.n} vs {q.n} vertices)"
         )
-
-
-def _checked_cutoffs(q: GraphForm, ex: Exhaustion) -> list:
-    for chi in ex.cutoffs:
-        if not q.in_domain(chi):
-            raise ValueError(
-                "exhaustion cutoff is nonzero on the boundary; mask it first"
-            )
-    return [_check_cutoff(q, chi) for chi in ex.cutoffs]
-
-
-def _scan(cutoffs: list) -> tuple:
-    """(enter, freeze) per vertex of explicit cutoffs in one backward pass.
-
-    A vertex enters at the first level whose cutoff is nonzero there and freezes
-    at the first level from which its cutoff keeps its last value; one that never
-    enters gets enter = levels and freeze = 0.  Nesting is not assumed: a vertex
-    that enters is nonzero at its entry, and zero before it, so freeze >= enter.
-    """
-    top = len(cutoffs) - 1
-    last = cutoffs[top]
-    enter = np.where(last != 0.0, top, top + 1)
-    freeze = np.full(len(last), top)
-    steady = np.ones(len(last), dtype=bool)
-    for k in range(top - 1, -1, -1):
-        chi = cutoffs[k]
-        enter[chi != 0.0] = k
-        steady &= chi == last
-        freeze[steady] = k
-    freeze[enter > top] = 0
-    return enter, freeze
-
-
-def _gather(cutoffs: list, level, vertices) -> np.ndarray:
-    """Cutoff value of each (level, vertex) pair of explicit cutoffs."""
-    out = np.empty(np.shape(vertices))
-    order = np.argsort(level, kind="stable")
-    bounds = np.searchsorted(level[order], np.arange(len(cutoffs) + 1))
-    for chi, (lo, hi) in zip(cutoffs, pairwise(bounds)):
-        rows = order[lo:hi]
-        out[..., rows] = chi[vertices[..., rows]]
-    return out
 
 
 def _spans(begin: np.ndarray, end: np.ndarray) -> tuple:
@@ -241,12 +198,13 @@ class _Rows(NamedTuple):
 class _Walk:
     """The levels of one exhaustion, checked once for a form and a function.
 
-    A pair (edge or coupling) enters with its first endpoint and freezes with
-    its last (see ``_scan``); the cutoffs need not be nested.  Before a pair
+    It reads the exhaustion only through its levels' interface (graph.py).  A
+    pair (edge or coupling) enters with its first endpoint and freezes with its
+    last (see ``enter_freeze``); the cutoffs need not be nested.  Before a pair
     enters, both its cutoff values are 0, so its terms are exact zeros; from its
     freeze on, both equal the last cutoff's, so each term is the same float at
-    every later level.  Each frozen term is computed once, at the freeze level;
-    only the window, the entered pairs and vertices that are not yet frozen, is
+    every later level.  Each frozen term is computed once, at the freeze level; only
+    the window, the entered pairs and vertices that are not yet frozen, is
     evaluated per level.  ``_running_sums`` extracts, from the frozen and the
     window terms together, a few floats per level with the level's exact sum,
     and each level value is one fsum over them.  fsum rounds the exact sum
@@ -263,26 +221,20 @@ class _Walk:
     is then inf or NaN, or above ``_TERM_BOUND``.
     """
 
-    def __init__(self, q: GraphForm, ex: Exhaustion, f: np.ndarray):
-        self.q, self.f = q, f
+    def __init__(self, q: GraphForm, ex: Exhaustion, f):
+        _check_truncation(q, ex)
+        self.q, self.f = q, as_function(q.graph, f)
         self.full = np.where(q.active, 1.0, 0.0)
-        balls = ex._balls
-        if balls is not None:
-            self.levels, self.monotone = len(balls.radii), True
-            levels = balls.enter_freeze()
-            if (levels[0][~q.active] < self.levels).any():
-                raise ValueError("exhaustion cutoff is nonzero on the boundary; mask it first")
-            self.cutoff, values = balls.cutoff, balls.values
-        else:
-            cutoffs = _checked_cutoffs(q, ex)
-            self.levels = len(cutoffs)
-            levels = _scan(cutoffs)
-            self.monotone = all(np.all(a <= b) for a, b in pairwise(cutoffs))
-            self.cutoff, values = cutoffs.__getitem__, partial(_gather, cutoffs)
+        levels = ex._levels
+        self.levels, self.monotone = levels.levels, levels.monotone
+        enter, freeze = levels.enter_freeze()
+        if (enter[~q.active] < self.levels).any():
+            raise ValueError("exhaustion cutoff is nonzero on the boundary; mask it first")
+        for chi in levels.arrays:
+            _check_cutoff(q, chi)
+        self.cutoff = levels.cutoff
         self.saturated = bool(np.all(self.cutoff(self.levels - 1)[q.active] == 1.0))
-        self.fast = self._rows(*levels, values)
-        # Q(chi_k f) per level, left by main_part for killing_part (see there).
-        self.energy = None
+        self.fast = self._rows(enter, freeze, levels.values)
 
     def _rows(self, enter, freeze, values) -> bool:
         """Set up the row table: the rows of each pair and vertex, from its entry to
@@ -359,15 +311,6 @@ class _Walk:
         return map(self.cutoff, range(self.levels))
 
 
-def _walk(q: GraphForm, ex: Exhaustion, f) -> _Walk:
-    """The walk of ex for q and f; ``reflected_form`` builds it once for both parts."""
-    walk = getattr(ex, "_walk", None)
-    if walk is not None and walk.q is q and walk.f is f:
-        return walk
-    _check_truncation(q, ex)
-    return _Walk(q, ex, as_function(q.graph, f))
-
-
 # ---------------------------------------------------------------------------
 # Main part
 # ---------------------------------------------------------------------------
@@ -389,15 +332,20 @@ def main_part(q: GraphForm, ex: Exhaustion, f, rel_tol: float = 1e-8) -> PartRes
     making the value exact for the truncation) or when the last two relative
     increments drop below rel_tol, and never for cutoffs that decrease somewhere.
     """
-    walk = _walk(q, ex, f)
+    return _main(_Walk(q, ex, f), rel_tol)[0]
+
+
+def _main(walk: _Walk, rel_tol: float) -> tuple:
+    """The main part on a walk, and its level energies Q(chi_k f) (None if not summed)."""
+    energy = None
     if walk.fast:
         sums = walk.level_sums(walk.f, killing=False)
-        walk.energy = [a for a, _ in sums]
+        energy = [a for a, _ in sums]
         trace = [a - b for a, b in sums]
     else:
-        trace = [_truncated(q, chi, walk.f)[1] for chi in walk.per_level_cutoffs()]
+        trace = [_truncated(walk.q, chi, walk.f)[1] for chi in walk.per_level_cutoffs()]
     converged = walk.monotone and (walk.saturated or increments_settled(trace, rel_tol))
-    return PartResult(value=trace[-1], trace=trace, converged=converged)
+    return PartResult(value=trace[-1], trace=trace, converged=converged), energy
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +369,12 @@ def killing_part(
     positive and nondecreasing.  The trace is the grid flattened row per clamp
     level.
     """
-    walk = _walk(q, ex, f)
-    f = walk.f
+    return _killing(_Walk(q, ex, f), clamp_levels, rel_tol)
+
+
+def _killing(walk: _Walk, clamp_levels, rel_tol: float, energy=None) -> PartResult:
+    """The killing part on a walk; ``energy``, the main part's level energies, if known."""
+    q, f = walk.q, walk.f
     top = float(np.max(np.abs(f)))
     if clamp_levels is None:
         clamp_levels = [top if top > 0 else 1.0]
@@ -437,14 +389,14 @@ def killing_part(
     # and Q(full * g) is Q(g) bit for bit because g vanishes off the active set.
     # At a level >= max|f|, fn is f and each term of Q(g) = Q(chi f) is the float
     # main_part formed (1.0 * (chi f) is chi f, and masked zeros keep their sign),
-    # so the level sums main_part left on the walk are reused, and the row table's
+    # so the main part's level energies are reused when given, and the row table's
     # gathers of f serve the second sums; a clamped fn is gathered fresh.
     grid = []
     for level in clamp_levels:
         whole = level >= top
         fn = f if whole else np.clip(f, -level, level)
         if walk.fast:
-            known = walk.energy if whole else None
+            known = energy if whole else None
             grid.append([e - (e - b) for e, b in walk.level_sums(fn, True, known)])
             continue
         row = []
@@ -506,14 +458,11 @@ def reflected_form(
     property of the reflected form).
     """
     _check_truncation(q, ex)
-    f = as_function(q.graph, f)
-    mex = ex.masked(q.active)
-    # Both parts find the walk checked and set up on this private copy.
-    mex._walk = _Walk(q, mex, f)
-    main = main_part(q, mex, f, rel_tol=rel_tol)
-    kill = killing_part(q, mex, f, clamp_levels=clamp_levels, rel_tol=rel_tol)
+    walk = _Walk(q, ex.masked(q.active), f)  # one walk, checked and set up once for both parts
+    main, energy = _main(walk, rel_tol)
+    kill = _killing(walk, clamp_levels, rel_tol, energy)
     return DecompositionResult(
-        f=f,
+        f=walk.f,
         main_value=main.value,
         killing_value=kill.value,
         reflected_value=main.value + kill.value,
@@ -599,6 +548,6 @@ def recurrence_check(q: GraphForm, ex: Exhaustion) -> dict:
     ones = np.ones(q.n)
     result = reflected_form(q, ex, ones)
     return {
-        "recurrent_main": bool(abs(result.main_value) <= 1e-10),
+        "recurrent_main": bool(result.main_value == 0.0),
         "reflected_value_at_1": result.reflected_value,
     }

@@ -23,6 +23,7 @@ from .domination import FormPair, check_silverstein
 from .forms import GraphForm, assemble
 from .graph import Exhaustion, make_path
 from .reflection import effective_killing, reflected_form
+from .resolvent import _UNIT_ROUNDOFF
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -284,7 +285,12 @@ class MonotoneFormSpec:
             raise ValueError("coefficient matrix must be square")
         if not np.allclose(A, A.T, atol=1e-12):
             raise ValueError("coefficient matrix must be symmetric")
-        if float(np.linalg.eigvalsh(A)[0]) < -1e-10:
+        # eigvalsh is backward stable: for A >= 0 it can return down to about -d u ||A||_F
+        # (dimension d, u = 2^-53).  The gate allows 8 d u ||A||_F, 6.6 times the worst of
+        # 5e5 random L L^T + diag draws (d <= 6, entries up to 1e300), and at least 1e-10.
+        top = float(np.abs(A).max(initial=0.0))
+        fro = top * float(np.linalg.norm(A / top)) if top > 0.0 else 0.0  # no overflow
+        if float(np.linalg.eigvalsh(A)[0]) < -max(1e-10, 8.0 * len(A) * _UNIT_ROUNDOFF * fro):
             raise ValueError("form under test must be nonnegative")
         self.matrix = A
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -766,16 +767,45 @@ class TestOneAssemblyPath:
         assert seen == []
 
     def test_difference_is_scipys(self):
+        # D = K - K~ on the lower active set, key for key and bit for bit, non-ideal pairs too.
+        non_ideal = 0
         for pair in domination_pair_corpus(42, 50):
             K_low = pair.lower.generator.stiffness
             want = K_low - assemble_stiffness(pair.upper, pair.lower.active)
             want.sum_duplicates()
-            D = pair._stiffness_difference[0]
-            assert D.shape == want.shape
-            for name in ("indptr", "indices", "data"):
-                got, expect = getattr(D, name), getattr(want, name)
-                assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes(), name
+            k = want.shape[0]
+            want_key = np.repeat(np.arange(k) * k, np.diff(want.indptr)) + want.indices
+            key, value, _ = dom._lower_difference(pair)
+            for got, expect in ((key, want_key), (value, want.data)):
+                assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+            non_ideal += not check_order_ideal(pair)
+        assert non_ideal
 
+    def test_one_difference_feeds_all_three_criteria(self):
+        # D is -C on a's rows, key for key, and criterion (i) reads C from the pair.
+        ranked = 0
+        for pair in domination_pair_corpus(42, 50):
+            a, b = pair.lower.active, pair.upper.active
+            na, nc = int(a.sum()), int((a | b).sum())
+            key, value, scale, rows = pair._difference
+            assert np.array_equal(rows, np.flatnonzero(a[a | b])) and value.all()
+            C = np.zeros((nc, na))
+            C.flat[key] = value
+            d_key, d_value, d_scale = dom._lower_difference(pair)
+            assert np.array_equal(d_key, np.flatnonzero(C[rows]))
+            assert d_value.tobytes() == (-C[rows]).flat[d_key].tobytes()
+            S = np.zeros((nc, na))
+            S.flat[key] = scale
+            assert d_scale.tobytes() == S[rows].flat[d_key].tobytes()
+            if not b[a].all() or not len(key):
+                continue
+            # Without C's entries criterion (i) sees equal resolvents.
+            blank = FormPair(pair.lower, pair.upper)
+            blank.__dict__["_difference"] = (key[:0], value[:0], scale[:0], rows)
+            assert check_resolvent_domination(blank)[1]["kind"] == "rank0"
+            assert check_resolvent_domination(pair)[1]["kind"] != "rank0"
+            ranked += 1
+        assert ranked
 
 class TestCriterionInputs:
     """Criterion (i) needs M-matrices; other weights get a classified error."""
@@ -812,32 +842,49 @@ class TestCriterionInputs:
 
     def test_stiffness_assembled_once_per_form(self, monkeypatch):
         # One build per (form, vertex set): each generator's on its own active set, and
-        # the upper form's on the lower active set for criteria (ii) and (iii).
-        assembled = []
+        # for a pair whose lower active set a is not in the upper one b, the upper
+        # form's on a | b for the pair difference; one difference per pair.
+        assembled, differences = [], []
         original = resolvent.assemble_stiffness
+        difference = FormPair._difference
 
         def spy(form, vertices=None):
             assembled.append((form, vertices))
             return original(form, vertices)
 
+        def counted(pair):
+            differences.append(pair)
+            return difference.func(pair)
+
         def builds(*expected):
             assert len(assembled) == len(expected)
             for (form, vertices), (want_form, want_vertices) in zip(assembled, expected):
-                assert form is want_form and vertices is want_vertices
+                assert form is want_form
+                if want_vertices is want_form.active:
+                    assert vertices is want_vertices
+                else:
+                    assert np.array_equal(vertices, want_vertices)
             assembled.clear()
 
+        spied = cached_property(counted)
+        spied.__set_name__(FormPair, "_difference")
+        monkeypatch.setattr(FormPair, "_difference", spied)
         monkeypatch.setattr(resolvent, "assemble_stiffness", spy)
         pair = lattice_pair(2, killing=0.1)
         lower, upper = pair.lower, pair.upper
         check_silverstein(pair)
-        builds((lower, lower.active), (upper, lower.active), (upper, upper.active))
+        builds((lower, lower.active), (upper, upper.active))
+        assert differences == [pair]
         # The counterexample's base form is shared by its pairs and assembled once.
         pairs = counterexample_pairs(11)
         for pair in pairs:
             check_silverstein(pair)
         base, ext1, ext2 = pairs[0].lower, pairs[0].upper, pairs[1].upper
-        builds((base, base.active), (ext1, base.active), (ext1, ext1.active),
-               (ext2, base.active), (ext2, ext2.active), (base, ext1.active))
+        assert pairs[2].lower is ext1 and pairs[2].upper is base
+        assert not check_order_ideal(pairs[2])
+        builds((base, base.active), (ext1, ext1.active), (ext2, ext2.active),
+               (base, ext1.active | base.active))
+        assert differences[1:] == pairs
 
 
 class TestMaxInner:

@@ -27,7 +27,7 @@ from graphforms import (
     truncate,
     validate,
 )
-from graphforms.graph import _bfs_ball, _truncate_loop
+from graphforms.graph import _Cutoffs, _bfs_ball, _truncate_loop
 from graphforms.resolvent import assemble_stiffness
 
 TWO_VERTEX = json.dumps(
@@ -702,15 +702,14 @@ class TestImplicitCutoffs:
     def test_nothing_dense_until_read(self):
         ex = build_exhaustion(SquareLatticeGenerator(), "0,0", n_levels=6, plateau=2)
         mex = ex.masked(np.ones(ex.graph.n, dtype=bool))
-        assert ex._cutoffs is None and ex._sets is None
-        assert mex._cutoffs is None and mex._sets is None and mex.levels == 6
+        for e in (ex, mex):
+            assert "cutoffs" not in vars(e) and "sets" not in vars(e)
+        assert mex.levels == 6
 
     def test_enter_and_freeze_match_a_scan_of_the_cutoffs(self):
-        from graphforms.reflection import _scan
-
         for ex in self._exhaustions():
-            enter, freeze = ex._balls.enter_freeze()
-            scanned = _scan(ex.cutoffs)
+            enter, freeze = ex._levels.enter_freeze()
+            scanned = _Cutoffs(ex.sets, ex.cutoffs).enter_freeze()
             assert np.array_equal(enter, scanned[0])
             assert np.array_equal(freeze, scanned[1])
 
@@ -720,9 +719,9 @@ class TestImplicitCutoffs:
             dense = np.array(ex.cutoffs)
             level = rng.integers(ex.levels, size=50)
             vertex = rng.integers(ex.graph.n, size=(2, 50))
-            assert np.array_equal(ex._balls.values(level, vertex), dense[level, vertex])
+            assert np.array_equal(ex._levels.values(level, vertex), dense[level, vertex])
             for k in range(ex.levels):
-                assert np.array_equal(ex._balls.cutoff(k), dense[k])
+                assert np.array_equal(ex._levels.cutoff(k), dense[k])
 
     def test_masking_a_ball_exhaustion_with_a_wrong_shape_fails_as_before(self):
         ex = build_exhaustion(IntegerLineGenerator(), "0", n_levels=2, plateau=1)

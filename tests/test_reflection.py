@@ -367,6 +367,12 @@ class TestRecurrence:
             rep = recurrence_check(q, ex)
             assert rep["recurrent_main"]
 
+    def test_recurrent_main_is_exact(self):
+        # The main value at 1 is exactly 0.0 for finite weights, NaN with an infinite one.
+        g = WeightedGraph(["a", "b"], [1.0, 1.0], [0.0, 0.0], [("a", "b", math.inf)])
+        for q, want in ((assemble(make_path(5, 1e300)), True), (assemble(g), False)):
+            assert recurrence_check(q, Exhaustion.full(q.graph))["recurrent_main"] is want
+
     def test_free_form_is_recurrent(self):
         g = make_path(5, 1.0)
         q = assemble(g)
@@ -747,3 +753,56 @@ class TestRowTable:
         for k, field in enumerate(whole):
             assert np.array_equal(np.concatenate([b[k] for b in blocks], axis=-1), field)
         assert len(whole.w) % 8 and len(whole.c)  # a block holds pairs and vertices
+
+
+@st.composite
+def ball_cases(draw):
+    """(form, ball exhaustion, f): build_exhaustion or ball_exhaustion, saturated or not,
+    masked or not."""
+    plateau = draw(st.integers(1, 3))
+    n_levels = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["line", "lattice", "graph"]))
+    if kind == "graph":
+        g = make_path(draw(st.integers(2, 12)), draw(st.sampled_from([0.5, 1.0, 2.0])))
+        ex = ball_exhaustion(g, draw(st.sampled_from(g.ids)), n_levels, plateau,
+                             saturate=draw(st.booleans()))
+    else:
+        gen = IntegerLineGenerator(b=0.5) if kind == "line" else SquareLatticeGenerator(c=0.1)
+        ex = build_exhaustion(gen, "0" if kind == "line" else "0,0", n_levels, plateau)
+    n = ex.graph.n
+    if draw(st.booleans()):
+        ex = ex.masked(np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+    boundary = draw(st.lists(st.sampled_from(ex.graph.ids), unique=True, max_size=2))
+    q = assemble(ex.graph, boundary=boundary)
+    f = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    return q, ex, f
+
+
+class TestLevelRepresentation:
+    """A ball exhaustion and its explicit copy are walked alike."""
+
+    @settings(max_examples=60)
+    @given(ball_cases())
+    def test_explicit_copy_walks_alike(self, case):
+        q, ex, f = case
+        copy = Exhaustion(ex.graph, ex.sets, ex.cutoffs, ex.nest_assumed)
+        for a, b in zip(ex._levels.enter_freeze(), copy._levels.enter_freeze()):
+            assert np.array_equal(a, b)
+        level = np.arange(3 * q.n) % ex.levels
+        vertex = np.stack([np.arange(3 * q.n) % q.n, np.arange(3 * q.n)[::-1] % q.n])
+        assert np.array_equal(ex._levels.values(level, vertex), copy._levels.values(level, vertex))
+        got, want = (reflected_form(q, e, f) for e in (copy, ex))
+        assert _hex(got.main_trace) == _hex(want.main_trace)
+        assert [_hex(r) for r in got.killing_trace] == [_hex(r) for r in want.killing_trace]
+        assert got.converged == want.converged
+
+
+class TestMalformedExhaustion:
+    def test_unequal_lengths_and_no_levels_rejected(self):
+        g = make_path(4, 1.0)
+        with pytest.raises(ValueError, match="one cutoff per set.*1 sets and 2 cutoffs"):
+            Exhaustion(g, [np.arange(4)], [np.full(4, 0.5), np.ones(4)])
+        with pytest.raises(ValueError, match="at least one level"):
+            Exhaustion(g, [], [])
+        ex = Exhaustion(g, [np.arange(4)] * 2, [np.full(4, 0.5), np.ones(4)])
+        assert ex.levels == len(reflected_form(assemble(g), ex, np.arange(4.0)).main_trace) == 2

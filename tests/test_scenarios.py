@@ -405,9 +405,9 @@ def spec_matrices(draw):
     diagonal: A_ii from [0, 2], 0.0, -0.0, 1e-300, 1e300 and -1e-11;
     tiny: off-diagonals of 0.0, -0.0 and +-1e-300 as well; coupled: L L^T
     plus a diagonal; faint: couplings at the 1e-10 scale; skew: A_ij = -A_ji
-    = t with |t| <= 2e-13, within the spec's symmetry slack.  Only the first
-    two keep A_ii = 1e300, whose rounding would hide small eigenvalues from
-    the spec's nonnegativity check.
+    = t with |t| <= 2e-13, within the spec's symmetry slack.  The first three
+    keep A_ii = 1e300, which the spec's nonnegativity gate allows for by
+    scaling with ||A||.
     """
     n = draw(st.integers(1, 6))
     kind = draw(st.sampled_from(["diagonal", "coupled", "faint", "tiny", "skew"]))
@@ -420,7 +420,7 @@ def spec_matrices(draw):
         off = draw(st.lists(st.sampled_from([0.0, -0.0, 1e-300, -1e-300]), min_size=n * n, max_size=n * n))
         A = np.diag(d) + np.triu(np.reshape(off, (n, n)), 1)
     elif kind == "coupled":
-        A = u @ u.T + np.diag(np.minimum(d, 2.0))
+        A = u @ u.T + np.diag(d)
     elif kind == "faint":
         A = np.diag(1.0 + np.minimum(d, 2.0)) + 1e-10 * u
     else:
@@ -549,6 +549,25 @@ class TestMonotoneEquivalence:
         for A in (np.diag([0.0, 1.0, 2.0]), np.array([[1.0, 0.5], [0.5, 1.0]])):
             spec = MonotoneFormSpec(A)
             assert monotone_equivalence_test(spec).to_dict() == monotone_equivalence_test(spec).to_dict()
+
+    @settings(max_examples=150)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n),
+        st.lists(st.floats(0.0, 2.0) | st.floats(0.0, 1e300) | st.sampled_from([1e300]),
+                 min_size=n, max_size=n))))
+    def test_gate_accepts_gram_plus_diagonal(self, drawn):
+        # L L^T + diag(d) >= 0 passes whatever the scale, as 1 1^T + diag(0, 0, 1e300 - 1) does.
+        u, d = drawn
+        L = np.reshape(u, (len(d), len(d)))
+        A = L @ L.T + np.diag(d)
+        MonotoneFormSpec(np.triu(A) + np.triu(A, 1).T)
+
+    def test_gate_scales_with_the_norm(self):
+        MonotoneFormSpec(np.ones((3, 3)) + np.diag([0.0, 0.0, 1e300 - 1.0]))
+        MonotoneFormSpec(np.diag([1.0, -1e-11]))  # within the 1e-10 floor
+        for A in ([[1.0, 2.0], [2.0, 1.0]], [[1e300, 2e300], [2e300, 1e300]]):
+            with pytest.raises(ValueError, match="nonnegative"):
+                MonotoneFormSpec(np.array(A))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="symmetric"):
