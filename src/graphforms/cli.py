@@ -93,7 +93,11 @@ def _cmd_decompose(args) -> int:
     if not args.rel_tol > 0:
         raise ValueError("rel-tol must be positive")
     g = _load_graph_arg(args.graph)
-    f = np.asarray(json.loads(_read_text(args.f)), dtype=float)
+    f = json.loads(_read_text(args.f))
+    if not isinstance(f, list) or not all(
+            isinstance(x, (int, float)) and abs(x) <= sys.float_info.max for x in f):
+        raise ValueError(f"--f must be a JSON array of finite numbers: {args.f}")
+    f = np.asarray(f, dtype=float)
     q = assemble(g, boundary=_boundary_list(args.boundary))
     root = args.root if args.root is not None else g.ids[0]
     ex = ball_exhaustion(g, root, n_levels=args.levels, plateau=args.plateau)

@@ -83,6 +83,11 @@ class FormPair:
             raise ValueError("forms must share the same vertex measure")
 
     @cached_property
+    def _nested(self) -> bool:
+        """a in b: the lower active set lies in the upper one (exact mask containment)."""
+        return bool(self.upper.active[self.lower.active].all())
+
+    @cached_property
     def _difference(self) -> tuple:
         """C = K~ E - E K on rows a | b and columns a (a, b the lower and upper active sets),
         read-only, built once per pair for criteria (i)-(iii): its sorted keys i |a| + j,
@@ -90,7 +95,7 @@ class FormPair:
         |K~_ij|) per key, and a's rows.  K~ is the upper generator's stiffness if a is in b."""
         a, b = self.lower.active, self.upper.active
         K_low = self.lower.generator.stiffness
-        K_up = (self.upper.generator.stiffness if b[a].all()
+        K_up = (self.upper.generator.stiffness if self._nested
                 else resolvent.assemble_stiffness(self.upper, a | b))
         in_a = a[a | b]
         rows, na = np.flatnonzero(in_a), int(in_a.sum())  # a's rows in a | b's coordinates
@@ -117,17 +122,16 @@ def _lower_difference(pair: FormPair) -> tuple:
 
 
 def _check_m_matrix_data(pair: FormPair) -> None:
-    """Criterion (i) needs finite nonnegative weights and a finite positive measure."""
+    """Criterion (i) needs finite nonnegative weights and a finite positive measure:
+    the graph's b (not the table's 2b, which may overflow), killing and couplings."""
     for form in (pair.lower, pair.upper):
         g = form.graph
-        w = np.concatenate([g.edge_b, form.c_total, [cp.w for cp in form.couplings]])
+        w = np.concatenate([g.edge_b, form.c_total, form.pairs[1][len(g.edge_b):]])
         if not (np.isfinite(w).all() and np.isfinite(g.m).all()):
             raise ValueError("a weight or measure is not finite; check the weights")
         if (w < 0.0).any() or not (g.m > 0.0).all():
-            raise ValueError(
-                "criterion (i) needs nonnegative weights and a positive measure; "
-                "check the weights"
-            )
+            raise ValueError("criterion (i) needs nonnegative weights and a positive "
+                             "measure; check the weights")
 
 
 def _lower_chain(P: np.ndarray) -> np.ndarray:
@@ -348,7 +352,7 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
     a, b = pair.lower.active, pair.upper.active
     h_low = ResolventHandle(pair.lower)
     worst = {"violation": -math.inf, "alpha": None, "kind": None, "certified": True}
-    if not b[a].all():
+    if not pair._nested:
         cols = np.flatnonzero(~b[a])
         step = max(1, DENSE_BUDGET // h_low.dim)
         blocks = np.array_split(cols, -(-len(cols) // step))
@@ -419,7 +423,7 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
 
 def check_order_ideal(pair: FormPair) -> bool:
     """Criterion (ii) ideal condition; exact mask containment for mask domains."""
-    return bool(np.all(pair.upper.active[pair.lower.active]))
+    return pair._nested
 
 
 @dataclass

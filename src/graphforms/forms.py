@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import WeightedGraph, _read_only
+from .graph import WeightedGraph, _freeze, _read_only
 
 #: Distinguished energy value of functions outside the form domain.
 OUT_OF_DOMAIN = math.inf
@@ -83,14 +83,12 @@ class GraphForm:
             raise ValueError("active mask must have one entry per vertex")
         if not self.active.any():
             raise ValueError("empty domain: no active vertices")
-        if killing_extra is None:
-            killing_extra = np.zeros(graph.n)
-        self.killing_extra = _read_only(killing_extra, float)
+        self.killing_extra = _read_only(np.zeros(graph.n) if killing_extra is None
+                                        else killing_extra, float)
         if (self.killing_extra < 0).any():
             raise ValueError("extra killing must be nonnegative")
         self.couplings = tuple(couplings)
-        self.c_total = self.graph.c + self.killing_extra
-        self.c_total.flags.writeable = False
+        self.c_total = _freeze(self.graph.c + self.killing_extra)
 
     @property
     def n(self) -> int:
@@ -104,21 +102,35 @@ class GraphForm:
 
         return build_generator(self)
 
+    @cached_property
+    def pairs(self) -> tuple:
+        """Read-only pair table (ends, w), built on first use: the (2, P) int endpoints and
+        the weights of the terms w (f(u) - f(v))^2.  Rows are the graph's edges in stored
+        order, w = 2b (inf for b > 8.99e307), then the couplings in order; energies,
+        stiffness assembly and the level walk read it, and their floats rely on that order."""
+        g, cps = self.graph, self.couplings
+        coupled = np.array([(cp.u, cp.v) for cp in cps], dtype=int).reshape(-1, 2).T
+        with np.errstate(over="ignore"):
+            w = np.concatenate((2.0 * g.edge_b, [cp.w for cp in cps]))
+        return _freeze((np.concatenate((np.stack((g.edge_u, g.edge_v)), coupled), axis=1), w))
+
     def in_domain(self, f: np.ndarray) -> bool:
         return bool(np.all(f[~self.active] == 0.0))
 
     def _terms(self, f, g):
-        """Nonzero ordered-pair terms of Q(f, g); exact zeros cannot change an fsum.
+        """Nonzero ordered-pair terms of Q(f, g), edges, then vertices, then couplings
+        (fsum's OverflowError depends on the order); exact zeros cannot change an fsum.
 
         An infinite weight times a zero difference or value is a NaN term, on
         purpose and without a warning, so a non-finite weight gives a NaN energy.
         """
-        gph = self.graph
-        du = f[gph.edge_u] - f[gph.edge_v]
-        dv = du if g is f else g[gph.edge_u] - g[gph.edge_v]
+        (u, v), w = self.pairs
+        du = f[u] - f[v]
+        dv = du if g is f else g[u] - g[v]
+        e = len(self.graph.edge_b)
         with np.errstate(invalid="ignore"):
-            cps = [cp.w * (f[cp.u] - f[cp.v]) * (g[cp.u] - g[cp.v]) for cp in self.couplings]
-            terms = np.concatenate((2.0 * gph.edge_b * du * dv, self.c_total * (f * g), cps))
+            pair = (w * du) * dv
+            terms = np.concatenate((pair[:e], self.c_total * (f * g), pair[e:]))
         return terms[terms != 0.0].tolist()
 
     def evaluate(self, f) -> float:
@@ -159,9 +171,8 @@ def assemble(
     if not active.any():
         raise ValueError("boundary covers all vertices: empty domain")
     extra = np.zeros(graph.n)
-    if extra_killing:
-        for v, w in extra_killing.items():
-            extra[graph._resolve(v)] = float(w)
+    for v, w in (extra_killing or {}).items():
+        extra[graph._resolve(v)] = float(w)
     cps = [Coupling(graph._resolve(u), graph._resolve(v), float(w)) for u, v, w in couplings]
     return GraphForm(graph, active, extra, cps)
 

@@ -13,7 +13,6 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 from itertools import pairwise
 from typing import ClassVar
@@ -183,27 +182,6 @@ class WeightedGraph:
         lo, hi = self._indptr[i], self._indptr[i + 1]
         return list(zip(self._nbr[lo:hi].tolist(), self._nbr_b[lo:hi].tolist()))
 
-    def weighted_degree(self, i: int) -> float:
-        """Exact sum of b(i, y) over the neighbors y, correctly rounded.
-
-        +-inf when that sum leaves the float range; NaN when the neighbor
-        weights include both +inf and -inf, whose sum is undefined.
-        """
-        weights = self._nbr_b[self._indptr[i] : self._indptr[i + 1]].tolist()
-        # Finite weights cannot change an infinite or NaN sum.
-        nonfinite = [w for w in weights if not math.isfinite(w)]
-        try:
-            return math.fsum(nonfinite or weights)
-        except ValueError:  # -inf + inf
-            return math.nan
-        except OverflowError:
-            # fsum raises this for an overflowing partial sum of either sign.
-            exact = sum(map(Fraction, weights))
-            try:
-                return float(exact)
-            except OverflowError:
-                return math.inf if exact > 0 else -math.inf
-
     def distances_from(self, sources) -> np.ndarray:
         """Hop distances from a set of vertex indices; unreachable = inf."""
         dist = np.full(self.n, np.inf)
@@ -275,7 +253,7 @@ def graph_from_dict(data: dict) -> WeightedGraph:
         for rec in data.get("edges", []):
             ends += (str(rec["u"]), str(rec["v"]))
             b.append(float(rec["b"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # Overflow: an int > 1e308
         raise GraphFormatError(f"malformed record: {exc}") from None
     return WeightedGraph._from_ends(ids, m, c, ends, np.array(b, dtype=float))
 
@@ -736,13 +714,22 @@ class Exhaustion:
     finite truncation.  ``_levels`` holds explicit arrays, one cutoff per set
     and at least one level (else ValueError), or a ball exhaustion's root
     distances, from which ``sets`` and ``cutoffs`` are built when first read.
+    Explicit sets must be 1-D integer vertex indices and cutoffs one value per vertex.
     """
 
     def __init__(self, graph: WeightedGraph, sets, cutoffs, nest_assumed: bool = False):
-        sets, cutoffs = list(sets), [np.asarray(chi, dtype=float) for chi in cutoffs]
+        sets = [np.asarray(F) for F in sets]
+        cutoffs = [np.asarray(chi, dtype=float) for chi in cutoffs]
         if not cutoffs or len(sets) != len(cutoffs):
             raise ValueError(f"an exhaustion needs one cutoff per set and at least one "
                              f"level, got {len(sets)} sets and {len(cutoffs)} cutoffs")
+        n = graph.n
+        for k, (F, chi) in enumerate(zip(sets, cutoffs)):
+            if chi.shape != (n,):
+                raise ValueError(f"cutoff {k} has shape {chi.shape}, expected ({n},)")
+            if F.ndim != 1 or F.size and (F.dtype.kind not in "iu" or F.min() < 0 or F.max() >= n):
+                raise ValueError(f"set {k} is not a 1-D array of vertex indices in [0, {n})")
+            sets[k] = F.astype(int, copy=False)
         self.graph = graph
         self._levels = _Cutoffs(sets, cutoffs)
         self.nest_assumed = nest_assumed

@@ -198,9 +198,10 @@ class _Rows(NamedTuple):
 class _Walk:
     """The levels of one exhaustion, checked once for a form and a function.
 
-    It reads the exhaustion only through its levels' interface (graph.py).  A
-    pair (edge or coupling) enters with its first endpoint and freezes with its
-    last (see ``enter_freeze``); the cutoffs need not be nested.  Before a pair
+    It reads the exhaustion only through its levels' interface (graph.py), and its
+    pairs from the form's pair table (``GraphForm.pairs``).  A pair (edge or
+    coupling) enters with its first endpoint and freezes with its last (see
+    ``enter_freeze``); the cutoffs need not be nested.  Before a pair
     enters, both its cutoff values are 0, so its terms are exact zeros; from its
     freeze on, both equal the last cutoff's, so each term is the same float at
     every later level.  Each frozen term is computed once, at the freeze level; only
@@ -242,11 +243,8 @@ class _Walk:
         in blocks of at most ``_BLOCK_ROWS`` rows; False for a non-finite weight or
         terms that could overflow."""
         q, f, n_levels = self.q, self.f, self.levels
-        g, cps = q.graph, q.couplings
-        coupled = np.array([(cp.u, cp.v) for cp in cps], dtype=int).reshape(-1, 2).T
-        ends = np.concatenate((np.stack((g.edge_u, g.edge_v)), coupled), axis=1)
+        ends, w = q.pairs
         with np.errstate(over="ignore", invalid="ignore"):
-            w = np.concatenate((2.0 * g.edge_b, [cp.w for cp in cps]))
             s = np.abs(f[ends]).sum(axis=0)
             bound = np.sum(np.abs(w) * s * s) + np.sum(np.abs(q.c_total) * f * f)
         if not bound <= _TERM_BOUND:
@@ -376,9 +374,7 @@ def _killing(walk: _Walk, clamp_levels, rel_tol: float, energy=None) -> PartResu
     """The killing part on a walk; ``energy``, the main part's level energies, if known."""
     q, f = walk.q, walk.f
     top = float(np.max(np.abs(f)))
-    if clamp_levels is None:
-        clamp_levels = [top if top > 0 else 1.0]
-    clamp_levels = list(clamp_levels)
+    clamp_levels = [top if top > 0 else 1.0] if clamp_levels is None else list(clamp_levels)
     if not clamp_levels:
         raise ValueError("clamp ladder must not be empty")
     if not all(level > 0 for level in clamp_levels):

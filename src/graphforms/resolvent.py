@@ -2,8 +2,8 @@
 
 The generator L of a masked graph form satisfies <Lf, g>_m = Q(f, g) on the
 active vertex space, so L = M^{-1} K with M = diag(m) and K the stiffness
-matrix on the active vertices, built from the graph arrays in one numpy pass
-(assemble_stiffness): edge and coupling terms off the diagonal; on it the full
+matrix on the active vertices, built from the form's pair table in one numpy
+pass (assemble_stiffness): edge and coupling terms off the diagonal; on it the full
 weighted degree, couplings and killing, summed by one np.bincount in assembly
 order (u ends, v ends, killing), so boundary edges act as killing.  The
 resolvent u = G_alpha f solves (K + alpha M) u = M f; it is positivity
@@ -169,17 +169,14 @@ def _csr(key: np.ndarray, data: np.ndarray, k: int) -> sp.csr_matrix:
 
 def assemble_stiffness(form: GraphForm, vertices=None) -> sp.csr_matrix:
     """Canonical CSR of K, Q(f, g) = f^T K g, on the rows and columns of the boolean
-    mask ``vertices`` (None: all), in one pass over the graph arrays.
+    mask ``vertices`` (None: all), in one pass over the form's pair table.
 
-    Off the diagonal: -2b per edge, -w per coupling, summed edges first, as (u, v)
+    Off the diagonal: -w per pair (``GraphForm.pairs``), summed in table order, as (u, v)
     then as (v, u).  Every diagonal entry is stored: the full weighted degree plus
     couplings plus killing, summed by one np.bincount in the order of a COO -> CSR
     conversion with a stable row sort (u ends, v ends, a self-coupling's -w twice).
     """
-    g, n, cps = form.graph, form.n, form.couplings
-    u = np.concatenate([g.edge_u, np.array([cp.u for cp in cps], dtype=int)])
-    v = np.concatenate([g.edge_v, np.array([cp.v for cp in cps], dtype=int)])
-    w = np.concatenate([2.0 * g.edge_b, np.array([cp.w for cp in cps], dtype=float)])
+    n, ((u, v), w) = form.n, form.pairs
     loop = u == v
     diag = np.bincount(np.concatenate([u, v, u[loop], v[loop], np.arange(n)]),
                        np.concatenate([w, w, -w[loop], -w[loop], form.c_total]), n)

@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphforms import (
     SquareLatticeGenerator,
@@ -85,6 +90,23 @@ class TestValidate:
         assert code == 1
         assert json.loads(out)["violations"] == ["infinite neighbor weight sum at a"]
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("command", ["validate", "classify", "decompose"])
+    def test_integer_beyond_float_range(self, command, tmp_path, capsys):
+        data = json.loads(emit_graph(make_path(5, 1.0)))
+        data["vertices"][0]["m"] = 10**400
+        g, f = tmp_path / "g.json", tmp_path / "f.json"
+        g.write_text(json.dumps(data))
+        f.write_text("[0, 1, 2, 3, 4]")
+        extra = [f"--f={f}"] if command == "decompose" else []
+        code, out, err = run(capsys, command, str(g), *extra)
+        message = "malformed record: int too large to convert to float"
+        if command == "validate":
+            assert (code, err) == (1, "")
+            assert json.loads(out)["violations"] == [message]
+        else:
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestDecompose:
@@ -254,6 +276,86 @@ class TestClassify:
         rep = json.loads(out)
         assert rep["main_recurrent"] is True
         assert "reflected_recurrent" in rep
+
+
+class TestMalformedF:
+    """--f takes a JSON array of finite numbers; any other JSON value is a usage error."""
+
+    @pytest.mark.parametrize("value", [
+        {"a": 1}, [1, 2, 3, 4, {"b": 2}], "abc", [1, [2, 3], 3, 4, 5], 5, None,
+        [1, 2, 3, 4, 10**400], [1, 2, 3, 4, math.nan], [-math.inf, 2, 3, 4, 5],
+    ])
+    def test_exit_two_with_one_error_line(self, value, tmp_path, capsys):
+        g, f = tmp_path / "path.json", tmp_path / "f.json"
+        g.write_text(emit_graph(make_path(5, 1.0)))
+        f.write_text(json.dumps(value))
+        code, out, err = run(capsys, "decompose", str(g), f"--f={f}")
+        assert (code, out) == (2, "")
+        assert err == f"error: --f must be a JSON array of finite numbers: {f}\n"
+
+
+_PATH5 = json.loads(emit_graph(make_path(5, 1.0)))
+
+#: Any JSON value: objects, strings, nested and ragged lists, booleans, null, NaN and
+#: Infinity literals, huge numbers.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3)
+    | st.sampled_from([0.5, -1.0, 1e308, -1e308, math.nan, math.inf, -math.inf, 10**400]),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=2), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _graph_files(draw):
+    """A JSON value, or the 5-vertex path with one field or list replaced by one."""
+    data = json.loads(json.dumps(_PATH5))
+    where = draw(st.sampled_from(["file", "vertices", "edges", "vertex", "edge", "length"]))
+    recs = data["vertices" if where == "vertex" else "edges"]
+    if where == "file":
+        return draw(_json_values)
+    if where == "length":
+        key = draw(st.sampled_from(["vertices", "edges"]))
+        data[key] = data[key][:draw(st.integers(0, len(data[key]) - 1))]
+    elif where in ("vertices", "edges"):
+        data[where] = draw(_json_values)
+    else:
+        rec = recs[draw(st.integers(0, len(recs) - 1))]
+        rec[draw(st.sampled_from(sorted(rec)))] = draw(_json_values)
+    return data
+
+
+def _in_process(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFuzzedInputs:
+    """Arbitrary JSON graph files and --f values get a documented exit code, one error
+    line and no traceback, and the same stdout on a second run."""
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(["validate", "classify", "decompose", "decompose --f"]),
+           _graph_files(), _json_values | st.lists(st.floats(-2, 2), max_size=7))
+    def test_exit_codes(self, tmp_path_factory, command, graph, f):
+        work = tmp_path_factory.mktemp("fuzz")
+        gpath, fpath = work / "g.json", work / "f.json"
+        gpath.write_text(json.dumps(_PATH5 if command == "decompose --f" else graph))
+        fpath.write_text(json.dumps(f if command == "decompose --f" else [0.5, 1, 0, -1, 2]))
+        name = command.split()[0]
+        argv = {"validate": [], "classify": ["--levels=2", "--plateau=1"],
+                "decompose": [f"--f={fpath}", "--levels=2", "--plateau=1"]}[name]
+        code, out, err = _in_process([name, str(gpath), *argv])
+        assert code in ((0, 1, 2) if name == "validate" else (0, 2, 3))
+        if code in (2, 3):
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == "" and json.loads(out)
+        assert "Traceback" not in err
+        assert _in_process([name, str(gpath), *argv]) == (code, out, err)
 
 
 class TestUsage:

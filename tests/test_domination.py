@@ -822,6 +822,17 @@ class TestCriterionInputs:
                 with pytest.raises(ValueError, match="not finite; check the weights"):
                     check(pair)
 
+    def test_huge_weight_between_inactive_vertices(self):
+        """The check reads the graph's b = 1e308, not the pair table's 2b = inf: an edge
+        that no active row sees leaves an answer."""
+        ids = ["a", "b", "c", "d"]
+        g = WeightedGraph(ids, [1.0] * 4, [0.0] * 4,
+                          [("a", "b", 1e308), ("b", "c", 1.0), ("c", "d", 1.0)])
+        lower, upper = assemble(g, boundary=["a", "b", "d"]), assemble(g, boundary=["a", "b"])
+        assert lower.pairs[1][0] == math.inf
+        ok, worst = check_resolvent_domination(FormPair(lower, upper))
+        assert ok and worst["certified"]
+
     def test_negative_weight(self):
         g = make_path(3, 1.0)
         negative = assemble(WeightedGraph(g.ids, g.m, g.c, [("v0", "v1", -0.5), ("v1", "v2", 0.5)]))
@@ -970,6 +981,28 @@ class TestOrderIdeal:
         g = make_path(4, 1.0)
         q = assemble(g, boundary=["v1"])
         assert check_order_ideal(FormPair(lower=q, upper=q))
+
+    def test_one_containment_flag_per_pair(self, monkeypatch):
+        """Criteria (i)-(iii) and the report all read the pair's one cached flag."""
+        nested = FormPair._nested.func
+        tested = []
+
+        def counted(pair):
+            tested.append(pair)
+            return nested(pair)
+
+        spied = cached_property(counted)
+        spied.__set_name__(FormPair, "_nested")
+        monkeypatch.setattr(FormPair, "_nested", spied)
+        g = make_path(4, 1.0)
+        a, b, ab = (assemble(g, boundary=v) for v in (["v0", "v3"], ["v3"], ["v0"]))
+        pairs = [FormPair(lower=a, upper=ab), FormPair(lower=b, upper=ab)]
+        for pair, want in zip(pairs, (True, False)):
+            rep = check_silverstein(pair)
+            assert rep.ideal_ok is check_order_ideal(pair) is pair._nested is want
+            assert (rep.resolvent_worst["kind"] == "ideal") is not want
+            assert check_extension(pair)[0] is (want and rep.extension_worst == 0.0)
+        assert tested == pairs
 
 
 class TestFormInequality:

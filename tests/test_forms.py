@@ -1,6 +1,7 @@
 """Energy evaluation, bilinear values, contractions, parallelogram law."""
 
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from graphforms import (
     OUT_OF_DOMAIN,
     GraphForm,
     ResolventHandle,
+    WeightedGraph,
     absolute,
     apply_contraction,
     assemble,
@@ -169,6 +171,99 @@ class TestExactSums:
                 f[rng.random(q.n) < 0.5] = 0.0  # most summands become exact zeros
                 assert q.evaluate(f) == math.fsum(_full_terms(q, f, f))
                 assert q.bilinear(f, g) == math.fsum(_full_terms(q, f, g))
+
+
+def _counting_pairs(monkeypatch) -> list:
+    """Record each form whose pair table is built, from here on."""
+    build = GraphForm.pairs.func
+    builds = []
+
+    def counting(self):
+        builds.append(self)
+        return build(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(GraphForm, "pairs")
+    monkeypatch.setattr(GraphForm, "pairs", prop)
+    return builds
+
+
+def _far_apart(sign: float) -> tuple:
+    """A form and two functions whose nonzero terms of Q(f, g) are p (edge a-b), then
+    sign p (killing at c), then -sign p (coupling b-d), with p = 1e154 * 1e154."""
+    g = WeightedGraph(list("abcd"), [1.0] * 4, [0.0, 0.0, 1.0, 0.0], [("a", "b", 0.5)])
+    q = assemble(g, couplings=[("b", "d", 1.0)])
+    f = np.array([1e154, 0.0, 1e154, 1e154])
+    return q, f, np.array([1e154, 0.0, sign * 1e154, -sign * 1e154])
+
+
+class TestPairTable:
+    """One read-only table of edge and coupling terms per form, read by every energy."""
+
+    def _coupled(self, b=0.5, w=(0.5, 0.0, 1.5)):
+        ids = [f"v{i}" for i in range(5)]
+        g = WeightedGraph(ids, [1.0] * 5, [0.0] * 5, [(u, v, b) for u, v in zip(ids, ids[1:])])
+        ends = [("v1", "v1"), ("v2", "v4"), ("v3", "v4")]
+        return assemble(g, boundary=["v0"], extra_killing={"v2": 0.25},
+                        couplings=[(u, v, x) for (u, v), x in zip(ends, w)])
+
+    def test_edges_then_couplings_read_only(self):
+        q = self._coupled(1e308)
+        ends, w = q.pairs
+        gph, edges = q.graph, len(q.graph.edge_b)
+        assert ends.shape == (2, edges + 3) and ends.dtype.kind == "i"
+        assert ends[:, :edges].tolist() == [gph.edge_u.tolist(), gph.edge_v.tolist()]
+        assert ends[:, edges:].T.tolist() == [[cp.u, cp.v] for cp in q.couplings]
+        with np.errstate(over="ignore"):
+            assert w[:edges].tobytes() == (2.0 * gph.edge_b).tobytes()
+        assert w[:edges].tolist() == [math.inf] * edges
+        assert w[edges:].tolist() == [0.5, 0.0, 1.5]
+        for a in (ends, w):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[..., 0] = 0
+
+    def test_built_once_per_form(self, monkeypatch):
+        from graphforms import FormPair, ball_exhaustion, check_silverstein, reflected_form
+
+        builds = _counting_pairs(monkeypatch)
+        lower, upper = self._coupled(), self._coupled()
+        assert builds == []
+        f = np.sin(np.arange(5.0)) * lower.active
+        for _ in range(2):
+            lower.evaluate(f), lower.bilinear(f, f + 1.0 * lower.active)
+            reflected_form(lower, ball_exhaustion(lower.graph, "v2").masked(lower.active), f)
+            check_silverstein(FormPair(lower=lower, upper=upper))
+        assert builds == [lower, upper]
+
+    def test_every_reader_reads_the_table(self):
+        """A form given the table of its weights times 4 computes what the form with
+        those weights does: energies, stiffness and the level walk all read it."""
+        from graphforms import ball_exhaustion, reflected_form
+        from graphforms.reflection import _Walk
+        from graphforms.resolvent import assemble_stiffness
+
+        q, q4 = self._coupled(), self._coupled(2.0, (2.0, 0.0, 6.0))
+        ends, w = q.pairs
+        q.__dict__["pairs"] = (ends, 4.0 * w)
+        f = np.cos(np.arange(5.0)) * q.active
+        assert q.evaluate(f) == q4.evaluate(f) != q4.evaluate(f) / 4.0
+        K, K4 = assemble_stiffness(q), assemble_stiffness(q4)
+        for name in ("data", "indices", "indptr"):
+            assert getattr(K, name).tobytes() == getattr(K4, name).tobytes()
+        ex = ball_exhaustion(q.graph, "v2", n_levels=2).masked(q.active)
+        walk, walk4 = _Walk(q, ex, f), _Walk(q4, ex, f)
+        assert walk.blocks[0].w.tobytes() == walk4.blocks[0].w.tobytes()
+        assert reflected_form(q, ex, f).to_dict() == reflected_form(q4, ex, f).to_dict()
+
+    def test_terms_keep_edges_vertices_couplings_order(self):
+        """fsum's overflow depends on the order of its terms: p, p, -p overflows a
+        partial sum, while p, -p, p does not."""
+        q, f, g = _far_apart(-1.0)  # p, -p, p
+        assert q.bilinear(f, g) == 1e154 * 1e154
+        q, f, g = _far_apart(1.0)  # p, p, -p
+        with pytest.raises(OverflowError):
+            q.bilinear(f, g)
 
 
 class TestContractions:

@@ -806,3 +806,29 @@ class TestMalformedExhaustion:
             Exhaustion(g, [], [])
         ex = Exhaustion(g, [np.arange(4)] * 2, [np.full(4, 0.5), np.ones(4)])
         assert ex.levels == len(reflected_form(assemble(g), ex, np.arange(4.0)).main_trace) == 2
+
+    @pytest.mark.parametrize("sets,cutoffs,match", [
+        ([np.arange(3)], [np.ones(3)], r"cutoff 0 has shape \(3,\), expected \(4,\)"),
+        ([np.arange(4)], [np.ones((4, 1))], r"cutoff 0 has shape \(4, 1\), expected \(4,\)"),
+        ([np.array([1, 7])], [np.ones(4)], r"set 0 is not a 1-D array of vertex indices in \[0, 4"),
+        ([np.array([-1])], [np.ones(4)], r"set 0 is not a 1-D array of vertex indices"),
+        ([np.array([[1, 2]])], [np.ones(4)], r"set 0 is not a 1-D array of vertex indices"),
+        ([np.array([1.5])], [np.ones(4)], r"set 0 is not a 1-D array of vertex indices"),
+    ])
+    def test_bad_shapes_and_indices_rejected(self, sets, cutoffs, match):
+        with pytest.raises(ValueError, match=match):
+            Exhaustion(make_path(4, 1.0), sets, cutoffs)
+
+    def test_sets_and_cutoffs_given_as_lists(self):
+        g = make_path(4, 1.0)
+        q, f = assemble(g, boundary=["v0"]), np.array([0.0, 1.0, -1.0, 0.5])
+        ex = Exhaustion(g, [[1, 2], []], [[0.0, 1.0, 1.0, 0.5], [0.0, 1.0, 1.0, 1.0]])
+        arrays = Exhaustion(g, [np.array([1, 2]), np.array([], dtype=int)],
+                            [np.array([0.0, 1.0, 1.0, 0.5]), np.array([0.0, 1.0, 1.0, 1.0])])
+        for F in ex.sets + ex.masked(q.active).sets:
+            assert F.dtype == int and F.ndim == 1
+        assert ex.cutoffs[0].dtype == float
+        assert [F.tolist() for F in ex.masked(q.active).sets] == [[1, 2], []]
+        got, want = reflected_form(q, ex, f), reflected_form(q, arrays, f)
+        assert _hex(got.main_trace) == _hex(want.main_trace)
+        assert [_hex(r) for r in got.killing_trace] == [_hex(r) for r in want.killing_trace]
