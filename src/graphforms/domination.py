@@ -323,7 +323,7 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
       Each of these is certified.  When C vanishes on a's rows (an extension
       pair: A = A~[a, a]), "rank1", "rank2" and "product" take
       V = -U_a U_S^{-1} from U through a Cholesky factor of U_S and factor
-      only A~, one factorization per alpha, when |b| > resolvent.SMALL_DIM.
+      only A~, at most one factorization per alpha, when |b| > resolvent.SMALL_DIM.
       An alpha's value counts when it lies farther than the bound delta of
       _schur_route from tol; otherwise, or when the Cholesky factor fails,
       V comes from A's own factor, as for every other pair.
@@ -334,9 +334,14 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
       largest value.  As G >= 0, every sign vector f has |G f| <= G 1 and
       G~ |f| = G~ 1, so the ones vector stands for all of them.
 
-    Each form's solves run on its ResolventHandle's factor of K + alpha M:
-    dense Cholesky up to resolvent.SMALL_DIM active vertices, SuperLU above
-    that size or where the Cholesky factor fails.  alphas, when given, must
+    Each form's solves run on its ResolventHandle: a one-column solve ("rank1"'s
+    U and V, an "ideal" block of one column) crosses ResolventHandle._solve,
+    which above resolvent.SMALL_DIM active vertices takes the Neumann series at
+    the alphas with rho(alpha) <= 1/2 and factors nothing there; every other
+    solve runs on the handle's factor of K + alpha M: dense Cholesky up to
+    resolvent.SMALL_DIM active vertices, SuperLU above that size or where the
+    Cholesky factor fails.  The bound delta of _schur_route reads U's measured
+    residual, so it covers a series-solved U too.  alphas, when given, must
     be a nonempty sequence of positive finite numbers (else ValueError,
     before any route).
 

@@ -123,14 +123,24 @@ class GraphForm:
 
         An infinite weight times a zero difference or value is a NaN term, on
         purpose and without a warning, so a non-finite weight gives a NaN energy.
+        With finite weights, a term that overflows raises OverflowError, as an fsum
+        past the float range does; a term with a zero factor is zero even where the
+        product of the others overflows.
         """
         (u, v), w = self.pairs
-        du = f[u] - f[v]
-        dv = du if g is f else g[u] - g[v]
-        e = len(self.graph.edge_b)
-        with np.errstate(invalid="ignore"):
+        e, c = len(self.graph.edge_b), self.c_total
+        with np.errstate(over="ignore", invalid="ignore"):
+            du = f[u] - f[v]
+            dv = du if g is f else g[u] - g[v]
             pair = (w * du) * dv
-            terms = np.concatenate((pair[:e], self.c_total * (f * g), pair[e:]))
+            terms = np.concatenate((pair[:e], c * (f * g), pair[e:]))
+        bad = ~np.isfinite(terms)
+        if bad.any() and np.isfinite(w).all() and np.isfinite(c).all():
+            zero = (w == 0.0) | (du == 0.0) | (dv == 0.0)
+            zero = np.concatenate((zero[:e], (c == 0.0) | (f == 0.0) | (g == 0.0), zero[e:]))
+            if (bad & ~zero).any():
+                raise OverflowError("an energy term is past the float range")
+            terms[bad] = 0.0
         return terms[terms != 0.0].tolist()
 
     def evaluate(self, f) -> float:

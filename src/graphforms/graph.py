@@ -230,9 +230,11 @@ def validate(g: WeightedGraph) -> list:
             violations.append(f"negative killing c({v}) = {g.c[i]}")
         if nonfinite[i]:
             violations.append(f"non-finite vertex data at {v}")
-    for k in np.flatnonzero(~(np.isfinite(g.edge_b) & (g.edge_b > 0))):
+    finite_b = np.isfinite(g.edge_b)
+    for k in np.flatnonzero(~(finite_b & (g.edge_b > 0))):
         u, v = g.ids[g.edge_u[k]], g.ids[g.edge_v[k]]
-        violations.append(f"nonpositive edge weight b({u},{v}) = {g.edge_b[k]}")
+        kind = "nonpositive" if finite_b[k] else "non-finite"
+        violations.append(f"{kind} edge weight b({u},{v}) = {g.edge_b[k]}")
     # Every weighted degree in one pass; an overflow reads inf instead of raising.
     with np.errstate(over="ignore"):
         degree = np.bincount(g._nbr, weights=g._nbr_b, minlength=g.n)

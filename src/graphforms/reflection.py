@@ -50,7 +50,9 @@ def _truncated(q: GraphForm, phi: np.ndarray, f: np.ndarray) -> tuple:
     """
     pf = phi * f
     energy = math.fsum(q._terms(pf, pf))
-    return energy, energy - math.fsum(q._terms(pf * f, phi))
+    with np.errstate(over="ignore"):  # an infinite phi f^2 makes _terms raise
+        pf2 = pf * f
+    return energy, energy - math.fsum(q._terms(pf2, phi))
 
 
 def truncated_form(q: GraphForm, phi, f) -> TruncatedFormValue:

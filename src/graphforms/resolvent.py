@@ -16,24 +16,33 @@ Approximating forms use the algebraic identity (I - alpha G_alpha) = G_alpha L,
 
 which avoids the catastrophic cancellation of the textbook expression at large
 alpha and keeps the alpha -> infinity ladder accurate to near machine
-precision.  Each such value costs one solve of (K + alpha M) w = K v, by one of
-two routes chosen from the data.  Split K + alpha M = D_alpha - W into its
-diagonal and off-diagonal parts and let
+precision.  Each such value costs one solve of (K + alpha M) w = K v.
+
+Every solve with one right-hand side -- an approximating form, a resolvent
+application, a one-column multi-solve -- crosses one boundary
+(ResolventHandle._solve), which takes the first of three routes that applies.
+Split K + alpha M = D_alpha - W into its diagonal and off-diagonal parts and let
 
     rho(alpha) = max_i sum_{j != i} |K_ij| / (K_ii + alpha m_i).
 
-When every K_ii + alpha m_i is positive and finite and rho <= 1/2 (on an
-M-matrix, whenever alpha m_i >= K_ii for all i, and every rung of the default
-ladder has rho < 1/3), w is the Neumann series
+1. Up to SMALL_DIM active vertices: the handle's dense Cholesky factor of
+   K + alpha M, on scipy's LAPACK.
+2. Where every K_ii + alpha m_i is positive and finite and rho <= 1/2 (on an
+   M-matrix, whenever alpha m_i >= K_ii for all i, and every rung of the
+   default ladder has rho < 1/3): the Neumann series
 
-    w = sum_{k=0}^{N} (D_alpha^{-1} W)^k D_alpha^{-1} K v,
+       w = sum_{k=0}^{N} (D_alpha^{-1} W)^k D_alpha^{-1} rhs,
 
-cut at the least N with (1 + rho) rho^(N+1) / (1 - rho) <= 2^-53: its tail is
-then below unit roundoff relative to max |w|, and N <= 54.  Otherwise, a
-non-finite weight included, w comes from the handle's factor of K + alpha M,
-which every other solve uses: a dense Cholesky factor on scipy's LAPACK up to
-SMALL_DIM active vertices, and a SuperLU factor above that size or where the
-Cholesky factor fails.
+   cut at the least N with (1 + rho) rho^(N+1) / (1 - rho) <= 2^-53: its tail
+   is then below unit roundoff relative to max |w|, and N <= 54.  No factor is
+   built.
+3. Otherwise, a non-finite weight included: the handle's SuperLU factor.
+
+Solves with two or more right-hand sides always take the handle's factor: a
+dense Cholesky factor up to SMALL_DIM active vertices, and a SuperLU factor
+above that size or where the Cholesky factor fails.  (On 2 vCPUs, 221
+right-hand sides at n = 221 took 4.4-7.4 ms through the series against 2.3 ms
+on SuperLU.)
 """
 
 from __future__ import annotations
@@ -226,18 +235,19 @@ def _shift_pattern(K: sp.csr_matrix) -> tuple:
 class ResolventHandle:
     """Resolvent applications for one generator through one factor of K + alpha M.
 
-    Every solve of (K + alpha M) w = rhs goes through the factor of _factor,
-    except that approximating forms take the Neumann series where alpha
-    dominates the diagonal (see the module docstring).  Up to SMALL_DIM active
-    vertices that is a dense Cholesky factor on scipy's LAPACK (dpotrf, then
-    dpotrs per solve); above that size, or where K + alpha M is not positive
-    definite or may not be finite, a SuperLU factor with minimum-degree
-    ordering on A^T + A, which raises ValueError for a non-finite entry.  The
-    factor of the most recent alpha is kept, so repeated solves at one alpha
-    factor once; a new alpha releases the old factor before the new one is
-    built.  The generator, its dense K and the CSC pattern of K + alpha M do
-    not depend on alpha, so they are built once per form, on first use, and
-    shared by its handles.
+    A solve of (K + alpha M) w = rhs with one right-hand side crosses _solve,
+    which above SMALL_DIM active vertices takes the Neumann series where alpha
+    dominates the diagonal (see the module docstring); every other solve goes
+    through the factor of _factor.  Up to SMALL_DIM active vertices that is a
+    dense Cholesky factor on scipy's LAPACK (dpotrf, then dpotrs per solve);
+    above that size, or where K + alpha M is not positive definite or may not
+    be finite, a SuperLU factor with minimum-degree ordering on A^T + A, which
+    raises ValueError for a non-finite entry.  The factor of the most recent
+    factored alpha is kept, so repeated solves at one alpha factor once; a new
+    alpha releases the old factor before the new one is built, and a series
+    solve leaves it in place.  The generator, its dense K and the CSC pattern of
+    K + alpha M do not depend on alpha, so they are built once per form, on
+    first use, and shared by its handles.
     """
 
     def __init__(self, form: GraphForm):
@@ -297,15 +307,20 @@ class ResolventHandle:
         return self._solver
 
     def _solve(self, alpha: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (K + alpha M) w = rhs for a vector rhs."""
-        return self._factor(alpha)(rhs)
+        """Solve (K + alpha M) w = rhs for a vector rhs, by the three-step rule of the
+        module docstring: the one boundary of vector solves."""
+        w = None if self.dim <= SMALL_DIM else self._series_solve(alpha, rhs)
+        return self._factor(alpha)(rhs) if w is None else w
 
     def solve_columns(self, alpha: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (K + alpha M) X = rhs for a (dim, k) array rhs in one call on the factor."""
+        """Solve (K + alpha M) X = rhs for a (dim, k) array rhs: one column through _solve,
+        more in one call on the factor."""
         _check_alpha(alpha)
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim != 2 or rhs.shape[0] != self.dim:
             raise ValueError(f"expected {self.dim} rows of right-hand sides, got {rhs.shape}")
+        if rhs.shape[1] == 1:
+            return self._solve(alpha, rhs[:, 0])[:, None]
         return self._factor(alpha)(rhs)
 
     def _series_solve(self, alpha: float, rhs: np.ndarray):
@@ -348,17 +363,16 @@ class ResolventHandle:
     def approximating_bilinear(self, alpha: float, u: np.ndarray, v: np.ndarray) -> float:
         """E^(alpha)(u, v) = <u, (I - alpha G_alpha) v>_m = <u, G_alpha L v>_m.
 
-        Each call is one solve of (K + alpha M) w = K v: by the Neumann series when
-        alpha dominates the diagonal (rho(alpha) <= 1/2, at most 55 sparse matvecs,
-        tail below unit roundoff relative to max |w|), otherwise by the handle's
-        factor.  So a ladder of distinct alphas factors nothing above the diagonal.
+        Each call is one solve of (K + alpha M) w = K v through _solve: above
+        SMALL_DIM active vertices by the Neumann series when alpha dominates the
+        diagonal (rho(alpha) <= 1/2, at most 55 sparse matvecs, tail below unit
+        roundoff relative to max |w|), otherwise by the handle's factor.  So a
+        ladder of distinct alphas above the diagonal factors nothing there.
         """
         _check_alpha(alpha)
         u = _checked_vector(u, self.dim, "active values")
-        rhs = self.generator.stiffness @ _checked_vector(v, self.dim, "active values")
-        w = self._series_solve(alpha, rhs)
-        if w is None:
-            w = self._solve(alpha, rhs)
+        v = _checked_vector(v, self.dim, "active values")
+        w = self._solve(alpha, self.generator.stiffness @ v)
         return float(np.sum(self.generator.mass * u * w))
 
     def approximating_form(self, alpha: float, f: np.ndarray) -> float:

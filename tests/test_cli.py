@@ -462,6 +462,18 @@ class TestComputationFailures:
         assert out == ""
         assert err.startswith("error: OverflowError") and err.count("\n") == 1
 
+    def test_overflowing_term_in_decompose(self, tmp_path, capsys, recwarn):
+        # f(v0)^2 overflows: an error, not NaN values next to "converged": true
+        g = tmp_path / "path.json"
+        g.write_text(emit_graph(make_path(5, 1.0)))
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps([1e308, 1.0, 1.0, 1.0, 1.0]))
+        code, out, err = run(capsys, "decompose", str(g), f"--f={f}", "--levels", "2")
+        assert code == 3
+        assert out == ""
+        assert err == "error: OverflowError: an energy term is past the float range\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize(
         "exc",
         [np.linalg.LinAlgError("singular matrix"), MemoryError(), OverflowError("x"),

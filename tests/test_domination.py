@@ -45,7 +45,7 @@ import graphforms.selftest as selftest
 from graphforms.domination import _DEFAULT_ALPHAS, _max_inner, check_extension
 from graphforms.graph import WeightedGraph
 from graphforms.resolvent import assemble_stiffness
-from test_resolvent import exact_solve, factored_dims
+from test_resolvent import exact_solve, factored_alphas, factored_dims, rho
 
 
 def dense_coefficient_check(pair, tol=1e-10):
@@ -390,7 +390,11 @@ class TestOneFactorRoute:
             dims = factored_dims(mp)
             _, worst = check_resolvent_domination(pair)
             if worst["kind"] in ("rank1", "rank2", "product"):
-                assert dims == [pair.upper.generator.dim] * len(_DEFAULT_ALPHAS)
+                # one upper factor per alpha, but a one-column U takes the series where
+                # rho <= 1/2
+                alphas = (factored_alphas(ResolventHandle(pair.upper), _DEFAULT_ALPHAS)
+                          if worst["kind"] == "rank1" else _DEFAULT_ALPHAS)
+                assert dims == [pair.upper.generator.dim] * len(alphas)
             assert assert_matches_oracle(pair) == worst
             ok2, worst2 = self.two_factor(pair)
         assert ok2 and worst2["kind"] == worst["kind"] and worst2["certified"]
@@ -463,6 +467,79 @@ class TestOneFactorRoute:
         dims.clear()
         assert run_counterexample(CounterexampleSetup(n=51)).contradiction_reproduced
         assert dims == [51] * 26
+
+
+def rank1_path_pairs():
+    """Rank-1 pairs on a 16-vertex path: two extension pairs, v0 freed from a lower
+    Dirichlet set with and without v15 (criterion (i) holds), and a killing pair (the
+    upper form kills at v4, so (i) fails)."""
+    g = make_path(16, 1.0)
+    return [FormPair(assemble(g, boundary=["v0"]), assemble(g)),
+            FormPair(assemble(g, boundary=["v0", "v15"]), assemble(g, boundary=["v15"])),
+            FormPair(assemble(g), assemble(g, extra_killing={"v4": 1.0}))]
+
+
+class TestSeriesRungs:
+    """Above SMALL_DIM, criterion (i)'s one-column solves cross _solve, so rank1's U and
+    V take the Neumann series at the rungs where rho <= 1/2."""
+
+    @pytest.mark.parametrize("pair, ok", zip(rank1_path_pairs(), (True, True, False)),
+                             ids=["extension", "extension-rim", "killing"])
+    def test_matches_the_factor_route_and_oracle(self, monkeypatch, pair, ok):
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)
+        taken = []
+        series = ResolventHandle._series_solve
+
+        def spy(h, alpha, rhs):
+            w = series(h, alpha, rhs)
+            taken.append((h.form, alpha, w is not None))
+            return w
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ResolventHandle, "_series_solve", spy)
+            got = check_resolvent_domination(pair)
+        worst = got[1]
+        h_up = ResolventHandle(pair.upper)
+        rungs = [alpha for alpha in _DEFAULT_ALPHAS if rho(h_up, alpha) <= 0.5]
+        assert 0 < len(rungs) < len(_DEFAULT_ALPHAS)
+        assert [alpha for form, alpha, w in taken if form is pair.upper and w] == rungs
+        assert got[0] is ok and worst["kind"] == "rank1"
+        assert assert_matches_oracle(pair) == worst
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ResolventHandle, "_series_solve", lambda *args: None)
+            forced_ok, forced = check_resolvent_domination(pair)
+        assert (forced_ok, forced["kind"], forced["certified"]) == (ok, "rank1", True)
+        assert abs(forced["violation"] - worst["violation"]) <= 1e-12
+        if pair.upper.active.all() and ok:
+            # Every entry of G - G~ is < 0 and the largest is far below rounding size.
+            # The series, cut at its term count, leaves U's farthest entry an exact zero
+            # at a rung where the factor gives a tiny positive one: the product there is
+            # 0.0, not a tiny negative float, and the first maximum moves to that rung.
+            assert worst["violation"] == 0.0 > forced["violation"]
+            assert worst["alpha"] in rungs and worst["alpha"] < forced["alpha"]
+        else:
+            assert forced["alpha"] == worst["alpha"]
+
+    def test_bound_covers_the_series_difference(self, monkeypatch):
+        # At every series rung, delta covers the one-factor entries' distance from the
+        # two-factor ones, V from A's own factor.
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)
+        pair = rank1_path_pairs()[0]
+        h_low, h_up = ResolventHandle(pair.lower), ResolventHandle(pair.upper)
+        pos = np.flatnonzero(pair.lower.active[pair.upper.active])
+        S = np.array([0])  # v0, the freed vertex
+        C_S = h_up.generator.stiffness[S][:, pos].T.toarray()
+        m_a = h_low.generator.mass
+        rungs = [alpha for alpha in _DEFAULT_ALPHAS if rho(h_up, alpha) <= 0.5]
+        assert rungs
+        for alpha in rungs:
+            U = h_up.solve_columns(alpha, np.eye(h_up.dim, 1))
+            assert np.array_equal(U[:, 0], h_up._series_solve(alpha, np.eye(h_up.dim)[0]))
+            V, delta = dom._schur_route(h_up.generator, S, pos)(alpha, U)
+            P = U @ (V * m_a[:, None]).T
+            assert abs(P.max() - 1e-9) > delta  # this alpha counts
+            V2 = h_low._factor(alpha)(C_S)
+            assert np.abs(P - U @ (V2 * m_a[:, None]).T).max() <= delta
 
 
 @st.composite
@@ -586,8 +663,9 @@ class TestSmallRoute:
             assert ok and worst["kind"] == "rank1" and worst["certified"]
             if n == resolvent.SMALL_DIM:
                 assert not dims and not schur
-            else:  # one upper-form factor per alpha and the one-factor route
-                assert dims == [n] * len(_DEFAULT_ALPHAS) and len(schur) == 1
+            else:  # one upper-form factor per alpha where rho > 1/2, and the one-factor route
+                factored = factored_alphas(ResolventHandle(pair.upper), _DEFAULT_ALPHAS)
+                assert dims == [n] * len(factored) and len(schur) == 1
 
     def test_selftest_domination_checks_factor_nothing(self, monkeypatch):
         dims, schur = self.spied(monkeypatch)
@@ -722,15 +800,18 @@ class TestProbeRoute:
         pair = lattice_pair(2, killing=0.1)
         ok, worst = check_resolvent_domination(pair)
         assert not ok and not worst["certified"] and worst["kind"].startswith("probe_")
-        # One resolvent application per probe and form, the first largest value kept.
+        # One factor solve per probe and form, the first largest value kept.
         h_low, h_up = ResolventHandle(pair.lower), ResolventHandle(pair.upper)
+
+        def resolve(h, alpha, f):  # G_alpha f through the factor, as the probes' solve
+            return h.extend(h._factor(alpha)(h.generator.mass * h.restrict(f)))
+
         n = pair.lower.n
         probes = [np.eye(1, n, k)[0] for k in range(min(n, 64))] + [np.ones(n)]
         expect = []
         for alpha in _DEFAULT_ALPHAS:
-            values = [float((np.abs(h_low.extend(h_low.apply(alpha, h_low.restrict(f))))
-                             - h_up.extend(h_up.apply(alpha, h_up.restrict(np.abs(f))))).max())
-                      for f in probes]
+            values = [float((np.abs(resolve(h_low, alpha, f))
+                             - resolve(h_up, alpha, np.abs(f))).max()) for f in probes]
             k = values.index(max(values))
             expect.append((values[k].hex(), alpha, f"probe_{k}"))
         assert records == expect

@@ -160,6 +160,18 @@ class TestValidate:
         g = truncate(gen, generator_ball(gen, "0,0", 3))
         assert validate(g) == []
 
+    def test_non_finite_weights_are_not_called_nonpositive(self):
+        ids = ["a", "b", "c", "d", "e", "f"]
+        weights = [0.0, -1.0, math.inf, -math.inf, math.nan]
+        edges = [("a", v, b) for v, b in zip(ids[1:], weights)]
+        g = WeightedGraph(ids, [1.0] * 6, [0.0] * 6, edges)
+        report = [v for v in validate(g) if "edge weight" in v]
+        assert report == ["nonpositive edge weight b(a,b) = 0.0",
+                          "nonpositive edge weight b(a,c) = -1.0",
+                          "non-finite edge weight b(a,d) = inf",
+                          "non-finite edge weight b(a,e) = -inf",
+                          "non-finite edge weight b(a,f) = nan"]
+
 
 class TestRoundTrip:
     def test_emit_load_identity(self):
@@ -438,8 +450,8 @@ class TestAdjacency:
         g = WeightedGraph(ids, [1.0] * 3, [0.0] * 3, [("x", "y", math.inf), ("x", "z", -math.inf)])
         # x's weights sum to NaN, which is no finite degree either.
         assert validate(g) == [
-            "nonpositive edge weight b(x,y) = inf",
-            "nonpositive edge weight b(x,z) = -inf",
+            "non-finite edge weight b(x,y) = inf",
+            "non-finite edge weight b(x,z) = -inf",
         ] + [f"infinite neighbor weight sum at {v}" for v in ids]
 
 

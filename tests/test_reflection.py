@@ -543,6 +543,28 @@ class TestLevelSupports:
         with pytest.raises(ValueError, match="vertex functions must be finite"):
             reflected_form(q, nan, f)
 
+    def test_overflowing_term_raises_with_finite_weights(self):
+        # f(v0)^2 and (f(v0) - f(v1))^2 overflow: an OverflowError, where the whole-graph
+        # sums gave inf - inf = NaN; a non-finite weight still gives NaN energies.
+        f = np.array([1e308, 1.0, 1.0, 1.0, 1.0])
+        q = assemble(make_path(5, 1.0))
+        ex = ball_exhaustion(q.graph, "v0", n_levels=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: reflected_form(q, ex, f), lambda: main_part(q, ex, f),
+                         lambda: killing_part(q, ex, f), lambda: q.evaluate(f),
+                         lambda: truncated_form(q, np.full(5, 0.5), f)):
+                with pytest.raises(OverflowError, match="past the float range"):
+                    call()
+            # a zero factor keeps a term zero: f^2 overflows, but c = 0 and df = 0
+            big = np.full(5, 1e200)
+            assert q.evaluate(big) == 0.0
+            assert truncated_form(q, np.full(5, 0.5), big).value == 0.0
+            edges = [("v0", "v1", math.inf), ("v1", "v2", 1.0)]
+            q_inf = assemble(WeightedGraph(["v0", "v1", "v2"], [1.0] * 3, [0.0] * 3, edges))
+            assert math.isnan(q_inf.evaluate(f[:3]))
+            assert math.isnan(truncated_form(q_inf, np.full(3, 0.5), f[:3]).value)
+
     @pytest.mark.parametrize("values", [[7e153, -7e153, 7e153], [7e153, -7e153, 0.0]])
     def test_huge_terms_give_the_old_value_or_exception(self, values):
         # Level sums near the float range take the per-level sums, where fsum may overflow.

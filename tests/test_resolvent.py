@@ -28,7 +28,13 @@ from graphforms import (
     truncated_form_via_resolvent,
 )
 from graphforms import resolvent
-from graphforms.corpus import form_corpus, random_cutoff, zero_killing
+from graphforms.corpus import (
+    form_corpus,
+    random_boundary,
+    random_connected_graph,
+    random_cutoff,
+    zero_killing,
+)
 from graphforms.forms import Coupling, GraphForm
 from graphforms.graph import WeightedGraph
 from graphforms.resolvent import _series_terms, assemble_stiffness
@@ -190,12 +196,15 @@ class TestFactorChoice:
 
     def test_size_picks_the_factor(self, monkeypatch):
         dims = factored_dims(monkeypatch)
+        alphas = (1e-3, 1.0, 1.0, 1e3)
         for n in (resolvent.SMALL_DIM, resolvent.SMALL_DIM + 1):
             h = ResolventHandle(assemble(make_path(n, 1.0), extra_killing={"v0": 0.5}))
-            for alpha in (1e-3, 1.0, 1.0, 1e3):
+            for alpha in alphas:
                 u = h.apply(alpha, np.ones(n))
                 assert float((alpha * u).max()) <= 1.0 + 1e-10
-            assert dims == ([] if n == resolvent.SMALL_DIM else [n] * 3)
+            # above SMALL_DIM, the alphas where rho <= 1/2 take the series
+            assert dims == ([] if n == resolvent.SMALL_DIM
+                            else [n] * len(factored_alphas(h, alphas)))
 
     def test_non_finite_small_handle_is_a_value_error(self, monkeypatch):
         dims = factored_dims(monkeypatch)
@@ -788,8 +797,8 @@ def lattice_ball_form(radius, boundary=()):
 
 
 def lu_bilinear(h, alpha, u, v):
-    """E^(alpha)(u, v) through the handle's LU factor, the route every solve took before."""
-    w = h._solve(alpha, h.generator.stiffness @ v)
+    """E^(alpha)(u, v) through the handle's factor, whatever rho(alpha) is."""
+    w = h._factor(alpha)(h.generator.stiffness @ v)
     return float(np.sum(h.generator.mass * u * w)), w
 
 
@@ -822,6 +831,22 @@ def dominance_threshold(h):
     return float(((2.0 * offsum - diag) / h.generator.mass).max())
 
 
+def rho(h, alpha):
+    """rho(alpha) = max_i sum_{j != i} |K_ij| / (K_ii + alpha m_i) (see the module docstring)."""
+    diag, _, offsum = h.generator.splitting
+    return float((offsum / (diag + alpha * h.generator.mass)).max(initial=0.0))
+
+
+def factored_alphas(h, alphas):
+    """The alphas that a handle above SMALL_DIM factors, for vector solves at ``alphas`` in
+    turn: each with rho > 1/2, unless the factor of the last one it factored serves it."""
+    out = []
+    for alpha in alphas:
+        if rho(h, alpha) > 0.5 and (not out or out[-1] != alpha):
+            out.append(alpha)
+    return out
+
+
 class TestSeriesRoute:
     """Approximating forms above the diagonal take the Neumann series."""
 
@@ -836,12 +861,11 @@ class TestSeriesRoute:
     def test_every_default_rung_is_below_one_third(self):
         for q in self.forms():
             h = ResolventHandle(q)
-            diag, _, offsum = h.generator.splitting
             for alpha in default_alpha_ladder(h):
-                rho = float((offsum / (diag + alpha * h.generator.mass)).max(initial=0.0))
-                assert rho <= 1.0 / 3.0
+                assert rho(h, alpha) <= 1.0 / 3.0
 
-    def test_agrees_with_lu_on_every_ladder_rung(self):
+    def test_agrees_with_lu_on_every_ladder_rung(self, monkeypatch):
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)  # the corpus forms take the series too
         rng = np.random.default_rng(32)
         for q in self.forms():
             h = ResolventHandle(q)
@@ -892,9 +916,10 @@ class TestSeriesRoute:
             assert tail(rho, n) <= unit
             assert n == 0 or tail(rho, n - 1) > unit
 
-    def test_below_the_diagonal_takes_the_lu(self):
+    def test_below_the_diagonal_takes_the_lu(self, monkeypatch):
         # Without killing and boundary, sum_j |K_ij| = K_ii, so rho > 1/2 exactly
         # when alpha m_i < K_ii for some i.
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)  # the series is tried at every size
         rng = np.random.default_rng(35)
         for q in (assemble(make_path(7, 0.5)), lattice_ball_form(4)):
             h = ResolventHandle(q)
@@ -913,11 +938,9 @@ class TestSeriesRoute:
         # the threshold.
         h = ResolventHandle(assemble(make_path(5, 1.0), extra_killing={"v2": 0.3}))
         threshold = dominance_threshold(h)
-        diag, _, offsum = h.generator.splitting
         rhs = h.generator.stiffness @ np.linspace(-1, 1, h.dim)
         for alpha, taken in ((threshold * (1 - 1e-9), False), (threshold * (1 + 1e-9), True)):
-            rho = float((offsum / (diag + alpha * h.generator.mass)).max())
-            assert (rho <= 0.5) is taken
+            assert (rho(h, alpha) <= 0.5) is taken
             assert (h._series_solve(alpha, rhs) is not None) is taken
 
     @pytest.mark.parametrize("weight", ["edge", "killing"])
@@ -926,7 +949,8 @@ class TestSeriesRoute:
         c = [np.inf if weight == "killing" else 0.0, 0.0, 0.0]
         h = ResolventHandle(assemble(WeightedGraph(["a", "b", "c"], [1.0] * 3, c, edges)))
         solved = []
-        monkeypatch.setattr(h, "_solve", lambda alpha, rhs: solved.append(alpha) or rhs)
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)  # the series is tried at every size
+        monkeypatch.setattr(h, "_factor", lambda alpha: solved.append(alpha) or (lambda rhs: rhs))
         with np.errstate(invalid="ignore"):
             assert h._series_solve(1e6, h.generator.stiffness @ np.ones(3)) is None
             h.approximating_bilinear(1e6, np.ones(3), np.ones(3))
@@ -960,19 +984,96 @@ class TestSeriesRoute:
         truncated_form_via_resolvent(h, phi, f)
         assert handed == []
 
-        # Every other solve keeps the one LU factor and never reads the series.
+        # apply takes the series above the diagonal (rho(1e3) <= 1/2) and the LU
+        # below it; multi-column solves keep the one LU factor and never read the series.
         def refuse(*args):
             raise AssertionError("series route taken")
 
-        monkeypatch.setattr(ResolventHandle, "_series_solve", refuse)
         K, m = h.generator.stiffness, h.generator.mass
         for alpha in (1e-2, 1.0, 1e3):
             lu = splu((K + sp.diags(alpha * m)).tocsc(), permc_spec="MMD_AT_PLUS_A")
             x = rng.uniform(-1, 1, h.dim)
-            assert np.array_equal(h.apply(alpha, x), lu.solve(m * x))
-            assert np.array_equal(h.resolvent_matrix(alpha), lu.solve(np.diag(m)))
-            truncated_coefficients(h, alpha, phi, [["0,0"], ["1,0", "0,1"]])
+            series = h._series_solve(alpha, m * x)
+            assert (series is None) is (alpha < 1e3)
+            assert np.array_equal(h.apply(alpha, x), lu.solve(m * x) if series is None else series)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ResolventHandle, "_series_solve", refuse)
+                assert np.array_equal(h.resolvent_matrix(alpha), lu.solve(np.diag(m)))
+                truncated_coefficients(h, alpha, phi, [["0,0"], ["1,0", "0,1"]])
         assert len(handed) == 3
+
+
+@st.composite
+def boundary_cases(draw):
+    """A random form with killing and a Dirichlet mask, and an alpha on either side of
+    the rho = 1/2 threshold (near it, far below or far above)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_connected_graph(rng, 3, 20)
+    q = assemble(g, boundary=random_boundary(rng, g),
+                 extra_killing={v: float(rng.uniform(0.0, 1.0)) for v in g.ids[:2]})
+    threshold = dominance_threshold(ResolventHandle(q))
+    scale = draw(st.sampled_from([1e-3, 0.5, 1 - 1e-9, 1 + 1e-9, 2.0, 1e3]))
+    return q, (threshold if threshold > 0 else 1.0) * scale, rng
+
+
+def factor_gap_bound(h, alpha, b, w):
+    """A bound on |s - w| for the series solution s of (K + alpha M) s = b and a solution
+    w of any accuracy, where rho(alpha) <= 1/2, in rationals.
+
+    s lies within four units of max |w*| of the exact solution w* (the bound that
+    TestSeriesRoute pins), and |w - w*| <= e = ||b - A w||_inf / min_i (A_ii -
+    sum_{j != i} |A_ij|) by Varah's bound on the diagonally dominant A = K + alpha M.
+    """
+    K, m = h.generator.stiffness.toarray(), h.generator.mass
+    rows = [[Fraction(x) for x in row] for row in K]
+    for i in range(h.dim):
+        rows[i][i] += Fraction(alpha) * Fraction(m[i])
+    margin = min(row[i] - sum(abs(x) for j, x in enumerate(row) if j != i)
+                 for i, row in enumerate(rows))
+    w_exact = [Fraction(float(x)) for x in w]
+    residual = max(abs(Fraction(float(bi)) - sum(a * x for a, x in zip(row, w_exact)))
+                   for bi, row in zip(b, rows))
+    e = residual / margin
+    return 4 * Fraction(resolvent._UNIT_ROUNDOFF) * (max(map(abs, w_exact)) + e) + e
+
+
+class TestSolveBoundary:
+    """_solve is the one boundary of vector solves: above SMALL_DIM, apply, a one-column
+    solve_columns and approximating_bilinear take the Neumann series exactly where it
+    applies, and agree with the factor's solution; wider solves take the factor."""
+
+    @settings(max_examples=80)
+    @given(boundary_cases())
+    def test_series_exactly_where_it_applies(self, case):
+        q, alpha, rng = case
+        h = ResolventHandle(q)
+        m, K, factor = h.generator.mass, h.generator.stiffness, h._factor
+        x, u, v = rng.uniform(-2, 2, (3, h.dim))
+        rhs = rng.uniform(-2, 2, (h.dim, 3))
+        taken = h._series_solve(alpha, m * x) is not None
+        assert taken is (rho(h, alpha) <= 0.5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(resolvent, "SMALL_DIM", 0)
+            factored = []
+            mp.setattr(h, "_factor", lambda a: factored.append(a) or factor(a))
+            w = h._solve(alpha, K @ v)
+            assert h.approximating_bilinear(alpha, u, v) == float(np.sum(m * u * w))
+            for got, b in ((h.apply(alpha, x), m * x), (w, K @ v),
+                           (h.solve_columns(alpha, rhs[:, :1])[:, 0], rhs[:, 0])):
+                want = factor(alpha)(b)
+                if taken:
+                    gap = max(abs(Fraction(s) - Fraction(t)) for s, t in zip(got.tolist(), want))
+                    assert gap <= factor_gap_bound(h, alpha, b, want)
+                else:
+                    assert np.array_equal(got, want)
+            assert factored == ([] if taken else [alpha] * 4)
+
+            def refuse(*args):
+                raise AssertionError("series route taken")
+
+            mp.setattr(ResolventHandle, "_series_solve", refuse)
+            for k in (2, 3):
+                assert np.array_equal(h.solve_columns(alpha, rhs[:, :k]), factor(alpha)(rhs[:, :k]))
 
 
 class TestVectorSizes:
