@@ -87,9 +87,9 @@ def truncated_oracle(q: GraphForm, phi, f) -> float:
 # Level walk
 # ---------------------------------------------------------------------------
 
-#: The walk runs while the absolute terms of every level sum to at most this,
-#: so that no partial sum of fsum or of the extraction below can overflow.
-_TERM_BOUND = 2.0**960
+#: The walk scales f until the absolute terms of every level sum to at most 2 to
+#: this power, so that no partial sum of fsum or of the extraction below can overflow.
+_TERM_BITS = 960
 
 #: Rows per block of a level sum.  A block's terms are formed and extracted on
 #: their own, so a sum's temporaries stay near 10 MB at any size; a ball of
@@ -182,9 +182,9 @@ def _running_sums(terms: np.ndarray, slot: np.ndarray, n_levels: int) -> list:
 
 
 class _Rows(NamedTuple):
-    """A block of the row table: the pair rows (endpoints, cutoff values and f at
-    both endpoints, and the weight), the vertex rows (vertex, cutoff value, f and
-    total killing), and the slot of every row, pairs first."""
+    """A block of the row table: the pair rows (endpoints, cutoff values and 2^-k f
+    at both endpoints, and the weight), the vertex rows (vertex, cutoff value, 2^-k
+    f and total killing), and the slot of every row, pairs first."""
 
     ends: np.ndarray
     chi_p: np.ndarray
@@ -203,25 +203,24 @@ class _Walk:
     It reads the exhaustion only through its levels' interface (graph.py), and its
     pairs from the form's pair table (``GraphForm.pairs``).  A pair (edge or
     coupling) enters with its first endpoint and freezes with its last (see
-    ``enter_freeze``); the cutoffs need not be nested.  Before a pair
-    enters, both its cutoff values are 0, so its terms are exact zeros; from its
-    freeze on, both equal the last cutoff's, so each term is the same float at
-    every later level.  Each frozen term is computed once, at the freeze level; only
-    the window, the entered pairs and vertices that are not yet frozen, is
-    evaluated per level.  ``_running_sums`` extracts, from the frozen and the
-    window terms together, a few floats per level with the level's exact sum,
-    and each level value is one fsum over them.  fsum rounds the exact sum
-    correctly, so every level value is the float that summing the whole graph
-    gives.  The rows, with everything the sums read of them, are gathered once
+    ``enter_freeze``); the cutoffs need not be nested.  Before a pair enters, both
+    its cutoff values are 0, so its terms are exact zeros; from its freeze on, both
+    equal the last cutoff's, so each term is the same float at every later level.
+    Each frozen term is computed once, at the freeze level; only the window, the
+    entered pairs and vertices that are not yet frozen, is evaluated per level.
+    ``_running_sums`` extracts, from the frozen and the window terms together, a
+    few floats per level with the level's exact sum, and one fsum over them is the
+    level sum.  The rows, with everything the sums read of them, are gathered once
     into a row table (``blocks``) that the sums of both parts share.
 
-    ``monotone`` is False when explicit cutoffs decrease somewhere; the last
-    level is then no supremum, and neither part reports convergence.
-
-    ``fast`` is False, and the parts sum the whole graph per level instead, when
-    a weight is non-finite (so that inf * 0 still shows as NaN) or the terms
-    could overflow (so that fsum raises as before); the term bound of ``_rows``
-    is then inf or NaN, or above ``_TERM_BOUND``.
+    Every term is a product of two factors of f, so the terms are formed from 2^-k
+    f, k = ``shift`` (0 unless f is huge): each level sum is the correctly rounded
+    sum of those terms, times 2^2k.  That is the float the whole graph's sum gives
+    whenever no scaled term or intermediate result is subnormal.  A level sum past
+    the float range raises OverflowError; with a non-finite weight (``finite``
+    False) no rows are built and every level sum is NaN.  ``monotone`` is False
+    when explicit cutoffs decrease somewhere; the last level is then no supremum,
+    and neither part reports convergence.
     """
 
     def __init__(self, q: GraphForm, ex: Exhaustion, f):
@@ -235,22 +234,33 @@ class _Walk:
             raise ValueError("exhaustion cutoff is nonzero on the boundary; mask it first")
         for chi in levels.arrays:
             _check_cutoff(q, chi)
-        self.cutoff = levels.cutoff
-        self.saturated = bool(np.all(self.cutoff(self.levels - 1)[q.active] == 1.0))
-        self.fast = self._rows(enter, freeze, levels.values)
+        self.saturated = bool(np.all(levels.cutoff(self.levels - 1)[q.active] == 1.0))
+        self.finite = bool(np.isfinite(q.pairs[1]).all() and np.isfinite(q.c_total).all())
+        self.shift = self._shift() if self.finite else 0
+        if self.finite:
+            self._rows(enter, freeze, levels.values)
 
-    def _rows(self, enter, freeze, values) -> bool:
+    def _shift(self) -> int:
+        """The smallest k >= 0 with |2^-k f| < 2^511, so that no product f(x) f(y)
+        overflows, and a term bound sum |w| (|f(u)| + |f(v)|)^2 + sum |c| f^2 of 2^-k f
+        of at most 2^_TERM_BITS, summed over f and the weights scaled below 1."""
+        (ends, w), c = self.q.pairs, self.q.c_total
+        e = int(np.frexp(np.abs(self.f).max())[1])  # |f| < 2^e
+        ew = int(np.frexp(max(np.abs(w).max(initial=0.0), np.abs(c).max()))[1])
+        g, w, c = np.ldexp(self.f, -e), np.ldexp(np.abs(w), -ew), np.ldexp(np.abs(c), -ew)
+        s = np.abs(g[ends]).sum(axis=0)
+        bound = float(np.sum(w * s * s) + np.sum(c * g * g))
+        m, t = math.frexp(bound)
+        p = t - (m == 0.5) + ew + 2 * e if bound else 0  # the bound of f is at most 2^p
+        return max(0, e - 511, (p - _TERM_BITS + 1) // 2)  # 2^(p - 2k) <= 2^_TERM_BITS
+
+    def _rows(self, enter, freeze, values) -> None:
         """Set up the row table: the rows of each pair and vertex, from its entry to
-        its freeze, with everything every level sum reads of them, and their slots,
-        in blocks of at most ``_BLOCK_ROWS`` rows; False for a non-finite weight or
-        terms that could overflow."""
-        q, f, n_levels = self.q, self.f, self.levels
+        its freeze, with everything every level sum reads of them (f scaled by
+        2^-k), and their slots, in blocks of at most ``_BLOCK_ROWS`` rows."""
+        q, n_levels = self.q, self.levels
+        f = np.ldexp(self.f, -self.shift)
         ends, w = q.pairs
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = np.abs(f[ends]).sum(axis=0)
-            bound = np.sum(np.abs(w) * s * s) + np.sum(np.abs(q.c_total) * f * f)
-        if not bound <= _TERM_BOUND:
-            return False
         pair_enter = enter[ends].min(axis=0)
         pairs = np.flatnonzero((pair_enter < n_levels) & (w != 0.0))
         verts = np.flatnonzero((enter < n_levels) & (q.c_total != 0.0))
@@ -273,12 +283,11 @@ class _Walk:
             slot = level + n_levels * (level < np.concatenate((pair_freeze[ip[bp]], freeze[wv])))
             self.blocks.append(_Rows(rows, values(lp[bp], rows), f[rows], w[wp],
                                      wv, values(lv[bv], wv), f[wv], q.c_total[wv], slot))
-        return True
 
     def _terms(self, rows: _Rows, h, killing, with_energy) -> list:
         if h is self.f:
             h_p, h_x = rows.f_p, rows.f_x
-        else:  # a clamped f
+        else:  # a clamped f, scaled
             h_p, h_x = h[rows.ends], h[rows.verts]
         if killing:  # phi is the full cutoff and h = chi * fn
             phi_p, h_p = self.full[rows.ends], rows.chi_p * h_p
@@ -288,13 +297,14 @@ class _Walk:
         return _energy_terms(phi_p, h_p, rows.w, phi_x, h_x, rows.c, with_energy)
 
     def level_sums(self, h: np.ndarray, killing: bool, energy=None) -> list:
-        """Per level k, the exact sums (Q(chi_k h), Q(chi_k h^2, chi_k)) for the main
-        part, or (Q(g), Q(g^2, 1)) with g = chi_k h for the killing part.
-
-        Given ``energy``, the first sums already known, only the second are evaluated.
-        Each block's terms are extracted on their own, and each level value is one
-        fsum over the floats of every block.
+        """Per level l, the exact sums (Q(chi_l h), Q(chi_l h^2, chi_l)) for the main
+        part, or (Q(g), Q(g^2, 1)) with g = chi_l h for the killing part, of h = f or
+        a clamped f scaled by 2^-k; given ``energy``, the first sums already known,
+        only the second are evaluated.  Each block's terms are extracted on their own,
+        and each level sum is one fsum over the floats of every block, times 2^2k.
         """
+        if not self.finite:
+            return [(math.nan, math.nan)] * self.levels
         parts = None
         for rows in self.blocks:
             got = [_running_sums(terms, rows.slot, self.levels)
@@ -302,13 +312,14 @@ class _Walk:
             parts = got if parts is None else [
                 [a + b for a, b in zip(old, new)] for old, new in zip(parts, got)
             ]
-        sums = [[math.fsum(floats) for floats in per_level] for per_level in parts]
+        with np.errstate(over="ignore"):  # each fsum is finite: inf is a sum past the range
+            sums = np.ldexp([[math.fsum(v) for v in level] for level in parts], 2 * self.shift)
+        if np.isinf(sums).any():
+            raise OverflowError("an energy term is past the float range")
+        sums = sums.tolist()
         if energy is not None:
             sums.insert(0, energy)
         return list(zip(*sums))
-
-    def per_level_cutoffs(self):
-        return map(self.cutoff, range(self.levels))
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +347,12 @@ def main_part(q: GraphForm, ex: Exhaustion, f, rel_tol: float = 1e-8) -> PartRes
 
 
 def _main(walk: _Walk, rel_tol: float) -> tuple:
-    """The main part on a walk, and its level energies Q(chi_k f) (None if not summed)."""
-    energy = None
-    if walk.fast:
-        sums = walk.level_sums(walk.f, killing=False)
-        energy = [a for a, _ in sums]
-        trace = [a - b for a, b in sums]
-    else:
-        trace = [_truncated(walk.q, chi, walk.f)[1] for chi in walk.per_level_cutoffs()]
-    converged = walk.monotone and (walk.saturated or increments_settled(trace, rel_tol))
-    return PartResult(value=trace[-1], trace=trace, converged=converged), energy
+    """The main part on a walk, and its level energies Q(chi_k f)."""
+    sums = walk.level_sums(walk.f, killing=False)
+    trace = [a - b for a, b in sums]
+    converged = walk.monotone and not math.isnan(trace[-1]) and (
+        walk.saturated or increments_settled(trace, rel_tol))
+    return PartResult(value=trace[-1], trace=trace, converged=converged), [a for a, _ in sums]
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +381,7 @@ def killing_part(
 
 def _killing(walk: _Walk, clamp_levels, rel_tol: float, energy=None) -> PartResult:
     """The killing part on a walk; ``energy``, the main part's level energies, if known."""
-    q, f = walk.q, walk.f
-    top = float(np.max(np.abs(f)))
+    top = float(np.max(np.abs(walk.f)))
     clamp_levels = [top if top > 0 else 1.0] if clamp_levels is None else list(clamp_levels)
     if not clamp_levels:
         raise ValueError("clamp ladder must not be empty")
@@ -388,23 +394,16 @@ def _killing(walk: _Walk, clamp_levels, rel_tol: float, energy=None) -> PartResu
     # At a level >= max|f|, fn is f and each term of Q(g) = Q(chi f) is the float
     # main_part formed (1.0 * (chi f) is chi f, and masked zeros keep their sign),
     # so the main part's level energies are reused when given, and the row table's
-    # gathers of f serve the second sums; a clamped fn is gathered fresh.
+    # gathers of f serve the second sums; a clamped fn is scaled and gathered fresh.
     grid = []
     for level in clamp_levels:
         whole = level >= top
-        fn = f if whole else np.clip(f, -level, level)
-        if walk.fast:
-            known = energy if whole else None
-            grid.append([e - (e - b) for e, b in walk.level_sums(fn, True, known)])
-            continue
-        row = []
-        for chi in walk.per_level_cutoffs():
-            energy, main = _truncated(q, walk.full, chi * fn)
-            row.append(energy - main)
-        grid.append(row)
+        fn = walk.f if whole else np.ldexp(np.clip(walk.f, -level, level), -walk.shift)
+        grid.append([e - (e - b) for e, b in walk.level_sums(fn, True, energy if whole else None)])
     value = grid[-1][-1]
     saturated = walk.saturated and clamp_levels[-1] >= top
-    converged = walk.monotone and (saturated or increments_settled(grid[-1], rel_tol))
+    converged = walk.monotone and not math.isnan(value) and (
+        saturated or increments_settled(grid[-1], rel_tol))
     return PartResult(value=value, trace=grid, converged=converged)
 
 

@@ -333,13 +333,18 @@ def _in_process(argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
+#: Finite floats of any magnitude: a --f of five of them decomposes or overflows.
+_FINITE = st.floats(-1e308, 1e308)
+
+
 class TestFuzzedInputs:
     """Arbitrary JSON graph files and --f values get a documented exit code, one error
     line and no traceback, and the same stdout on a second run."""
 
     @settings(max_examples=60)
     @given(st.sampled_from(["validate", "classify", "decompose", "decompose --f"]),
-           _graph_files(), _json_values | st.lists(st.floats(-2, 2), max_size=7))
+           _graph_files(), st.lists(_FINITE, min_size=5, max_size=5) | _json_values
+           | st.lists(_FINITE, max_size=7))
     def test_exit_codes(self, tmp_path_factory, command, graph, f):
         work = tmp_path_factory.mktemp("fuzz")
         gpath, fpath = work / "g.json", work / "f.json"
@@ -350,6 +355,9 @@ class TestFuzzedInputs:
                 "decompose": [f"--f={fpath}", "--levels=2", "--plateau=1"]}[name]
         code, out, err = _in_process([name, str(gpath), *argv])
         assert code in ((0, 1, 2) if name == "validate" else (0, 2, 3))
+        if command == "decompose --f" and isinstance(f, list) and len(f) == 5 and all(
+                isinstance(x, float) and math.isfinite(x) for x in f):  # of any magnitude
+            assert code in (0, 3)
         if code in (2, 3):
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         else:

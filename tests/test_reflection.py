@@ -436,7 +436,7 @@ def _support_instances():
 
 
 def _walk_instances():
-    """(form, exhaustion, f, whether the level walk takes them) for the walk's edge cases."""
+    """(form, exhaustion, f) for the walk's edge cases."""
     rng = np.random.default_rng(91)
     for plateau in (1, 2, 3, 4):
         for gen, root, boundary in (
@@ -445,30 +445,30 @@ def _walk_instances():
         ):
             ex = build_exhaustion(gen, root, n_levels=5, plateau=plateau)
             q = assemble(ex.graph, boundary=boundary)
-            yield q, ex, random_function(rng, q.n), True
+            yield q, ex, random_function(rng, q.n)
     # A saturated ball exhaustion of a loaded graph, with a boundary read as the CLI reads it.
     gen = SquareLatticeGenerator(c=0.2)
     g = load_graph(emit_graph(truncate(gen, generator_ball(gen, "0,0", 6))))
     q = assemble(g, boundary=_boundary_list('["3,0", "0,-2"]'))
-    yield q, ball_exhaustion(g, "0,0", n_levels=4, plateau=2), random_function(rng, g.n), True
+    yield q, ball_exhaustion(g, "0,0", n_levels=4, plateau=2), random_function(rng, g.n)
     # Couplings: one of weight 0, one onto the boundary, one between the outer rims.
     ex = build_exhaustion(SquareLatticeGenerator(b=2.0), "1,-1", n_levels=4, plateau=2)
     g = ex.graph
     couplings = [(g.ids[0], g.ids[7], 0.4), (g.ids[3], g.ids[4], 0.0),
                  (g.ids[9], g.ids[20], 0.7), (g.ids[-1], g.ids[-2], 0.1)]
     q = assemble(g, boundary=[g.ids[9]], extra_killing={g.ids[2]: 1.5}, couplings=couplings)
-    yield q, ex, random_function(rng, g.n), True
+    yield q, ex, random_function(rng, g.n)
     # Hand-built and nested: the levels come from one scan of the explicit cutoffs.
     q = form_corpus(97, 1, n_min=30, n_max=30)[0][0]
     steps = rng.uniform(0.0, 1.0, (5, q.n)) * (rng.random((5, q.n)) < 0.4)
     cutoffs = list(np.minimum(2.0 * np.cumsum(steps, axis=0), 1.0))
     sets = [np.flatnonzero(chi == 1.0) for chi in cutoffs]
-    yield q, Exhaustion(q.graph, sets, cutoffs), random_function(rng, q.n), True
+    yield q, Exhaustion(q.graph, sets, cutoffs), random_function(rng, q.n)
     # Not nested: walked too, since enter and freeze never assume nesting.
     q = form_corpus(92, 1, n_min=20, n_max=20)[0][0]
     cutoffs = [rng.uniform(0.0, 1.0, q.n) * (rng.random(q.n) < 0.4) for _ in range(4)]
     sets = [np.flatnonzero(chi == 1.0) for chi in cutoffs]
-    yield q, Exhaustion(q.graph, sets, cutoffs), random_function(rng, q.n), True
+    yield q, Exhaustion(q.graph, sets, cutoffs), random_function(rng, q.n)
 
 
 def _hand_built_cutoffs(rng, n, kind):
@@ -483,8 +483,8 @@ def _hand_built_cutoffs(rng, n, kind):
     return [values[k] for k in rng.integers(levels, size=levels + 2)]
 
 
-def _new_traces(q, ex, f):
-    res = reflected_form(q, ex, f)
+def _new_traces(q, ex, f, clamp_levels=None):
+    res = reflected_form(q, ex, f, clamp_levels=clamp_levels)
     return res.main_trace, res.killing_trace
 
 
@@ -501,8 +501,7 @@ class TestLevelSupports:
 
     def test_walk_matches_whole_graph_loop(self):
         count = 0
-        for q, ex, f, walked in _walk_instances():
-            assert _Walk(q, ex.masked(q.active), f).fast is walked
+        for q, ex, f in _walk_instances():
             for clamp_levels in (None, [0.5, 1.0, 3.0]):
                 res = reflected_form(q, ex, f, clamp_levels=clamp_levels)
                 main, grid = _old_traces(q, ex, f, clamp_levels)
@@ -520,7 +519,6 @@ class TestLevelSupports:
                 cutoffs = _hand_built_cutoffs(rng, q.n, kind)
                 ex = Exhaustion(q.graph, [np.flatnonzero(chi == 1.0) for chi in cutoffs], cutoffs)
                 f = random_function(rng, q.n)
-                assert _Walk(q, ex.masked(q.active), f).fast
                 for clamp_levels in (None, [0.5, 1.0, 3.0]):
                     main, grid = _old_traces(q, ex, f, clamp_levels)
                     for given in (ex, ex.masked(q.active)):
@@ -578,7 +576,8 @@ class TestLevelSupports:
             assert (new is OverflowError) == (values[2] != 0.0)
 
     def test_level_sums_hand_fsum_linear_work(self, monkeypatch):
-        # Summing every level's whole support would hand fsum about 35 (n + edges) terms here.
+        # Summing every level's whole support would hand fsum about 35 (n + edges) terms
+        # here, for f and for f x 1e144, whose terms are past the term bound unscaled.
         ex = build_exhaustion(SquareLatticeGenerator(), "0,0", n_levels=68, plateau=2)
         g = ex.graph
         q = assemble(g, boundary=["1,0"])
@@ -593,13 +592,16 @@ class TestLevelSupports:
             return fsum(terms)
 
         monkeypatch.setattr(math, "fsum", counting)
-        reflected_form(q, ex, f)
         assert g.n > 9000
-        assert sum(handed) <= 8 * (g.n + len(g.edge_b))
-        # Each level is one fsum over the few floats the extraction leaves; the
-        # killing part takes Q(chi_k f) from the main part and sums only Q(g^2, 1).
-        assert len(handed) == 3 * ex.levels
-        assert max(handed) <= 8
+        for scale in (1.0, 1e144):
+            handed.clear()
+            reflected_form(q, ex, f * scale)
+            assert sum(handed) <= 8 * (g.n + len(g.edge_b))
+            # Each level is one fsum over the few floats the extraction leaves; the
+            # killing part takes Q(chi_k f) from the main part and sums only Q(g^2, 1).
+            assert len(handed) == 3 * ex.levels
+            assert max(handed) <= 8
+        assert [_Walk(q, ex.masked(q.active), f * scale).shift for scale in (1.0, 1e144)] == [0, 8]
 
     def test_running_sums_are_exact(self):
         # Running terms (slot k counts at every level >= k) mixed with point terms
@@ -619,6 +621,84 @@ class TestLevelSupports:
                 )
                 assert sum(map(Fraction, parts)) == exact
                 assert math.fsum(parts) == float(exact)
+
+    def test_huge_f_on_a_lattice_ball_matches_the_per_level_oracle(self):
+        # f of magnitude 1e140 is inside the term bound; 1e145 and 1e150 are walked at
+        # a shift, and 1e154 has level sums past the float range.
+        ex = build_exhaustion(SquareLatticeGenerator(), "0,0", n_levels=60, plateau=2)
+        q = assemble(ex.graph, boundary=["60,0"], extra_killing={"0,0": 0.3})
+        mex = ex.masked(q.active)
+        f = random_function(np.random.default_rng(98), q.n) * q.active
+        assert q.n == 7813
+        for scale, shift in ((1e140, 0), (1e145, 11), (1e150, 27)):
+            assert _Walk(q, mex, f * scale).shift == shift
+            res = reflected_form(q, ex, f * scale)
+            main, grid = _per_level_oracle(q, mex, f * scale, None)
+            assert _hex(res.main_trace) == _hex(main)
+            assert [_hex(row) for row in res.killing_trace] == [_hex(row) for row in grid]
+            assert _hex([res.main_value, res.killing_value]) == _hex([main[-1], grid[-1][-1]])
+        with pytest.raises(OverflowError):
+            _per_level_oracle(q, mex, f * 1e154, None)
+        with pytest.raises(OverflowError, match="past the float range"):
+            reflected_form(q, ex, f * 1e154)
+
+    def test_shift_is_the_least_that_bounds_the_terms(self):
+        # One edge of weight b and f = (x, 0): the term bound 2 b x^2 is exact here, and
+        # the shift is the least k with 4^-k 2 b x^2 <= 2^960 and |2^-k x| < 2^511.
+        def shift(b, x):
+            g = WeightedGraph(["a", "b"], [1.0, 1.0], [0.0, 0.0], [("a", "b", b)])
+            return _Walk(assemble(g), Exhaustion.full(g), [x, 0.0]).shift
+
+        def least(b, x):
+            bound, k = 2 * Fraction(b) * Fraction(x) ** 2, 0
+            while bound / 4**k > 2**960 or abs(Fraction(x)) / 2**k >= 2**511:
+                k += 1
+            return k
+
+        cases = [(0.5, 2.0**480), (0.5, math.nextafter(2.0**480, math.inf)), (0.5, 0.0),
+                 (8e307, 1.0), (8e307, 1e10), (8e307, 1e-300), (1e-300, 1e200),
+                 (1e-300, 2.0**510), (0.25, 1e154), (3.0, -7e153)]
+        assert [shift(b, x) for b, x in cases] == [least(b, x) for b, x in cases]
+        assert [shift(b, x) for b, x in cases[:2]] == [0, 1]
+
+    def test_tiny_weights_with_huge_f(self):
+        # f^2 = 1e400 is past the float range while every term is not: the walk scales f
+        # so that phi f^2 stays finite, and the parts are the sums of the scaled terms.
+        g = WeightedGraph(["a", "b", "c"], [1.0] * 3, [0.0] * 3,
+                          [("a", "b", 1e-300), ("b", "c", 1e-300)])
+        q = assemble(g)
+        ex = Exhaustion(g, [np.array([0]), np.arange(3)],
+                        [np.array([1.0, 0.5, 0.0]), np.ones(3)])
+        f = np.array([1e200, 1e200, 0.0])
+        k = _Walk(q, ex, f).shift
+        assert k == 154
+        main, grid = _scaled_oracle(q, ex, f, None, k)
+        res = reflected_form(q, ex, f)
+        assert _hex(res.main_trace) == _hex(main)
+        assert [_hex(row) for row in res.killing_trace] == [_hex(row) for row in grid]
+        assert res.main_trace == pytest.approx([truncated_oracle(q, chi, f) for chi in ex.cutoffs])
+        assert res.reflected_value == pytest.approx(q.evaluate(f)) and res.converged
+
+    def test_subnormal_scaled_terms_next_to_huge_ones(self):
+        # At level 0 only c and d carry f, and their terms, ~1e-300 unscaled, are
+        # subnormal at the shift the huge terms of level 1 need: that level value is the
+        # scaled sum times 2^2k, rounded coarser than the whole-graph sum, while level 1
+        # is the whole-graph sum bit for bit.
+        g = make_path(4, 1.0)
+        q = assemble(g)
+        ex = Exhaustion(g, [np.array([2]), np.arange(4)],
+                        [np.array([0.0, 0.0, 1.0, 0.5]), np.ones(4)])
+        f = np.array([1e150, -1e150, 7e-151, 0.0])
+        k = _Walk(q, ex, f).shift
+        assert k == 20
+        res = reflected_form(q, ex, f)
+        want = _scaled_oracle(q, ex, f, None, k)
+        old = _per_level_oracle(q, ex, f, None)
+        assert (_hex(res.main_trace), [_hex(r) for r in res.killing_trace]) == (
+            _hex(want[0]), [_hex(r) for r in want[1]])
+        assert res.main_trace[1] == old[0][1] and res.killing_trace[0][1] == old[1][0][1]
+        assert 0.0 < res.main_trace[0] != old[0][0]
+        assert res.main_trace[0] == pytest.approx(old[0][0], rel=1e-9)
 
     def test_decreasing_hand_built_cutoffs_do_not_converge(self):
         # The last level of a decreasing exhaustion is no supremum: here T = 5 at
@@ -688,6 +768,31 @@ class TestLevelSupports:
             for ex in (Exhaustion.full(g), ball_exhaustion(g, "a", n_levels=2, plateau=1)):
                 assert math.isnan(reflected_form(q, ex, f).reflected_value)
 
+    @pytest.mark.parametrize("weight", [math.inf, math.nan])
+    def test_non_finite_weight_gives_nan_never_converged(self, weight):
+        ids = [f"v{i}" for i in range(6)]
+        edges = [(ids[i], ids[i + 1], weight if i == 2 else 1.0) for i in range(5)]
+        g = WeightedGraph(ids, [1.0] * 6, [0.0] * 6, edges)
+        q, f = assemble(g), np.arange(6.0)
+        for ex in (Exhaustion.full(g), ball_exhaustion(g, "v0", n_levels=3, plateau=1)):
+            res = reflected_form(q, ex, f, clamp_levels=[2.0, 5.0])
+            values = [res.main_value, res.killing_value, *res.main_trace,
+                      *(v for row in res.killing_trace for v in row)]
+            assert len(values) == 2 + 3 * ex.levels and all(map(math.isnan, values))
+            assert not res.converged
+            assert not main_part(q, ex, f).converged and not killing_part(q, ex, f).converged
+
+    def test_infinite_weight_is_nan_at_every_level(self):
+        # The whole-graph sums gave T = inf - (-inf) = inf at level 0 here, NaN at level 1.
+        g = WeightedGraph(["a", "b", "c"], [1.0] * 3, [0.0] * 3,
+                          [("a", "b", math.inf), ("b", "c", 1.0)])
+        q, f = assemble(g), np.array([1.0, 0.0, 0.0])
+        ex = Exhaustion(g, [np.array([1]), np.arange(3)], [np.array([0.5, 1.0, 0.0]), np.ones(3)])
+        assert _per_level_oracle(q, ex, f, None)[0][0] == math.inf
+        res = reflected_form(q, ex, f)
+        assert all(map(math.isnan, res.main_trace + res.killing_trace[0]))
+        assert not res.converged
+
     def test_killing_part_range_checks_cutoffs(self):
         q = assemble(make_path(3, 1.0))
         ex = Exhaustion(q.graph, [np.array([1])], [np.array([0.0, 1.5, 0.0])])
@@ -709,14 +814,32 @@ def _per_level_oracle(q, mex, f, clamp_levels):
     return main, grid
 
 
+def _scaled_oracle(q, mex, f, clamp_levels, k):
+    """``_per_level_oracle`` on 2^-k f and its clamp levels, each value times 2^2k (inf
+    past the float range)."""
+    levels = None if clamp_levels is None else list(np.ldexp(clamp_levels, -k))
+    main, grid = _per_level_oracle(q, mex, np.ldexp(f, -k), levels)
+    with np.errstate(over="ignore"):
+        return np.ldexp(main, 2 * k).tolist(), np.ldexp(grid, 2 * k).tolist()
+
+
+def _far_from_subnormal(mex, f, clamp_levels, k):
+    """Whether every nonzero value of 2^-k f, its clamp levels and the cutoffs is at
+    least 2^-200: with nonzero weights of at least 2^-10, no term, intermediate result
+    or level value formed from 2^-k f is then subnormal."""
+    scaled = np.ldexp(np.concatenate([f, clamp_levels or []]), -k)
+    values = np.abs(np.concatenate([scaled, *mex.cutoffs]))
+    return bool((values[values != 0.0] >= 2.0**-200).all())
+
+
 _WEIGHTS = st.sampled_from([0.0, 0.25, 1.0, 3.0, 1e-3, 7.5e5])
 
 
 @st.composite
 def walk_cases(draw):
     """(form, exhaustion, f, clamp ladder): a random graph with killing, couplings, extra
-    killing and a Dirichlet mask, ball or explicit (not nested) cutoffs, and a ladder
-    that may stop below max|f|."""
+    killing and a Dirichlet mask, ball or explicit (not nested) cutoffs, f times a power
+    of two from 2^-600 to 2^600, and a ladder that may stop below max|f|."""
     n = draw(st.integers(2, 10))
     ids = [f"v{i}" for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -740,6 +863,8 @@ def walk_cases(draw):
         ex = Exhaustion(g, [np.flatnonzero(chi == 1.0) for chi in cutoffs], cutoffs)
     f = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-4.0, 4.0),
                                min_size=n, max_size=n))) * q.active
+    # Scales near 2^480 and up take a shift, and some level sums pass the float range.
+    f = np.ldexp(f, draw(st.just(0) | st.integers(-600, 600) | st.integers(470, 520)))
     clamp_levels = draw(st.none() | st.lists(st.floats(0.05, 5.0), min_size=1, max_size=3).map(sorted))
     return q, ex, f, clamp_levels
 
@@ -750,16 +875,25 @@ class TestRowTable:
     @settings(max_examples=120)
     @given(walk_cases(), st.sampled_from([1, 2, 5, 2**17]))
     def test_parts_match_the_per_level_oracle(self, case, block):
+        # The walk's level values are those of the oracle on 2^-k f, scaled back, and a
+        # level sum past the float range raises, as the oracle's fsum does.  They are the
+        # oracle's on f where nothing is subnormal, except that the oracle also raises
+        # where a product such as c (f(x) f(x)) overflows though its level sum does not.
         q, ex, f, clamp_levels = case
         mex = ex.masked(q.active)
-        main, grid = _per_level_oracle(q, mex, f, clamp_levels)
-        want = _hex(main), [_hex(row) for row in grid]
+        k = _Walk(q, mex, f).shift
+        old = _outcome(_per_level_oracle, q, mex, f, clamp_levels)
         with mock.patch.object(reflection, "_BLOCK_ROWS", block):
-            assert _Walk(q, mex, f).fast
-            res = reflected_form(q, ex, f, clamp_levels=clamp_levels)
-            alone = main_part(q, mex, f), killing_part(q, mex, f, clamp_levels=clamp_levels)
-        assert (_hex(res.main_trace), [_hex(row) for row in res.killing_trace]) == want
-        assert (_hex(alone[0].trace), [_hex(row) for row in alone[1].trace]) == want
+            got = _outcome(_new_traces, q, ex, f, clamp_levels)
+            alone = _outcome(lambda: (main_part(q, mex, f).trace,
+                                      killing_part(q, mex, f, clamp_levels=clamp_levels).trace))
+        assert alone == got
+        if got is OverflowError:
+            assert k > 0 and old is OverflowError
+        else:
+            assert got == _outcome(_scaled_oracle, q, mex, f, clamp_levels, k)
+        if k == 0 or _far_from_subnormal(mex, f, clamp_levels, k):
+            assert got == old or (k > 0 and old is OverflowError)
 
     def test_blocks_split_the_rows(self, monkeypatch):
         ex = build_exhaustion(SquareLatticeGenerator(c=0.1), "0,0", n_levels=4, plateau=2)
