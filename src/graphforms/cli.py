@@ -95,7 +95,8 @@ def _cmd_decompose(args) -> int:
     g = _load_graph_arg(args.graph)
     f = json.loads(_read_text(args.f))
     if not isinstance(f, list) or not all(
-            isinstance(x, (int, float)) and abs(x) <= sys.float_info.max for x in f):
+            isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max for x in f):
         raise ValueError(f"--f must be a JSON array of finite numbers: {args.f}")
     f = np.asarray(f, dtype=float)
     q = assemble(g, boundary=_boundary_list(args.boundary))

@@ -10,7 +10,9 @@ is nonzero off the active set yields the sentinel OUT_OF_DOMAIN (infinity)
 rather than an exception, so suprema and limits propagate it naturally.
 
 All energy sums are exactly-rounded (math.fsum), which is what makes the
-1e-12-level oracle comparisons in the test suite meaningful.
+1e-12-level oracle comparisons in the test suite meaningful.  Energies, truncated
+forms and the level walk share this module's term kernel (``energy_terms``), its
+finite-weights flag and power-of-two shift, and one overflow rule (``exact_sums``).
 """
 
 from __future__ import annotations
@@ -107,48 +109,63 @@ class GraphForm:
         """Read-only pair table (ends, w), built on first use: the (2, P) int endpoints and
         the weights of the terms w (f(u) - f(v))^2.  Rows are the graph's edges in stored
         order, w = 2b (inf for b > 8.99e307), then the couplings in order; energies,
-        stiffness assembly and the level walk read it, and their floats rely on that order."""
+        stiffness assembly and the level walk read it; stiffness floats rely on that order."""
         g, cps = self.graph, self.couplings
         coupled = np.array([(cp.u, cp.v) for cp in cps], dtype=int).reshape(-1, 2).T
         with np.errstate(over="ignore"):
             w = np.concatenate((2.0 * g.edge_b, [cp.w for cp in cps]))
         return _freeze((np.concatenate((np.stack((g.edge_u, g.edge_v)), coupled), axis=1), w))
 
+    @cached_property
+    def finite(self) -> bool:
+        """Whether every pair-table weight and total killing is finite (else energies are NaN)."""
+        return bool(np.isfinite(self.pairs[1]).all() and np.isfinite(self.c_total).all())
+
     def in_domain(self, f: np.ndarray) -> bool:
         return bool(np.all(f[~self.active] == 0.0))
 
-    def _terms(self, f, g):
-        """Nonzero ordered-pair terms of Q(f, g), edges, then vertices, then couplings
-        (fsum's OverflowError depends on the order); exact zeros cannot change an fsum.
+    def shift(self, f) -> int:
+        """The smallest k >= 0 with |2^-k f| < 2^511, so that no product f(x) f(y)
+        overflows, and a term bound sum |w| (|f(u)| + |f(v)|)^2 + sum |c| f^2 of 2^-k f
+        of at most 2^_TERM_BITS, summed over f and the finite weights scaled below 1."""
+        (ends, w), c = self.pairs, self.c_total
+        e = int(np.frexp(np.abs(f).max())[1])  # |f| < 2^e
+        ew = int(np.frexp(max(np.abs(w).max(initial=0.0), np.abs(c).max()))[1])
+        g, w, c = np.ldexp(f, -e), np.ldexp(np.abs(w), -ew), np.ldexp(np.abs(c), -ew)
+        s = np.abs(g[ends]).sum(axis=0)
+        bound = float(np.sum(w * s * s) + np.sum(c * g * g))
+        m, t = math.frexp(bound)
+        p = t - (m == 0.5) + ew + 2 * e if bound else 0  # the bound of f is at most 2^p
+        return max(0, e - 511, (p - _TERM_BITS + 1) // 2)  # 2^(p - 2k) <= 2^_TERM_BITS
 
-        An infinite weight times a zero difference or value is a NaN term, on
-        purpose and without a warning, so a non-finite weight gives a NaN energy.
-        With finite weights, a term that overflows raises OverflowError, as an fsum
-        past the float range does; a term with a zero factor is zero even where the
-        product of the others overflows.
-        """
-        (u, v), w = self.pairs
-        e, c = len(self.graph.edge_b), self.c_total
-        with np.errstate(over="ignore", invalid="ignore"):
-            du = f[u] - f[v]
-            dv = du if g is f else g[u] - g[v]
-            pair = (w * du) * dv
-            terms = np.concatenate((pair[:e], c * (f * g), pair[e:]))
-        bad = ~np.isfinite(terms)
-        if bad.any() and np.isfinite(w).all() and np.isfinite(c).all():
-            zero = (w == 0.0) | (du == 0.0) | (dv == 0.0)
-            zero = np.concatenate((zero[:e], (c == 0.0) | (f == 0.0) | (g == 0.0), zero[e:]))
-            if (bad & ~zero).any():
-                raise OverflowError("an energy term is past the float range")
-            terms[bad] = 0.0
-        return terms[terms != 0.0].tolist()
+    def exact_sums(self, f, g, operands=lambda a, b: [(a, b)]) -> list:
+        """The sums Q(a, b) of the pairs (a, b) in ``operands(f, g)``, each product a b one
+        factor of f times one of g, by one rule: all NaN unless the form is ``finite``;
+        else the correctly rounded sums of the terms at k = 0 if every term and fsum is
+        finite there, else those of ``operands(2^-k_f f, 2^-k_g g)``, k = ``shift``, times
+        2^(k_f + k_g), with OverflowError where a value is past the float range."""
+        with np.errstate(over="ignore", invalid="ignore"):  # the k = 0 attempt may overflow
+            sums = [_fsum(self._terms(a, b)) for a, b in operands(f, g)]
+        if not self.finite:
+            return [math.nan] * len(sums)
+        if all(map(math.isfinite, sums)):
+            return sums
+        kf = self.shift(f)
+        kg = kf if g is f else self.shift(g)
+        fk = np.ldexp(f, -kf)
+        gk = fk if g is f else np.ldexp(g, -kg)
+        return [unscale(_fsum(self._terms(a, b)), kf + kg) for a, b in operands(fk, gk)]
+
+    def _terms(self, a, b) -> np.ndarray:
+        """``energy_terms`` of Q(a, b) on the whole pair table and every vertex."""
+        ends, w = self.pairs
+        a_p = a[ends]
+        return energy_terms(a_p, a_p if b is a else b[ends], w, a, b, self.c_total)
 
     def evaluate(self, f) -> float:
         """Energy Q(f); OUT_OF_DOMAIN when f is nonzero off the active set."""
         f = as_function(self.graph, f)
-        if not self.in_domain(f):
-            return OUT_OF_DOMAIN
-        return math.fsum(self._terms(f, f))
+        return self.exact_sums(f, f)[0] if self.in_domain(f) else OUT_OF_DOMAIN
 
     def bilinear(self, f, g) -> float:
         """Symmetric bilinear value Q(f, g); equals evaluate on the diagonal.
@@ -160,7 +177,46 @@ class GraphForm:
         g = as_function(self.graph, g)
         if not self.in_domain(f) or not self.in_domain(g):
             return OUT_OF_DOMAIN
-        return math.fsum(self._terms(f, g))
+        return self.exact_sums(f, g)[0]
+
+
+#: ``GraphForm.shift`` scales f until the absolute terms of Q(f) sum to at most 2 to this
+#: power, so that no partial sum of fsum or of the level walk's extraction can overflow.
+_TERM_BITS = 960
+
+
+def energy_terms(a_p, b_p, w, a_x, b_x, c) -> np.ndarray:
+    """The terms of Q(a, b) in one new array, written in place: (w (a_0 - a_1)) (b_0 - b_1)
+    per pair-table row, whose endpoints are rows 0 and 1 of ``a_p`` and ``b_p``, then
+    c (a b) per vertex.  ``b_p`` given as ``a_p`` itself reuses the differences."""
+    rp = len(w)
+    terms = np.empty(rp + len(c))
+    tp, tx = terms[:rp], terms[rp:]
+    d = np.subtract(a_p[0], a_p[1])
+    np.multiply(w, d, out=tp)
+    if b_p is not a_p:
+        np.subtract(b_p[0], b_p[1], out=d)
+    tp *= d
+    np.multiply(a_x, b_x, out=tx)
+    tx *= c
+    return terms
+
+
+def unscale(total: float, k: int) -> float:
+    """2^k total; OverflowError where that is past the float range."""
+    try:
+        return math.ldexp(total, k)
+    except OverflowError:
+        raise OverflowError("an energy term is past the float range") from None
+
+
+def _fsum(terms: np.ndarray) -> float:
+    """The correctly rounded sum of the nonzero terms; not finite where a term or a
+    partial sum is not."""
+    try:
+        return math.fsum(terms[terms != 0.0].tolist())
+    except (OverflowError, ValueError):  # a partial sum past the range, or inf - inf
+        return math.inf
 
 
 def assemble(

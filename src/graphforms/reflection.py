@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forms import GraphForm, as_function, increments_settled
+from .forms import GraphForm, as_function, energy_terms, increments_settled, unscale
 from .graph import Exhaustion, WeightedGraph
 
 
@@ -44,15 +44,18 @@ def _check_cutoff(q: GraphForm, phi) -> np.ndarray:
 
 
 def _truncated(q: GraphForm, phi: np.ndarray, f: np.ndarray) -> tuple:
-    """(Q(phi f), T_phi(f)) for a checked cutoff and function.
+    """(Q(phi f), T_phi(f)) for a checked cutoff and function, from the exact sums
+    Q(phi f) and Q(phi f^2, phi) (``GraphForm.exact_sums``).
 
     phi f lies in the domain, because phi does.
     """
-    pf = phi * f
-    energy = math.fsum(q._terms(pf, pf))
-    with np.errstate(over="ignore"):  # an infinite phi f^2 makes _terms raise
-        pf2 = pf * f
-    return energy, energy - math.fsum(q._terms(pf2, phi))
+
+    def operands(h, _):
+        ph = phi * h
+        return [(ph, ph), (ph * h, phi)]
+
+    energy, second = q.exact_sums(f, f, operands)
+    return energy, energy - second
 
 
 def truncated_form(q: GraphForm, phi, f) -> TruncatedFormValue:
@@ -87,10 +90,6 @@ def truncated_oracle(q: GraphForm, phi, f) -> float:
 # Level walk
 # ---------------------------------------------------------------------------
 
-#: The walk scales f until the absolute terms of every level sum to at most 2 to
-#: this power, so that no partial sum of fsum or of the extraction below can overflow.
-_TERM_BITS = 960
-
 #: Rows per block of a level sum.  A block's terms are formed and extracted on
 #: their own, so a sum's temporaries stay near 10 MB at any size; a ball of
 #: n = 9941 vertices has ~77 000 rows, one block.
@@ -109,46 +108,6 @@ def _spans(begin: np.ndarray, end: np.ndarray) -> tuple:
     span = end - begin
     index = np.repeat(np.arange(len(span)), span)
     return index, np.arange(len(index)) - np.repeat(np.cumsum(span) - span - begin, span)
-
-
-def _energy_terms(phi_p, h_p, w, phi_x, h_x, c, with_energy: bool) -> list:
-    """Terms of Q(phi h), unless ``with_energy`` is False, and of Q(phi h^2, phi),
-    each sum in one new array: pairs first, then vertices.
-
-    Rows 0 and 1 of ``phi_p`` and ``h_p`` hold the two endpoints of each pair
-    (edge, with w = 2 b, or coupling).  Every term is formed in the order
-    ``GraphForm._terms`` forms it: ``(w * d) * d`` and ``c * (pfx * pfx)`` for
-    Q(phi h), with pf = phi h and d = pf_0 - pf_1, then ``(w * ((pf h)_0 - (pf h)_1))
-    * (phi_0 - phi_1)`` and ``c * ((pfx * h_x) * phi_x)`` for Q(phi h^2, phi).  The
-    products are written in place into the output, their two operands swapped at
-    most, so each term is the same float.  The inputs are not written to.
-    """
-    rp = len(w)
-    pf = phi_p * h_p
-    pfx = phi_x * h_x
-    d = np.empty(rp)
-    out = []
-    if with_energy:
-        terms = np.empty(rp + len(c))
-        tp, tx = terms[:rp], terms[rp:]
-        np.subtract(pf[0], pf[1], out=d)
-        np.multiply(w, d, out=tp)
-        tp *= d
-        np.multiply(pfx, pfx, out=tx)
-        tx *= c
-        out.append(terms)
-    pf *= h_p  # phi h^2
-    terms = np.empty(rp + len(c))
-    tp, tx = terms[:rp], terms[rp:]
-    np.subtract(pf[0], pf[1], out=tp)
-    tp *= w
-    np.subtract(phi_p[0], phi_p[1], out=d)
-    tp *= d
-    np.multiply(pfx, h_x, out=tx)
-    tx *= phi_x
-    tx *= c
-    out.append(terms)
-    return out
 
 
 def _running_sums(terms: np.ndarray, slot: np.ndarray, n_levels: int) -> list:
@@ -214,13 +173,13 @@ class _Walk:
     into a row table (``blocks``) that the sums of both parts share.
 
     Every term is a product of two factors of f, so the terms are formed from 2^-k
-    f, k = ``shift`` (0 unless f is huge): each level sum is the correctly rounded
-    sum of those terms, times 2^2k.  That is the float the whole graph's sum gives
-    whenever no scaled term or intermediate result is subnormal.  A level sum past
-    the float range raises OverflowError; with a non-finite weight (``finite``
-    False) no rows are built and every level sum is NaN.  ``monotone`` is False
-    when explicit cutoffs decrease somewhere; the last level is then no supremum,
-    and neither part reports convergence.
+    f, k = ``GraphForm.shift`` (0 unless f is huge), taken up front: each level sum
+    is the correctly rounded sum of those terms, times 2^2k.  That is the float the
+    whole graph's sum gives whenever no scaled term or intermediate result is
+    subnormal.  A level sum past the float range raises OverflowError; with a
+    non-finite weight (``GraphForm.finite``) no rows are built and every level sum
+    is NaN.  ``monotone`` is False when explicit cutoffs decrease somewhere; the
+    last level is then no supremum, and neither part reports convergence.
     """
 
     def __init__(self, q: GraphForm, ex: Exhaustion, f):
@@ -235,24 +194,9 @@ class _Walk:
         for chi in levels.arrays:
             _check_cutoff(q, chi)
         self.saturated = bool(np.all(levels.cutoff(self.levels - 1)[q.active] == 1.0))
-        self.finite = bool(np.isfinite(q.pairs[1]).all() and np.isfinite(q.c_total).all())
-        self.shift = self._shift() if self.finite else 0
-        if self.finite:
+        self.shift = q.shift(self.f) if q.finite else 0
+        if q.finite:
             self._rows(enter, freeze, levels.values)
-
-    def _shift(self) -> int:
-        """The smallest k >= 0 with |2^-k f| < 2^511, so that no product f(x) f(y)
-        overflows, and a term bound sum |w| (|f(u)| + |f(v)|)^2 + sum |c| f^2 of 2^-k f
-        of at most 2^_TERM_BITS, summed over f and the weights scaled below 1."""
-        (ends, w), c = self.q.pairs, self.q.c_total
-        e = int(np.frexp(np.abs(self.f).max())[1])  # |f| < 2^e
-        ew = int(np.frexp(max(np.abs(w).max(initial=0.0), np.abs(c).max()))[1])
-        g, w, c = np.ldexp(self.f, -e), np.ldexp(np.abs(w), -ew), np.ldexp(np.abs(c), -ew)
-        s = np.abs(g[ends]).sum(axis=0)
-        bound = float(np.sum(w * s * s) + np.sum(c * g * g))
-        m, t = math.frexp(bound)
-        p = t - (m == 0.5) + ew + 2 * e if bound else 0  # the bound of f is at most 2^p
-        return max(0, e - 511, (p - _TERM_BITS + 1) // 2)  # 2^(p - 2k) <= 2^_TERM_BITS
 
     def _rows(self, enter, freeze, values) -> None:
         """Set up the row table: the rows of each pair and vertex, from its entry to
@@ -285,6 +229,8 @@ class _Walk:
                                      wv, values(lv[bv], wv), f[wv], q.c_total[wv], slot))
 
     def _terms(self, rows: _Rows, h, killing, with_energy) -> list:
+        """``energy_terms`` of Q(phi h), unless ``with_energy`` is False, and of
+        Q(phi h^2, phi) on a block's rows; the row table is not written to."""
         if h is self.f:
             h_p, h_x = rows.f_p, rows.f_x
         else:  # a clamped f, scaled
@@ -294,7 +240,12 @@ class _Walk:
             phi_x, h_x = self.full[rows.verts], rows.chi_x * h_x
         else:
             phi_p, phi_x = rows.chi_p, rows.chi_x
-        return _energy_terms(phi_p, h_p, rows.w, phi_x, h_x, rows.c, with_energy)
+        pf, pfx = phi_p * h_p, phi_x * h_x
+        out = [energy_terms(pf, pf, rows.w, pfx, pfx, rows.c)] if with_energy else []
+        pf *= h_p  # phi h^2
+        pfx *= h_x
+        out.append(energy_terms(pf, phi_p, rows.w, pfx, phi_x, rows.c))
+        return out
 
     def level_sums(self, h: np.ndarray, killing: bool, energy=None) -> list:
         """Per level l, the exact sums (Q(chi_l h), Q(chi_l h^2, chi_l)) for the main
@@ -303,7 +254,7 @@ class _Walk:
         only the second are evaluated.  Each block's terms are extracted on their own,
         and each level sum is one fsum over the floats of every block, times 2^2k.
         """
-        if not self.finite:
+        if not self.q.finite:
             return [(math.nan, math.nan)] * self.levels
         parts = None
         for rows in self.blocks:
@@ -312,11 +263,7 @@ class _Walk:
             parts = got if parts is None else [
                 [a + b for a, b in zip(old, new)] for old, new in zip(parts, got)
             ]
-        with np.errstate(over="ignore"):  # each fsum is finite: inf is a sum past the range
-            sums = np.ldexp([[math.fsum(v) for v in level] for level in parts], 2 * self.shift)
-        if np.isinf(sums).any():
-            raise OverflowError("an energy term is past the float range")
-        sums = sums.tolist()
+        sums = [[unscale(math.fsum(v), 2 * self.shift) for v in level] for level in parts]
         if energy is not None:
             sums.insert(0, energy)
         return list(zip(*sums))

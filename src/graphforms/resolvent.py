@@ -154,14 +154,6 @@ class GeneratorOperator:
         W.eliminate_zeros()
         return _freeze((K.diagonal(), W, abs(W) @ np.ones(self.dim)))
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """L f = M^{-1} K f on active coordinates."""
-        return (self.stiffness @ f) / self.mass
-
-    def energy(self, f: np.ndarray, g: np.ndarray) -> float:
-        """<L f, g>_m = f^T K g."""
-        return float(f @ (self.stiffness @ g))
-
     def norm_estimate(self) -> float:
         """Gershgorin bound max_i sum_j |K_ij| / m_i >= spectral radius of L; inf or NaN
         for a non-finite weight."""

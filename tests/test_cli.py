@@ -284,6 +284,7 @@ class TestMalformedF:
     @pytest.mark.parametrize("value", [
         {"a": 1}, [1, 2, 3, 4, {"b": 2}], "abc", [1, [2, 3], 3, 4, 5], 5, None,
         [1, 2, 3, 4, 10**400], [1, 2, 3, 4, math.nan], [-math.inf, 2, 3, 4, 5],
+        [True, False, 1, 0, 1], [1.0, 2.0, 3.0, 4.0, False],
     ])
     def test_exit_two_with_one_error_line(self, value, tmp_path, capsys):
         g, f = tmp_path / "path.json", tmp_path / "f.json"

@@ -1,13 +1,18 @@
 """Energy evaluation, bilinear values, contractions, parallelogram law."""
 
 import math
+import sys
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphforms import (
     OUT_OF_DOMAIN,
+    Exhaustion,
     GraphForm,
     ResolventHandle,
     WeightedGraph,
@@ -19,9 +24,12 @@ from graphforms import (
     compose,
     contraction_catalog,
     identity,
+    main_part,
     make_path,
     positive_part,
+    reflected_form,
     single_vertex,
+    truncated_form,
 )
 from graphforms.corpus import (
     form_corpus,
@@ -256,14 +264,100 @@ class TestPairTable:
         assert walk.blocks[0].w.tobytes() == walk4.blocks[0].w.tobytes()
         assert reflected_form(q, ex, f).to_dict() == reflected_form(q4, ex, f).to_dict()
 
-    def test_terms_keep_edges_vertices_couplings_order(self):
+    def test_either_term_order_gives_the_exact_sum(self):
         """fsum's overflow depends on the order of its terms: p, p, -p overflows a
-        partial sum, while p, -p, p does not."""
-        q, f, g = _far_apart(-1.0)  # p, -p, p
-        assert q.bilinear(f, g) == 1e154 * 1e154
-        q, f, g = _far_apart(1.0)  # p, p, -p
-        with pytest.raises(OverflowError):
-            q.bilinear(f, g)
+        partial sum, while p, -p, p does not.  Both give the exact sum p, since an
+        overflowing fsum is summed again at a power-of-two shift."""
+        for sign in (-1.0, 1.0):
+            q, f, g = _far_apart(sign)
+            assert q.bilinear(f, g) == 1e154 * 1e154
+
+
+def _exact_terms(q, f, g) -> list:
+    """Every summand of Q(f, g) as an exact rational, from the graph data."""
+    gph, F, G = q.graph, [Fraction(x) for x in f], [Fraction(x) for x in g]
+    terms = [2 * Fraction(b) * (F[u] - F[v]) * (G[u] - G[v])
+             for u, v, b in zip(gph.edge_u, gph.edge_v, gph.edge_b)]
+    terms.extend(Fraction(c) * F[x] * G[x] for x, c in enumerate(q.c_total))
+    terms.extend(Fraction(cp.w) * (F[cp.u] - F[cp.v]) * (G[cp.u] - G[cp.v]) for cp in q.couplings)
+    return terms
+
+
+def _weights_times(q, scale):
+    g = q.graph
+    edges = [(g.ids[u], g.ids[v], b * scale) for u, v, b in zip(g.edge_u, g.edge_v, g.edge_b)]
+    return GraphForm(WeightedGraph(g.ids, g.m, g.c * scale, edges), q.active,
+                     q.killing_extra * scale)
+
+
+# Corpus forms, and the same forms with weights times 2^-12: with those, a product such
+# as f(x)^2 may pass the float range where the energy does not.
+_RULE_CORPUS = [r for q, _ in form_corpus(42, 10, n_min=2, n_max=12)
+                for r in (q, _weights_times(q, 2.0**-12))]
+
+
+@st.composite
+def scaled_cases(draw):
+    """A corpus form, two functions in its domain, each times its own power of two from
+    2^-300 to 2^540, and a cutoff in its domain.  Nonzero values are at least 2^-20 before
+    scaling, so that no term underflows: each term is then its exact value rounded."""
+    q = draw(st.sampled_from(_RULE_CORPUS))
+
+    def values(elements):
+        return np.array(draw(st.lists(elements, min_size=q.n, max_size=q.n))) * q.active
+
+    def function():
+        f = values(st.sampled_from([0.0, 0.5, 1.0, -2.5]) | st.floats(2.0**-20, 4.0)
+                   | st.floats(-4.0, -(2.0**-20)))
+        return np.ldexp(f, draw(st.integers(-300, 540) | st.integers(505, 515)))
+
+    return q, function(), function(), values(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+
+
+class TestOneOverflowRule:
+    """Energies, bilinear values and truncated forms: NaN for a non-finite weight, else
+    the exact term sum correctly rounded, and OverflowError only past the float range."""
+
+    @staticmethod
+    def _check(value, terms):
+        exact, size = sum(terms, Fraction(0)), sum(map(abs, terms), Fraction(0))
+        tol = size * Fraction(1, 10**12)  # |exact| itself for Q(f), whose terms are >= 0
+        if abs(exact) - tol > 2**1024:
+            assert value is OverflowError
+        elif abs(exact) + tol < sys.float_info.max or value is not OverflowError:
+            assert value is not OverflowError and abs(Fraction(value) - exact) <= tol
+
+    @settings(max_examples=150)
+    @given(scaled_cases())
+    def test_exact_sums_and_truncated_forms(self, case):
+        q, f, g, phi = case
+
+        def outcome(call):
+            try:
+                return call()
+            except OverflowError:
+                return OverflowError
+
+        self._check(outcome(lambda: q.evaluate(f)), _exact_terms(q, f, f))
+        self._check(outcome(lambda: q.bilinear(f, g)), _exact_terms(q, f, g))
+        one_level = Exhaustion(q.graph, [np.flatnonzero(phi == 1.0)], [phi])
+        truncated = outcome(lambda: truncated_form(q, phi, f).value)
+        walked = outcome(lambda: main_part(q, one_level, f).value)
+        assert truncated is walked is OverflowError or truncated.hex() == walked.hex()
+
+    def test_motivating_inputs(self):
+        # A product f(x)^2 past the float range, where the energy 2^1022 is not.
+        q = assemble(single_vertex(1.0, 0.25))
+        assert q.evaluate([2.0**512]) == 2.0**1022
+        assert reflected_form(q, Exhaustion.full(q.graph), [2.0**512]).killing_value == 2.0**1022
+        # An infinite weight: the energy is NaN, as its main and killing parts are.
+        g = WeightedGraph(["a", "b", "c"], [1.0] * 3, [0.0] * 3,
+                          [("a", "b", math.inf), ("b", "c", 1.0)])
+        q, f = assemble(g), np.array([1.0, 0.0, 0.0])
+        res = reflected_form(q, Exhaustion.full(g), f)
+        assert all(map(math.isnan, [q.evaluate(f), q.bilinear(f, f), res.main_value,
+                                    res.killing_value]))
+        # The third, terms whose fsum overflows in one order, is TestPairTable's.
 
 
 class TestContractions:

@@ -783,12 +783,13 @@ class TestLevelSupports:
             assert not main_part(q, ex, f).converged and not killing_part(q, ex, f).converged
 
     def test_infinite_weight_is_nan_at_every_level(self):
-        # The whole-graph sums gave T = inf - (-inf) = inf at level 0 here, NaN at level 1.
+        # The term sums would give T = inf - (-inf) = inf at level 0 here, NaN at level 1;
+        # the whole-graph sums are NaN at both levels, as the walk's are.
         g = WeightedGraph(["a", "b", "c"], [1.0] * 3, [0.0] * 3,
                           [("a", "b", math.inf), ("b", "c", 1.0)])
         q, f = assemble(g), np.array([1.0, 0.0, 0.0])
         ex = Exhaustion(g, [np.array([1]), np.arange(3)], [np.array([0.5, 1.0, 0.0]), np.ones(3)])
-        assert _per_level_oracle(q, ex, f, None)[0][0] == math.inf
+        assert math.isnan(_per_level_oracle(q, ex, f, None)[0][0])
         res = reflected_form(q, ex, f)
         assert all(map(math.isnan, res.main_trace + res.killing_trace[0]))
         assert not res.converged

@@ -376,7 +376,8 @@ class TestGeneratorOperator:
             g = np.zeros(q.n)
             f[idx] = rng.uniform(-1, 1, gen.dim)
             g[idx] = rng.uniform(-1, 1, gen.dim)
-            assert gen.energy(f[idx], g[idx]) == pytest.approx(q.bilinear(f, g), rel=1e-10, abs=1e-10)
+            energy = float(f[idx] @ (gen.stiffness @ g[idx]))  # <L f, g>_m = f^T K g
+            assert energy == pytest.approx(q.bilinear(f, g), rel=1e-10, abs=1e-10)
 
     def test_symmetry_and_psd(self):
         rng = np.random.default_rng(2)
@@ -385,7 +386,7 @@ class TestGeneratorOperator:
         for _ in range(10):
             f = rng.uniform(-1, 1, gen.dim)
             g = rng.uniform(-1, 1, gen.dim)
-            lf, lg = gen.apply(f), gen.apply(g)
+            lf, lg = (gen.stiffness @ f) / gen.mass, (gen.stiffness @ g) / gen.mass  # L = M^-1 K
             a = float(np.sum(gen.mass * lf * g))
             b = float(np.sum(gen.mass * f * lg))
             assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
