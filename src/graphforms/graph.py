@@ -384,7 +384,10 @@ class _IntegerGrid:
         first reached from its neighbour one step nearer the root in its last
         nonzero coordinate, and ordering points by that neighbour and then by the
         step is this order; ``TestIndexBall`` checks it against ``_bfs_ball`` up
-        to radius 304.  The root and radius must already be checked.
+        to radius 304.  The sort key is one int64 per point, with the distance,
+        then per coordinate the sign class and radius - |x_i - root_i|, as digits
+        of bases 3 and radius + 1: distinct points have distinct keys, so one
+        ``argsort`` gives the order.  The root and radius must already be checked.
         """
         origin = np.array([int(t) for t in root.split(",")])
         dim = len(origin)
@@ -392,10 +395,10 @@ class _IntegerGrid:
         offsets = np.indices((2 * radius + 1,) * dim).reshape(dim, -1).T - radius
         dist = np.abs(offsets).sum(axis=1)
         offsets, dist = offsets[dist <= radius], dist[dist <= radius]
-        keys = [dist]
+        key = dist
         for x in offsets.T:
-            keys += [2 * (x == 0) + (x > 0), -np.abs(x)]
-        order = np.lexsort(keys[::-1])
+            key = (3 * key + 2 * (x == 0) + (x > 0)) * (radius + 1) + radius - np.abs(x)
+        order = np.argsort(key)
         return origin, offsets[order], dist[order]
 
     @staticmethod

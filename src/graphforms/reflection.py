@@ -104,10 +104,12 @@ def _check_truncation(q: GraphForm, ex: Exhaustion) -> None:
 
 
 def _spans(begin: np.ndarray, end: np.ndarray) -> tuple:
-    """(index, level) rows with begin[index] <= level < end[index]."""
+    """(index, level) rows with begin[index] <= level < end[index], and the position
+    of each span's last row; every span must be nonempty."""
     span = end - begin
+    stop = np.cumsum(span)
     index = np.repeat(np.arange(len(span)), span)
-    return index, np.arange(len(index)) - np.repeat(np.cumsum(span) - span - begin, span)
+    return index, np.arange(len(index)) - np.repeat(stop - span - begin, span), stop - 1
 
 
 def _running_sums(terms: np.ndarray, slot: np.ndarray, n_levels: int) -> list:
@@ -121,20 +123,25 @@ def _running_sums(terms: np.ndarray, slot: np.ndarray, n_levels: int) -> list:
     every sum of q's is exact, in any order.  A round thus yields one exact sum
     per level and leaves remainders of at most 2^-53 sigma.  At sigma = 2^-1022
     the grid is the subnormal spacing, so that round takes everything.
+
+    ``bits`` comes from len(terms), zeros included: a zero adds an exact zero to
+    every sum, so the bound holds however many of the remaining values are zero.
+    The zeros and their slots are dropped only once they are at least half of
+    what remains, since a drop copies the rest: the first round of a sum with
+    few zero terms would copy every term and drop none.
     """
-    keep = terms != 0.0
-    x, slot = terms[keep], slot[keep]
-    bits = len(x).bit_length()  # len(x) < 2^bits
-    rounds = []
-    while x.size:
+    bits = len(terms).bit_length()  # len(terms) < 2^bits
+    x, rounds = terms, []
+    while nonzero := np.count_nonzero(x):
+        if 2 * nonzero <= len(x):
+            keep = x != 0.0
+            x, slot = x[keep], slot[keep]
         top = int(np.frexp(np.abs(x).max())[1])
         sigma = math.ldexp(1.0, max(top + bits, -1022))
         q = (sigma + x) - sigma
         by_slot = np.bincount(slot, weights=q, minlength=2 * n_levels)
         rounds.append(np.cumsum(by_slot[:n_levels]) + by_slot[n_levels:])
         x = x - q
-        keep = x != 0.0
-        x, slot = x[keep], slot[keep]
     if not rounds:
         return [[] for _ in range(n_levels)]
     return [[v for v in col if v] for col in np.array(rounds).T.tolist()]
@@ -156,6 +163,12 @@ class _Rows(NamedTuple):
     slot: np.ndarray
 
 
+def _pick(rows: _Rows, k: np.ndarray) -> _Rows:
+    """The table of pair rows k and every vertex row of a block."""
+    return rows._replace(ends=rows.ends[:, k], chi_p=rows.chi_p[:, k], f_p=rows.f_p[:, k],
+                         w=rows.w[k], slot=np.concatenate((rows.slot[k], rows.slot[len(rows.w):])))
+
+
 class _Walk:
     """The levels of one exhaustion, checked once for a form and a function.
 
@@ -171,6 +184,14 @@ class _Walk:
     few floats per level with the level's exact sum, and one fsum over them is the
     level sum.  The rows, with everything the sums read of them, are gathered once
     into a row table (``blocks``) that the sums of both parts share.
+
+    Q(chi f) and Q(chi f^2, chi) of the main part, and Q(g) of a clamped killing
+    level, read every row.  The killing part's Q(g^2, 1) reads only each block's
+    crossing table (``crossing``): the pair rows whose endpoints differ in activity,
+    and the vertex rows, all of which carry killing.  A pair enters through an
+    active endpoint, so every other pair row joins two active vertices, and its
+    term w (a_u - a_v) (1 - 1) is an exact zero, because the terms of 2^-k f are
+    finite.
 
     Every term is a product of two factors of f, so the terms are formed from 2^-k
     f, k = ``GraphForm.shift`` (0 unless f is huge), taken up front: each level sum
@@ -209,28 +230,32 @@ class _Walk:
         pairs = np.flatnonzero((pair_enter < n_levels) & (w != 0.0))
         verts = np.flatnonzero((enter < n_levels) & (q.c_total != 0.0))
         # take, not ends[:, pairs]: numpy's indexing is several times slower on a column.
-        pair_freeze = freeze[ends.take(pairs, axis=1)].max(axis=0)
-        ip, lp = _spans(pair_enter[pairs], pair_freeze + 1)
-        iv, lv = _spans(enter[verts], freeze[verts] + 1)
+        pair_ends = ends.take(pairs, axis=1)
+        pair_freeze = freeze[pair_ends].max(axis=0)
+        crosses = np.not_equal(*q.active[pair_ends])
+        ip, lp, last_p = _spans(pair_enter[pairs], pair_freeze + 1)
+        iv, lv, last_v = _spans(enter[verts], freeze[verts] + 1)
+        # A row at its freeze level, the last of its span, counts at every later level
+        # too (slot = level), a window row at its own level only (slot = n_levels + level).
+        n_p = len(ip)
+        slot = np.concatenate((lp, lv)) + n_levels
+        slot[np.concatenate((last_p, n_p + last_v))] -= n_levels
         # Block b holds rows b B to (b + 1) B - 1 of the pair rows followed by the
         # vertex rows, B = _BLOCK_ROWS; there is one block even without rows.
-        n_p = len(ip)
-        self.blocks = []
+        self.blocks, self.crossing = [], []
         for lo in range(0, max(n_p + len(iv), 1), _BLOCK_ROWS):
             hi = lo + _BLOCK_ROWS
             bp, bv = slice(min(lo, n_p), min(hi, n_p)), slice(max(lo - n_p, 0), max(hi - n_p, 0))
             wp, wv = pairs[ip[bp]], verts[iv[bv]]
             rows = ends.take(wp, axis=1)
-            # A row at its freeze level counts at every later level too (slot = level),
-            # a window row at its own level only (slot = n_levels + level).
-            level = np.concatenate((lp[bp], lv[bv]))
-            slot = level + n_levels * (level < np.concatenate((pair_freeze[ip[bp]], freeze[wv])))
-            self.blocks.append(_Rows(rows, values(lp[bp], rows), f[rows], w[wp],
-                                     wv, values(lv[bv], wv), f[wv], q.c_total[wv], slot))
+            block = _Rows(rows, values(lp[bp], rows), f[rows], w[wp],
+                          wv, values(lv[bv], wv), f[wv], q.c_total[wv], slot[lo:hi])
+            self.blocks.append(block)
+            self.crossing.append(_pick(block, np.flatnonzero(crosses[ip[bp]])))
 
-    def _terms(self, rows: _Rows, h, killing, with_energy) -> list:
-        """``energy_terms`` of Q(phi h), unless ``with_energy`` is False, and of
-        Q(phi h^2, phi) on a block's rows; the row table is not written to."""
+    def _terms(self, rows: _Rows, h, killing, with_energy, with_second=True) -> list:
+        """``energy_terms`` of Q(phi h) if ``with_energy`` and of Q(phi h^2, phi) if
+        ``with_second``, on a table's rows; the table is not written to."""
         if h is self.f:
             h_p, h_x = rows.f_p, rows.f_x
         else:  # a clamped f, scaled
@@ -242,9 +267,10 @@ class _Walk:
             phi_p, phi_x = rows.chi_p, rows.chi_x
         pf, pfx = phi_p * h_p, phi_x * h_x
         out = [energy_terms(pf, pf, rows.w, pfx, pfx, rows.c)] if with_energy else []
-        pf *= h_p  # phi h^2
-        pfx *= h_x
-        out.append(energy_terms(pf, phi_p, rows.w, pfx, phi_x, rows.c))
+        if with_second:
+            pf *= h_p  # phi h^2
+            pfx *= h_x
+            out.append(energy_terms(pf, phi_p, rows.w, pfx, phi_x, rows.c))
         return out
 
     def level_sums(self, h: np.ndarray, killing: bool, energy=None) -> list:
@@ -257,9 +283,14 @@ class _Walk:
         if not self.q.finite:
             return [(math.nan, math.nan)] * self.levels
         parts = None
-        for rows in self.blocks:
-            got = [_running_sums(terms, rows.slot, self.levels)
-                   for terms in self._terms(rows, h, killing, energy is None)]
+        for rows, crossing in zip(self.blocks, self.crossing):
+            if killing:  # Q(g) on every row, Q(g^2, 1) on the crossing table
+                work = [] if energy is not None else [
+                    (t, rows.slot) for t in self._terms(rows, h, True, True, False)]
+                work += [(t, crossing.slot) for t in self._terms(crossing, h, True, False)]
+            else:
+                work = [(t, rows.slot) for t in self._terms(rows, h, False, True)]
+            got = [_running_sums(terms, slot, self.levels) for terms, slot in work]
             parts = got if parts is None else [
                 [a + b for a, b in zip(old, new)] for old, new in zip(parts, got)
             ]

@@ -45,6 +45,7 @@ from graphforms.corpus import (
     random_masked_function,
 )
 from graphforms import reflection
+from graphforms.forms import energy_terms
 from graphforms.reflection import (
     _running_sums,
     _truncated,
@@ -591,27 +592,40 @@ class TestLevelSupports:
             handed.append(len(terms))
             return fsum(terms)
 
+        # Rows handed to each energy_terms call: the killing part's Q(g^2, 1) reads only
+        # the pair rows that cross the Dirichlet vertex "1,0" (it has four neighbours, and
+        # c = 0), at most 4 x levels rows, while the main part's two sums read every row.
+        rows = []
+
+        def spy(a_p, b_p, w, a_x, b_x, c):
+            rows.append(len(w) + len(c))
+            return energy_terms(a_p, b_p, w, a_x, b_x, c)
+
+        (block,) = _Walk(q, ex.masked(q.active), f).blocks
         monkeypatch.setattr(math, "fsum", counting)
-        assert g.n > 9000
+        monkeypatch.setattr(reflection, "energy_terms", spy)
+        assert g.n > 9000 and not q.c_total.any() and len(block.slot) > 7 * g.n
         for scale in (1.0, 1e144):
             handed.clear()
+            rows.clear()
             reflected_form(q, ex, f * scale)
             assert sum(handed) <= 8 * (g.n + len(g.edge_b))
             # Each level is one fsum over the few floats the extraction leaves; the
             # killing part takes Q(chi_k f) from the main part and sums only Q(g^2, 1).
             assert len(handed) == 3 * ex.levels
             assert max(handed) <= 8
+            assert rows[:2] == [len(block.slot)] * 2
+            assert len(rows) == 3 and 0 < rows[2] <= 4 * ex.levels
+        # A clamped level forms Q(g) on every row, and Q(g^2, 1) on the crossing rows only.
+        rows.clear()
+        killing_part(q, ex.masked(q.active), f, clamp_levels=[0.25])
+        assert len(rows) == 2 and rows[0] == len(block.slot) and 0 < rows[1] <= 4 * ex.levels
         assert [_Walk(q, ex.masked(q.active), f * scale).shift for scale in (1.0, 1e144)] == [0, 8]
 
     def test_running_sums_are_exact(self):
         # Running terms (slot k counts at every level >= k) mixed with point terms
         # (slot levels + k counts at level k only), subnormals to 2^900, cancellations.
-        rng = np.random.default_rng(94)
-        for _ in range(40):
-            n, levels = int(rng.integers(1, 200)), int(rng.integers(1, 6))
-            terms = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1100, 900, n))
-            terms = np.concatenate((terms, -terms[: n // 3], np.zeros(2)))
-            slot = rng.integers(2 * levels, size=len(terms))
+        def check(terms, slot, levels):
             running = _running_sums(terms, slot, levels)
             assert len(running) == levels
             for k, parts in enumerate(running):
@@ -621,6 +635,31 @@ class TestLevelSupports:
                 )
                 assert sum(map(Fraction, parts)) == exact
                 assert math.fsum(parts) == float(exact)
+            return running
+
+        rng = np.random.default_rng(94)
+        for _ in range(40):
+            n, levels = int(rng.integers(1, 200)), int(rng.integers(1, 6))
+            terms = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1100, 900, n))
+            terms = np.concatenate((terms, -terms[: n // 3], np.zeros(2)))
+            check(terms, rng.integers(2 * levels, size=len(terms)), levels)
+        # Zeros count toward the extraction's bound and are dropped only once they are at
+        # least half of what remains: all zeros, one nonzero among 10^4 zeros, exactly
+        # half zeros, and 2^900 next to subnormals, where 2^900 and -2^900 cancel.
+        assert check(np.array([0.0, -0.0, 0.0]), np.array([0, 3, 5]), 3) == [[], [], []]
+        lone = np.zeros(10**4 + 1)
+        lone[4321] = -0.75
+        slot = rng.integers(8, size=len(lone))
+        slot[4321] = 2
+        assert check(lone, slot, 4) == [[], [], [-0.75], [-0.75]]
+        half = np.ldexp(rng.uniform(-1.0, 1.0, 64), rng.integers(-60, 60, 64))
+        half[rng.permutation(64)[:32]] = 0.0
+        check(half, rng.integers(10, size=64), 5)
+        tiny = math.ldexp(1.0, -1074)
+        wide = np.array([2.0**900, tiny, -3 * tiny, 5 * tiny, 2.0**-1050, -(2.0**900), tiny])
+        for slot in (np.zeros(7, dtype=int), np.array([0, 1, 2, 3, 4, 5, 1]), np.arange(7) % 3):
+            check(wide, slot, 3)
+        check(np.concatenate((wide, np.zeros(7))), np.arange(14) % 6, 3)
 
     def test_huge_f_on_a_lattice_ball_matches_the_per_level_oracle(self):
         # f of magnitude 1e140 is inside the term bound; 1e145 and 1e150 are walked at
@@ -838,9 +877,10 @@ _WEIGHTS = st.sampled_from([0.0, 0.25, 1.0, 3.0, 1e-3, 7.5e5])
 
 @st.composite
 def walk_cases(draw):
-    """(form, exhaustion, f, clamp ladder): a random graph with killing, couplings, extra
-    killing and a Dirichlet mask, ball or explicit (not nested) cutoffs, f times a power
-    of two from 2^-600 to 2^600, and a ladder that may stop below max|f|."""
+    """(form, exhaustion, f, clamp ladder): a random graph with killing, couplings (self-
+    couplings and couplings into the boundary among them), extra killing and a Dirichlet
+    mask, ball or explicit (not nested) cutoffs, f times a power of two from 2^-600 to
+    2^600, and a ladder that may stop below max|f|."""
     n = draw(st.integers(2, 10))
     ids = [f"v{i}" for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -850,9 +890,12 @@ def walk_cases(draw):
     g = WeightedGraph(ids, [1.0] * n, c, edges)
     boundary = draw(st.lists(st.sampled_from(ids), unique=True, max_size=n - 1))
     extra = {v: draw(_WEIGHTS) for v in draw(st.lists(st.sampled_from(ids), unique=True, max_size=3))}
-    couplings = [(ids[u], ids[v], draw(_WEIGHTS))
-                 for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                                           max_size=3)) if u != v]
+    # Couplings may join a vertex to itself, or reach into the boundary.
+    vertex = st.sampled_from(ids)
+    ends = st.tuples(vertex, vertex) | vertex.map(lambda v: (v, v))
+    if boundary:
+        ends |= st.tuples(st.sampled_from(boundary), vertex)
+    couplings = [(u, v, draw(_WEIGHTS)) for u, v in draw(st.lists(ends, max_size=3))]
     q = assemble(g, boundary=boundary, extra_killing=extra, couplings=couplings)
     levels = draw(st.integers(1, 5))
     if draw(st.booleans()):
@@ -901,15 +944,26 @@ class TestRowTable:
         q = assemble(ex.graph, boundary=["1,0"], couplings=[("0,0", "2,1", 0.5)])
         f = np.linspace(-1.0, 1.0, q.n) * q.active
         mex = ex.masked(q.active)
-        (whole,) = _Walk(q, mex, f).blocks
+        walk = _Walk(q, mex, f)
+        (whole,), (crossing,) = walk.blocks, walk.crossing
         monkeypatch.setattr(reflection, "_BLOCK_ROWS", 8)
-        blocks = _Walk(q, mex, f).blocks
+        walk = _Walk(q, mex, f)
+        blocks = walk.blocks
         assert [len(b.slot) for b in blocks[:-1]] == [8] * (len(blocks) - 1)
         assert 1 <= len(blocks[-1].slot) <= 8
-        # Consecutive slices of the pair rows followed by the vertex rows.
-        for k, field in enumerate(whole):
-            assert np.array_equal(np.concatenate([b[k] for b in blocks], axis=-1), field)
+        # Consecutive slices of the pair rows followed by the vertex rows, and so are the
+        # crossing tables: the rows of the boundary vertex's edges and of the coupling.
+        for parts, table in ((blocks, whole), (walk.crossing, crossing)):
+            for k, field in enumerate(table):
+                assert np.array_equal(np.concatenate([b[k] for b in parts], axis=-1), field)
         assert len(whole.w) % 8 and len(whole.c)  # a block holds pairs and vertices
+        # The crossing table: every pair row whose endpoints differ in activity, then
+        # every vertex row with its slot.
+        active, every = q.active[crossing.ends], q.active[whole.ends]
+        assert (active[0] != active[1]).all()
+        assert len(crossing.w) == np.count_nonzero(every[0] != every[1]) > 4
+        assert np.array_equal(crossing.verts, whole.verts)
+        assert np.array_equal(crossing.slot[len(crossing.w):], whole.slot[len(whole.w):])
 
 
 @st.composite
