@@ -72,6 +72,21 @@ def _boundary_list(spec: str | None) -> list:
     return [v for v in spec.split(",") if v]
 
 
+def _finite_vector(values) -> np.ndarray | None:
+    """A JSON array of ints and floats (no bools) as a float array, or None unless
+    each is finite.  Ints are compared with the float range exactly, since
+    int(max float) + 1 rounds into it; floats are checked in one numpy pass."""
+    if not isinstance(values, list):
+        return None
+    kinds = set(map(type, values))
+    if not kinds <= {int, float}:
+        return None
+    if int in kinds and not all(abs(x) <= sys.float_info.max for x in values if type(x) is int):
+        return None
+    f = np.array(values, dtype=float)
+    return f if np.isfinite(f).all() else None
+
+
 def _cmd_validate(args) -> int:
     try:
         data = json.loads(_read_text(args.graph))
@@ -93,12 +108,9 @@ def _cmd_decompose(args) -> int:
     if not args.rel_tol > 0:
         raise ValueError("rel-tol must be positive")
     g = _load_graph_arg(args.graph)
-    f = json.loads(_read_text(args.f))
-    if not isinstance(f, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool)
-            and abs(x) <= sys.float_info.max for x in f):
+    f = _finite_vector(json.loads(_read_text(args.f)))
+    if f is None:
         raise ValueError(f"--f must be a JSON array of finite numbers: {args.f}")
-    f = np.asarray(f, dtype=float)
     q = assemble(g, boundary=_boundary_list(args.boundary))
     root = args.root if args.root is not None else g.ids[0]
     ex = ball_exhaustion(g, root, n_levels=args.levels, plateau=args.plateau)

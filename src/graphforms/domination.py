@@ -77,9 +77,10 @@ class FormPair:
     upper: GraphForm
 
     def __post_init__(self):
-        if self.lower.graph.ids != self.upper.graph.ids:
+        lower, upper = self.lower.graph, self.upper.graph
+        if lower is not upper and lower.ids != upper.ids:
             raise ValueError("forms must share the same vertex index space")
-        if not np.array_equal(self.lower.graph.m, self.upper.graph.m):
+        if not np.array_equal(lower.m, upper.m):
             raise ValueError("forms must share the same vertex measure")
 
     @cached_property

@@ -122,7 +122,7 @@ class WeightedGraph:
             raise GraphFormatError("duplicate vertex id")
         self.m = _read_only(m, float)
         self.c = _read_only(c, float)
-        if self.m.shape != (self.n,) or self.c.shape != (self.n,):
+        if self.m.shape != (len(self.ids),) or self.c.shape != (len(self.ids),):
             raise GraphFormatError("m and c must have one value per vertex")
 
     def _set_edges(self, edge_u, edge_v, edge_b):
@@ -175,7 +175,7 @@ class WeightedGraph:
 
     @property
     def n(self) -> int:
-        return len(self.ids)
+        return len(self.m)
 
     def neighbors(self, i: int):
         """Neighbors of vertex index i as (index, b) pairs."""
@@ -413,13 +413,12 @@ class _IntegerGrid:
         """``truncate(self, generator_ball(self, root, radius))``, built in index space,
         and every vertex's hop distance from the root.
 
-        The ball is |x - root|_1 <= radius, so the distances are the graph's.
+        The ball is |x - root|_1 <= radius, so the distances are the graph's.  The
+        graph is a ``_GridBall``, which formats its ids only when they are read.
         """
         _check_ball(self, root, radius)
         origin, offsets, dist = self._ball_order(root, radius)
-        bound = np.full(len(origin), radius)
-        graph = self._induced(self._ids(origin, offsets, radius), offsets, -bound, bound)
-        return graph, dist.astype(float)
+        return _GridBall(self, origin, offsets, radius), dist.astype(float)
 
     def _points(self, ids: list):
         """(points, low, high): the points of ids as an (n, d) int array and their
@@ -446,13 +445,15 @@ class _IntegerGrid:
             return None
         return points, low, high
 
-    def _induced(self, ids: list, points: np.ndarray, low, high) -> WeightedGraph:
-        """The graph on the nonempty ids of the given distinct points, (n, d) ints
-        with coordinates from low to high, arrays of d bounds.
+    def _arrays(self, points: np.ndarray, low, high) -> tuple:
+        """(position, scale, m, c, edge_u, edge_v, edge_b): the graph on the given
+        distinct points, (n, d) ints with coordinates from low to high, arrays of
+        d bounds, and the table that found its edges.
 
-        A table over the box around the points and their neighbours holds each
-        point's position, so a neighbour is one lookup.  Edges are the pairs
-        (i, j), j > i, by i and then by step, the order in which
+        The table covers the box around the points and their neighbours and
+        holds each point's position, -1 elsewhere: point x is at
+        ``position[(x - low + 1) @ scale]``, so a neighbour is one lookup.  Edges
+        are the pairs (i, j), j > i, by i and then by step, the order in which
         ``_truncate_loop`` emits them.
         """
         n = len(points)
@@ -463,14 +464,52 @@ class _IntegerGrid:
         position[key] = np.arange(n)
         nbr = position[key[:, None] + np.array(self.steps) @ scale]
         later = nbr > np.arange(n)[:, None]
-        return WeightedGraph._from_arrays(
-            ids,
-            np.full(n, float(self.m)),
-            np.full(n, float(self.c)),
-            np.nonzero(later)[0],
-            nbr[later],
-            np.full(int(later.sum()), float(self.b)),
-        )
+        return (position, scale, np.full(n, float(self.m)), np.full(n, float(self.c)),
+                np.nonzero(later)[0], nbr[later], np.full(int(later.sum()), float(self.b)))
+
+    def _induced(self, ids: list, points: np.ndarray, low, high) -> WeightedGraph:
+        """The graph on the nonempty ids of the given points, as ``_arrays`` builds it."""
+        return WeightedGraph._from_arrays(ids, *self._arrays(points, low, high)[2:])
+
+
+class _GridBall(WeightedGraph):
+    """``_IntegerGrid._ball``'s graph: the points origin + offsets of a built-in grid,
+    |offset|_1 <= radius, in ball order.
+
+    ``ids`` and ``index`` are built when first read and then kept, since a
+    decomposition reads neither.  A string id resolves without them: the grid's
+    ``contains`` rule parses it, and the position table of ``_arrays`` holds
+    the index at its offset.  The graph data is the ball's by construction, so
+    none of ``_set_vertices``' and ``_set_edges``' checks is repeated.
+    """
+
+    def __init__(self, grid: _IntegerGrid, origin: np.ndarray, offsets: np.ndarray, radius: int):
+        bound = np.full(len(origin), radius)
+        self._position, self._scale, *arrays = grid._arrays(offsets, -bound, bound)
+        self.m, self.c, self.edge_u, self.edge_v, self.edge_b = _freeze(tuple(arrays))
+        self._grid, self._origin, self._offsets, self._radius = grid, origin, offsets, radius
+
+    @cached_property
+    def ids(self) -> list:
+        return self._grid._ids(self._origin, self._offsets, self._radius)
+
+    @cached_property
+    def index(self) -> dict:
+        return {v: i for i, v in enumerate(self.ids)}
+
+    def _resolve(self, v) -> int:
+        if not isinstance(v, str):
+            return super()._resolve(v)
+        i = -1
+        if self._grid.contains(v):
+            offset = [int(t) - o for t, o in zip(v.split(","), self._origin.tolist())]
+            if max(map(abs, offset)) <= self._radius:
+                r = self._radius + 1
+                key = sum((x + r) * s for x, s in zip(offset, self._scale.tolist()))
+                i = int(self._position[key])
+        if i < 0:
+            raise GraphFormatError(f"unknown vertex id {v!r}")
+        return i
 
 
 @dataclass(frozen=True)

@@ -284,7 +284,9 @@ class TestMalformedF:
     @pytest.mark.parametrize("value", [
         {"a": 1}, [1, 2, 3, 4, {"b": 2}], "abc", [1, [2, 3], 3, 4, 5], 5, None,
         [1, 2, 3, 4, 10**400], [1, 2, 3, 4, math.nan], [-math.inf, 2, 3, 4, 5],
-        [True, False, 1, 0, 1], [1.0, 2.0, 3.0, 4.0, False],
+        [True, False, 1, 0, 1], [1.0, 2.0, 3.0, 4.0, False], [1.0, 2.0, True, 4.0, 5.0],
+        [1, 2, 3, 4, 2**1024], [1, 2, 3, 4, int(sys.float_info.max) + 1],
+        [-int(sys.float_info.max) - 1, 2.0, 3, 4, 5],
     ])
     def test_exit_two_with_one_error_line(self, value, tmp_path, capsys):
         g, f = tmp_path / "path.json", tmp_path / "f.json"
@@ -293,6 +295,16 @@ class TestMalformedF:
         code, out, err = run(capsys, "decompose", str(g), f"--f={f}")
         assert (code, out) == (2, "")
         assert err == f"error: --f must be a JSON array of finite numbers: {f}\n"
+
+    @pytest.mark.parametrize("value", [
+        [1, 2, 3, 4, 5], [int(sys.float_info.max), 0, 0, 0, 0], [0.5, -1, 0, 2**53 + 1, 1e308],
+    ])
+    def test_ints_up_to_the_float_range_are_numbers(self, value, tmp_path, capsys):
+        g, f = tmp_path / "path.json", tmp_path / "f.json"
+        g.write_text(emit_graph(make_path(5, 1.0)))
+        f.write_text(json.dumps(value))
+        code, _, err = run(capsys, "decompose", str(g), f"--f={f}")
+        assert code in (0, 3) and "--f must be" not in err
 
 
 _PATH5 = json.loads(emit_graph(make_path(5, 1.0)))

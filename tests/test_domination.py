@@ -20,6 +20,7 @@ from graphforms import (
     ResolventHandle,
     SquareLatticeGenerator,
     assemble,
+    build_exhaustion,
     check_form_inequality_nonneg,
     check_order_ideal,
     check_resolvent_domination,
@@ -173,6 +174,16 @@ class TestResolventDomination:
     def test_mismatched_spaces_rejected(self):
         with pytest.raises(ValueError, match="vertex index space"):
             FormPair(lower=assemble(make_path(3, 1.0)), upper=assemble(make_path(4, 1.0)))
+        renamed = WeightedGraph(["v0", "v2", "v1"], [1.0] * 3, [0.0] * 3, [])
+        with pytest.raises(ValueError, match="vertex index space"):
+            FormPair(lower=assemble(make_path(3, 1.0)), upper=assemble(renamed))
+        FormPair(lower=assemble(make_path(3, 1.0)), upper=assemble(make_path(3, 1.0)))
+
+    def test_one_graph_compares_no_ids(self):
+        # Forms on one graph share its ids: a grid ball's pair never formats them.
+        g = build_exhaustion(SquareLatticeGenerator(), "0,0", n_levels=3, plateau=1).graph
+        FormPair(lower=assemble(g, boundary=["1,0"]), upper=assemble(g))
+        assert "ids" not in vars(g)
 
     def test_probe_path_agrees_with_dense(self, monkeypatch):
         # Above the dense budget a pair of rank r >= |a| is probed; the verdicts

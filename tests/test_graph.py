@@ -480,6 +480,28 @@ class _Ring:
         return [(nxt[vid], 1.0), (prev[vid], 1.0)]
 
 
+def _unresolved_ids(gen, root, radius) -> list:
+    """Ids that no vertex of the ball |x - root|_1 <= radius has: not canonical, of the
+    wrong dimension, empty, far out, and every point just outside the ball."""
+    if isinstance(gen, SquareLatticeGenerator):
+        odd = ["0, 0", "01,0", "+1,0", "-0,0", " 0,0", "0,0,0", "0", "1_0,0", "٣,0", "",
+               f"{10**30},0", "9223372036854775808,0"]
+    else:
+        odd = ["01", "+1", "-0", " 0", "0,0", "1_0", "٣", "", str(10**30), "9223372036854775808"]
+    return odd + _bfs_ball(gen, root, radius + 1)[len(_bfs_ball(gen, root, radius)):]
+
+
+def _same_resolve(ball, oracle, v):
+    """ball._resolve(v) returns oracle's index of v, or raises oracle's exact error."""
+    try:
+        want = oracle._resolve(v)
+    except GraphFormatError as exc:
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(str(exc))}$"):
+            ball._resolve(v)
+    else:
+        assert ball._resolve(v) == want
+
+
 class TestIndexBall:
     """The index-space ball of a built-in generator equals its string-path truncation."""
 
@@ -493,10 +515,26 @@ class TestIndexBall:
         ],
     )
     def test_matches_string_truncation(self, gen, roots):
+        # The ids and the id -> index dict are built on first read, and every id
+        # resolves before that as the dict resolves it.
         for root in roots:
             for radius in range(9):
+                ball = gen._ball(root, radius)[0]
                 oracle = _truncate_loop(gen, _bfs_ball(gen, root, radius))
-                _same_graph(gen._ball(root, radius)[0], oracle)
+                assert [ball._resolve(v) for v in oracle.ids] == list(range(oracle.n))
+                for v in _unresolved_ids(gen, root, radius):
+                    _same_resolve(ball, oracle, v)
+                boundary = oracle.ids[1::3]
+                assert np.array_equal(assemble(ball, boundary=boundary).active,
+                                      assemble(oracle, boundary=boundary).active)
+                assert ball.n == oracle.n
+                assert "ids" not in vars(ball) and "index" not in vars(ball)
+                for v in (0, np.int64(oracle.n - 1), True, -1, oracle.n, 7.5, None):
+                    _same_resolve(ball, oracle, v)  # no str: the integer path, or the dict
+                assert type(ball.ids) is list and type(ball.index) is dict
+                assert ball.ids is ball.ids and ball.index is ball.index  # built once
+                assert ball.index == oracle.index and ball.n == len(ball.ids)
+                _same_graph(ball, oracle)
 
     @pytest.mark.parametrize(
         "gen,roots,radius",
@@ -507,7 +545,11 @@ class TestIndexBall:
         # The one-sort order against the queue BFS at the benchmark's sizes.
         for root in roots:
             graph, dist = gen._ball(root, radius)
-            _same_graph(graph, _truncate_loop(gen, _bfs_ball(gen, root, radius)))
+            oracle = _truncate_loop(gen, _bfs_ball(gen, root, radius))
+            assert [graph._resolve(v) for v in oracle.ids] == list(range(oracle.n))
+            for v in _unresolved_ids(gen, root, radius):
+                _same_resolve(graph, oracle, v)
+            _same_graph(graph, oracle)
             assert dist.dtype == np.float64
             assert np.array_equal(dist, graph.distances_from([graph.index[root]]))
 
@@ -537,6 +579,20 @@ class TestIndexBall:
     def test_non_grid_generator_takes_the_string_path(self):
         ex = build_exhaustion(_Ring(), "a", n_levels=1, plateau=1)
         assert ex.graph.ids == ["a", "b", "c"]
+
+    @settings(max_examples=150)
+    @given(st.booleans(), st.integers(0, 6), st.data())
+    def test_resolve_matches_the_dict(self, lattice, radius, data):
+        gen = SquareLatticeGenerator() if lattice else IntegerLineGenerator()
+        root = data.draw(st.sampled_from(["0,0", "-3,5"] if lattice else ["0", "17"]))
+        ball = gen._ball(root, radius)[0]
+        oracle = _truncate_loop(gen, _bfs_ball(gen, root, radius))
+        near = _bfs_ball(gen, root, radius + 2)  # the ball, then the points just outside it
+        v = data.draw(st.sampled_from(near) | st.sampled_from(_unresolved_ids(gen, root, radius))
+                      | st.text(alphabet="0123456789,-+ _", max_size=6)
+                      | st.tuples(st.sampled_from(near), st.text(max_size=2)).map("".join))
+        _same_resolve(ball, oracle, v)
+        assert "ids" not in vars(ball) and "index" not in vars(ball)
 
 
 class TestGeneratorBall:
@@ -804,16 +860,28 @@ class TestLazyAdjacency:
         assert builds == [g]
 
     def test_grid_decomposition_never_builds_it(self, monkeypatch):
+        # Nor the ids or the id -> index dict: the boundary id resolves from its coordinates.
         from graphforms import reflected_form
+        from graphforms.graph import _GridBall, _IntegerGrid
 
         builds = _counting_adjacency(monkeypatch)
-        for gen, root in ((SquareLatticeGenerator(c=0.1), "0,0"), (IntegerLineGenerator(), "3")):
+        made = []
+        format_ids = _IntegerGrid._ids
+        monkeypatch.setattr(_IntegerGrid, "_ids", staticmethod(
+            lambda *args: made.append("ids") or format_ids(*args)))
+        index = cached_property(lambda self: made.append("index") or {})
+        index.__set_name__(_GridBall, "index")
+        monkeypatch.setattr(_GridBall, "index", index)
+        for gen, root, boundary in ((SquareLatticeGenerator(c=0.1), "0,0", "-1,0"),
+                                    (IntegerLineGenerator(), "3", "2")):
             ex = build_exhaustion(gen, root, n_levels=5, plateau=2)
-            q = assemble(ex.graph, boundary=[ex.graph.ids[1]])
+            q = assemble(ex.graph, boundary=[boundary])
+            assert np.flatnonzero(~q.active).tolist() == [1]
             f = np.linspace(-1.0, 2.0, q.n) * q.active
             for clamp_levels in (None, [0.5, 3.0]):
                 reflected_form(q, ex, f, clamp_levels=clamp_levels)
-        assert builds == []
+            assert "ids" not in vars(ex.graph) and "index" not in vars(ex.graph)
+        assert builds == [] and made == []
 
 
 class TestStoredArrays:
