@@ -66,6 +66,15 @@ DENSE_BUDGET = 256 * 256
 #:     1861   3.9e8       689 ms    451 ms
 PRODUCT_BUDGET = 2**27
 
+#: Most entries of W U^T that _max_inner forms at a time: 128 KB, up to which
+#: glibc's malloc serves a request from its heap by default.  Blocks of
+#: DENSE_BUDGET entries (512 KB) went to the top of the heap or to mmap, and
+#: whether each alpha then faulted its 126 pages in anew depended on what the
+#: heap held before: 40 in-process runs of `counterexample --n 255` took
+#: 2300-3400 page faults and 12.6-14.7 ms a run in some processes, 0 and
+#: 8.6-9.1 ms in others.  With 128 KB blocks no run faulted, at 8.5-8.9 ms.
+_PRODUCT_BLOCK = 2**14
+
 _DEFAULT_ALPHAS = tuple(float(a) for a in np.logspace(-3.0, 3.0, 13))
 
 
@@ -188,7 +197,7 @@ def _max_inner(kind: str, U: np.ndarray, W: np.ndarray) -> float:
     """max over i, j of <U_i, W_j>: by extremes ("rank1"), hull ("rank2") or product.
 
     The product W U^T runs on scipy's BLAS (see _schur_route) in blocks of its
-    rows, at most DENSE_BUDGET entries at a time (one row when a row is longer).
+    rows, at most _PRODUCT_BLOCK entries at a time (one row when a row is longer).
     """
     if kind == "rank1":
         u, w = U[:, 0], W[:, 0]
@@ -197,7 +206,7 @@ def _max_inner(kind: str, U: np.ndarray, W: np.ndarray) -> float:
         return float(_support_2d(W, U).max())
     dgemm = resolvent._linalg()[0].dgemm
     U, W = np.asfortranarray(U), np.ascontiguousarray(W)
-    step = max(1, DENSE_BUDGET // len(U))
+    step = max(1, _PRODUCT_BLOCK // len(U))
     # Rows j of W U^T.  dgemm takes Fortran order, which U has and the transpose
     # of a block of W's rows has, so no block is copied.
     return max(float(dgemm(1.0, W[j:j + step].T, U, trans_a=True, trans_b=True).max())
@@ -341,7 +350,9 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
     the alphas with rho(alpha) <= 1/2 and factors nothing there; every other
     solve runs on the handle's factor of K + alpha M: dense Cholesky up to
     resolvent.SMALL_DIM active vertices, SuperLU above that size or where the
-    Cholesky factor fails.  The bound delta of _schur_route reads U's measured
+    Cholesky factor fails, in one fill-reducing order per form (SuperLU's
+    minimum degree on A^T + A, computed once from the form's pattern and shared
+    by every alpha).  The bound delta of _schur_route reads U's measured
     residual, so it covers a series-solved U too.  alphas, when given, must
     be a nonempty sequence of positive finite numbers (else ValueError,
     before any route).

@@ -43,6 +43,14 @@ dense Cholesky factor up to SMALL_DIM active vertices, and a SuperLU factor
 above that size or where the Cholesky factor fails.  (On 2 vCPUs, 221
 right-hand sides at n = 221 took 4.4-7.4 ms through the series against 2.3 ms
 on SuperLU.)
+
+The pattern of K + alpha M does not depend on alpha, so neither does its
+fill-reducing order.  Each form computes it once, from K's pattern alone
+(_shift_pattern): the minimum-degree order on A^T + A and its elimination-tree
+postorder, the order splu(permc_spec="MMD_AT_PLUS_A") takes.  Every SuperLU
+factor then runs on P (K + alpha M) P^T in that order, with permc_spec="NATURAL"
+and a panel of _PANEL columns, and a solve permutes its right-hand sides in and
+its solution out.
 """
 
 from __future__ import annotations
@@ -69,20 +77,44 @@ _UNIT_ROUNDOFF = 2.0**-53
 #: (domination._schur_route): below it SuperLU's setup and the Schur step cost
 #: more than dense LAPACK does.  The crossover of the two in criterion (i) on
 #: path pairs (the counterexample's base and ext1, tridiagonal, where SuperLU is
-#: cheapest); lattice pairs, with a Dirichlet rim ("rim") or killing on every
+#: cheapest); lattice pairs, with a Dirichlet rim ("rim") or killing 0.1 on every
 #: vertex ("kill"), cross above n = 145.  Minimum of 3 x 3 calls at the 13
-#: default alphas, 2 vCPUs, 2 BLAS threads:
+#: default alphas on forms built once (so their fill-reducing order is cached),
+#: with the factor of _PANEL columns in that order; 2 vCPUs, 2 BLAS threads:
 #:
 #:     pair    |b|    sparse    dense
-#:     rim      85    10.1 ms    3.2 ms
-#:     rim     145    15.0 ms   10.0 ms
-#:     kill    113    21.0 ms   10.0 ms
-#:     kill    145    27.8 ms   20.8 ms
-#:     path    101     5.1 ms    3.4 ms
-#:     path    121     5.5 ms    4.4 ms
-#:     path    131     5.4 ms    6.2 ms
-#:     path    151     5.8 ms    9.0 ms
+#:     rim      85     3.9 ms    2.0 ms
+#:     rim     145     7.9 ms    6.2 ms
+#:     kill    113    11.7 ms    7.2 ms
+#:     kill    145    21.2 ms   13.2 ms
+#:     path    101     2.2 ms    1.9 ms
+#:     path    121     2.3 ms    2.7 ms
+#:     path    131     2.3 ms    4.2 ms
+#:     path    151     2.4 ms    5.7 ms
+#:
+#: With SuperLU's own minimum-degree order and default panel the paths crossed
+#: between 121 and 131 (3.4 vs 2.8 ms at 121); now they cross between 101 and 121.
 SMALL_DIM = 128
+
+#: SuperLU's panel width, the number of columns it updates together, in every sparse
+#: factor of the package (ResolventHandle._factor and classify's eigensolver), each
+#: taking its matrix already in the form's fill-reducing order (_shift_pattern).
+#: Interleaved medians of one factor of P (K + 0.1 M) P^T in ms (lattice balls with
+#: killing 0.05, the counterexample's base paths; 9-201 reps), against SuperLU's
+#: default panel and against the factor that orders by minimum degree itself
+#: (splu(permc_spec="MMD_AT_PLUS_A"), the order included); 2 vCPUs:
+#:
+#:     form       n       1       2       3       4   default   MMD inside
+#:     path       253   0.057   0.056   0.056   0.056   0.060     0.080
+#:     lattice    841   0.66    0.74    0.78    0.80    0.95      1.23
+#:     lattice   1861   1.39    1.52    1.60    1.62    1.97      2.45
+#:     lattice   9941  12.2    12.5    12.9    13.2    17.1      19.0
+#:     path     99997  15.7    15.3    15.6    15.1    21.9      31.1
+#:     lattice  98125  275     278     276     277     368       401
+#:
+#: Widths 1-4 are within 11 % of each other at every size; 2 was within 3 % of the
+#: best from n = 9941 up in this and two earlier rounds.
+_PANEL = 2
 
 
 @cache
@@ -130,8 +162,9 @@ class GeneratorOperator:
 
     @cached_property
     def shift_pattern(self) -> tuple:
-        """``_shift_pattern`` of the stiffness: the CSC pattern of K + alpha M and
-        its diagonal positions."""
+        """``_shift_pattern`` of the stiffness: the CSC pattern of P (K + alpha M) P^T
+        in the form's fill-reducing order p, its diagonal positions, p and p's
+        inverse."""
         return _freeze(_shift_pattern(self.stiffness))
 
     @cached_property
@@ -205,23 +238,43 @@ def build_generator(form: GraphForm) -> GeneratorOperator:
 
 
 def _shift_pattern(K: sp.csr_matrix) -> tuple:
-    """CSC form of K with the nonzero pattern that K + alpha M has for every alpha.
+    """K in a fill-reducing order p, with the nonzero pattern that K + alpha M has for
+    every alpha: the CSC of P K P^T (P x = x[p]), its diagonal positions, p and its
+    inverse.
 
-    K must store its whole diagonal, as ``build_generator`` does.  Off-diagonal
-    explicit zeros are dropped, so adding alpha m_i at the returned diagonal
-    positions of the data gives, entry for entry, the canonical CSC of the
-    sparse sum K + diag(alpha m).
+    K must be symmetric and store its whole diagonal, as ``build_generator`` makes it,
+    so its CSR arrays are also its CSC arrays.  Off-diagonal explicit zeros are dropped,
+    so adding alpha m[p] at the returned diagonal positions of the data gives, entry for
+    entry, the canonical CSC of P (K + diag(alpha m)) P^T.
+
+    p is the column order that splu(permc_spec="MMD_AT_PLUS_A") takes: minimum degree
+    on the pattern of A^T + A, then the postorder of its elimination tree.  It is read
+    off an incomplete factor that keeps no entry (spilu with drop_tol = inf: 7 ms at
+    n = 9941, where a full factor takes 18 ms) of a matrix with K's pattern, unit
+    off-diagonals and a dominant diagonal.  So it depends on the pattern alone: never on
+    the weights, on alpha or on which handle factors first.
     """
     import scipy.sparse as sp  # imported here, as in _csr
+    from scipy.sparse.linalg import spilu  # and here, as in ResolventHandle._factor
 
-    A = K.tocsc()
-    n = A.shape[0]
-    col = np.repeat(np.arange(n), np.diff(A.indptr))
-    keep = (A.data != 0.0) | (A.indices == col)
-    indptr = np.zeros(n + 1, dtype=A.indptr.dtype)
-    np.cumsum(np.bincount(col[keep], minlength=n), out=indptr[1:])
-    pattern = sp.csc_matrix((A.data[keep], A.indices[keep], indptr), shape=A.shape)
-    return pattern, np.flatnonzero(pattern.indices == col[keep])
+    n = K.shape[0]
+    col = np.repeat(np.arange(n), np.diff(K.indptr))
+    keep = (K.data != 0.0) | (K.indices == col)
+    row, col, data = K.indices[keep], col[keep], K.data[keep]
+    count = np.bincount(col, minlength=n)
+    indptr = np.zeros(n + 1, dtype=K.indptr.dtype)
+    np.cumsum(count, out=indptr[1:])
+    unit = sp.csc_matrix((np.where(row == col, count[col], -1.0), row, indptr), shape=(n, n))
+    position = spilu(unit, drop_tol=np.inf, fill_factor=1.0,
+                     permc_spec="MMD_AT_PLUS_A").perm_c.astype(np.intp)
+    order = np.empty_like(position)
+    order[position] = np.arange(n)
+    row, col = position[row], position[col]
+    at = np.argsort(col * n + row)
+    row, col = row[at], col[at]
+    np.cumsum(count[order], out=indptr[1:])
+    pattern = sp.csc_matrix((data[at], row.astype(K.indices.dtype), indptr), shape=(n, n))
+    return pattern, np.flatnonzero(row == col), order, position
 
 
 class ResolventHandle:
@@ -233,13 +286,17 @@ class ResolventHandle:
     through the factor of _factor.  Up to SMALL_DIM active vertices that is a
     dense Cholesky factor on scipy's LAPACK (dpotrf, then dpotrs per solve);
     above that size, or where K + alpha M is not positive definite or may not
-    be finite, a SuperLU factor with minimum-degree ordering on A^T + A, which
-    raises ValueError for a non-finite entry.  The factor of the most recent
-    factored alpha is kept, so repeated solves at one alpha factor once; a new
-    alpha releases the old factor before the new one is built, and a series
-    solve leaves it in place.  The generator, its dense K and the CSC pattern of
-    K + alpha M do not depend on alpha, so they are built once per form, on
-    first use, and shared by its handles.
+    be finite, a SuperLU factor of P (K + alpha M) P^T in the form's
+    fill-reducing order (SuperLU's minimum degree on A^T + A and its
+    postorder), with threshold pivoting and a panel of _PANEL columns, which
+    raises ValueError for a non-finite entry.  Its solves take P rhs and
+    return the solution in Fortran order, as SuperLU does, with one array
+    beyond SuperLU's own.  The factor of the most recent factored alpha is
+    kept, so repeated solves at one alpha factor once; a new alpha releases the
+    old factor before the new one is built, and a series solve leaves it in
+    place.  The generator, its dense K, the order and the CSC pattern of
+    P (K + alpha M) P^T do not depend on alpha, so they are built once per
+    form, on first use, and shared by its handles.
     """
 
     def __init__(self, form: GraphForm):
@@ -256,7 +313,7 @@ class ResolventHandle:
 
     @cached_property
     def _shifted(self) -> sp.csc_matrix:
-        """A CSC matrix in the shared pattern of K + alpha M, with data of its own."""
+        """A CSC matrix in the shared pattern of P (K + alpha M) P^T, with data of its own."""
         import scipy.sparse as sp  # imported here, as in _csr
 
         p = self.generator.shift_pattern[0]
@@ -284,17 +341,27 @@ class ResolventHandle:
                 # imported here: scipy.sparse.linalg adds ~0.13 s to `import graphforms`
                 from scipy.sparse.linalg import splu
 
-                pattern, diag = gen.shift_pattern
+                pattern, diag, order, position = gen.shift_pattern
                 A = self._shifted
                 A.data[:] = pattern.data
-                A.data[diag] += alpha * gen.mass
+                with np.errstate(over="ignore"):  # an overflow is the ValueError below
+                    A.data[diag] += alpha * gen.mass[order]
                 if not np.isfinite(A.data).all():
                     raise ValueError("K + alpha M is not finite; check the weights")
                 if not A.data[diag].all():
                     # K_ii + alpha m_i cancelled or underflowed: drop it, as a sparse sum does
                     A = A.copy()
                     A.eliminate_zeros()
-                self._solver = splu(A, permc_spec="MMD_AT_PLUS_A").solve
+                lu = splu(A, permc_spec="NATURAL", panel_size=_PANEL)
+
+                def solve(rhs):
+                    # SuperLU solves a Fortran-ordered copy of P rhs; the rows of that
+                    # solution go back into x, whose transpose is C-contiguous, so take
+                    # writes them unbuffered and x stays the one extra array.
+                    x = np.asfortranarray(rhs[order])
+                    return np.take(lu.solve(x).T, position, axis=-1, out=x.T, mode="clip").T
+
+                self._solver = solve
             self._alpha = alpha
         return self._solver
 

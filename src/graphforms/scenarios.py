@@ -23,7 +23,7 @@ from .domination import FormPair, check_silverstein
 from .forms import GraphForm, assemble
 from .graph import Exhaustion, make_path
 from .reflection import effective_killing, reflected_form
-from .resolvent import _UNIT_ROUNDOFF
+from .resolvent import _PANEL, _UNIT_ROUNDOFF
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -177,7 +177,9 @@ def _smallest_eigenvalue(A: sp.csc_matrix) -> float:
 
     Shift-invert Lanczos at 0 on one SuperLU factor, from a fixed start vector
     so that the value is the same on every run; 0.0 when the factor is
-    exactly singular.  Below three dimensions the value is taken in closed
+    exactly singular.  A comes in its fill-reducing order, and the factor
+    keeps that order and takes resolvent._PANEL, as every sparse factor of
+    the package does.  Below three dimensions the value is taken in closed
     form, since eigsh needs k < n.
     """
     # imported here: scipy.sparse.linalg adds ~0.13 s to `import graphforms`
@@ -189,7 +191,7 @@ def _smallest_eigenvalue(A: sp.csc_matrix) -> float:
         b = float(A[0, 1]) if n == 2 else 0.0
         return (a + d) / 2 - math.hypot((a - d) / 2, b)
     try:
-        lu = splu(A, permc_spec="MMD_AT_PLUS_A")
+        lu = splu(A, permc_spec="NATURAL", panel_size=_PANEL)
     except RuntimeError as exc:
         if "singular" not in str(exc):
             raise
@@ -247,9 +249,14 @@ def classify_recurrence(q: GraphForm, ex: Exhaustion) -> dict:
 
     lam_min = 0.0
     if kernel_trivial:
-        s = 1.0 / np.sqrt(gen.mass)
-        # K is symmetric, so its CSR arrays are also its CSC arrays.
-        A = sp.csc_matrix((K.data * s[rows] * s[K.indices], K.indices, K.indptr), shape=K.shape)
+        # P K P^T in the generator's fill-reducing order, scaled entry by entry
+        # as (K_ij s_j) s_i with s = m^{-1/2}: the order is the one shared with
+        # the form's resolvent factors.
+        pattern, _, order, _ = gen.shift_pattern
+        s = 1.0 / np.sqrt(gen.mass[order])
+        col = np.repeat(np.arange(gen.dim), np.diff(pattern.indptr))
+        A = sp.csc_matrix((pattern.data * s[col] * s[pattern.indices], pattern.indices,
+                           pattern.indptr), shape=K.shape)
         lam_min = _smallest_eigenvalue(A)
     return {
         "main_recurrent": result.main_value == 0.0,

@@ -350,9 +350,53 @@ def _in_process(argv) -> tuple:
 _FINITE = st.floats(-1e308, 1e308)
 
 
+#: Killing and edge weights from subnormal to the top of the float range (0 only as killing).
+_SCALES = st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0, 5e-324, 1e-300, 1e300, 1e308,
+                           sys.float_info.max])
+
+
+@st.composite
+def _dominate_files(draw):
+    """Two graph files on one measure space, each with any edge list (empty and
+    disconnected ones included), and a comma-separated boundary for each."""
+    n = draw(st.integers(1, 6))
+    ids = [f"x{i}" for i in range(n)]
+    pairs = [(ids[u], ids[v]) for u in range(n) for v in range(u + 1, n)]
+    masses = [draw(st.sampled_from([0.5, 1.0, 1e308])) for _ in ids]
+
+    def graph():
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        return {"vertices": [{"id": i, "m": m, "c": draw(st.just(0.0) | _SCALES)}
+                             for i, m in zip(ids, masses)],
+                "edges": [{"u": u, "v": v, "b": draw(_SCALES)} for u, v in edges]}
+
+    lower = graph()
+    upper = lower if draw(st.booleans()) else graph()
+    boundaries = [",".join(draw(st.lists(st.sampled_from(ids), unique=True, max_size=n - 1)))
+                  for _ in "lu"]
+    if draw(st.booleans()):  # both boundaries may cover every vertex
+        boundaries[draw(st.integers(0, 1))] = ",".join(ids)
+    return lower, upper, boundaries
+
+
+def assert_clean_and_repeatable(argv, codes) -> int:
+    """Run argv twice in process: one of the codes each time, stdout a JSON report or
+    stderr one error line (no traceback), and the same bytes both times."""
+    code, out, err = _in_process(argv)
+    assert code in codes, (code, err)
+    if code in (2, 3):
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == "" and json.loads(out)
+    assert "Traceback" not in err
+    assert _in_process(argv) == (code, out, err)
+    return code
+
+
 class TestFuzzedInputs:
-    """Arbitrary JSON graph files and --f values get a documented exit code, one error
-    line and no traceback, and the same stdout on a second run."""
+    """Arbitrary JSON graph files and --f values, fuzzed dominate pairs and counterexample
+    sizes get a documented exit code, one error line and no traceback, and the same
+    stdout on a second run."""
 
     @settings(max_examples=60)
     @given(st.sampled_from(["validate", "classify", "decompose", "decompose --f"]),
@@ -366,17 +410,29 @@ class TestFuzzedInputs:
         name = command.split()[0]
         argv = {"validate": [], "classify": ["--levels=2", "--plateau=1"],
                 "decompose": [f"--f={fpath}", "--levels=2", "--plateau=1"]}[name]
-        code, out, err = _in_process([name, str(gpath), *argv])
-        assert code in ((0, 1, 2) if name == "validate" else (0, 2, 3))
+        code = assert_clean_and_repeatable([name, str(gpath), *argv],
+                                           (0, 1, 2) if name == "validate" else (0, 2, 3))
         if command == "decompose --f" and isinstance(f, list) and len(f) == 5 and all(
                 isinstance(x, float) and math.isfinite(x) for x in f):  # of any magnitude
             assert code in (0, 3)
-        if code in (2, 3):
-            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-        else:
-            assert err == "" and json.loads(out)
-        assert "Traceback" not in err
-        assert _in_process([name, str(gpath), *argv]) == (code, out, err)
+
+    @settings(max_examples=80)
+    @given(_dominate_files())
+    def test_dominate_exit_codes(self, tmp_path_factory, files):
+        lower, upper, (lower_boundary, upper_boundary) = files
+        work = tmp_path_factory.mktemp("fuzz")
+        paths = [work / "lower.json", work / "upper.json"]
+        for path, graph in zip(paths, (lower, upper)):
+            path.write_text(json.dumps(graph))
+        assert_clean_and_repeatable(["dominate", *map(str, paths),
+                                     f"--lower-boundary={lower_boundary}",
+                                     f"--upper-boundary={upper_boundary}"], (0, 1, 2, 3))
+
+    @settings(max_examples=20)
+    @given(st.integers(-3, 40) | st.sampled_from([51, 99]))
+    def test_counterexample_exit_codes(self, n):
+        code = assert_clean_and_repeatable(["counterexample", f"--n={n}"], (0, 2))
+        assert (code == 0) is (n >= 5 and n % 2 == 1)
 
 
 class TestUsage:

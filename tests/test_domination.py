@@ -753,8 +753,9 @@ class TestProductRoute:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(resolvent, "SMALL_DIM", 0)
             with pytest.MonkeyPatch.context() as budget:
-                # blocks of `rows` rows of W U^T, each |b| long
+                # blocks of `rows` rows of W U^T, each |b| long, above the dense budget
                 budget.setattr(dom, "DENSE_BUDGET", rows * pair.upper.generator.dim)
+                budget.setattr(dom, "_PRODUCT_BLOCK", rows * pair.upper.generator.dim)
                 blocked = check_resolvent_domination(pair)
                 assume(blocked[1]["kind"] == "product")
                 assert assert_matches_oracle(pair) == blocked[1]

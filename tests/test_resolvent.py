@@ -125,17 +125,23 @@ class TestCachedPattern:
         splu = scipy.sparse.linalg.splu
 
         def spy(A, **kw):
-            handed.append(A)
+            handed.append((A, kw))
             return splu(A, **kw)
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
         for q in self.forms():
             h = ResolventHandle(q)
+            order = h.generator.shift_pattern[2]
+            P = permutation_matrix(order)
             for alpha in (1e-3, 1.0, 1e3):
                 handed.clear()
                 h._factor(alpha)
-                (A,) = handed
-                expect = (h.generator.stiffness + sp.diags(alpha * h.generator.mass)).tocsc()
+                ((A, kw),) = handed
+                assert kw == {"permc_spec": "NATURAL", "panel_size": resolvent._PANEL}
+                # P (K + alpha M) P^T with (P x)_i = x[order[i]], in canonical CSC
+                expect = (P @ (h.generator.stiffness + sp.diags(alpha * h.generator.mass))
+                          @ P.T).tocsc()
+                expect.sort_indices()
                 for name in ("indptr", "indices", "data"):
                     got, want = getattr(A, name), getattr(expect, name)
                     assert got.dtype == want.dtype and np.array_equal(got, want), name
@@ -149,6 +155,99 @@ class TestCachedPattern:
                 fresh = ResolventHandle(q)
                 assert np.array_equal(h.apply(alpha, f), fresh.apply(alpha, f))
                 assert np.array_equal(h.resolvent_matrix(alpha), fresh.resolvent_matrix(alpha))
+
+
+def permutation_matrix(order) -> sp.csr_matrix:
+    """P with P x = x[order]."""
+    n = len(order)
+    return sp.csr_matrix((np.ones(n), (np.arange(n), order)), shape=(n, n))
+
+
+class TestFillOrder:
+    """One fill-reducing order per form: SuperLU's minimum degree on A^T + A and its
+    postorder, taken from K's pattern alone and shared by every factor."""
+
+    @staticmethod
+    def forms():
+        yield from TestCachedPattern.forms()
+        g = make_path(6, 0.5)
+        yield assemble(g, couplings=[("v2", "v2", 1.5), ("v0", "v5", 0.25)])  # a self-coupling
+        # a negative weight: K_ad = 3 > |K_aa + alpha m_a| for small alpha, so SuperLU pivots
+        edges = [("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0), ("a", "d", -1.5)]
+        yield assemble(WeightedGraph(["a", "b", "c", "d"], [1.0] * 4, [0.5] * 4, edges))
+        yield assemble(truncate(SquareLatticeGenerator(),
+                                generator_ball(SquareLatticeGenerator(), "0,0", 6)),
+                       boundary=["6,0", "0,-6"])
+
+    def test_order_is_superlus_minimum_degree_order(self):
+        for q in self.forms():
+            gen = q.generator
+            pattern, diag, order, position = gen.shift_pattern
+            assert np.array_equal(order[position], np.arange(gen.dim))
+            # at alpha = 1e3 no diagonal cancels, so K + alpha M has the cached pattern
+            A = (gen.stiffness + sp.diags(1e3 * gen.mass)).tocsc()
+            lu = scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A")
+            assert np.array_equal(lu.perm_c, position)
+
+    def test_one_order_per_form_shared_by_its_handles(self, monkeypatch):
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)
+        built = []
+        spilu = scipy.sparse.linalg.spilu
+        monkeypatch.setattr(scipy.sparse.linalg, "spilu",
+                            lambda A, **kw: built.append(A.shape) or spilu(A, **kw))
+        q = lattice_ball_form(5, boundary=["5,0"])
+        rhs = np.ones((ResolventHandle(q).dim, 3))
+        solved = [ResolventHandle(q).solve_columns(alpha, rhs)
+                  for alpha in (1e-2, 1.0, 1e-2, 7.0)]
+        assert built == [(q.generator.dim,) * 2]
+        assert np.array_equal(solved[0], solved[2])
+
+    def test_order_depends_on_the_pattern_alone(self):
+        rng = np.random.default_rng(30)
+        for q, _ in form_corpus(30, 12, n_max=30):
+            g = q.graph
+            edges = [(g.ids[u], g.ids[v], float(rng.uniform(0.1, 5.0)))
+                     for u, v in zip(g.edge_u, g.edge_v)]
+            c = rng.uniform(0.0, 2.0, g.n) * (g.c > 0)  # zero exactly where c is
+            other = WeightedGraph(g.ids, rng.uniform(0.5, 2.0, g.n), c, edges)
+            q2 = GraphForm(other, q.active.copy())
+            p1, p2 = q.generator.shift_pattern, q2.generator.shift_pattern
+            assert np.array_equal(p1[0].indices, p2[0].indices)
+            assert np.array_equal(p1[2], p2[2]) and np.array_equal(p1[3], p2[3])
+
+    def test_solves_match_dense_solves(self, monkeypatch):
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)  # every factor is SuperLU's
+        pivoted = []
+        splu = scipy.sparse.linalg.splu
+
+        def spy(A, **kw):
+            lu = splu(A, **kw)
+            pivoted.append(not np.array_equal(lu.perm_r, np.arange(A.shape[0])))
+            return lu
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+        rng = np.random.default_rng(31)
+        forms = list(self.forms()) + [q for q, _ in form_corpus(31, 10, n_max=40)]
+        for q in forms:
+            h = ResolventHandle(q)
+            K, m = h.generator.stiffness.toarray(), h.generator.mass
+            for alpha in (0.1, 1.0, 1e3):  # alpha = 1 cancels a diagonal entry of one form
+                A = K + np.diag(alpha * m)
+                rhs = rng.uniform(-1, 1, (h.dim, 3))
+                want = np.linalg.solve(A, rhs)
+                got = h.solve_columns(alpha, rhs)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+                x = h._factor(alpha)(rhs[:, 0])
+                assert np.abs(x - want[:, 0]).max() <= 1e-12 * np.abs(want[:, 0]).max()
+        assert any(pivoted)
+
+    def test_solutions_are_fortran_ordered(self, monkeypatch):
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)
+        h = ResolventHandle(lattice_ball_form(4, boundary=["4,0"]))
+        for rhs in (np.ones((h.dim, 5)), np.asfortranarray(np.ones((h.dim, 2)))):
+            X = h.solve_columns(1.0, rhs)
+            assert X.flags.f_contiguous and X.shape == rhs.shape
+        assert h.resolvent_matrix(1.0).flags.f_contiguous
 
 
 def factored_dims(monkeypatch) -> list:
@@ -754,9 +853,10 @@ class TestSharedDataIsReadOnly:
         f = np.linspace(-1, 1, h.dim)
         before = (h.apply(1.0, f), h.approximating_form(50.0, f))
         gen = q.generator
-        pattern, diag = gen.shift_pattern
+        pattern, diag, order, position = gen.shift_pattern
         W = gen.splitting[1]
-        arrays = [gen.mass, gen.active_index, diag, *gen.splitting[::2], gen._dense_stiffness[0]]
+        arrays = [gen.mass, gen.active_index, diag, order, position, *gen.splitting[::2],
+                  gen._dense_stiffness[0]]
         for K in (gen.stiffness, pattern, W):
             arrays += [K.data, K.indices, K.indptr]
         for a in arrays:
@@ -991,15 +1091,23 @@ class TestSeriesRoute:
             raise AssertionError("series route taken")
 
         K, m = h.generator.stiffness, h.generator.mass
+        order, position = h.generator.shift_pattern[2:]
+        P = permutation_matrix(order)
         for alpha in (1e-2, 1.0, 1e3):
-            lu = splu((K + sp.diags(alpha * m)).tocsc(), permc_spec="MMD_AT_PLUS_A")
+            # the oracle factors P (K + alpha M) P^T in the generator's order
+            lu = splu((P @ (K + sp.diags(alpha * m)) @ P.T).tocsc(), permc_spec="NATURAL",
+                      panel_size=resolvent._PANEL)
+
+            def lu_solve(rhs):
+                return lu.solve(rhs[order])[position]
+
             x = rng.uniform(-1, 1, h.dim)
             series = h._series_solve(alpha, m * x)
             assert (series is None) is (alpha < 1e3)
-            assert np.array_equal(h.apply(alpha, x), lu.solve(m * x) if series is None else series)
+            assert np.array_equal(h.apply(alpha, x), lu_solve(m * x) if series is None else series)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ResolventHandle, "_series_solve", refuse)
-                assert np.array_equal(h.resolvent_matrix(alpha), lu.solve(np.diag(m)))
+                assert np.array_equal(h.resolvent_matrix(alpha), lu_solve(np.diag(m)))
                 truncated_coefficients(h, alpha, phi, [["0,0"], ["1,0", "0,1"]])
         assert len(handed) == 3
 
