@@ -96,9 +96,10 @@ _UNIT_ROUNDOFF = 2.0**-53
 #: between 121 and 131 (3.4 vs 2.8 ms at 121); now they cross between 101 and 121.
 SMALL_DIM = 128
 
-#: SuperLU's panel width, the number of columns it updates together, in every sparse
-#: factor of the package (ResolventHandle._factor and classify's eigensolver), each
-#: taking its matrix already in the form's fill-reducing order (_shift_pattern).
+#: SuperLU's panel width, the number of columns it updates together, in every SuperLU
+#: call of the package: the factors of ResolventHandle._factor and classify's
+#: eigensolver, each taking its matrix already in the form's fill-reducing order,
+#: and the incomplete factor that finds that order (_shift_pattern).
 #: Interleaved medians of one factor of P (K + 0.1 M) P^T in ms (lattice balls with
 #: killing 0.05, the counterexample's base paths; 9-201 reps), against SuperLU's
 #: default panel and against the factor that orders by minimum degree itself
@@ -249,10 +250,12 @@ def _shift_pattern(K: sp.csr_matrix) -> tuple:
 
     p is the column order that splu(permc_spec="MMD_AT_PLUS_A") takes: minimum degree
     on the pattern of A^T + A, then the postorder of its elimination tree.  It is read
-    off an incomplete factor that keeps no entry (spilu with drop_tol = inf: 7 ms at
-    n = 9941, where a full factor takes 18 ms) of a matrix with K's pattern, unit
-    off-diagonals and a dominant diagonal.  So it depends on the pattern alone: never on
-    the weights, on alpha or on which handle factors first.
+    off an incomplete factor that keeps no entry (spilu with drop_tol = inf and a panel
+    of _PANEL columns: 4 ms at n = 9941, where the factor takes 12.5 ms) of a matrix
+    with K's pattern, unit off-diagonals and a dominant diagonal.  So it depends on the
+    pattern alone: never on the weights, on alpha or on which handle factors first.
+    (SuperLU's default panel took 5.3 ms there, and 45 against 29 ms on the n = 99997
+    path, for the same order.)
     """
     import scipy.sparse as sp  # imported here, as in _csr
     from scipy.sparse.linalg import spilu  # and here, as in ResolventHandle._factor
@@ -265,8 +268,8 @@ def _shift_pattern(K: sp.csr_matrix) -> tuple:
     indptr = np.zeros(n + 1, dtype=K.indptr.dtype)
     np.cumsum(count, out=indptr[1:])
     unit = sp.csc_matrix((np.where(row == col, count[col], -1.0), row, indptr), shape=(n, n))
-    position = spilu(unit, drop_tol=np.inf, fill_factor=1.0,
-                     permc_spec="MMD_AT_PLUS_A").perm_c.astype(np.intp)
+    position = spilu(unit, drop_tol=np.inf, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
+                     panel_size=_PANEL).perm_c.astype(np.intp)
     order = np.empty_like(position)
     order[position] = np.arange(n)
     row, col = position[row], position[col]
