@@ -13,8 +13,10 @@ On a finite vertex space the resolvents are entrywise nonnegative matrices,
 so criterion (i) reduces to an entrywise matrix comparison.  It is decided
 without forming either matrix: by the second resolvent identity the
 difference is U V^T M_a, of rank r, the number of stiffness rows where the
-pair differs, and its maximum is exact for r <= 2 at any size and, for
-larger r, within a dense budget or a budget of multiplies per alpha (see
+pair differs.  A bound from the extremes of each column of U and M_a V
+decides it in O(n r), and blocks of the product are formed only where that
+bound exceeds the tolerance, for r <= 2 at any size and, for larger r,
+within a dense budget or a budget of multiplies per alpha (see
 check_resolvent_domination).  For an extension pair V follows from U alone,
 so only the upper form is factored, under a forward-error bound (see
 _schur_route), unless it has at most resolvent.SMALL_DIM active vertices
@@ -54,16 +56,18 @@ from .resolvent import _UNIT_ROUNDOFF, ResolventHandle
 DENSE_BUDGET = 256 * 256
 
 #: Most multiplies per alpha, r |b| |a|, up to which a pair of rank 2 < r < |a|
-#: above DENSE_BUDGET still forms U V^T M_a ("product", certified) instead of
-#: probing: the crossover of the two.  Medians of 5 calls on lattice pairs with
-#: a Dirichlet rim (one factor per alpha), 2 vCPUs, 2 BLAS threads:
+#: above DENSE_BUDGET still takes "box" (certified) instead of probing.  A pass
+#: forms no product there: it costs the r-column solves.  The two cross between
+#: 5.1e7 and 1.27e8.  Medians of 5 calls (two runs) on lattice pairs with a
+#: Dirichlet rim (one factor per alpha), 2 vCPUs, 2 BLAS threads:
 #:
-#:     n      r |b| |a|   product   probes
-#:     313    4.0e6        33 ms    100 ms
-#:     545    1.7e7        71 ms    160 ms
-#:     841    5.1e7       140 ms    210 ms
-#:     1201   1.27e8      266 ms    267 ms
-#:     1861   3.9e8       689 ms    451 ms
+#:     n      r |b| |a|   box          probes
+#:     313    4.0e6        17-20 ms     23-27 ms
+#:     545    1.7e7        36 ms        47-51 ms
+#:     841    5.1e7        67-70 ms     73-74 ms
+#:     1201   1.27e8      120-139 ms   104-119 ms
+#:     1861   3.9e8       235-274 ms   156-180 ms
+#:     2113   5.4e8       319-320 ms   183-192 ms
 PRODUCT_BUDGET = 2**27
 
 #: Most entries of W U^T that _max_inner forms at a time: 128 KB, up to which
@@ -144,73 +148,51 @@ def _check_m_matrix_data(pair: FormPair) -> None:
                              "measure; check the weights")
 
 
-def _lower_chain(P: np.ndarray) -> np.ndarray:
-    """Lower hull of distinct points P sorted by (x, y), first to last (Andrew's chain).
+def _box(U: np.ndarray, W: np.ndarray, step: int) -> np.ndarray:
+    """The box bound of <U_i, W_j> for each block of step rows of U against all of W:
+    the sum over columns of the largest product of an extreme of the block's column
+    and one of W's.  It is at least every entry of the block's product with W^T, and
+    for r = 1 it is one of them."""
+    at = np.arange(0, len(U), step)
+    uh, ul = np.maximum.reduceat(U, at), np.minimum.reduceat(U, at)
+    wh, wl = W.max(axis=0), W.min(axis=0)
+    return np.maximum(np.maximum(uh * wh, ul * wl), np.maximum(uh * wl, ul * wh)).sum(axis=-1)
 
-    Each pass drops, all at once, every inner point that does not turn left
-    between its current neighbours: it lies on or above the segment joining
-    two points of the set, so it is no vertex of the lower hull.  A chain
-    with only left turns is the lower hull.  The drops can creep along an
-    arc a few points per pass, so after eight passes the survivors get the
-    sequential stack scan, which is linear whatever the input.
+
+def _max_inner(U: np.ndarray, W: np.ndarray, tol: float) -> float:
+    """max over i, j of <U_i, W_j> where it decides against tol, else a bound on it.
+
+    The rows of U are cut into blocks whose products with W^T have at most
+    _PRODUCT_BLOCK entries, and each block is bounded by _box, in O(n r) in
+    all.  If no bound exceeds tol, or for r = 1, where the largest bound is
+    the maximum, that largest bound is the result and no product is formed.
+    Otherwise the blocks are formed on scipy's BLAS (see _schur_route), at most
+    _PRODUCT_BLOCK entries of W U^T at a time, in the order of their bounds:
+    all whose bound exceeds the largest entry found up to DENSE_BUDGET
+    entries, so the result is the maximum; above it, until a block holds an
+    entry above tol (its largest) or the bounds left are at most tol (the
+    largest of them and the entries found).
     """
-    for _ in range(8):
-        a, b, c = P[:-2], P[1:-1], P[2:]
-        left = (b[:, 0] - a[:, 0]) * (c[:, 1] - b[:, 1]) > (b[:, 1] - a[:, 1]) * (c[:, 0] - b[:, 0])
-        if left.all():
-            return P
-        P = P[np.concatenate(([True], left, [True]))]
-    hx, hy = [], []
-    for x, y in zip(P[:, 0].tolist(), P[:, 1].tolist()):
-        while len(hx) >= 2 and (hx[-1] - hx[-2]) * (y - hy[-1]) <= (hy[-1] - hy[-2]) * (x - hx[-1]):
-            hx.pop()
-            hy.pop()
-        hx.append(x)
-        hy.append(y)
-    return np.column_stack([hx, hy])
-
-
-def _support_2d(P: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """max_j <D_i, P_j> for every row D_i: the support function of hull(P) in R^2.
-
-    Over a convex polygon the maximiser is the vertex whose two edge normals
-    bracket the direction, found by one sorted search of the normal angles;
-    a direction that rounds into the next sector meets a vertex that is
-    optimal for a direction one rounding away.  Duplicates are dropped;
-    collinear points need no special case: the hull of a segment is its two
-    ends, and one or two points are their own hull.
-    """
-    P = P[np.lexsort((P[:, 1], P[:, 0]))]
-    P = P[np.concatenate(([True], (P[1:] != P[:-1]).any(axis=1)))]  # distinct points
-    if len(P) > 2:  # counterclockwise: lower chain, then upper chain back
-        P = np.concatenate([_lower_chain(P)[:-1], _lower_chain(P[::-1])[:-1]])
-    k = len(P)
-    edge = np.roll(P, -1, axis=0) - P
-    normal = np.arctan2(-edge[:, 0], edge[:, 1])  # outward normal (e_y, -e_x) of edge t
-    order = np.argsort(normal)
-    # Edge t runs from P[t] to P[t + 1]; P[t] is optimal between the normals of t - 1 and t.
-    t = order[np.searchsorted(normal[order], np.arctan2(D[:, 1], D[:, 0])) % k]
-    return np.einsum("ij,ij->i", D, P[t])
-
-
-def _max_inner(kind: str, U: np.ndarray, W: np.ndarray) -> float:
-    """max over i, j of <U_i, W_j>: by extremes ("rank1"), hull ("rank2") or product.
-
-    The product W U^T runs on scipy's BLAS (see _schur_route) in blocks of its
-    rows, at most _PRODUCT_BLOCK entries at a time (one row when a row is longer).
-    """
-    if kind == "rank1":
-        u, w = U[:, 0], W[:, 0]
-        return float(max(x * y for x in (u.min(), u.max()) for y in (w.min(), w.max())))
-    if kind == "rank2":
-        return float(_support_2d(W, U).max())
+    nw = len(W)
+    su = max(1, _PRODUCT_BLOCK // nw)  # rows of U a block, formed against sw rows of W at once
+    sw = _PRODUCT_BLOCK // su
+    bound = _box(U, W, su)
+    if U.shape[1] == 1 or not bound.max() > tol:  # NaN too
+        return float(bound.max())
+    exact = len(U) * nw <= DENSE_BUDGET
     dgemm = resolvent._linalg()[0].dgemm
-    U, W = np.asfortranarray(U), np.ascontiguousarray(W)
-    step = max(1, _PRODUCT_BLOCK // len(U))
-    # Rows j of W U^T.  dgemm takes Fortran order, which U has and the transpose
-    # of a block of W's rows has, so no block is copied.
-    return max(float(dgemm(1.0, W[j:j + step].T, U, trans_a=True, trans_b=True).max())
-               for j in range(0, len(W), step))
+    U, W = np.ascontiguousarray(U), np.ascontiguousarray(W)
+    best = -math.inf  # the largest entry formed
+    for p in np.argsort(-bound):
+        if bound[p] <= (best if exact else max(best, tol)):
+            return float(max(best, bound[p]))  # bound[p] bounds every block left
+        # dgemm takes Fortran order, which the transpose of a block of rows has
+        Up = U[p * su:(p + 1) * su].T
+        best = max(best, *(float(dgemm(1.0, W[j:j + sw].T, Up, trans_a=True).max())
+                           for j in range(0, nw, sw)))
+        if not exact and best > tol:
+            break
+    return best
 
 
 def _gamma(k: int) -> float:
@@ -313,26 +295,25 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
     taken is reported as worst["kind"]:
 
     * "ideal" (a not in b): (i) fails, certified: G~ vanishes on the columns
-      of a \\ b, where G_jj >= m_j / (K_jj + alpha m_j) > 0.  Those columns of
-      G are still solved at each alpha, DENSE_BUDGET entries at a time, as a
-      numeric cross-check: their largest entry is the violation.
+      of a \\ b, where G_jj >= m_j / (K_jj + alpha m_j) > 0, since
+      (A^{-1})_jj >= 1 / A_jj for a symmetric positive definite A.  The
+      largest of these bounds is the violation; nothing is solved.
     * a in b: with E embedding a into b, A = K|a + alpha M and
       A~ = K~|b + alpha M, the second resolvent identity gives
 
           E G - G~ E = U V^T M_a,   U = A~^{-1}[:, S],   V = A^{-1} C_S^T,
 
       where C = A~ E - E A = K~|b E - E K|a does not depend on alpha and S
-      holds its r nonzero rows (the pair's FormPair._difference).  Off the columns in a, G = 0 <= G~, so (i)
-      holds iff max_ij <U_i, m_j V_j> <= tol.  "rank0": r = 0, E G = G~ E.
-      "rank1": the maximum from the extremes of two vectors.  Within the
-      budget, |b| |a| <= DENSE_BUDGET, "product" forms U V^T M_a, or, for
-      r >= |a|, where that product costs more, "blocks" compares E G with
-      G~ E.  Above it, "rank2" takes the support function of hull{m_j V_j}
-      at each row of U, and for 2 < r < |a| "product" still forms U V^T M_a,
-      in blocks of DENSE_BUDGET entries, while r |b| |a| <= PRODUCT_BUDGET.
-      Each of these is certified.  When C vanishes on a's rows (an extension
-      pair: A = A~[a, a]), "rank1", "rank2" and "product" take
-      V = -U_a U_S^{-1} from U through a Cholesky factor of U_S and factor
+      holds its r nonzero rows (the pair's FormPair._difference).  Off the
+      columns in a, G = 0 <= G~, so (i) holds iff max_ij <U_i, m_j V_j> <= tol.
+      "rank0": r = 0, E G = G~ E.  "box": _max_inner decides that maximum
+      from the box bound of U's and M_a V's column extremes, forming U V^T M_a
+      in blocks only where the bound exceeds tol.  It takes r = 1, r = 2 above
+      DENSE_BUDGET (|b| |a| > DENSE_BUDGET), and 2 <= r < |a| within it or
+      while r |b| |a| <= PRODUCT_BUDGET.  Within the budget, for r >= |a|,
+      "blocks" compares E G with G~ E.  Both are certified.  When C vanishes
+      on a's rows (an extension pair: A = A~[a, a]), "box" takes
+      V = -U_a U_S^{-1} from U through a Cholesky factor of U_S and factors
       only A~, at most one factorization per alpha, when |b| > resolvent.SMALL_DIM.
       An alpha's value counts when it lies farther than the bound delta of
       _schur_route from tol; otherwise, or when the Cholesky factor fails,
@@ -344,57 +325,47 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
       largest value.  As G >= 0, every sign vector f has |G f| <= G 1 and
       G~ |f| = G~ 1, so the ones vector stands for all of them.
 
-    Each form's solves run on its ResolventHandle: a one-column solve ("rank1"'s
-    U and V, an "ideal" block of one column) crosses ResolventHandle._solve,
-    which above resolvent.SMALL_DIM active vertices takes the Neumann series at
-    the alphas with rho(alpha) <= 1/2 and factors nothing there; every other
-    solve runs on the handle's factor of K + alpha M: dense Cholesky up to
-    resolvent.SMALL_DIM active vertices, SuperLU above that size or where the
-    Cholesky factor fails, in one fill-reducing order per form (SuperLU's
-    minimum degree on A^T + A, computed once from the form's pattern and shared
-    by every alpha).  The bound delta of _schur_route reads U's measured
-    residual, so it covers a series-solved U too.  alphas, when given, must
-    be a nonempty sequence of positive finite numbers (else ValueError,
-    before any route).
+    Each form's solves run on its ResolventHandle, whose one-column solves (U
+    and V for r = 1) take the Neumann series where rho(alpha) <= 1/2 above
+    resolvent.SMALL_DIM active vertices; the bound delta of _schur_route reads
+    U's measured residual, so it covers a series-solved U too.  alphas, when
+    given, must be a nonempty sequence of positive finite numbers (else
+    ValueError, before any route).
 
-    Returns (ok, worst).  worst["violation"] is the largest entry of G - G~
-    over the columns in a (of G over those in a \\ b for "ideal", over the
-    probes' |G f| - G~|f| for "probe_k"), with its alpha (None for "rank0");
-    ok is violation <= tol, and false for "ideal".  worst["certified"] is
-    false for an "ok" from probes, which do not compare every column.  A
-    failure is always a certificate.
+    Returns (ok, worst).  worst["violation"] is the largest over alpha of the
+    value the verdict rests on, with its alpha (None for "rank0"): the largest
+    entry of G - G~ over the columns in a for "rank0", "blocks" and a "box"
+    of r = 1 or failing within DENSE_BUDGET; for any other "box", a bound at
+    most tol on those entries if it passes, else one of them above tol; for
+    "ideal", the largest lower bound on G_jj; for "probe_k", the probes'
+    largest |G f| - G~|f|.  ok is violation <= tol, and false for "ideal".
+    worst["certified"] is false for an "ok" from probes, which do not compare
+    every column.  A failure is always a certificate.
     """
     alphas = _DEFAULT_ALPHAS if alphas is None else _checked_alphas(alphas)
     _check_m_matrix_data(pair)
     a, b = pair.lower.active, pair.upper.active
-    h_low = ResolventHandle(pair.lower)
     worst = {"violation": -math.inf, "alpha": None, "kind": None, "certified": True}
     if not pair._nested:
-        cols = np.flatnonzero(~b[a])
-        step = max(1, DENSE_BUDGET // h_low.dim)
-        blocks = np.array_split(cols, -(-len(cols) // step))
+        gen, cols = pair.lower.generator, ~b[a]  # a \ b in a's coordinates
+        m, k = gen.mass[cols], gen.stiffness.diagonal()[cols]
         for alpha in alphas:
-            for j in blocks:
-                rhs = np.zeros((h_low.dim, len(j)))
-                rhs[j, np.arange(len(j))] = h_low.generator.mass[j]  # G's columns j
-                _record(worst, h_low.solve_columns(alpha, rhs).max(), alpha, "ideal")
+            with np.errstate(over="ignore"):  # an overflowed A_jj bounds G_jj by 0
+                _record(worst, (m / (k + alpha * m)).max(), alpha, "ideal")
         return False, worst
 
-    h_up = ResolventHandle(pair.upper)
+    h_low, h_up = ResolventHandle(pair.lower), ResolventHandle(pair.upper)
     na, nb = h_low.dim, h_up.dim
     key, value, _, pos = pair._difference  # pos: a's vertices in b's coordinates
     S, row = np.unique(key // na, return_inverse=True)  # C's nonzero rows
     r = len(S)
     if r == 0:
-        worst.update(violation=0.0, kind="rank0")
-        return worst["violation"] <= tol, worst
+        return 0.0 <= tol, dict(worst, violation=0.0, kind="rank0")
     within = nb * na <= DENSE_BUDGET
-    if r == 1 or (r == 2 and not within):
-        kind = f"rank{r}"
+    if r == 1 or r == 2 and not within or r < na and (within or r * nb * na <= PRODUCT_BUDGET):
+        kind = "box"
     elif within:
-        kind = "product" if r < na else "blocks"
-    elif r < na and r * nb * na <= PRODUCT_BUDGET:
-        kind = "product"
+        kind = "blocks"
     else:
         worst["certified"] = False
         n = pair.lower.n
@@ -431,9 +402,9 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
             v = -U.min()
         else:
             V, delta = schur(alpha, U) if schur else (None, math.inf)
-            v = None if V is None else _max_inner(kind, U, V * m_a[:, None])
+            v = None if V is None else _max_inner(U, V * m_a[:, None], tol)
             if v is None or not abs(v - tol) > delta:  # within delta of tol, or NaN
-                v = _max_inner(kind, U, h_low.solve_columns(alpha, C_S) * m_a[:, None])
+                v = _max_inner(U, h_low.solve_columns(alpha, C_S) * m_a[:, None], tol)
         _record(worst, max(v, floor), alpha, kind)
     return worst["violation"] <= tol, worst
 

@@ -292,7 +292,8 @@ class ResolventHandle:
     be finite, a SuperLU factor of P (K + alpha M) P^T in the form's
     fill-reducing order (SuperLU's minimum degree on A^T + A and its
     postorder), with threshold pivoting and a panel of _PANEL columns, which
-    raises ValueError for a non-finite entry.  Its solves take P rhs and
+    raises ValueError for a K or M that is not finite, and OverflowError where
+    K and M are finite but K + alpha M is not.  Its solves take P rhs and
     return the solution in Fortran order, as SuperLU does, with one array
     beyond SuperLU's own.  The factor of the most recent factored alpha is
     kept, so repeated solves at one alpha factor once; a new alpha releases the
@@ -347,9 +348,11 @@ class ResolventHandle:
                 pattern, diag, order, position = gen.shift_pattern
                 A = self._shifted
                 A.data[:] = pattern.data
-                with np.errstate(over="ignore"):  # an overflow is the ValueError below
+                with np.errstate(over="ignore"):  # an overflow is the OverflowError below
                     A.data[diag] += alpha * gen.mass[order]
                 if not np.isfinite(A.data).all():
+                    if np.isfinite(pattern.data).all() and np.isfinite(gen.mass).all():
+                        raise OverflowError(f"K + alpha M overflows at alpha = {alpha!r}")
                     raise ValueError("K + alpha M is not finite; check the weights")
                 if not A.data[diag].all():
                     # K_ii + alpha m_i cancelled or underflowed: drop it, as a sparse sum does

@@ -251,7 +251,7 @@ class TestCounterexample:
         assert rep["gap"] == pytest.approx(1.0, abs=1e-9)
 
     def test_grid_above_dense_cap(self, capsys):
-        # n = 301: |b| |a| is above the dense budget, so criterion (i) takes the rank-2 hull
+        # n = 301: |b| |a| is above the dense budget; criterion (i) takes "box" for r = 2
         code, out, _ = run(capsys, "counterexample", "--n", "301")
         assert code == 0
         rep = json.loads(out)
@@ -538,6 +538,18 @@ class TestComputationFailures:
         assert code == 3
         assert out == ""
         assert err.startswith("error: OverflowError") and err.count("\n") == 1
+
+    def test_alpha_m_overflow_in_dominate(self, tmp_path, capsys):
+        # A valid graph whose alpha m_b passes the float range from alpha = 10^0.5 on.
+        g = tmp_path / "heavy.json"
+        g.write_text(json.dumps({
+            "vertices": [{"id": v, "m": m, "c": 0.0} for v, m in zip("abc", (1.0, 1e308, 1.0))],
+            "edges": [{"u": "a", "v": "b", "b": 1.0}, {"u": "b", "v": "c", "b": 1.0}],
+        }))
+        assert run(capsys, "validate", str(g))[0] == 0
+        code, out, err = run(capsys, "dominate", str(g), str(g), "--lower-boundary=a")
+        assert (code, out) == (3, "")
+        assert err == "error: OverflowError: K + alpha M overflows at alpha = 3.1622776601683795\n"
 
     def test_overflowing_term_in_decompose(self, tmp_path, capsys, recwarn):
         # f(v0)^2 overflows: an error, not NaN values next to "converged": true

@@ -1,6 +1,7 @@
 """Resolvent applications, approximating forms, coefficient tables."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -307,16 +308,28 @@ class TestFactorChoice:
 
     def test_non_finite_small_handle_is_a_value_error(self, monkeypatch):
         dims = factored_dims(monkeypatch)
-        # an infinite weight, and K_ii + alpha m_i = 1e308 + 1e308 on finite data
-        huge = WeightedGraph(["a", "b"], [1.0, 1.0], [0.0, 0.0], [("a", "b", 0.5e308)])
-        for q, alpha in ((infinite_weight_path("edge"), 1.0),
-                         (infinite_weight_path("killing"), 1.0),
-                         (assemble(huge), 1e308)):
+        for q in (infinite_weight_path("edge"), infinite_weight_path("killing")):
             h = ResolventHandle(q)
             assert h.dim <= resolvent.SMALL_DIM
             with (pytest.raises(ValueError, match="K \\+ alpha M is not finite; check the weights"),
                   np.errstate(over="ignore")):
-                h.apply(alpha, np.ones(h.dim))
+                h.apply(1.0, np.ones(h.dim))
+        assert not dims
+
+    def test_overflow_on_finite_data_is_an_overflow_error(self, monkeypatch):
+        # K_ii + alpha m_i = 1e308 + 1e308, and alpha m_i = 1e3 * 1e308, on finite data
+        dims = factored_dims(monkeypatch)
+        huge = WeightedGraph(["a", "b"], [1.0, 1.0], [0.0, 0.0], [("a", "b", 0.5e308)])
+        heavy = WeightedGraph(["a", "b"], [1.0, 1e308], [0.0, 0.0], [("a", "b", 1.0)])
+        for q, alpha in ((assemble(huge), 1e308), (assemble(heavy), 1e3)):
+            for small_dim in (resolvent.SMALL_DIM, 0):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(resolvent, "SMALL_DIM", small_dim)
+                    h = ResolventHandle(q)
+                    with (pytest.raises(OverflowError,
+                                        match=re.escape(f"overflows at alpha = {alpha!r}")),
+                          np.errstate(over="ignore")):
+                        h.apply(alpha, np.ones(h.dim))
         assert not dims
 
     def test_cancelled_diagonal_falls_back_to_superlu(self, monkeypatch):
