@@ -1081,6 +1081,31 @@ class TestMaxInner:
         if U.shape[1] == 1 or within and v > tol:  # the maximum
             assert abs(v - M) <= eps
 
+    @pytest.mark.parametrize("kind", ["rank1", "rank2"])
+    def test_matches_brute_force(self, kind):
+        # tol = -inf: every pass decides against it, so the result is the maximum,
+        # from the column extremes for r = 1 and from the products for r = 2
+        rng = np.random.default_rng(0)
+        r = int(kind[-1])
+        for k in range(200):
+            nu, nw = (int(x) for x in rng.integers(1, 40, size=2))
+            U, W = rng.normal(size=(nu, r)), rng.normal(size=(nw, r))
+            shape = k % 6
+            if shape == 1:  # collinear
+                W = rng.normal() + np.outer(rng.normal(size=nw), rng.normal(size=r))
+            elif shape == 2:  # one point, repeated
+                W = np.repeat(W[:1], nw, axis=0)
+            elif shape == 3:  # duplicates
+                W = np.repeat(W[: max(1, nw // 3)], 3, axis=0)
+            elif shape == 4:  # ties on a small lattice
+                W = rng.integers(-2, 3, size=(nw, r)).astype(float)
+            elif shape == 5:  # directions of zero length, and all on a circle
+                U[: nu // 2] = 0.0
+                if r == 2:
+                    theta = rng.uniform(0.0, 2.0 * math.pi, nw)
+                    W = np.column_stack([np.cos(theta), np.sin(theta)])
+            assert abs(_max_inner(U, W, -math.inf) - (U @ W.T).max()) <= 1e-12
+
     def test_certified_pass_forms_no_product(self, monkeypatch):
         # Pairs that satisfy (ii) have C_S <= 0, so V <= 0 <= U and the box bound is
         # <= 0: no block of U V^T M_a is formed.  A failure forms its blocks.
