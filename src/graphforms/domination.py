@@ -10,15 +10,18 @@ against each other:
         smaller domain is an ideal in the larger one (Silverstein extension).
 
 On a finite vertex space the resolvents are entrywise nonnegative matrices,
-so criterion (i) reduces to an entrywise matrix comparison.  It is decided
-without forming either matrix: by the second resolvent identity the
-difference is U V^T M_a, of rank r, the number of stiffness rows where the
-pair differs.  A bound from the extremes of each column of U and M_a V
-decides it in O(n r), and blocks of the product are formed only where that
-bound exceeds the tolerance, for r <= 2 at any size and, for larger r,
-within a dense budget or a budget of multiplies per alpha (see
-check_resolvent_domination).  For an extension pair V follows from U alone,
-so only the upper form is factored, under a forward-error bound (see
+so criterion (i) reduces to an entrywise matrix comparison.  By the second
+resolvent identity the difference is U V^T M_a, of rank r, the number of
+stiffness rows where the pair differs.  For r <= 2 at any size and, for
+larger r below the lower active set's size, within a dense budget or a
+budget of multiplies per alpha (see check_resolvent_domination), neither
+resolvent matrix is formed: a product of at most _PRODUCT_BLOCK entries is
+formed whole by one dgemm, and a larger one is bounded from the extremes of
+each column of U and M_a V in O(n r) and formed in blocks only where that
+bound exceeds the tolerance.  Otherwise, within the dense budget, the two
+matrices are compared whole, each from a dense factor up to
+resolvent.DENSE_DIM active vertices.  For an extension pair V follows from U
+alone, so only the upper form is factored, under a forward-error bound (see
 _schur_route), unless it has at most resolvent.SMALL_DIM active vertices
 and a dense factor.  The cone inequality in (ii) and the agreement in (iii)
 are both decided exactly from D = K - K~, the difference of the stiffness
@@ -49,11 +52,20 @@ from . import resolvent
 from .resolvent import _UNIT_ROUNDOFF, ResolventHandle
 
 #: Largest block of resolvent entries that criterion (i) forms as one dense
-#: array (see check_resolvent_domination): the memory of a 256 x 256 resolvent
-#: matrix.  Above it, "blocks" (r >= |a|) is slower than probes: on killing
-#: pairs (r = n) blocks take 89 vs 104 ms at n = 221, within the budget, but
-#: 165 vs 130 ms at n = 313 and 606 vs 195 ms at n = 545.
-DENSE_BUDGET = 256 * 256
+#: array (see check_resolvent_domination): the memory of a resolvent matrix of
+#: resolvent.DENSE_DIM rows, up to which "blocks" reads G~ E and G from dense
+#: inverses.  "blocks" (r >= |a|) certifies a pass and probes do not, but
+#: since the probes became one multi-column solve per form and alpha they cost
+#: less at every size, and the gap widens with n.  On killing pairs (r = n),
+#: minimum of 5 in-process calls at the 13 default alphas on forms built once
+#: (two runs), 2 vCPUs, 2 BLAS threads; "blocks" with the SuperLU solves
+#: (DENSE_DIM = 0) and with dense inverses, forced past the budget from 313:
+#:
+#:     n     blocks, SuperLU   blocks, dense   probes
+#:     221    44-50 ms          26 ms          18 ms
+#:     313    91 ms             49-51 ms       21-35 ms
+#:     545   282-298 ms        149-150 ms      43-44 ms
+DENSE_BUDGET = resolvent.DENSE_DIM ** 2
 
 #: Most multiplies per alpha, r |b| |a|, up to which a pair of rank 2 < r < |a|
 #: above DENSE_BUDGET still takes "box" (certified) instead of probing.  A pass
@@ -77,6 +89,9 @@ PRODUCT_BUDGET = 2**27
 #: heap held before: 40 in-process runs of `counterexample --n 255` took
 #: 2300-3400 page faults and 12.6-14.7 ms a run in some processes, 0 and
 #: 8.6-9.1 ms in others.  With 128 KB blocks no run faulted, at 8.5-8.9 ms.
+#: A product of at most one block is formed without its bound: in-process, on a
+#: 10 x 3 / 8 x 3 pair, _max_inner took 13.0 us for a pass and 19.2 us for a
+#: failure through the bound, and takes 5.6 and 5.0 us through one dgemm.
 _PRODUCT_BLOCK = 2**14
 
 _DEFAULT_ALPHAS = tuple(float(a) for a in np.logspace(-3.0, 3.0, 13))
@@ -162,8 +177,11 @@ def _box(U: np.ndarray, W: np.ndarray, step: int) -> np.ndarray:
 def _max_inner(U: np.ndarray, W: np.ndarray, tol: float) -> float:
     """max over i, j of <U_i, W_j> where it decides against tol, else a bound on it.
 
-    The rows of U are cut into blocks whose products with W^T have at most
-    _PRODUCT_BLOCK entries, and each block is bounded by _box, in O(n r) in
+    When W U^T has at most _PRODUCT_BLOCK entries it is formed by one dgemm on
+    scipy's BLAS and its largest entry is the result, whatever tol is: at that
+    size the product costs less than the dozen numpy calls of its box bound.
+    Otherwise the rows of U are cut into blocks whose products with W^T have at
+    most _PRODUCT_BLOCK entries, and each block is bounded by _box, in O(n r) in
     all.  If no bound exceeds tol, or for r = 1, where the largest bound is
     the maximum, that largest bound is the result and no product is formed.
     Otherwise the blocks are formed on scipy's BLAS (see _schur_route), at most
@@ -176,20 +194,28 @@ def _max_inner(U: np.ndarray, W: np.ndarray, tol: float) -> float:
     nw = len(W)
     su = max(1, _PRODUCT_BLOCK // nw)  # rows of U a block, formed against sw rows of W at once
     sw = _PRODUCT_BLOCK // su
-    bound = _box(U, W, su)
-    if U.shape[1] == 1 or not bound.max() > tol:  # NaN too
-        return float(bound.max())
-    exact = len(U) * nw <= DENSE_BUDGET
+    one = len(U) * nw <= _PRODUCT_BLOCK  # one block: its product costs less than its bound
+    if not one:
+        bound = _box(U, W, su)
+        if U.shape[1] == 1 or not bound.max() > tol:  # NaN too
+            return float(bound.max())
     dgemm = resolvent._linalg()[0].dgemm
     U, W = np.ascontiguousarray(U), np.ascontiguousarray(W)
+
+    def block_max(p: int) -> float:
+        # dgemm takes Fortran order, which the transpose of a block of rows has
+        Up = U[p * su:(p + 1) * su].T
+        return max(float(dgemm(1.0, W[j:j + sw].T, Up, trans_a=True).max())
+                   for j in range(0, nw, sw))
+
+    if one:
+        return block_max(0)
+    exact = len(U) * nw <= DENSE_BUDGET
     best = -math.inf  # the largest entry formed
     for p in np.argsort(-bound):
         if bound[p] <= (best if exact else max(best, tol)):
             return float(max(best, bound[p]))  # bound[p] bounds every block left
-        # dgemm takes Fortran order, which the transpose of a block of rows has
-        Up = U[p * su:(p + 1) * su].T
-        best = max(best, *(float(dgemm(1.0, W[j:j + sw].T, Up, trans_a=True).max())
-                           for j in range(0, nw, sw)))
+        best = max(best, block_max(p))
         if not exact and best > tol:
             break
     return best
@@ -261,12 +287,13 @@ def _schur_route(gen, S: np.ndarray, pos: np.ndarray):
         res += (alpha * m)[:, None] * U
         res[S, cols] -= 1.0
         u_max = abs(U).max()
-        a_norm = 2.0 * (diag_max + alpha * m_max)
-        eps = (abs(res).max() + g_res * (a_norm * u_max + 1.0)) / (alpha * m_min)
         nu = abs(Vt).sum(axis=0).max()
         q = abs(dgemm(1.0, U_S.T, Vt, 1.0, U_a.T, overwrite_c=True)).max()  # Q^T, into U_a^T
-        rounding = g_dot * (2.0 * nu + 1.0) * u_max
-        return Vt.T, float(m_a_max * (q + eps * (1.0 + 2.0 * nu) + rounding))
+        with np.errstate(over="ignore"):  # an overflowed bound is inf: the value is redone
+            a_norm = 2.0 * (diag_max + alpha * m_max)
+            eps = (abs(res).max() + g_res * (a_norm * u_max + 1.0)) / (alpha * m_min)
+            rounding = g_dot * (2.0 * nu + 1.0) * u_max
+            return Vt.T, float(m_a_max * (q + eps * (1.0 + 2.0 * nu) + rounding))
 
     return factor
 
@@ -306,12 +333,16 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
       where C = A~ E - E A = K~|b E - E K|a does not depend on alpha and S
       holds its r nonzero rows (the pair's FormPair._difference).  Off the
       columns in a, G = 0 <= G~, so (i) holds iff max_ij <U_i, m_j V_j> <= tol.
-      "rank0": r = 0, E G = G~ E.  "box": _max_inner decides that maximum
-      from the box bound of U's and M_a V's column extremes, forming U V^T M_a
-      in blocks only where the bound exceeds tol.  It takes r = 1, r = 2 above
+      "rank0": r = 0, E G = G~ E.  "box": _max_inner decides that maximum,
+      forming U V^T M_a whole when it has at most _PRODUCT_BLOCK entries, else
+      from the box bound of U's and M_a V's column extremes, forming it in
+      blocks only where the bound exceeds tol.  It takes r = 1, r = 2 above
       DENSE_BUDGET (|b| |a| > DENSE_BUDGET), and 2 <= r < |a| within it or
       while r |b| |a| <= PRODUCT_BUDGET.  Within the budget, for r >= |a|,
-      "blocks" compares E G with G~ E.  Both are certified.  When C vanishes
+      "blocks" compares E G with G~ E, reading G~ E as columns of G~ (one
+      dense inversion above resolvent.SMALL_DIM, see
+      ResolventHandle.resolvent_matrix) when |b| <= resolvent.DENSE_DIM, else
+      from |a| solves.  Both are certified.  When C vanishes
       on a's rows (an extension pair: A = A~[a, a]), "box" takes
       V = -U_a U_S^{-1} from U through a Cholesky factor of U_S and factors
       only A~, at most one factorization per alpha, when |b| > resolvent.SMALL_DIM.
@@ -335,8 +366,9 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
     Returns (ok, worst).  worst["violation"] is the largest over alpha of the
     value the verdict rests on, with its alpha (None for "rank0"): the largest
     entry of G - G~ over the columns in a for "rank0", "blocks" and a "box"
-    of r = 1 or failing within DENSE_BUDGET; for any other "box", a bound at
-    most tol on those entries if it passes, else one of them above tol; for
+    of r = 1, of at most _PRODUCT_BLOCK entries, or failing within
+    DENSE_BUDGET; for any other "box", a bound at most tol on those entries if
+    it passes, else one of them above tol; for
     "ideal", the largest lower bound on G_jj; for "probe_k", the probes'
     largest |G f| - G~|f|.  ok is violation <= tol, and false for "ideal".
     worst["certified"] is false for an "ok" from probes, which do not compare
@@ -384,8 +416,11 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
     floor = 0.0 if nb < pair.lower.n else -math.inf
     m_a = h_low.generator.mass
     if kind == "blocks":
-        rhs = np.zeros((nb, na))
-        rhs[pos, np.arange(na)] = m_a  # G~ E = A~^{-1} M_b E
+        dense = nb <= resolvent.DENSE_DIM  # G~ E as columns of the dense G~, else na solves
+        rows = slice(None) if na == nb else pos  # a = b: G~ E = G~, taken without a copy
+        if not dense:
+            rhs = np.zeros((nb, na))
+            rhs[pos, np.arange(na)] = m_a  # G~ E = A~^{-1} M_b E
     else:
         rhs = np.zeros((nb, r))
         rhs[S, np.arange(r)] = 1.0
@@ -396,11 +431,12 @@ def check_resolvent_domination(pair: FormPair, alphas=None, tol: float = 1e-9) -
         schur = (None if a[b][S].any() or nb <= resolvent.SMALL_DIM
                  else _schur_route(h_up.generator, S, pos))
     for alpha in alphas:
-        U = h_up.solve_columns(alpha, rhs)
         if kind == "blocks":
-            U[pos] -= h_low.resolvent_matrix(alpha)
+            U = h_up.resolvent_matrix(alpha)[:, rows] if dense else h_up.solve_columns(alpha, rhs)
+            U[rows] -= h_low.resolvent_matrix(alpha)
             v = -U.min()
         else:
+            U = h_up.solve_columns(alpha, rhs)
             V, delta = schur(alpha, U) if schur else (None, math.inf)
             v = None if V is None else _max_inner(U, V * m_a[:, None], tol)
             if v is None or not abs(v - tol) > delta:  # within delta of tol, or NaN

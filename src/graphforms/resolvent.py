@@ -42,7 +42,10 @@ Solves with two or more right-hand sides always take the handle's factor: a
 dense Cholesky factor up to SMALL_DIM active vertices, and a SuperLU factor
 above that size or where the Cholesky factor fails.  (On 2 vCPUs, 221
 right-hand sides at n = 221 took 4.4-7.4 ms through the series against 2.3 ms
-on SuperLU.)
+on SuperLU.)  The whole resolvent matrix, above SMALL_DIM and up to DENSE_DIM
+active vertices, is one dense inversion instead (ResolventHandle.resolvent_matrix).
+Both dense routes start from the one dense Cholesky factorization of K + alpha M
+(ResolventHandle._dense_factor).
 
 The pattern of K + alpha M does not depend on alpha, so neither does its
 fill-reducing order.  Each form computes it once, from K's pattern alone
@@ -96,6 +99,12 @@ _UNIT_ROUNDOFF = 2.0**-53
 #: between 121 and 131 (3.4 vs 2.8 ms at 121); now they cross between 101 and 121.
 SMALL_DIM = 128
 
+#: Most active vertices up to which ResolventHandle.resolvent_matrix forms G_alpha by one
+#: dense inversion of K + alpha M (dpotrf, then dpotri) instead of solving its n columns
+#: on the handle's factor, and criterion (i)'s "blocks" route reads G~_alpha E from it;
+#: domination.DENSE_BUDGET is its square.
+DENSE_DIM = 256
+
 #: SuperLU's panel width, the number of columns it updates together, in every SuperLU
 #: call of the package: the factors of ResolventHandle._factor and classify's
 #: eigensolver, each taking its matrix already in the form's fill-reducing order,
@@ -123,6 +132,18 @@ def _linalg() -> tuple:
     """scipy.linalg's BLAS and LAPACK: imported on first use (~0.14 s) and only once."""
     from scipy.linalg import blas, lapack
     return blas, lapack
+
+
+def _mirror_upper(A: np.ndarray, step: int = 64) -> None:
+    """Copy the upper triangle of the square array A onto its lower one, in place: the
+    strict lower part below each panel of step columns in one assignment, and each
+    step x step diagonal block through a copy of its own."""
+    n = len(A)
+    for j in range(0, n, step):
+        k = min(j + step, n)
+        A[k:, j:k] = A[j:k, k:].T
+        block = A[j:k, j:k]
+        np.copyto(block, block.T.copy(), where=np.tri(k - j, k=-1, dtype=bool))
 
 
 def _checked_vector(x, size: int, what: str = "values") -> np.ndarray:
@@ -171,7 +192,7 @@ class GeneratorOperator:
     @cached_property
     def _dense_stiffness(self) -> tuple:
         """K as a read-only Fortran-ordered array, max_i K_ii (inf when some entry of K
-        is not finite) and max_i m_i; only handles of at most SMALL_DIM rows read it."""
+        is not finite) and max_i m_i; only handles of at most DENSE_DIM rows read it."""
         K = np.asfortranarray(self.stiffness.toarray())
         k_max = float(K.diagonal().max(initial=0.0)) if np.isfinite(K).all() else math.inf
         return _freeze(K), k_max, float(self.mass.max(initial=0.0))
@@ -287,9 +308,9 @@ class ResolventHandle:
     which above SMALL_DIM active vertices takes the Neumann series where alpha
     dominates the diagonal (see the module docstring); every other solve goes
     through the factor of _factor.  Up to SMALL_DIM active vertices that is a
-    dense Cholesky factor on scipy's LAPACK (dpotrf, then dpotrs per solve);
-    above that size, or where K + alpha M is not positive definite or may not
-    be finite, a SuperLU factor of P (K + alpha M) P^T in the form's
+    dense Cholesky factor on scipy's LAPACK (_dense_factor's dpotrf, then dpotrs
+    per solve); above that size, or where K + alpha M is not positive definite
+    or may not be finite, a SuperLU factor of P (K + alpha M) P^T in the form's
     fill-reducing order (SuperLU's minimum degree on A^T + A and its
     postorder), with threshold pivoting and a panel of _PANEL columns, which
     raises ValueError for a K or M that is not finite, and OverflowError where
@@ -298,9 +319,11 @@ class ResolventHandle:
     beyond SuperLU's own.  The factor of the most recent factored alpha is
     kept, so repeated solves at one alpha factor once; a new alpha releases the
     old factor before the new one is built, and a series solve leaves it in
-    place.  The generator, its dense K, the order and the CSC pattern of
-    P (K + alpha M) P^T do not depend on alpha, so they are built once per
-    form, on first use, and shared by its handles.
+    place.  resolvent_matrix inverts a dense factor of its own above SMALL_DIM
+    and up to DENSE_DIM active vertices, and keeps neither.  The generator,
+    its dense K, the order and the CSC pattern of P (K + alpha M) P^T do not
+    depend on alpha, so they are built once per form, on first use, and
+    shared by its handles.
     """
 
     def __init__(self, form: GraphForm):
@@ -323,25 +346,33 @@ class ResolventHandle:
         p = self.generator.shift_pattern[0]
         return sp.csc_matrix((p.data.copy(), p.indices, p.indptr), shape=p.shape)
 
+    def _dense_factor(self, alpha: float):
+        """The upper Cholesky factor of K + alpha M (dpotrf, Fortran order), or None where
+        K + alpha M may not be finite or is not positive definite: the handle's one
+        dense factorization, for _factor and resolvent_matrix."""
+        gen = self.generator
+        K, k_max, m_max = gen._dense_stiffness
+        # No K_ii + alpha m_i rounds above k_max + alpha m_max.  Past it, or for a
+        # K that is not finite, SuperLU checks every entry.
+        if not k_max + alpha * m_max < math.inf:
+            return None
+        A = K.copy(order="F")
+        diag = A.ravel(order="K")[:: len(A) + 1]  # a view of A's diagonal
+        diag += alpha * gen.mass
+        factor, info = _linalg()[1].dpotrf(A, lower=0, clean=0, overwrite_a=1)
+        return factor if info == 0 else None  # info > 0: not positive definite
+
     def _factor(self, alpha: float):
         """rhs -> (K + alpha M)^{-1} rhs, through the factor of alpha."""
         if alpha != self._alpha:
             self._alpha = self._solver = None
             gen = self.generator
             n = len(gen.mass)
-            if n <= SMALL_DIM:
-                K, k_max, m_max = gen._dense_stiffness
-                # No K_ii + alpha m_i rounds above k_max + alpha m_max.  Past it, or for a
-                # K that is not finite, SuperLU checks every entry.
-                if k_max + alpha * m_max < math.inf:
-                    lapack = _linalg()[1]
-                    A = K.copy(order="F")
-                    diag = A.ravel(order="K")[:: n + 1]  # a view of A's diagonal
-                    diag += alpha * gen.mass
-                    factor, info = lapack.dpotrf(A, lower=0, clean=0, overwrite_a=1)
-                    if info == 0:  # info > 0: not positive definite, left to SuperLU
-                        self._solver = lambda rhs: lapack.dpotrs(factor, rhs)[0]
-            if self._solver is None:
+            factor = self._dense_factor(alpha) if n <= SMALL_DIM else None
+            if factor is not None:
+                dpotrs = _linalg()[1].dpotrs
+                self._solver = lambda rhs: dpotrs(factor, rhs)[0]
+            else:
                 # imported here: scipy.sparse.linalg adds ~0.13 s to `import graphforms`
                 from scipy.sparse.linalg import splu
 
@@ -393,7 +424,8 @@ class ResolventHandle:
         does not dominate: some K_ii + alpha m_i is not positive and finite, or
         rho(alpha) > 1/2 or NaN (see the module docstring)."""
         diag, W, offsum = self.generator.splitting
-        d = diag + alpha * self.generator.mass
+        with np.errstate(over="ignore"):  # an overflowed d_i is refused below
+            d = diag + alpha * self.generator.mass
         if not np.all((d > 0.0) & (d < math.inf)):
             return None
         rho = float((offsum / d).max(initial=0.0))
@@ -422,8 +454,25 @@ class ResolventHandle:
         return self._solve(alpha, self.generator.mass * f)
 
     def resolvent_matrix(self, alpha: float) -> np.ndarray:
-        """Dense matrix of G_alpha on active coordinates, from the handle's factor."""
-        return self.solve_columns(alpha, np.diag(self.generator.mass))
+        """Dense matrix of G_alpha = (K + alpha M)^{-1} M on active coordinates, in
+        Fortran order.
+
+        Above SMALL_DIM and up to DENSE_DIM active vertices it is one dense inversion in
+        place: dpotri on the Cholesky factor of _dense_factor, its upper triangle mirrored
+        onto the lower one and its columns scaled by m.  Otherwise, or where the dense
+        factor fails, it is the multi-column solve of M on the handle's factor: up to
+        SMALL_DIM that factor's dpotrs costs less than dpotri does.
+        """
+        _check_alpha(alpha)
+        mass = self.generator.mass
+        factor = self._dense_factor(alpha) if SMALL_DIM < self.dim <= DENSE_DIM else None
+        if factor is not None:
+            G, info = _linalg()[1].dpotri(factor, lower=0, overwrite_c=1)
+            if info == 0:  # always, after a factor with a positive diagonal
+                _mirror_upper(G)
+                G *= mass
+                return G
+        return self.solve_columns(alpha, np.diag(mass))
 
     def approximating_bilinear(self, alpha: float, u: np.ndarray, v: np.ndarray) -> float:
         """E^(alpha)(u, v) = <u, (I - alpha G_alpha) v>_m = <u, G_alpha L v>_m.

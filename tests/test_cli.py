@@ -24,6 +24,7 @@ from graphforms import (
     make_path,
     truncate,
 )
+from graphforms import resolvent
 from graphforms.cli import main
 
 GOOD = {
@@ -190,6 +191,31 @@ class TestLatticeIds:
 
 
 class TestDominate:
+    def test_killing_pair_takes_the_dense_blocks_route(self, tmp_path, capsys, monkeypatch):
+        # The n = 221 lattice ball against the same ball with killing 0.1 on every vertex:
+        # r = |a| = |b| = 221, so "blocks", from two dense inverses per alpha.  Neither
+        # order is an extension (exit 1); (i) and (ii) hold with the killing form below.
+        paths = []
+        for name, c in (("free", 0.0), ("killing", 0.1)):
+            gen = SquareLatticeGenerator(c=c)
+            paths.append(str(tmp_path / f"{name}.json"))
+            Path(paths[-1]).write_text(emit_graph(truncate(gen, generator_ball(gen, "0,0", 10))))
+        orders = {False: paths, True: paths[::-1]}  # by the verdict of (i)
+        worst = {}
+        for ok, (lower, upper) in orders.items():
+            code, out, _ = run(capsys, "dominate", lower, upper)
+            rep = json.loads(out)
+            assert code == 1 and not rep["silverstein"] and rep["defects"] == []
+            assert rep["resolvent_ok"] is ok and rep["inequality_ok"] is ok
+            assert rep["resolvent_worst"]["kind"] == "blocks" and rep["resolvent_certified"]
+            worst[ok] = rep["resolvent_worst"]
+        # the same values from the SuperLU solves of G~ E and G
+        monkeypatch.setattr(resolvent, "DENSE_DIM", 0)
+        for ok, (lower, upper) in orders.items():
+            sparse = json.loads(run(capsys, "dominate", lower, upper)[1])["resolvent_worst"]
+            assert sparse["kind"] == "blocks" and sparse["alpha"] == worst[ok]["alpha"]
+            assert sparse["violation"] == pytest.approx(worst[ok]["violation"], rel=1e-12)
+
     def test_reflexive_silverstein(self, good_graph, capsys):
         code, out, _ = run(capsys, "dominate", good_graph, good_graph)
         assert code == 0
@@ -550,6 +576,23 @@ class TestComputationFailures:
         code, out, err = run(capsys, "dominate", str(g), str(g), "--lower-boundary=a")
         assert (code, out) == (3, "")
         assert err == "error: OverflowError: K + alpha M overflows at alpha = 3.1622776601683795\n"
+
+    def test_alpha_m_overflow_above_small_dim_prints_one_line(self, tmp_path):
+        # 200 vertices: the Neumann series and the Schur step's error bound meet the
+        # overflow before the factor raises it; neither may print a RuntimeWarning.
+        g = tmp_path / "heavy.json"
+        g.write_text(json.dumps({
+            "vertices": [{"id": f"v{i}", "m": 1e308 if i == 100 else 1.0, "c": 0.0}
+                         for i in range(200)],
+            "edges": [{"u": f"v{i}", "v": f"v{i + 1}", "b": 1.0} for i in range(199)],
+        }))
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphforms", "dominate", str(g), str(g), "--lower-boundary=v0"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == ("error: OverflowError: K + alpha M overflows at "
+                               "alpha = 3.1622776601683795\n")
 
     def test_overflowing_term_in_decompose(self, tmp_path, capsys, recwarn):
         # f(v0)^2 overflows: an error, not NaN values next to "converged": true

@@ -733,7 +733,8 @@ class TestSmallRoute:
 
 
 class TestOneFactorSite:
-    """K + alpha M is factored in one place, ResolventHandle._factor."""
+    """K + alpha M is factored in two places: densely in ResolventHandle._dense_factor,
+    by SuperLU in ResolventHandle._factor."""
 
     def test_every_factorization_has_one_of_three_callers(self, monkeypatch):
         from scipy.linalg import lapack
@@ -752,6 +753,7 @@ class TestOneFactorSite:
         spy(scipy.sparse.linalg, "splu")
         spy(lapack, "dpotrf")
         spy(lapack, "dposv")
+        spy(lapack, "dpotri")
         corpora = {}
         for fn in selftest.REGISTRY:
             if fn.__name__ in {"check_criterion_equivalence", "check_domination_reflexivity",
@@ -761,13 +763,57 @@ class TestOneFactorSite:
         assert check_silverstein(lattice_pair(10, rim_boundary=True)).resolvent_ok
         q = assemble(make_path(5, 1.0), boundary=["v4"])
         truncated_coefficients(ResolventHandle(q), 1.0, np.full(5, 0.5) * q.active, [["v0"]])
-        # the handle's factors, the Cholesky factor of the r x r block U_S (not of
-        # K + alpha M), and the factor of the recurrence eigensolver
-        allowed = {("splu", "ResolventHandle._factor"), ("dpotrf", "ResolventHandle._factor"),
+        # "blocks" with |b| = 145, above SMALL_DIM: dense inverses of both forms
+        assert not check_resolvent_domination(lattice_pair(8, killing=0.1))[0]
+        # the handle's factors, the dense one inverted in place by resolvent_matrix, the
+        # Cholesky factor of the r x r block U_S (not of K + alpha M), and the factor of
+        # the recurrence eigensolver
+        allowed = {("splu", "ResolventHandle._factor"),
+                   ("dpotrf", "ResolventHandle._dense_factor"),
+                   ("dpotri", "ResolventHandle.resolvent_matrix"),
                    ("dpotrf", "_schur_route.<locals>.factor"), ("splu", "_smallest_eigenvalue")}
         assert callers <= allowed, callers - allowed
-        assert {("splu", "ResolventHandle._factor"), ("dpotrf", "ResolventHandle._factor"),
-                ("dpotrf", "_schur_route.<locals>.factor")} <= callers
+        assert allowed - {("splu", "_smallest_eigenvalue")} <= callers
+
+
+class TestDenseBlocks:
+    """The "blocks" route reads G~ E as columns of the upper form's resolvent matrix when
+    |b| <= resolvent.DENSE_DIM: one dense inversion per form and alpha above SMALL_DIM."""
+
+    def test_corpus_pairs_match_exact_resolvents(self, monkeypatch):
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)  # every form is inverted densely
+        dims = factored_dims(monkeypatch)
+        alphas = (1e-3, 1.0, 1e3)
+        blocks = []
+        for pair in (p for seed in range(5) for p in domination_pair_corpus(seed, 50)):
+            ok, worst = check_resolvent_domination(pair, alphas=alphas)
+            if worst["kind"] == "blocks":
+                assert not dims and worst["certified"]
+                blocks.append(pair)
+                exact = exact_violation(pair, alphas)
+                assert ok == (exact <= Fraction(1e-9))
+                assert abs(worst["violation"] - exact) <= 1e-12 * (1 + abs(exact)), worst
+            dims.clear()
+        # mask pairs (the same killing, other Dirichlet vertices) and killing pairs
+        masks = [np.array_equal(p.lower.graph.c, p.upper.graph.c) for p in blocks]
+        assert len(blocks) >= 10 and any(masks) and not all(masks)
+
+    @pytest.mark.parametrize("radius", [8, 10])  # n = 145 and 221
+    def test_lattice_killing_pairs_match_superlu(self, monkeypatch, radius):
+        pair = lattice_pair(radius, killing=0.1)
+        for p in (pair, FormPair(pair.upper, pair.lower)):
+            with pytest.MonkeyPatch.context() as mp:
+                dims = factored_dims(mp)
+                ok, worst = check_resolvent_domination(p)
+                assert not dims  # no SuperLU factor: two dense inverses per alpha
+                mp.setattr(resolvent, "DENSE_DIM", 0)
+                ok_sparse, sparse = check_resolvent_domination(p)
+                assert dims == [pair.lower.n] * 2 * len(_DEFAULT_ALPHAS)
+            assert ok == ok_sparse and worst["kind"] == sparse["kind"] == "blocks"
+            assert worst["certified"] and sparse["certified"]
+            assert worst["alpha"] == sparse["alpha"]
+            assert abs(worst["violation"] - sparse["violation"]) <= 1e-12 * abs(sparse["violation"])
+        assert not check_resolvent_domination(pair)[0]
 
 
 class TestProductRoute:
@@ -1081,10 +1127,26 @@ class TestMaxInner:
         if U.shape[1] == 1 or within and v > tol:  # the maximum
             assert abs(v - M) <= eps
 
+    @settings(max_examples=150)
+    @given(inner_cases(), st.booleans())
+    def test_one_block_is_the_maximum(self, case, fortran):
+        # |U| |W| <= _PRODUCT_BLOCK: one dgemm forms W U^T, whatever tol is, and the
+        # result is its largest entry
+        U, W, tol = case
+        if fortran:  # as the solves return them
+            U, W = np.asfortranarray(U), np.asfortranarray(W)
+        P = W @ U.T
+        assert P.size <= dom._PRODUCT_BLOCK
+        eps = 1e-12 * (1.0 + np.abs(P).max())
+        for t in (tol, -math.inf, math.inf):
+            assert abs(_max_inner(U, W, t) - P.max()) <= eps
+
     @pytest.mark.parametrize("kind", ["rank1", "rank2"])
-    def test_matches_brute_force(self, kind):
+    def test_matches_brute_force(self, kind, monkeypatch):
         # tol = -inf: every pass decides against it, so the result is the maximum,
-        # from the column extremes for r = 1 and from the products for r = 2
+        # from the column extremes for r = 1 and from the products for r = 2; blocks
+        # of 64 entries keep these arrays of up to 39 x 39 entries on the box route
+        monkeypatch.setattr(dom, "_PRODUCT_BLOCK", 64)
         rng = np.random.default_rng(0)
         r = int(kind[-1])
         for k in range(200):
@@ -1108,7 +1170,8 @@ class TestMaxInner:
 
     def test_certified_pass_forms_no_product(self, monkeypatch):
         # Pairs that satisfy (ii) have C_S <= 0, so V <= 0 <= U and the box bound is
-        # <= 0: no block of U V^T M_a is formed.  A failure forms its blocks.
+        # <= 0: above one block no block of U V^T M_a is formed.  A failure forms its
+        # blocks, and so does any pair within one block.
         blas = resolvent._linalg()[0]
         dgemm, callers = blas.dgemm, []
 
@@ -1118,6 +1181,10 @@ class TestMaxInner:
 
         monkeypatch.setattr(blas, "dgemm", spy)
         monkeypatch.setattr(resolvent, "SMALL_DIM", 0)
+        assert check_resolvent_domination(dirichlet_neumann_pair(7))[0]
+        assert "_max_inner" in callers  # one block of 7 x 5 entries
+        callers.clear()
+        monkeypatch.setattr(dom, "_PRODUCT_BLOCK", 16)  # below every |U| |W| from here on
         for pair in (lattice_pair(4, rim_boundary=True), dirichlet_neumann_pair(7),
                      *counterexample_pairs(51)[:2]):
             ok, worst = check_resolvent_domination(pair)

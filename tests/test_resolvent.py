@@ -248,7 +248,9 @@ class TestFillOrder:
         for rhs in (np.ones((h.dim, 5)), np.asfortranarray(np.ones((h.dim, 2)))):
             X = h.solve_columns(1.0, rhs)
             assert X.flags.f_contiguous and X.shape == rhs.shape
-        assert h.resolvent_matrix(1.0).flags.f_contiguous
+        assert h.resolvent_matrix(1.0).flags.f_contiguous  # the dense inverse (dim 40)
+        monkeypatch.setattr(resolvent, "DENSE_DIM", 0)
+        assert ResolventHandle(h.form).resolvent_matrix(1.0).flags.f_contiguous  # SuperLU's
 
 
 def factored_dims(monkeypatch) -> list:
@@ -262,6 +264,58 @@ def factored_dims(monkeypatch) -> list:
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
     return dims
+
+
+class TestDenseInverse:
+    """Above SMALL_DIM and up to DENSE_DIM active vertices resolvent_matrix is one dense
+    inversion (dpotrf, dpotri); elsewhere, and where the dense factor fails, it is the
+    multi-column solve of M on the handle's factor."""
+
+    def test_matches_exact_resolvents(self, monkeypatch):
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)  # every corpus form is inverted
+        inverted = []
+        dpotri = resolvent._linalg()[1].dpotri
+        monkeypatch.setattr(resolvent._linalg()[1], "dpotri",
+                            lambda c, **kw: inverted.append(len(c)) or dpotri(c, **kw))
+        forms = [q for q, _ in form_corpus(46, 12, n_max=12)]
+        forms.append(assemble(make_path(7, 0.5), boundary=["v6"], extra_killing={"v2": 0.7}))
+        for q in forms:
+            h = ResolventHandle(q)
+            m = h.generator.mass
+            for alpha in (1e-3, 1.0, 1e3):
+                G = h.resolvent_matrix(alpha)
+                assert G.flags.f_contiguous and G.shape == (h.dim, h.dim)
+                exact = np.array(exact_solve(h, alpha, np.diag(m)), dtype=float)
+                np.testing.assert_allclose(G, exact, rtol=1e-12, atol=1e-15 * exact.max())
+        assert inverted == [ResolventHandle(q).dim for q in forms for _ in range(3)]
+
+    @pytest.mark.parametrize("radius", [8, 10])  # n = 145 and 221, above SMALL_DIM
+    def test_lattice_killing_forms_match_superlu(self, monkeypatch, radius):
+        gen = SquareLatticeGenerator(c=0.1)
+        q = assemble(truncate(gen, generator_ball(gen, "0,0", radius)))
+        alphas = [float(a) for a in np.logspace(-3.0, 3.0, 13)]
+        dense = [ResolventHandle(q).resolvent_matrix(alpha) for alpha in alphas]
+        monkeypatch.setattr(resolvent, "DENSE_DIM", 0)
+        h = ResolventHandle(q)
+        for alpha, G in zip(alphas, dense):
+            want = h.solve_columns(alpha, np.diag(h.generator.mass))
+            assert np.array_equal(h.resolvent_matrix(alpha), want)
+            assert np.abs(G - want).max() <= 1e-12 * np.abs(want).max(), alpha
+
+    def test_failed_dense_factor_takes_the_handles_factor(self, monkeypatch):
+        monkeypatch.setattr(resolvent, "SMALL_DIM", 0)
+        # a negative weight: K + alpha M is not positive definite for small alpha
+        edges = [("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0), ("a", "d", -1.5)]
+        q = assemble(WeightedGraph(["a", "b", "c", "d"], [1.0] * 4, [0.5] * 4, edges))
+        h = ResolventHandle(q)
+        assert h._dense_factor(0.1) is None
+        assert np.array_equal(h.resolvent_matrix(0.1),
+                              h.solve_columns(0.1, np.diag(h.generator.mass)))
+        with pytest.raises(ValueError, match="not finite; check the weights"):
+            ResolventHandle(infinite_weight_path()).resolvent_matrix(1.0)
+        heavy = WeightedGraph(["a", "b"], [1.0, 1e308], [0.0, 0.0], [("a", "b", 1.0)])
+        with pytest.raises(OverflowError, match="overflows at alpha = 10.0"):
+            ResolventHandle(assemble(heavy)).resolvent_matrix(10.0)
 
 
 class TestFactorChoice:
@@ -1100,6 +1154,7 @@ class TestSeriesRoute:
 
         # apply takes the series above the diagonal (rho(1e3) <= 1/2) and the LU
         # below it; multi-column solves keep the one LU factor and never read the series.
+        # (resolvent_matrix inverts densely at this size: TestDenseInverse.)
         def refuse(*args):
             raise AssertionError("series route taken")
 
@@ -1120,7 +1175,7 @@ class TestSeriesRoute:
             assert np.array_equal(h.apply(alpha, x), lu_solve(m * x) if series is None else series)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ResolventHandle, "_series_solve", refuse)
-                assert np.array_equal(h.resolvent_matrix(alpha), lu_solve(np.diag(m)))
+                assert np.array_equal(h.solve_columns(alpha, np.diag(m)), lu_solve(np.diag(m)))
                 truncated_coefficients(h, alpha, phi, [["0,0"], ["1,0", "0,1"]])
         assert len(handed) == 3
 
