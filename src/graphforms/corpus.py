@@ -19,9 +19,9 @@ def random_connected_graph(
     rng: np.random.Generator,
     n_min: int = 4,
     n_max: int = 50,
-    extra_edge_prob: float = 0.15,
 ) -> WeightedGraph:
-    """Random connected graph with b in (0, 2], c in [0, 1], m in [0.5, 2]."""
+    """Random connected graph with b in (0, 2], c in [0, 1], m in [0.5, 2]: a random
+    spanning tree plus each other pair with probability 0.6 / n."""
     n = int(rng.integers(n_min, n_max + 1))
     ids = [f"v{i}" for i in range(n)]
     m = rng.uniform(0.5, 2.0, size=n)
@@ -35,7 +35,7 @@ def random_connected_graph(
     for i in range(n):
         for j in range(i + 1, n):
             key = (min(ids[i], ids[j]), max(ids[i], ids[j]))
-            if key not in present and rng.random() < extra_edge_prob / n * 4:
+            if key not in present and rng.random() < 0.15 / n * 4:
                 present.add(key)
                 edges.append((ids[i], ids[j], float(rng.uniform(0.05, 2.0))))
     return WeightedGraph(ids, m, c, edges)
@@ -72,7 +72,7 @@ def random_cutoff(rng: np.random.Generator, q: GraphForm) -> np.ndarray:
 
 
 def saturating_exhaustion(graph: WeightedGraph, levels: int = 3):
-    return ball_exhaustion(graph, graph.ids[0], n_levels=levels, plateau=1, saturate=True)
+    return ball_exhaustion(graph, graph.ids[0], n_levels=levels, plateau=1)
 
 
 def form_corpus(seed: int, count: int, n_min: int = 4, n_max: int = 50):

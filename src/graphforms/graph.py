@@ -759,9 +759,10 @@ class Exhaustion:
     and at least one level (else ValueError), or a ball exhaustion's root
     distances, from which ``sets`` and ``cutoffs`` are built when first read.
     Explicit sets must be 1-D integer vertex indices and cutoffs one value per vertex.
+    ``nest_assumed`` is True only for ``build_exhaustion``'s balls in an infinite graph.
     """
 
-    def __init__(self, graph: WeightedGraph, sets, cutoffs, nest_assumed: bool = False):
+    def __init__(self, graph: WeightedGraph, sets, cutoffs):
         sets = [np.asarray(F) for F in sets]
         cutoffs = [np.asarray(chi, dtype=float) for chi in cutoffs]
         if not cutoffs or len(sets) != len(cutoffs):
@@ -776,7 +777,7 @@ class Exhaustion:
             sets[k] = F.astype(int, copy=False)
         self.graph = graph
         self._levels = _Cutoffs(sets, cutoffs)
-        self.nest_assumed = nest_assumed
+        self.nest_assumed = False
 
     @classmethod
     def _of(cls, graph: WeightedGraph, levels, nest_assumed: bool) -> "Exhaustion":
@@ -831,14 +832,8 @@ def build_exhaustion(gen, root: str, n_levels: int, plateau: int) -> Exhaustion:
     return Exhaustion._of(graph, balls, nest_assumed=True)
 
 
-def ball_exhaustion(
-    graph: WeightedGraph,
-    root,
-    n_levels: int = 3,
-    plateau: int = 1,
-    saturate: bool = True,
-) -> Exhaustion:
-    """Ball exhaustion of a finite graph; with saturate the last set is everything.
+def ball_exhaustion(graph: WeightedGraph, root, n_levels: int = 3, plateau: int = 1) -> Exhaustion:
+    """Ball exhaustion of a finite graph, saturated: the last set is everything.
 
     Saturation makes the final cutoff identically 1, so decomposition values
     along this exhaustion are exact for the finite graph.
@@ -849,5 +844,5 @@ def ball_exhaustion(
     dist_root = graph.distances_from([root_idx])
     ecc = float(np.max(dist_root[np.isfinite(dist_root)]))
     step = max(1, math.ceil(ecc / n_levels)) if ecc > 0 else 1
-    balls = _Balls(dist_root, step * np.arange(1, n_levels + 1), plateau, saturate, dist_root >= 0)
+    balls = _Balls(dist_root, step * np.arange(1, n_levels + 1), plateau, True, dist_root >= 0)
     return Exhaustion._of(graph, balls, nest_assumed=False)

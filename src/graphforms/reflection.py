@@ -8,9 +8,11 @@ which strips every killing term and localizes the difference part: on graph
 forms it equals the weighted pair sum with both endpoints damped by phi.  The
 main part is the supremum of T_phi over admissible cutoffs, computed as a
 monotone limit along an exhaustion.  The killing part is the monotone
-completion of Q - main on the domain, computed as a supremum over cutoff
-times clamp products.  Their sum is the reflected form: an extension of Q
-that carries the boundary and killing energy explicitly.
+completion of Q - main on the domain, a supremum over cutoffs times clamps
+f^(n) = (f and n) or (-n); on a finite truncation every f is bounded, so the
+clamp at n = max|f| is f itself and that one level gives the limit exactly.
+Their sum is the reflected form: an extension of Q that carries the boundary
+and killing energy explicitly.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -112,9 +113,10 @@ def _spans(begin: np.ndarray, end: np.ndarray) -> tuple:
     return index, np.arange(len(index)) - np.repeat(stop - span - begin, span), stop - 1
 
 
-def _running_sums(terms: np.ndarray, slot: np.ndarray, n_levels: int) -> list:
-    """For each level k, a few floats whose exact sum is that of the terms in slots
-    <= k (running terms) plus that of the terms in slot n_levels + k (point terms).
+def _running_sums(terms: np.ndarray, slot: np.ndarray, n_levels: int) -> np.ndarray:
+    """A (rounds x levels) array whose column k has the exact sum of the terms in
+    slots <= k (running terms) plus that of the terms in slot n_levels + k (point
+    terms).
 
     Error-free vector extraction (Rump, Ogita and Oishi, "Accurate floating-point
     summation, part I", SIAM J. Sci. Comput. 31, 2008): for sigma = 2^s with
@@ -142,9 +144,7 @@ def _running_sums(terms: np.ndarray, slot: np.ndarray, n_levels: int) -> list:
         by_slot = np.bincount(slot, weights=q, minlength=2 * n_levels)
         rounds.append(np.cumsum(by_slot[:n_levels]) + by_slot[n_levels:])
         x = x - q
-    if not rounds:
-        return [[] for _ in range(n_levels)]
-    return [[v for v in col if v] for col in np.array(rounds).T.tolist()]
+    return np.reshape(rounds, (len(rounds), n_levels))
 
 
 class _Rows(NamedTuple):
@@ -185,8 +185,8 @@ class _Walk:
     level sum.  The rows, with everything the sums read of them, are gathered once
     into a row table (``blocks``) that the sums of both parts share.
 
-    Q(chi f) and Q(chi f^2, chi) of the main part, and Q(g) of a clamped killing
-    level, read every row.  The killing part's Q(g^2, 1) reads only each block's
+    Q(chi f) and Q(chi f^2, chi) of the main part read every row; the killing
+    part's Q(g), g = chi f, is Q(chi f).  Its Q(g^2, 1) reads only each block's
     crossing table (``crossing``): the pair rows whose endpoints differ in activity,
     and the vertex rows, all of which carry killing.  A pair enters through an
     active endpoint, so every other pair row joins two active vertices, and its
@@ -253,51 +253,34 @@ class _Walk:
             self.blocks.append(block)
             self.crossing.append(_pick(block, np.flatnonzero(crosses[ip[bp]])))
 
-    def _terms(self, rows: _Rows, h, killing, with_energy, with_second=True) -> list:
-        """``energy_terms`` of Q(phi h) if ``with_energy`` and of Q(phi h^2, phi) if
-        ``with_second``, on a table's rows; the table is not written to."""
-        if h is self.f:
-            h_p, h_x = rows.f_p, rows.f_x
-        else:  # a clamped f, scaled
-            h_p, h_x = h[rows.ends], h[rows.verts]
-        if killing:  # phi is the full cutoff and h = chi * fn
-            phi_p, h_p = self.full[rows.ends], rows.chi_p * h_p
-            phi_x, h_x = self.full[rows.verts], rows.chi_x * h_x
-        else:
-            phi_p, phi_x = rows.chi_p, rows.chi_x
-        pf, pfx = phi_p * h_p, phi_x * h_x
-        out = [energy_terms(pf, pf, rows.w, pfx, pfx, rows.c)] if with_energy else []
-        if with_second:
-            pf *= h_p  # phi h^2
-            pfx *= h_x
-            out.append(energy_terms(pf, phi_p, rows.w, pfx, phi_x, rows.c))
+    def _terms(self, rows: _Rows, killing: bool) -> list:
+        """``energy_terms`` of Q(chi f) and Q(chi f^2, chi) for the main part, or of
+        Q(g^2, 1), g = chi f, for the killing part, on a table's rows; the table is
+        not written to."""
+        g_p, g_x = rows.chi_p * rows.f_p, rows.chi_x * rows.f_x
+        if killing:  # g^2, against the full cutoff 1
+            g_p *= g_p
+            g_x *= g_x
+            return [energy_terms(g_p, self.full[rows.ends], rows.w,
+                                 g_x, self.full[rows.verts], rows.c)]
+        out = [energy_terms(g_p, g_p, rows.w, g_x, g_x, rows.c)]
+        g_p *= rows.f_p  # chi f^2
+        g_x *= rows.f_x
+        out.append(energy_terms(g_p, rows.chi_p, rows.w, g_x, rows.chi_x, rows.c))
         return out
 
-    def level_sums(self, h: np.ndarray, killing: bool, energy=None) -> list:
-        """Per level l, the exact sums (Q(chi_l h), Q(chi_l h^2, chi_l)) for the main
-        part, or (Q(g), Q(g^2, 1)) with g = chi_l h for the killing part, of h = f or
-        a clamped f scaled by 2^-k; given ``energy``, the first sums already known,
-        only the second are evaluated.  Each block's terms are extracted on their own,
-        and each level sum is one fsum over the floats of every block, times 2^2k.
+    def level_sums(self, killing: bool) -> list:
+        """The exact sums [Q(chi_l f)] and [Q(chi_l f^2, chi_l)] over the levels l for
+        the main part, or [Q(g^2, 1)], g = chi_l f, for the killing part, which reads
+        only the crossing tables.  Each block's terms are extracted on their own, and
+        each level sum is one fsum over the floats of every block, times 2^2k.
         """
         if not self.q.finite:
-            return [(math.nan, math.nan)] * self.levels
-        parts = None
-        for rows, crossing in zip(self.blocks, self.crossing):
-            if killing:  # Q(g) on every row, Q(g^2, 1) on the crossing table
-                work = [] if energy is not None else [
-                    (t, rows.slot) for t in self._terms(rows, h, True, True, False)]
-                work += [(t, crossing.slot) for t in self._terms(crossing, h, True, False)]
-            else:
-                work = [(t, rows.slot) for t in self._terms(rows, h, False, True)]
-            got = [_running_sums(terms, slot, self.levels) for terms, slot in work]
-            parts = got if parts is None else [
-                [a + b for a, b in zip(old, new)] for old, new in zip(parts, got)
-            ]
-        sums = [[unscale(math.fsum(v), 2 * self.shift) for v in level] for level in parts]
-        if energy is not None:
-            sums.insert(0, energy)
-        return list(zip(*sums))
+            return [[math.nan] * self.levels] * (1 if killing else 2)
+        blocks = [[_running_sums(t, table.slot, self.levels) for t in self._terms(table, killing)]
+                  for table in (self.crossing if killing else self.blocks)]
+        return [[unscale(math.fsum(col), 2 * self.shift)
+                 for col in np.concatenate(parts).T.tolist()] for parts in zip(*blocks)]
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +309,11 @@ def main_part(q: GraphForm, ex: Exhaustion, f, rel_tol: float = 1e-8) -> PartRes
 
 def _main(walk: _Walk, rel_tol: float) -> tuple:
     """The main part on a walk, and its level energies Q(chi_k f)."""
-    sums = walk.level_sums(walk.f, killing=False)
-    trace = [a - b for a, b in sums]
+    energy, second = walk.level_sums(killing=False)
+    trace = [a - b for a, b in zip(energy, second)]
     converged = walk.monotone and not math.isnan(trace[-1]) and (
         walk.saturated or increments_settled(trace, rel_tol))
-    return PartResult(value=trace[-1], trace=trace, converged=converged), [a for a, _ in sums]
+    return PartResult(value=trace[-1], trace=trace, converged=converged), energy
 
 
 # ---------------------------------------------------------------------------
@@ -338,51 +321,31 @@ def _main(walk: _Walk, rel_tol: float) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def killing_part(
-    q: GraphForm,
-    ex: Exhaustion,
-    f,
-    clamp_levels=None,
-    rel_tol: float = 1e-8,
-) -> PartResult:
+def killing_part(q: GraphForm, ex: Exhaustion, f, rel_tol: float = 1e-8) -> PartResult:
     """Killing-part value of f: supremum of Q(g) - main(g) over g = chi * f^(n).
 
-    The search space runs over the masked exhaustion cutoffs chi and the clamp
-    ladder f^(n) = (f and n) or (-n); the resulting grid is nondecreasing in
-    both indices, so the supremum is the last entry.  The default single clamp
-    level max|f| is exact for bounded f.  A given ladder must be nonempty,
-    positive and nondecreasing.  The trace is the grid flattened row per clamp
-    level.
+    The search space runs over the masked exhaustion cutoffs chi and the clamps
+    f^(n) = (f and n) or (-n), and the grid of values is nondecreasing in both
+    indices.  On a finite truncation f is bounded, so the clamp at n = max|f| is
+    f itself and bounds every other: the supremum is the last entry of that one
+    row.  The trace is the grid, one row long.  Q(g) is the main part's level
+    energy Q(chi f), so the main part's sums are evaluated too.
     """
-    return _killing(_Walk(q, ex, f), clamp_levels, rel_tol)
+    walk = _Walk(q, ex, f)
+    return _killing(walk, rel_tol, _main(walk, rel_tol)[1])
 
 
-def _killing(walk: _Walk, clamp_levels, rel_tol: float, energy=None) -> PartResult:
-    """The killing part on a walk; ``energy``, the main part's level energies, if known."""
-    top = float(np.max(np.abs(walk.f)))
-    clamp_levels = [top if top > 0 else 1.0] if clamp_levels is None else list(clamp_levels)
-    if not clamp_levels:
-        raise ValueError("clamp ladder must not be empty")
-    if not all(level > 0 for level in clamp_levels):
-        raise ValueError("clamp levels must be positive")
-    if not all(a <= b for a, b in pairwise(clamp_levels)):
-        raise ValueError("clamp levels must be nondecreasing")
+def _killing(walk: _Walk, rel_tol: float, energy: list) -> PartResult:
+    """The killing part on a walk, from the main part's level energies Q(chi_k f)."""
     # main(g) is attained at the full admissible cutoff on a finite truncation,
     # and Q(full * g) is Q(g) bit for bit because g vanishes off the active set.
-    # At a level >= max|f|, fn is f and each term of Q(g) = Q(chi f) is the float
-    # main_part formed (1.0 * (chi f) is chi f, and masked zeros keep their sign),
-    # so the main part's level energies are reused when given, and the row table's
-    # gathers of f serve the second sums; a clamped fn is scaled and gathered fresh.
-    grid = []
-    for level in clamp_levels:
-        whole = level >= top
-        fn = walk.f if whole else np.ldexp(np.clip(walk.f, -level, level), -walk.shift)
-        grid.append([e - (e - b) for e, b in walk.level_sums(fn, True, energy if whole else None)])
-    value = grid[-1][-1]
-    saturated = walk.saturated and clamp_levels[-1] >= top
-    converged = walk.monotone and not math.isnan(value) and (
-        saturated or increments_settled(grid[-1], rel_tol))
-    return PartResult(value=value, trace=grid, converged=converged)
+    # Each term of Q(g) = Q(chi f) is then the float the main part formed, so its
+    # level energies serve, and only Q(g^2, 1) is summed here.
+    (second,) = walk.level_sums(killing=True)
+    trace = [e - (e - b) for e, b in zip(energy, second)]
+    converged = walk.monotone and not math.isnan(trace[-1]) and (
+        walk.saturated or increments_settled(trace, rel_tol))
+    return PartResult(value=trace[-1], trace=[trace], converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -419,23 +382,18 @@ class DecompositionResult:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def reflected_form(
-    q: GraphForm,
-    ex: Exhaustion,
-    f,
-    clamp_levels=None,
-    rel_tol: float = 1e-8,
-) -> DecompositionResult:
+def reflected_form(q: GraphForm, ex: Exhaustion, f, rel_tol: float = 1e-8) -> DecompositionResult:
     """Decompose the energy of f into main and killing parts; reflected = sum.
 
     The exhaustion may be unmasked; it is masked to the active set here.  For
     f in the form domain the reflected value reproduces Q(f) (the extension
-    property of the reflected form).
+    property of the reflected form).  The killing part is taken at the one
+    clamp level max|f|, which is exact on a finite truncation (``killing_part``).
     """
     _check_truncation(q, ex)
     walk = _Walk(q, ex.masked(q.active), f)  # one walk, checked and set up once for both parts
     main, energy = _main(walk, rel_tol)
-    kill = _killing(walk, clamp_levels, rel_tol, energy)
+    kill = _killing(walk, rel_tol, energy)
     return DecompositionResult(
         f=walk.f,
         main_value=main.value,

@@ -494,14 +494,14 @@ class ResolventHandle:
         return self.approximating_bilinear(alpha, f, f)
 
 
-def default_alpha_ladder(handle: ResolventHandle, rungs: int = 8, base: float = 10.0):
-    """Geometric alpha ladder from one unit above the generator's Gershgorin bound, where
-    rho(alpha) < 1/3 on an M-matrix K with nonnegative row sums."""
+def default_alpha_ladder(handle: ResolventHandle):
+    """Eight alphas, growing tenfold from one unit above the generator's Gershgorin bound,
+    where rho(alpha) < 1/3 on an M-matrix K with nonnegative row sums."""
     bound = handle.generator.norm_estimate()
     if not math.isfinite(bound):
         raise ValueError("the generator norm bound is not finite; check the weights")
     alpha0 = 1.0 + bound
-    return [alpha0 * base**k for k in range(rungs)]
+    return [alpha0 * 10.0**k for k in range(8)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 from .domination import FormPair, check_silverstein
 from .forms import GraphForm, assemble
 from .graph import Exhaustion, make_path
-from .reflection import effective_killing, reflected_form
+from .reflection import effective_killing, recurrence_check
 from .resolvent import _PANEL, _UNIT_ROUNDOFF
 
 if TYPE_CHECKING:
@@ -203,7 +203,8 @@ def _smallest_eigenvalue(A: sp.csc_matrix) -> float:
 def classify_recurrence(q: GraphForm, ex: Exhaustion) -> dict:
     """Recurrence flags of the main part, the reflected form and the base form.
 
-    Each part's flag says that its value at 1 is exactly 0.0.  The main part
+    Each part's flag says that its value at 1 is exactly 0.0; the main and
+    reflected values at 1 come from ``recurrence_check``.  The main part
     annihilates constants by construction.  The reflected form is recurrent
     exactly when the total effective killing, a sum of nonnegative terms,
     vanishes, however small a positive term is.  The base
@@ -240,7 +241,7 @@ def classify_recurrence(q: GraphForm, ex: Exhaustion) -> dict:
             "recurrence classification needs finite nonnegative weights and positive measure"
         )
 
-    result = reflected_form(q, ex, np.ones(q.n))
+    at_1 = recurrence_check(q, ex)
     # csgraph takes every stored entry as an edge, so drop K's stored zeros (weight-0 pairs).
     links = K.copy()
     links.eliminate_zeros()
@@ -259,11 +260,11 @@ def classify_recurrence(q: GraphForm, ex: Exhaustion) -> dict:
                            pattern.indptr), shape=K.shape)
         lam_min = _smallest_eigenvalue(A)
     return {
-        "main_recurrent": result.main_value == 0.0,
-        "reflected_recurrent": result.reflected_value == 0.0,
+        "main_recurrent": at_1["recurrent_main"],
+        "reflected_recurrent": at_1["reflected_value_at_1"] == 0.0,
         "base_kernel_trivial": kernel_trivial,
         "kernel_certified": True,
-        "reflected_value_at_1": result.reflected_value,
+        "reflected_value_at_1": at_1["reflected_value_at_1"],
         "smallest_eigenvalue": lam_min,
     }
 

@@ -405,6 +405,26 @@ def _dominate_files(draw):
     return lower, upper, boundaries
 
 
+#: Vertex ids that collide once read as strings (1 and "1"), hold spaces, commas or
+#: brackets, or are empty.
+_ODD_IDS = st.sampled_from([1, "1", 0, "0", "0, 1", "0,1", "[1]", "[", " 1", "a b", '"', ""])
+
+
+@st.composite
+def _odd_id_files(draw):
+    """A 4-vertex path with ids from ``_ODD_IDS``, repeats included; a boundary, comma-
+    separated or a JSON array, and a --root (or none), each of which may repeat an id
+    or name an unknown one."""
+    ids = draw(st.lists(_ODD_IDS, min_size=4, max_size=4, unique_by=str)
+               | st.lists(_ODD_IDS, min_size=4, max_size=4))
+    graph = {"vertices": [{"id": v, "m": 1.0, "c": 0.5} for v in ids],
+             "edges": [{"u": u, "v": v, "b": 1.0} for u, v in zip(ids, ids[1:])]}
+    named = (st.sampled_from(ids) | _ODD_IDS | st.just("unknown")).map(str)
+    picks = draw(st.lists(named, max_size=3))
+    boundary = json.dumps(picks) if draw(st.booleans()) else ",".join(picks)
+    return graph, boundary, draw(st.none() | named)
+
+
 def assert_clean_and_repeatable(argv, codes) -> int:
     """Run argv twice in process: one of the codes each time, stdout a JSON report or
     stderr one error line (no traceback), and the same bytes both times."""
@@ -453,6 +473,23 @@ class TestFuzzedInputs:
         assert_clean_and_repeatable(["dominate", *map(str, paths),
                                      f"--lower-boundary={lower_boundary}",
                                      f"--upper-boundary={upper_boundary}"], (0, 1, 2, 3))
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(["validate", "decompose", "classify", "dominate"]), _odd_id_files())
+    def test_duplicate_and_non_canonical_ids(self, tmp_path_factory, command, files):
+        graph, boundary, root = files
+        work = tmp_path_factory.mktemp("fuzz")
+        gpath, fpath = work / "g.json", work / "f.json"
+        gpath.write_text(json.dumps(graph))
+        fpath.write_text("[0.5, 1, 0, -1]")
+        ball = ["--levels=2", "--plateau=1"] + ([] if root is None else [f"--root={root}"])
+        argv = {"validate": [],
+                "decompose": [f"--f={fpath}", f"--boundary={boundary}", *ball],
+                "classify": [f"--boundary={boundary}", *ball],
+                "dominate": [str(gpath), f"--lower-boundary={boundary}",
+                             f"--upper-boundary={boundary}"]}[command]
+        codes = {"validate": (0, 1, 2), "dominate": (0, 1, 2, 3)}.get(command, (0, 2, 3))
+        assert_clean_and_repeatable([command, str(gpath), *argv], codes)
 
     @settings(max_examples=20)
     @given(st.integers(-3, 40) | st.sampled_from([51, 99]))

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script, and the README's library quickstart, runs against the source tree."""
 
 import os
 import subprocess
@@ -18,3 +18,15 @@ def test_demo_exits_zero(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_quickstart():
+    # The python block under "Library quickstart", so the README follows the API.
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library quickstart")[1]
+    code = section.split("```python\n")[1].split("```")[0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0.375 19.125 19.5\n"

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphforms import (
+    Exhaustion,
     GraphFormatError,
     IntegerLineGenerator,
     SquareLatticeGenerator,
@@ -338,6 +340,11 @@ def _per_level_cutoffs(graph, sets, plateau):
     ]
 
 
+def _unsaturated(ex):
+    """A ball exhaustion with its last cutoff left a ball's, as ``build_exhaustion``'s is."""
+    return Exhaustion._of(ex.graph, replace(ex._levels, saturate=False), ex.nest_assumed)
+
+
 def _two_components():
     # A path v0-v1-v2-v3 and a separate edge w0-w1 the root cannot reach.
     ids = ["v0", "v1", "v2", "v3", "w0", "w1"]
@@ -364,7 +371,9 @@ class TestOneBfsCutoffs:
     def test_ball_exhaustion_matches_per_level_bfs(self, saturate, connected):
         g = make_path(9, 0.5) if connected else _two_components()
         for plateau in (1, 2):
-            ex = ball_exhaustion(g, 1, n_levels=3, plateau=plateau, saturate=saturate)
+            ex = ball_exhaustion(g, 1, n_levels=3, plateau=plateau)
+            if not saturate:
+                ex = _unsaturated(ex)
             dist_root = g.distances_from([1])
             ecc = float(np.max(dist_root[np.isfinite(dist_root)]))
             step = max(1, math.ceil(ecc / 3))
@@ -376,10 +385,8 @@ class TestOneBfsCutoffs:
                 assert float(np.max(np.abs(chi - oracle))) == 0.0
 
     def test_saturated_cutoff_covers_unreachable_vertices(self):
-        ex = ball_exhaustion(_two_components(), "v0", n_levels=2, saturate=True)
+        ex = ball_exhaustion(_two_components(), "v0", n_levels=2)
         assert np.all(ex.cutoffs[-1] == 1.0)
-        unsaturated = ball_exhaustion(_two_components(), "v0", n_levels=2, saturate=False)
-        assert np.all(unsaturated.cutoffs[-1][4:] == 0.0)
 
     def test_one_distance_search_per_exhaustion(self, monkeypatch):
         calls = []
@@ -736,10 +743,11 @@ class TestImplicitCutoffs:
         active[[0, 3, 17]] = False
         yield lattice.masked(active)
         yield lattice.masked(active).masked(np.arange(lattice.graph.n) % 5 != 1)
-        for saturate in (True, False):
-            for plateau in (1, 2, 4):
-                yield ball_exhaustion(_two_components(), "v1", 3, plateau, saturate)
-                yield ball_exhaustion(make_path(17, 1.0), "v3", 4, plateau, saturate)
+        for plateau in (1, 2, 4):
+            for ex in (ball_exhaustion(_two_components(), "v1", 3, plateau),
+                       ball_exhaustion(make_path(17, 1.0), "v3", 4, plateau)):
+                yield ex
+                yield _unsaturated(ex)
 
     def test_nothing_dense_until_read(self):
         ex = build_exhaustion(SquareLatticeGenerator(), "0,0", n_levels=6, plateau=2)
@@ -878,8 +886,7 @@ class TestLazyAdjacency:
             q = assemble(ex.graph, boundary=[boundary])
             assert np.flatnonzero(~q.active).tolist() == [1]
             f = np.linspace(-1.0, 2.0, q.n) * q.active
-            for clamp_levels in (None, [0.5, 3.0]):
-                reflected_form(q, ex, f, clamp_levels=clamp_levels)
+            reflected_form(q, ex, f)
             assert "ids" not in vars(ex.graph) and "index" not in vars(ex.graph)
         assert builds == [] and made == []
 

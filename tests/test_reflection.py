@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -58,6 +59,16 @@ from graphforms.reflection import (
 
 def masked_full(q):
     return Exhaustion.full(q.graph).masked(q.active)
+
+
+def _unsaturated(ex):
+    """A ball exhaustion with its last cutoff left a ball's, as ``build_exhaustion``'s is."""
+    return Exhaustion._of(ex.graph, replace(ex._levels, saturate=False), ex.nest_assumed)
+
+
+def _balls(g, root, n_levels, plateau, saturate):
+    ex = ball_exhaustion(g, root, n_levels=n_levels, plateau=plateau)
+    return ex if saturate else _unsaturated(ex)
 
 
 class TestTruncatedForm:
@@ -162,7 +173,7 @@ class TestMainPart:
             ("v2", False, True), ("w1", True, True), ("w1", False, False),
         ):
             q = assemble(g, boundary=[boundary])
-            ex = ball_exhaustion(g, "v0", n_levels=2, plateau=1, saturate=saturate)
+            ex = _balls(g, "v0", 2, 1, saturate)
             for part in (main_part, killing_part):
                 if rejected:
                     with pytest.raises(ValueError, match="mask"):
@@ -196,29 +207,24 @@ class TestKillingPart:
             assert res.value == pytest.approx(4 * t * t, rel=1e-12, abs=1e-13)
 
     def test_grid_monotone(self):
+        # One clamp level, max|f|: a grid of one row, nondecreasing in the cutoff index.
         rng = np.random.default_rng(8)
         q, ex = form_corpus(37, 1, n_max=20)[0]
         f = random_function(rng, q.n)
-        top = float(np.abs(f).max())
-        res = killing_part(
-            q, ex.masked(q.active), f, clamp_levels=[0.5 * top, top, 2 * top]
-        )
+        res = killing_part(q, ex.masked(q.active), f)
         grid = np.array(res.trace)
-        assert np.all(np.diff(grid, axis=0) >= -1e-10)  # clamp index
+        assert grid.shape == (1, ex.levels) and res.value == grid[-1, -1]
         assert np.all(np.diff(grid, axis=1) >= -1e-10)  # cutoff index
 
-    def test_bad_clamp_ladders_rejected(self):
+    def test_killing_value_is_exact_at_one_clamp_level(self):
         # c_eff is 1 at v1 (the edge into v0) and 2 at v3, so the killing part of f is 17.
         g = make_path(6, 1.0)
         q = assemble(g, boundary=["v0"], extra_killing={"v3": 2.0})
         ex = ball_exhaustion(g, "v3", n_levels=4, plateau=1)
         f = np.array([0.0, 3.0, 1.0, 2.0, 1.0, 0.0])
-        res = reflected_form(q, ex, f, clamp_levels=[0.5, 3.0])
+        res = reflected_form(q, ex, f)
         assert res.killing_value == form_oracle_killing(q, f) == 17.0
-        for ladder, message in (([], "empty"), ([3.0, 0.5], "nondecreasing"),
-                                ([0.5, 0.0], "positive")):
-            with pytest.raises(ValueError, match=message):
-                reflected_form(q, ex, f, clamp_levels=ladder)
+        assert killing_part(q, ex.masked(q.active), f).value == 17.0
 
 
 class TestReflectedForm:
@@ -391,21 +397,13 @@ def _old_truncated(q, phi, f):
     return q.evaluate(phi * f) - q.bilinear(phi * f * f, phi)
 
 
-def _old_traces(q, ex, f, clamp_levels=None):
-    """Main and killing traces from the per-level loop over whole-graph sums."""
+def _old_traces(q, ex, f):
+    """Main and killing traces from the per-level loop over whole-graph sums; the
+    killing grid's one row is at the clamp level max|f|, where the clamp of f is f."""
     mex = ex.masked(q.active)
     main = [_old_truncated(q, chi, f) for chi in mex.cutoffs]
-    if clamp_levels is None:
-        top = float(np.max(np.abs(f)))
-        clamp_levels = [top if top > 0 else 1.0]
     full = np.where(q.active, 1.0, 0.0)
-    grid = []
-    for level in clamp_levels:
-        fn = np.clip(f, -level, level)
-        grid.append(
-            [q.evaluate(chi * fn) - _old_truncated(q, full, chi * fn) for chi in mex.cutoffs]
-        )
-    return main, grid
+    return main, [[q.evaluate(chi * f) - _old_truncated(q, full, chi * f) for chi in mex.cutoffs]]
 
 
 def _hex(values):
@@ -416,7 +414,7 @@ def _support_instances():
     rng = np.random.default_rng(77)
     for saturate in (True, False):
         for q, _ in form_corpus(78, 6, n_min=5, n_max=40):
-            ex = ball_exhaustion(q.graph, 0, n_levels=4, plateau=1, saturate=saturate)
+            ex = _balls(q.graph, 0, 4, 1, saturate)
             yield q, ex, random_function(rng, q.n)
     for gen, root, boundary in (
         (SquareLatticeGenerator(c=0.1, b=0.5), "0,0", ["1,0", "-2,1"]),
@@ -484,8 +482,8 @@ def _hand_built_cutoffs(rng, n, kind):
     return [values[k] for k in rng.integers(levels, size=levels + 2)]
 
 
-def _new_traces(q, ex, f, clamp_levels=None):
-    res = reflected_form(q, ex, f, clamp_levels=clamp_levels)
+def _new_traces(q, ex, f):
+    res = reflected_form(q, ex, f)
     return res.main_trace, res.killing_trace
 
 
@@ -503,13 +501,12 @@ class TestLevelSupports:
     def test_walk_matches_whole_graph_loop(self):
         count = 0
         for q, ex, f in _walk_instances():
-            for clamp_levels in (None, [0.5, 1.0, 3.0]):
-                res = reflected_form(q, ex, f, clamp_levels=clamp_levels)
-                main, grid = _old_traces(q, ex, f, clamp_levels)
-                assert _hex(res.main_trace) == _hex(main)
-                assert [_hex(row) for row in res.killing_trace] == [_hex(row) for row in grid]
-                count += 1
-        assert count == 2 * (8 + 1 + 1 + 1 + 1)
+            res = reflected_form(q, ex, f)
+            main, grid = _old_traces(q, ex, f)
+            assert _hex(res.main_trace) == _hex(main)
+            assert [_hex(row) for row in res.killing_trace] == [_hex(row) for row in grid]
+            count += 1
+        assert count == 8 + 1 + 1 + 1 + 1
 
     def test_hand_built_cutoffs_match_whole_graph_loop(self):
         # Seeded stress: the walk, on exhaustions masked here or by reflected_form.
@@ -520,14 +517,13 @@ class TestLevelSupports:
                 cutoffs = _hand_built_cutoffs(rng, q.n, kind)
                 ex = Exhaustion(q.graph, [np.flatnonzero(chi == 1.0) for chi in cutoffs], cutoffs)
                 f = random_function(rng, q.n)
-                for clamp_levels in (None, [0.5, 1.0, 3.0]):
-                    main, grid = _old_traces(q, ex, f, clamp_levels)
-                    for given in (ex, ex.masked(q.active)):
-                        res = reflected_form(q, given, f, clamp_levels=clamp_levels)
-                        assert _hex(res.main_trace) == _hex(main)
-                        assert [_hex(r) for r in res.killing_trace] == [_hex(r) for r in grid]
-                        count += 1
-        assert count == 25 * 3 * 2 * 2
+                main, grid = _old_traces(q, ex, f)
+                for given in (ex, ex.masked(q.active)):
+                    res = reflected_form(q, given, f)
+                    assert _hex(res.main_trace) == _hex(main)
+                    assert [_hex(r) for r in res.killing_trace] == [_hex(r) for r in grid]
+                    count += 1
+        assert count == 25 * 3 * 2
 
     def test_hand_built_error_precedence(self):
         q = assemble(make_path(4, 1.0), boundary=["v0"])
@@ -616,10 +612,13 @@ class TestLevelSupports:
             assert max(handed) <= 8
             assert rows[:2] == [len(block.slot)] * 2
             assert len(rows) == 3 and 0 < rows[2] <= 4 * ex.levels
-        # A clamped level forms Q(g) on every row, and Q(g^2, 1) on the crossing rows only.
+        # killing_part alone takes Q(g) from the main part's sums, so it forms the same.
+        handed.clear()
         rows.clear()
-        killing_part(q, ex.masked(q.active), f, clamp_levels=[0.25])
-        assert len(rows) == 2 and rows[0] == len(block.slot) and 0 < rows[1] <= 4 * ex.levels
+        killing_part(q, ex.masked(q.active), f)
+        assert len(handed) == 3 * ex.levels
+        assert rows[:2] == [len(block.slot)] * 2
+        assert len(rows) == 3 and 0 < rows[2] <= 4 * ex.levels
         assert [_Walk(q, ex.masked(q.active), f * scale).shift for scale in (1.0, 1e144)] == [0, 8]
 
     def test_running_sums_are_exact(self):
@@ -627,9 +626,8 @@ class TestLevelSupports:
         # (slot levels + k counts at level k only), subnormals to 2^900, cancellations.
         def check(terms, slot, levels):
             running = _running_sums(terms, slot, levels)
-            assert len(running) == levels
-            for k, parts in enumerate(running):
-                assert all(isinstance(v, float) and v != 0.0 for v in parts)
+            assert running.dtype == float and running.shape[1:] == (levels,)
+            for k, parts in enumerate(running.T.tolist()):
                 exact = sum(
                     Fraction(t) for t, s in zip(terms.tolist(), slot) if s <= k or s == levels + k
                 )
@@ -646,12 +644,12 @@ class TestLevelSupports:
         # Zeros count toward the extraction's bound and are dropped only once they are at
         # least half of what remains: all zeros, one nonzero among 10^4 zeros, exactly
         # half zeros, and 2^900 next to subnormals, where 2^900 and -2^900 cancel.
-        assert check(np.array([0.0, -0.0, 0.0]), np.array([0, 3, 5]), 3) == [[], [], []]
+        assert check(np.array([0.0, -0.0, 0.0]), np.array([0, 3, 5]), 3).shape == (0, 3)
         lone = np.zeros(10**4 + 1)
         lone[4321] = -0.75
         slot = rng.integers(8, size=len(lone))
         slot[4321] = 2
-        assert check(lone, slot, 4) == [[], [], [-0.75], [-0.75]]
+        assert check(lone, slot, 4).tolist() == [[0.0, 0.0, -0.75, -0.75]]
         half = np.ldexp(rng.uniform(-1.0, 1.0, 64), rng.integers(-60, 60, 64))
         half[rng.permutation(64)[:32]] = 0.0
         check(half, rng.integers(10, size=64), 5)
@@ -672,12 +670,12 @@ class TestLevelSupports:
         for scale, shift in ((1e140, 0), (1e145, 11), (1e150, 27)):
             assert _Walk(q, mex, f * scale).shift == shift
             res = reflected_form(q, ex, f * scale)
-            main, grid = _per_level_oracle(q, mex, f * scale, None)
+            main, grid = _per_level_oracle(q, mex, f * scale)
             assert _hex(res.main_trace) == _hex(main)
             assert [_hex(row) for row in res.killing_trace] == [_hex(row) for row in grid]
             assert _hex([res.main_value, res.killing_value]) == _hex([main[-1], grid[-1][-1]])
         with pytest.raises(OverflowError):
-            _per_level_oracle(q, mex, f * 1e154, None)
+            _per_level_oracle(q, mex, f * 1e154)
         with pytest.raises(OverflowError, match="past the float range"):
             reflected_form(q, ex, f * 1e154)
 
@@ -711,7 +709,7 @@ class TestLevelSupports:
         f = np.array([1e200, 1e200, 0.0])
         k = _Walk(q, ex, f).shift
         assert k == 154
-        main, grid = _scaled_oracle(q, ex, f, None, k)
+        main, grid = _scaled_oracle(q, ex, f, k)
         res = reflected_form(q, ex, f)
         assert _hex(res.main_trace) == _hex(main)
         assert [_hex(row) for row in res.killing_trace] == [_hex(row) for row in grid]
@@ -731,8 +729,8 @@ class TestLevelSupports:
         k = _Walk(q, ex, f).shift
         assert k == 20
         res = reflected_form(q, ex, f)
-        want = _scaled_oracle(q, ex, f, None, k)
-        old = _per_level_oracle(q, ex, f, None)
+        want = _scaled_oracle(q, ex, f, k)
+        old = _per_level_oracle(q, ex, f)
         assert (_hex(res.main_trace), [_hex(r) for r in res.killing_trace]) == (
             _hex(want[0]), [_hex(r) for r in want[1]])
         assert res.main_trace[1] == old[0][1] and res.killing_trace[0][1] == old[1][0][1]
@@ -758,13 +756,12 @@ class TestLevelSupports:
     def test_traces_match_whole_graph_loop(self):
         count = 0
         for q, ex, f in _support_instances():
-            for clamp_levels in (None, [0.5, 1.0, 3.0]):
-                res = reflected_form(q, ex, f, clamp_levels=clamp_levels)
-                main, grid = _old_traces(q, ex, f, clamp_levels)
-                assert _hex(res.main_trace) == _hex(main)
-                assert [_hex(row) for row in res.killing_trace] == [_hex(row) for row in grid]
-                count += 1
-        assert count == 2 * (12 + 4 + 1)
+            res = reflected_form(q, ex, f)
+            main, grid = _old_traces(q, ex, f)
+            assert _hex(res.main_trace) == _hex(main)
+            assert [_hex(row) for row in res.killing_trace] == [_hex(row) for row in grid]
+            count += 1
+        assert count == 12 + 4 + 1
 
     def test_truncated_form_matches_whole_graph_sums(self):
         rng = np.random.default_rng(80)
@@ -814,10 +811,10 @@ class TestLevelSupports:
         g = WeightedGraph(ids, [1.0] * 6, [0.0] * 6, edges)
         q, f = assemble(g), np.arange(6.0)
         for ex in (Exhaustion.full(g), ball_exhaustion(g, "v0", n_levels=3, plateau=1)):
-            res = reflected_form(q, ex, f, clamp_levels=[2.0, 5.0])
+            res = reflected_form(q, ex, f)
             values = [res.main_value, res.killing_value, *res.main_trace,
                       *(v for row in res.killing_trace for v in row)]
-            assert len(values) == 2 + 3 * ex.levels and all(map(math.isnan, values))
+            assert len(values) == 2 + 2 * ex.levels and all(map(math.isnan, values))
             assert not res.converged
             assert not main_part(q, ex, f).converged and not killing_part(q, ex, f).converged
 
@@ -828,7 +825,7 @@ class TestLevelSupports:
                           [("a", "b", math.inf), ("b", "c", 1.0)])
         q, f = assemble(g), np.array([1.0, 0.0, 0.0])
         ex = Exhaustion(g, [np.array([1]), np.arange(3)], [np.array([0.5, 1.0, 0.0]), np.ones(3)])
-        assert math.isnan(_per_level_oracle(q, ex, f, None)[0][0])
+        assert math.isnan(_per_level_oracle(q, ex, f)[0][0])
         res = reflected_form(q, ex, f)
         assert all(map(math.isnan, res.main_trace + res.killing_trace[0]))
         assert not res.converged
@@ -840,35 +837,26 @@ class TestLevelSupports:
             killing_part(q, ex, np.ones(3))
 
 
-def _per_level_oracle(q, mex, f, clamp_levels):
-    """Main trace and killing grid from ``_truncated`` on the whole graph, level by level."""
+def _per_level_oracle(q, mex, f):
+    """Main trace and killing grid from ``_truncated`` on the whole graph, level by level;
+    the grid's one row is at the clamp level max|f|, where the clamp of f is f."""
     main = [_truncated(q, chi, f)[1] for chi in mex.cutoffs]
-    if clamp_levels is None:
-        top = float(np.max(np.abs(f)))
-        clamp_levels = [top if top > 0 else 1.0]
     full = np.where(q.active, 1.0, 0.0)
-    grid = []
-    for level in clamp_levels:
-        fn = np.clip(f, -level, level)
-        grid.append([e - t for e, t in (_truncated(q, full, chi * fn) for chi in mex.cutoffs)])
-    return main, grid
+    return main, [[e - t for e, t in (_truncated(q, full, chi * f) for chi in mex.cutoffs)]]
 
 
-def _scaled_oracle(q, mex, f, clamp_levels, k):
-    """``_per_level_oracle`` on 2^-k f and its clamp levels, each value times 2^2k (inf
-    past the float range)."""
-    levels = None if clamp_levels is None else list(np.ldexp(clamp_levels, -k))
-    main, grid = _per_level_oracle(q, mex, np.ldexp(f, -k), levels)
+def _scaled_oracle(q, mex, f, k):
+    """``_per_level_oracle`` on 2^-k f, each value times 2^2k (inf past the float range)."""
+    main, grid = _per_level_oracle(q, mex, np.ldexp(f, -k))
     with np.errstate(over="ignore"):
         return np.ldexp(main, 2 * k).tolist(), np.ldexp(grid, 2 * k).tolist()
 
 
-def _far_from_subnormal(mex, f, clamp_levels, k):
-    """Whether every nonzero value of 2^-k f, its clamp levels and the cutoffs is at
-    least 2^-200: with nonzero weights of at least 2^-10, no term, intermediate result
-    or level value formed from 2^-k f is then subnormal."""
-    scaled = np.ldexp(np.concatenate([f, clamp_levels or []]), -k)
-    values = np.abs(np.concatenate([scaled, *mex.cutoffs]))
+def _far_from_subnormal(mex, f, k):
+    """Whether every nonzero value of 2^-k f and the cutoffs is at least 2^-200: with
+    nonzero weights of at least 2^-10, no term, intermediate result or level value
+    formed from 2^-k f is then subnormal."""
+    values = np.abs(np.concatenate([np.ldexp(f, -k), *mex.cutoffs]))
     return bool((values[values != 0.0] >= 2.0**-200).all())
 
 
@@ -877,10 +865,9 @@ _WEIGHTS = st.sampled_from([0.0, 0.25, 1.0, 3.0, 1e-3, 7.5e5])
 
 @st.composite
 def walk_cases(draw):
-    """(form, exhaustion, f, clamp ladder): a random graph with killing, couplings (self-
-    couplings and couplings into the boundary among them), extra killing and a Dirichlet
-    mask, ball or explicit (not nested) cutoffs, f times a power of two from 2^-600 to
-    2^600, and a ladder that may stop below max|f|."""
+    """(form, exhaustion, f): a random graph with killing, couplings (self-couplings and
+    couplings into the boundary among them), extra killing and a Dirichlet mask, ball
+    or explicit (not nested) cutoffs, and f times a power of two from 2^-600 to 2^600."""
     n = draw(st.integers(2, 10))
     ids = [f"v{i}" for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -899,8 +886,8 @@ def walk_cases(draw):
     q = assemble(g, boundary=boundary, extra_killing=extra, couplings=couplings)
     levels = draw(st.integers(1, 5))
     if draw(st.booleans()):
-        ex = ball_exhaustion(g, draw(st.sampled_from(ids)), n_levels=levels,
-                             plateau=draw(st.integers(1, 3)), saturate=draw(st.booleans()))
+        ex = _balls(g, draw(st.sampled_from(ids)), levels, draw(st.integers(1, 3)),
+                    draw(st.booleans()))
     else:
         value = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
         cutoffs = [np.array(draw(st.lists(value, min_size=n, max_size=n))) for _ in range(levels)]
@@ -909,8 +896,7 @@ def walk_cases(draw):
                                min_size=n, max_size=n))) * q.active
     # Scales near 2^480 and up take a shift, and some level sums pass the float range.
     f = np.ldexp(f, draw(st.just(0) | st.integers(-600, 600) | st.integers(470, 520)))
-    clamp_levels = draw(st.none() | st.lists(st.floats(0.05, 5.0), min_size=1, max_size=3).map(sorted))
-    return q, ex, f, clamp_levels
+    return q, ex, f
 
 
 class TestRowTable:
@@ -923,20 +909,19 @@ class TestRowTable:
         # level sum past the float range raises, as the oracle's fsum does.  They are the
         # oracle's on f where nothing is subnormal, except that the oracle also raises
         # where a product such as c (f(x) f(x)) overflows though its level sum does not.
-        q, ex, f, clamp_levels = case
+        q, ex, f = case
         mex = ex.masked(q.active)
         k = _Walk(q, mex, f).shift
-        old = _outcome(_per_level_oracle, q, mex, f, clamp_levels)
+        old = _outcome(_per_level_oracle, q, mex, f)
         with mock.patch.object(reflection, "_BLOCK_ROWS", block):
-            got = _outcome(_new_traces, q, ex, f, clamp_levels)
-            alone = _outcome(lambda: (main_part(q, mex, f).trace,
-                                      killing_part(q, mex, f, clamp_levels=clamp_levels).trace))
+            got = _outcome(_new_traces, q, ex, f)
+            alone = _outcome(lambda: (main_part(q, mex, f).trace, killing_part(q, mex, f).trace))
         assert alone == got
         if got is OverflowError:
             assert k > 0 and old is OverflowError
         else:
-            assert got == _outcome(_scaled_oracle, q, mex, f, clamp_levels, k)
-        if k == 0 or _far_from_subnormal(mex, f, clamp_levels, k):
+            assert got == _outcome(_scaled_oracle, q, mex, f, k)
+        if k == 0 or _far_from_subnormal(mex, f, k):
             assert got == old or (k > 0 and old is OverflowError)
 
     def test_blocks_split_the_rows(self, monkeypatch):
@@ -975,15 +960,14 @@ def ball_cases(draw):
     kind = draw(st.sampled_from(["line", "lattice", "graph"]))
     if kind == "graph":
         g = make_path(draw(st.integers(2, 12)), draw(st.sampled_from([0.5, 1.0, 2.0])))
-        ex = ball_exhaustion(g, draw(st.sampled_from(g.ids)), n_levels, plateau,
-                             saturate=draw(st.booleans()))
+        ex = _balls(g, draw(st.sampled_from(g.ids)), n_levels, plateau, draw(st.booleans()))
     else:
         gen = IntegerLineGenerator(b=0.5) if kind == "line" else SquareLatticeGenerator(c=0.1)
         ex = build_exhaustion(gen, "0" if kind == "line" else "0,0", n_levels, plateau)
     n = ex.graph.n
     if draw(st.booleans()):
         ex = ex.masked(np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))))
-    boundary = draw(st.lists(st.sampled_from(ex.graph.ids), unique=True, max_size=2))
+    boundary = draw(st.lists(st.sampled_from(ex.graph.ids), unique=True, max_size=min(2, n - 1)))
     q = assemble(ex.graph, boundary=boundary)
     f = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
     return q, ex, f
@@ -996,7 +980,7 @@ class TestLevelRepresentation:
     @given(ball_cases())
     def test_explicit_copy_walks_alike(self, case):
         q, ex, f = case
-        copy = Exhaustion(ex.graph, ex.sets, ex.cutoffs, ex.nest_assumed)
+        copy = Exhaustion(ex.graph, ex.sets, ex.cutoffs)
         for a, b in zip(ex._levels.enter_freeze(), copy._levels.enter_freeze()):
             assert np.array_equal(a, b)
         level = np.arange(3 * q.n) % ex.levels
