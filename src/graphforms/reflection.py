@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -91,10 +93,27 @@ def truncated_oracle(q: GraphForm, phi, f) -> float:
 # Level walk
 # ---------------------------------------------------------------------------
 
-#: Rows per block of a level sum.  A block's terms are formed and extracted on
-#: their own, so a sum's temporaries stay near 10 MB at any size; a ball of
-#: n = 9941 vertices has ~77 000 rows, one block.
-_BLOCK_ROWS = 2**17
+#: Most rows (a pair's or a vertex's, one per level from its entry to its
+#: freeze) in one block of the level walk (``_Walk._tables``).  A block is
+#: built, its terms of both parts formed and extracted, and it is dropped
+#: before the next, so a walk holds its per-pair arrays and one block, about
+#: 100 bytes a row.  Smaller blocks keep those temporaries in cache and fault in
+#: fewer fresh pages (decompose's sq68 op takes ~2200 minor faults with the whole
+#: table, ~1600 at 12288 rows and ~700 at 8192), but each block costs ~0.1 ms of
+#: numpy calls.  12288 keeps decompose's median op, sq24 (10 156 rows), one
+#: block, where 8192 splits it; the cli decompose-lattice walk (3 levels, 20 784
+#: rows) takes two.  Median op time in ms: sq24, sq34 and sq68 in perfbench's
+#: decompose workload (three 30 s runs each, rescaled), the cli walk and the
+#: n = 99905 ball (221 levels) as CPU time of ``reflected_form`` in process;
+#: "whole" builds the whole row table before it sums; 2 vCPUs:
+#:
+#:     rows     sq24   sq34   sq68   cli walk   n = 99905
+#:     whole    2.56   6.56   18.0     3.56       115
+#:      8192    2.70   5.74   14.1     4.36        86
+#:     12288    2.44   6.39   15.4     3.97        80
+#:     16384    2.55   6.58   16.8     3.97        71
+#:     32768    2.70   7.72   17.2     3.68        68
+_BLOCK_ROWS = 12288
 
 
 def _check_truncation(q: GraphForm, ex: Exhaustion) -> None:
@@ -182,16 +201,17 @@ class _Walk:
     entered pairs and vertices that are not yet frozen, is evaluated per level.
     ``_running_sums`` extracts, from the frozen and the window terms together, a
     few floats per level with the level's exact sum, and one fsum over them is the
-    level sum.  The rows, with everything the sums read of them, are gathered once
-    into a row table (``blocks``) that the sums of both parts share.
+    level sum.  The rows, with everything the sums of both parts read of them, form
+    a row table that is never held whole: ``_tables`` builds it one block at a time,
+    and each block's terms are formed and extracted, and the block dropped, before
+    the next is built.
 
     Q(chi f) and Q(chi f^2, chi) of the main part read every row; the killing
     part's Q(g), g = chi f, is Q(chi f).  Its Q(g^2, 1) reads only each block's
-    crossing table (``crossing``): the pair rows whose endpoints differ in activity,
-    and the vertex rows, all of which carry killing.  A pair enters through an
-    active endpoint, so every other pair row joins two active vertices, and its
-    term w (a_u - a_v) (1 - 1) is an exact zero, because the terms of 2^-k f are
-    finite.
+    crossing table: the pair rows whose endpoints differ in activity, and the
+    vertex rows, all of which carry killing.  A pair enters through an active
+    endpoint, so every other pair row joins two active vertices, and its term
+    w (a_u - a_v) (1 - 1) is an exact zero, because the terms of 2^-k f are finite.
 
     Every term is a product of two factors of f, so the terms are formed from 2^-k
     f, k = ``GraphForm.shift`` (0 unless f is huge), taken up front: each level sum
@@ -208,50 +228,60 @@ class _Walk:
         self.q, self.f = q, as_function(q.graph, f)
         self.full = np.where(q.active, 1.0, 0.0)
         levels = ex._levels
-        self.levels, self.monotone = levels.levels, levels.monotone
-        enter, freeze = levels.enter_freeze()
-        if (enter[~q.active] < self.levels).any():
+        self.levels, self.monotone, self._values = levels.levels, levels.monotone, levels.values
+        self._enter, self._freeze = levels.enter_freeze()
+        if (self._enter[~q.active] < self.levels).any():
             raise ValueError("exhaustion cutoff is nonzero on the boundary; mask it first")
         for chi in levels.arrays:
             _check_cutoff(q, chi)
         self.saturated = bool(np.all(levels.cutoff(self.levels - 1)[q.active] == 1.0))
         self.shift = q.shift(self.f) if q.finite else 0
-        if q.finite:
-            self._rows(enter, freeze, levels.values)
 
-    def _rows(self, enter, freeze, values) -> None:
-        """Set up the row table: the rows of each pair and vertex, from its entry to
-        its freeze, with everything every level sum reads of them (f scaled by
-        2^-k), and their slots, in blocks of at most ``_BLOCK_ROWS`` rows."""
-        q, n_levels = self.q, self.levels
-        f = np.ldexp(self.f, -self.shift)
+    def _tables(self):
+        """Yield the row table block by block, each block with its crossing table.
+
+        The rows of a pair or vertex run from its entry to its freeze, one per level.
+        The pairs, then the vertices, that enter with a nonzero weight are cut into
+        consecutive runs whose rows total at most ``_BLOCK_ROWS`` (or one pair or
+        vertex, where its rows alone are more); there is one block even without
+        rows.  Only per-pair and per-vertex arrays outlive a block.
+        """
+        q, n_levels, enter, freeze = self.q, self.levels, self._enter, self._freeze
         ends, w = q.pairs
         pair_enter = enter[ends].min(axis=0)
         pairs = np.flatnonzero((pair_enter < n_levels) & (w != 0.0))
         verts = np.flatnonzero((enter < n_levels) & (q.c_total != 0.0))
         # take, not ends[:, pairs]: numpy's indexing is several times slower on a column.
         pair_ends = ends.take(pairs, axis=1)
-        pair_freeze = freeze[pair_ends].max(axis=0)
-        crosses = np.not_equal(*q.active[pair_ends])
-        ip, lp, last_p = _spans(pair_enter[pairs], pair_freeze + 1)
-        iv, lv, last_v = _spans(enter[verts], freeze[verts] + 1)
+        begin = np.concatenate((pair_enter[pairs], enter[verts]))
+        end = np.concatenate((freeze[pair_ends].max(axis=0), freeze[verts])) + 1
+        stop, cuts = np.cumsum(end - begin), [0]
+        while cuts[-1] < len(stop):
+            lo = cuts[-1]
+            hi = np.searchsorted(stop, (stop[lo - 1] if lo else 0) + _BLOCK_ROWS, side="right")
+            cuts.append(max(int(hi), lo + 1))
+        items = (pairs, pair_ends, w[pairs], np.not_equal(*q.active[pair_ends]), verts,
+                 np.ldexp(self.f, -self.shift))
+        for lo, hi in pairwise(cuts) if len(stop) else [(0, 0)]:
+            yield self._block(items, lo, begin[lo:hi], end[lo:hi])
+
+    def _block(self, items: tuple, lo: int, begin: np.ndarray, end: np.ndarray) -> tuple:
+        """The block of the items (pairs, then vertices) from lo on with spans [begin,
+        end), and its crossing table; the spans are dropped on return."""
+        pairs, pair_ends, w, crosses, verts, f = items
+        n_levels = self.levels
+        index, level, last = _spans(begin, end)
         # A row at its freeze level, the last of its span, counts at every later level
         # too (slot = level), a window row at its own level only (slot = n_levels + level).
-        n_p = len(ip)
-        slot = np.concatenate((lp, lv)) + n_levels
-        slot[np.concatenate((last_p, n_p + last_v))] -= n_levels
-        # Block b holds rows b B to (b + 1) B - 1 of the pair rows followed by the
-        # vertex rows, B = _BLOCK_ROWS; there is one block even without rows.
-        self.blocks, self.crossing = [], []
-        for lo in range(0, max(n_p + len(iv), 1), _BLOCK_ROWS):
-            hi = lo + _BLOCK_ROWS
-            bp, bv = slice(min(lo, n_p), min(hi, n_p)), slice(max(lo - n_p, 0), max(hi - n_p, 0))
-            wp, wv = pairs[ip[bp]], verts[iv[bv]]
-            rows = ends.take(wp, axis=1)
-            block = _Rows(rows, values(lp[bp], rows), f[rows], w[wp],
-                          wv, values(lv[bv], wv), f[wv], q.c_total[wv], slot[lo:hi])
-            self.blocks.append(block)
-            self.crossing.append(_pick(block, np.flatnonzero(crosses[ip[bp]])))
+        slot = level + n_levels
+        slot[last] -= n_levels
+        index += lo
+        r_p = int(np.searchsorted(index, len(pairs)))  # the pair rows come first
+        ip, wv = index[:r_p], verts[index[r_p:] - len(pairs)]
+        rows = pair_ends.take(ip, axis=1)
+        block = _Rows(rows, self._values(level[:r_p], rows), f[rows], w[ip],
+                      wv, self._values(level[r_p:], wv), f[wv], self.q.c_total[wv], slot)
+        return block, _pick(block, np.flatnonzero(crosses[ip]))
 
     def _terms(self, rows: _Rows, killing: bool) -> list:
         """``energy_terms`` of Q(chi f) and Q(chi f^2, chi) for the main part, or of
@@ -269,18 +299,38 @@ class _Walk:
         out.append(energy_terms(g_p, rows.chi_p, rows.w, g_x, rows.chi_x, rows.c))
         return out
 
+    def _extract(self, tables: tuple) -> list:
+        """``_running_sums`` of a block's terms of Q(chi f) and Q(chi f^2, chi), and of
+        its crossing table's terms of Q(g^2, 1)."""
+        block, crossing = tables
+        terms = self._terms(block, False) + self._terms(crossing, True)
+        return [_running_sums(t, table.slot, self.levels)
+                for t, table in zip(terms, (block, block, crossing))]
+
+    @cached_property
+    def _rounds(self) -> tuple:
+        """The (rounds x levels) arrays of every block, per sum; the blocks are built
+        and extracted in turn, and only these arrays are kept (map, unlike a loop
+        variable, holds no block while the next one is built)."""
+        return tuple(zip(*map(self._extract, self._tables())))
+
     def level_sums(self, killing: bool) -> list:
         """The exact sums [Q(chi_l f)] and [Q(chi_l f^2, chi_l)] over the levels l for
         the main part, or [Q(g^2, 1)], g = chi_l f, for the killing part, which reads
-        only the crossing tables.  Each block's terms are extracted on their own, and
-        each level sum is one fsum over the floats of every block, times 2^2k.
+        only the crossing tables.  The first call forms the sums of both parts, block
+        by block (``_rounds``); each level sum is one fsum over the floats of every
+        block, times 2^2k.
         """
         if not self.q.finite:
             return [[math.nan] * self.levels] * (1 if killing else 2)
-        blocks = [[_running_sums(t, table.slot, self.levels) for t in self._terms(table, killing)]
-                  for table in (self.crossing if killing else self.blocks)]
-        return [[unscale(math.fsum(col), 2 * self.shift)
-                 for col in np.concatenate(parts).T.tolist()] for parts in zip(*blocks)]
+        out = []
+        for parts in self._rounds[2:] if killing else self._rounds[:2]:
+            sums = list(map(math.fsum, np.concatenate(parts).T.tolist()))
+            if self.shift:  # unscale raises where the largest, and so some, sum overflows
+                unscale(max(sums, key=abs), 2 * self.shift)
+                sums = np.ldexp(sums, 2 * self.shift).tolist()
+            out.append(sums)
+        return out
 
 
 # ---------------------------------------------------------------------------

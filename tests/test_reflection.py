@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -597,28 +598,31 @@ class TestLevelSupports:
             rows.append(len(w) + len(c))
             return energy_terms(a_p, b_p, w, a_x, b_x, c)
 
-        (block,) = _Walk(q, ex.masked(q.active), f).blocks
+        # Per block, the main part's two sums read every row and the killing part's
+        # one its crossing table.
+        tables = list(_Walk(q, ex.masked(q.active), f)._tables())
+        per_block = [len(t.slot) for block, crossing in tables for t in (block, block, crossing)]
         monkeypatch.setattr(math, "fsum", counting)
         monkeypatch.setattr(reflection, "energy_terms", spy)
-        assert g.n > 9000 and not q.c_total.any() and len(block.slot) > 7 * g.n
+        n_rows = sum(len(block.slot) for block, _ in tables)
+        assert g.n > 9000 and not q.c_total.any() and n_rows > 7 * g.n and len(tables) > 1
         for scale in (1.0, 1e144):
             handed.clear()
             rows.clear()
             reflected_form(q, ex, f * scale)
             assert sum(handed) <= 8 * (g.n + len(g.edge_b))
-            # Each level is one fsum over the few floats the extraction leaves; the
-            # killing part takes Q(chi_k f) from the main part and sums only Q(g^2, 1).
+            # Each level is one fsum over the few floats the extraction leaves in each
+            # block; the killing part takes Q(chi_k f) from the main part and sums only
+            # Q(g^2, 1).
             assert len(handed) == 3 * ex.levels
-            assert max(handed) <= 8
-            assert rows[:2] == [len(block.slot)] * 2
-            assert len(rows) == 3 and 0 < rows[2] <= 4 * ex.levels
+            assert max(handed) <= 8 * len(tables)
+            assert rows == per_block and 0 < sum(rows[2::3]) <= 4 * ex.levels
         # killing_part alone takes Q(g) from the main part's sums, so it forms the same.
         handed.clear()
         rows.clear()
         killing_part(q, ex.masked(q.active), f)
         assert len(handed) == 3 * ex.levels
-        assert rows[:2] == [len(block.slot)] * 2
-        assert len(rows) == 3 and 0 < rows[2] <= 4 * ex.levels
+        assert rows == per_block
         assert [_Walk(q, ex.masked(q.active), f * scale).shift for scale in (1.0, 1e144)] == [0, 8]
 
     def test_running_sums_are_exact(self):
@@ -899,11 +903,22 @@ def walk_cases(draw):
     return q, ex, f
 
 
+@pytest.fixture(scope="module")
+def ball100():
+    """The lattice ball of radius 102 (n = 21013) with 100 levels, its form with one
+    Dirichlet vertex, and a function on it; built once for the tests that read it."""
+    ex = build_exhaustion(SquareLatticeGenerator(), "0,0", n_levels=100, plateau=2)
+    q = assemble(ex.graph, boundary=["1,0"])
+    return q, ex, random_function(np.random.default_rng(96), q.n) * q.active
+
+
 class TestRowTable:
     """One row table serves both parts, in blocks of any size, bit for bit."""
 
+    # Sizes below a span, a size that cuts the vertex rows of most cases, the default
+    # and one block.
     @settings(max_examples=120)
-    @given(walk_cases(), st.sampled_from([1, 2, 5, 2**17]))
+    @given(walk_cases(), st.sampled_from([1, 2, 5, 13, reflection._BLOCK_ROWS, 2**17]))
     def test_parts_match_the_per_level_oracle(self, case, block):
         # The walk's level values are those of the oracle on 2^-k f, scaled back, and a
         # level sum past the float range raises, as the oracle's fsum does.  They are the
@@ -930,18 +945,19 @@ class TestRowTable:
         f = np.linspace(-1.0, 1.0, q.n) * q.active
         mex = ex.masked(q.active)
         walk = _Walk(q, mex, f)
-        (whole,), (crossing,) = walk.blocks, walk.crossing
+        ((whole, crossing),) = walk._tables()
         monkeypatch.setattr(reflection, "_BLOCK_ROWS", 8)
-        walk = _Walk(q, mex, f)
-        blocks = walk.blocks
-        assert [len(b.slot) for b in blocks[:-1]] == [8] * (len(blocks) - 1)
-        assert 1 <= len(blocks[-1].slot) <= 8
+        blocks, crossings = zip(*walk._tables())
+        # Whole pairs and vertices, at most 8 rows (a span has at most 4 here), and no
+        # block could take the next one's first pair or vertex.
+        sizes = [len(b.slot) for b in blocks]
+        assert max(sizes) <= 8 and min(a + b for a, b in zip(sizes, sizes[1:])) > 8
         # Consecutive slices of the pair rows followed by the vertex rows, and so are the
         # crossing tables: the rows of the boundary vertex's edges and of the coupling.
-        for parts, table in ((blocks, whole), (walk.crossing, crossing)):
+        for parts, table in ((blocks, whole), (crossings, crossing)):
             for k, field in enumerate(table):
                 assert np.array_equal(np.concatenate([b[k] for b in parts], axis=-1), field)
-        assert len(whole.w) % 8 and len(whole.c)  # a block holds pairs and vertices
+        assert any(len(b.w) and len(b.c) for b in blocks)  # a block holds pairs and vertices
         # The crossing table: every pair row whose endpoints differ in activity, then
         # every vertex row with its slot.
         active, every = q.active[crossing.ends], q.active[whole.ends]
@@ -949,6 +965,45 @@ class TestRowTable:
         assert len(crossing.w) == np.count_nonzero(every[0] != every[1]) > 4
         assert np.array_equal(crossing.verts, whole.verts)
         assert np.array_equal(crossing.slot[len(crossing.w):], whole.slot[len(whole.w):])
+
+    def test_block_sizes_give_the_same_traces(self):
+        # sq68 of the benchmark (pair rows only) at f and at 1e144 f, which takes a
+        # shift, and line300-c0.2 (a vertex row per level for every vertex): one block
+        # at 2^17, several at the default and many at 2^10.
+        sq = build_exhaustion(SquareLatticeGenerator(), "0,0", n_levels=68, plateau=2)
+        line = build_exhaustion(IntegerLineGenerator(c=0.2), "0", n_levels=300, plateau=4)
+        rng = np.random.default_rng(97)
+        for ex, boundary, scales in ((sq, "1,0", (1.0, 1e144)), (line, "2", (1.0,))):
+            q = assemble(ex.graph, boundary=[boundary])
+            f = random_function(rng, q.n) * q.active
+            mex = ex.masked(q.active)
+            for scale in scales:
+                seen, blocks = [], []
+                for block in (2**10, reflection._BLOCK_ROWS, 2**17):
+                    with mock.patch.object(reflection, "_BLOCK_ROWS", block):
+                        blocks.append(len(list(_Walk(q, mex, f * scale)._tables())))
+                        res = reflected_form(q, ex, f * scale)
+                    seen.append((_hex(res.main_trace), [_hex(row) for row in res.killing_trace],
+                                 res.converged))
+                assert blocks[0] > blocks[1] >= blocks[2] == 1 and seen[0] == seen[1] == seen[2]
+            assert blocks[1] > 1 or ex is line
+
+    def test_walk_memory_is_set_by_a_block(self, ball100):
+        # The walk keeps per-pair and per-vertex arrays (about 100 bytes a pair here) and
+        # one block of rows (about 100 bytes a row) at a time, never the whole row table
+        # (64 bytes a row), whose rows outnumber the pairs here almost 4 to 1.
+        q, ex, f = ball100
+        reflected_form(q, ex, f)  # the form's cached pair table
+        tracemalloc.start()
+        try:
+            reflected_form(q, ex, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_pairs = len(q.pairs[1])
+        n_rows = sum(len(block.slot) for block, _ in _Walk(q, ex.masked(q.active), f)._tables())
+        assert n_rows > 3.5 * n_pairs
+        assert peak <= 128 * (n_pairs + reflection._BLOCK_ROWS) < 64 * n_rows
 
 
 @st.composite
